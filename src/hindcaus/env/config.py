@@ -50,9 +50,9 @@ class EnvConfig:
         self.hidden_indices = sorted(int(i) for i in self.hidden_indices)
         if len(set(self.hidden_indices)) != len(self.hidden_indices):
             raise ValueError("hidden_indices must be unique")
-        if self.hidden_indices and (
-            self.hidden_indices[0] < 0 or self.hidden_indices[-1] >= self.d_s
-        ):
+        if not self.hidden_indices:
+            raise ValueError("hidden_indices must name at least one hidden factor")
+        if self.hidden_indices[0] < 0 or self.hidden_indices[-1] >= self.d_s:
             raise ValueError(f"hidden_indices out of range for d_s={self.d_s}")
         if len(self.hidden_indices) >= self.d_s:
             raise ValueError("at least one factor must stay observed")

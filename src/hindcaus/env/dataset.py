@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -86,43 +85,17 @@ def _episode_from_record(d: dict) -> Episode:
     )
 
 
-def _rollout_range(args) -> list[dict]:
-    cfg_dict, seed, lo, hi = args
-    cfg = EnvConfig.from_dict(cfg_dict)
-    return [_episode_to_record(rollout(cfg, i, seed=seed)) for i in range(lo, hi)]
+def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -> Dataset:
+    """Roll out `n_episodes` episodes in memory; `save_dataset` writes them.
 
-
-def generate_dataset(
-    cfg: EnvConfig,
-    n_episodes: int,
-    path: str | Path | None = None,
-    seed: int | None = None,
-    workers: int = 1,
-) -> Dataset:
-    """Roll out `n_episodes` episodes; optionally write them as JSON-lines.
-
-    Episode i always comes from stream (seed, "episode", i), so the result is
-    identical for any worker count.
+    Episode i always comes from stream (seed, "episode", i), so it is
+    identical for any `n_episodes` greater than i.
     """
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
     seed = cfg.seed if seed is None else seed
-    if workers > 1:
-        bounds = np.linspace(0, n_episodes, workers + 1, dtype=int)
-        jobs = [
-            (cfg.to_dict(), seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with Pool(workers) as pool:
-            chunks = pool.map(_rollout_range, jobs)
-        episodes = [_episode_from_record(r) for chunk in chunks for r in chunk]
-    else:
-        episodes = [rollout(cfg, i, seed=seed) for i in range(n_episodes)]
-    ds = Dataset(config=cfg, episodes=episodes, gt_graph=ground_truth_graph(cfg))
-    if path is not None:
-        save_dataset(ds, path)
-    return ds
+    episodes = [rollout(cfg, i, seed=seed) for i in range(n_episodes)]
+    return Dataset(config=cfg, episodes=episodes, gt_graph=ground_truth_graph(cfg))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

@@ -98,8 +98,8 @@ class Episode:
 def rollout(cfg: EnvConfig, episode_index: int, seed: int | None = None) -> Episode:
     """Generate one episode under the data-collection policy.
 
-    The stream is derived from (seed, episode_index) so generation is
-    order- and worker-independent.
+    The stream is derived from (seed, episode_index) alone, so an episode
+    does not depend on which other episodes are generated or in what order.
     """
     seed = cfg.seed if seed is None else seed
     rng = stream(seed, "episode", episode_index)

@@ -11,7 +11,7 @@ moving average, and thresholded into the working graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from ..env.config import EnvConfig
 from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder
-from .nets import MLP, GRUCell, Linear, TanhRNNCell
 from .store import ParameterStore, ParamFactory, load_checkpoint, save_checkpoint
 from .transition import MaskedTransition, RewardHead, full_mask, leave_one_out_mask
 
@@ -32,8 +31,6 @@ __all__ = [
 class ModelHyper:
     hidden_dim: int = 64
     embed_dim: int = 16
-    rnn_cell: str = "gru"
-    include_next_action: bool = True
 
 
 @dataclass
@@ -64,8 +61,6 @@ def build_models(
             env,
             ParamFactory(store, group, seed),
             hidden_dim=hyper.hidden_dim,
-            rnn_cell=hyper.rnn_cell,
-            include_next_action=hyper.include_next_action,
         )
 
     encoder = enc("phi")

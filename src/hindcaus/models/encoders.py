@@ -24,7 +24,7 @@ from ..env.config import EnvConfig
 from ..env.dataset import TrainBatch
 from ..numcore.dists import gumbel_softmax_sample, one_hot
 from ..numcore.tensor import Tensor, concat, constant
-from .nets import MLP, Linear, make_cell
+from .nets import MLP, GRUCell, Linear
 from .store import ParamFactory
 
 __all__ = ["ENCODER_VARIANTS", "BatchEncoding", "HiddenEncoder"]
@@ -71,24 +71,21 @@ class HiddenEncoder:
         env: EnvConfig,
         params: ParamFactory,
         hidden_dim: int = 64,
-        rnn_cell: str = "gru",
-        include_next_action: bool = True,
     ):
         if variant not in ENCODER_VARIANTS:
             raise ValueError(f"unknown encoder variant {variant!r}; choose from {ENCODER_VARIANTS}")
         self.variant = variant
         self.env = env
         self.H = hidden_dim
-        self.include_next_action = include_next_action
         d_oa = env.d_o * env.l + env.d_s
         d_out = env.d_h * env.l
         H = hidden_dim
 
         if variant == "history":
-            self.cell = make_cell(rnn_cell, params, "fwd", d_oa, H)
+            self.cell = GRUCell(params, "fwd", d_oa, H)
             self.head = Linear(params, "head", H, d_out)
         elif variant == "current_full":
-            self.cell = make_cell(rnn_cell, params, "bwd", d_oa, H)
+            self.cell = GRUCell(params, "bwd", d_oa, H)
             self.head = Linear(params, "head", H, d_out)
         elif variant == "current_1step":
             self.window_net = MLP(params, "window", 2 * d_oa, [H, H], d_out)
@@ -96,7 +93,7 @@ class HiddenEncoder:
             self.past_net = MLP(params, "past", env.d_h * env.l + d_oa, [H], H)
             self.context0 = params.zeros("context0", H)
             if variant == "dvae_full":
-                self.cell = make_cell(rnn_cell, params, "bwd", d_oa, H)
+                self.cell = GRUCell(params, "bwd", d_oa, H)
             else:
                 self.window_net = MLP(params, "window", 2 * d_oa, [H], H)
             self.combiner = MLP(params, "combiner", 2 * H, [H], d_out)
@@ -111,8 +108,7 @@ class HiddenEncoder:
         return concat([enc.o(t), enc.a(t)], axis=1)
 
     def _window_input(self, enc: BatchEncoding, t: int) -> Tensor:
-        a_next = enc.a(t + 1) if self.include_next_action else enc._zero_a
-        return concat([enc.o(t), enc.a(t), enc.o(t + 1), a_next], axis=1)
+        return concat([enc.o(t), enc.a(t), enc.o(t + 1), enc.a(t + 1)], axis=1)
 
     def _forward_states(self, enc: BatchEncoding) -> list[Tensor]:
         h = constant(np.zeros((enc.B, self.H)))

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from ..numcore.tensor import Tensor, concat, matmul
+from ..numcore.tensor import Tensor, matmul
 from .store import ParamFactory
 
-__all__ = ["Linear", "MLP", "GRUCell", "TanhRNNCell", "make_cell"]
+__all__ = ["Linear", "MLP", "GRUCell"]
 
 
 class Linear:
@@ -50,25 +50,3 @@ class GRUCell:
         r = (xw[:, H : 2 * H] + hzr[:, H:]).sigmoid()
         n = (xw[:, 2 * H :] + matmul(r * h, self.Un)).tanh()
         return (1.0 - z) * n + z * h
-
-
-class TanhRNNCell:
-    def __init__(self, params: ParamFactory, name: str, d_in: int, d_hidden: int):
-        self.Wx = params.glorot(f"{name}.Wx", d_in, d_hidden)
-        self.Uh = params.glorot(f"{name}.Uh", d_hidden, d_hidden)
-        self.b = params.zeros(f"{name}.b", d_hidden)
-
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        return (matmul(x, self.Wx) + matmul(h, self.Uh) + self.b).tanh()
-
-
-def make_cell(kind: str, params: ParamFactory, name: str, d_in: int, d_hidden: int):
-    if kind == "gru":
-        return GRUCell(params, name, d_in, d_hidden)
-    if kind == "tanh":
-        return TanhRNNCell(params, name, d_in, d_hidden)
-    raise ValueError(f"unknown rnn_cell {kind!r} (expected 'gru' or 'tanh')")
-
-
-def cat(tensors) -> Tensor:
-    return concat(tensors, axis=1)

@@ -144,7 +144,11 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
             f"checkpoint config hash {manifest['config_hash']} does not match "
             f"expected {expected_config_hash}; refusing to load"
         )
-    raw = (path / "tensors.bin").read_bytes()
+    blob = path / "tensors.bin"
+    raw = blob.read_bytes()
+    expected = 8 * sum(e["count"] for e in manifest["tensors"])
+    if len(raw) != expected:
+        raise ValueError(f"{blob} holds {len(raw)} bytes, manifest expects {expected}")
     flat = np.frombuffer(raw, dtype="<f8")
     arrays = {}
     for e in manifest["tensors"]:

@@ -18,7 +18,6 @@ from .tensor import (
     backward,
     concat,
     constant,
-    embedding,
     log_softmax,
     matmul,
     parameter,
@@ -38,7 +37,6 @@ __all__ = [
     "concat",
     "constant",
     "cross_entropy",
-    "embedding",
     "finite_difference_grad",
     "gumbel_noise",
     "gumbel_softmax_sample",

@@ -2,8 +2,8 @@
 
 Every random draw in the package comes from a stream addressed by a tuple of
 ids (ints and strings), hashed into a Philox key. Streams are stateless to
-construct, so results never depend on draw ordering, worker counts, or how a
-workload is partitioned: the same name always yields the same sequence.
+construct, so results never depend on draw ordering or on which other streams
+are drawn from: the same name always yields the same sequence.
 """
 
 from __future__ import annotations

@@ -59,10 +59,6 @@ class no_grad:
         return False
 
 
-def debug_checks_enabled() -> bool:
-    return _DEBUG_CHECKS
-
-
 def _require_finite(arr: np.ndarray, context: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"non-finite values in {context}")
@@ -213,11 +209,7 @@ def _finish(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _NO_GRAD_DEPTH == 0 and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
-
-        def bound(out=out, fn=backward_fn):
-            fn(out=out)
-
-        out._backward = bound
+        out._backward = backward_fn
     else:
         out.requires_grad = False
         out._parents = ()
@@ -313,11 +305,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.T @ g)
 
     return _finish(data, (a, b), backward_fn)
-
-
-def embedding(one_hot: Tensor, weights: Tensor) -> Tensor:
-    """Embedding lookup expressed as one-hot x matrix."""
-    return matmul(one_hot, weights)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -526,4 +513,4 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(out=node)

@@ -56,7 +56,6 @@ class ObjectiveConfig:
     reward_weight: float = 1.0
     temperature: float = 1.0
     hard_samples: bool = True
-    masked_grad_through_samples: bool = True
 
     def __post_init__(self):
         if self.reward_weight < 0:
@@ -108,9 +107,7 @@ def _flatten_tm(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, 0, 1).reshape(arr.shape[1] * arr.shape[0], *arr.shape[2:])
 
 
-def _transition_inputs(
-    batch: TrainBatch, env: EnvConfig, samples: list[Tensor], detach: bool = False
-) -> list[Tensor]:
+def _transition_inputs(batch: TrainBatch, env: EnvConfig, samples: list[Tensor]) -> list[Tensor]:
     """Inputs for all T transitions stacked transition-major: per state factor
     one (T*B, l) tensor (observed: data one-hots; hidden: encoder samples),
     plus the (T*B, d_s) action block."""
@@ -124,8 +121,7 @@ def _transition_inputs(
             inputs.append(constant(_flatten_tm(hot)))
         else:
             q = hid_pos[f]
-            rows = concat([samples[t][:, q, :] for t in range(T)], axis=0)
-            inputs.append(rows.detach() if detach else rows)
+            inputs.append(concat([samples[t][:, q, :] for t in range(T)], axis=0))
     inputs.append(constant(_flatten_tm(batch.a.astype(np.float64))))
     return inputs
 
@@ -166,9 +162,6 @@ def vlb_losses(
         target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=detached)
 
     inputs = _transition_inputs(batch, env, samples)
-    inputs_masked = inputs
-    if not cfg.masked_grad_through_samples:
-        inputs_masked = _transition_inputs(batch, env, samples, detach=True)
 
     if mask_draw is None:
         mask_draw = rand.mask_indices(B, T, env)
@@ -189,9 +182,6 @@ def vlb_losses(
 
     for j in range(env.d_s):
         feats = bundle.transition.features(j, inputs)
-        feats_masked = feats
-        if not cfg.masked_grad_through_samples:
-            feats_masked = bundle.transition.features(j, inputs_masked)
 
         loo = ones.copy()
         rows = np.arange(T * B)
@@ -204,8 +194,8 @@ def vlb_losses(
             causal = full_mask(env.d_s)
 
         logits_full = bundle.transition.logits_from_features(j, feats, full_mask(env.d_s))
-        logits_loo = bundle.transition.logits_from_features(j, feats_masked, loo)
-        logits_causal = bundle.transition.logits_from_features(j, feats_masked, causal)
+        logits_loo = bundle.transition.logits_from_features(j, feats, loo)
+        logits_causal = bundle.transition.logits_from_features(j, feats, causal)
 
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])

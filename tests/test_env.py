@@ -168,7 +168,8 @@ def test_actions_only_intervene_observed():
 def test_dataset_file_layout_and_roundtrip(tmp_path):
     cfg = chain3()
     path = tmp_path / "data.jsonl"
-    ds = generate_dataset(cfg, 10, path=path, seed=1)
+    ds = generate_dataset(cfg, 10, seed=1)
+    save_dataset(ds, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 11  # header + 10 episodes
     loaded = load_dataset(path)
@@ -183,13 +184,17 @@ def test_dataset_file_layout_and_roundtrip(tmp_path):
         assert np.array_equal(e1.gt_eps, e2.gt_eps)
 
 
-def test_dataset_workers_do_not_change_results(tmp_path):
+def test_dataset_episode_does_not_depend_on_episode_count():
     cfg = chain3()
-    p1 = tmp_path / "w1.jsonl"
-    p2 = tmp_path / "w2.jsonl"
-    generate_dataset(cfg, 20, path=p1, seed=3, workers=1)
-    generate_dataset(cfg, 20, path=p2, seed=3, workers=2)
-    assert p1.read_text() == p2.read_text()
+    small = generate_dataset(cfg, 5, seed=3)
+    large = generate_dataset(cfg, 20, seed=3)
+    for e1, e2 in zip(small.episodes, large.episodes[:5], strict=True):
+        assert np.array_equal(e1.o, e2.o)
+        assert np.array_equal(e1.a, e2.a)
+        assert e1.tau == e2.tau
+        assert np.array_equal(e1.r, e2.r)
+        assert np.array_equal(e1.gt_h, e2.gt_h)
+        assert np.array_equal(e1.gt_eps, e2.gt_eps)
 
 
 def test_observed_marginals_near_uniform():
@@ -318,3 +323,8 @@ def test_tabular_model_full_distribution_sums_to_one():
 def test_config_hash_changes_with_config():
     assert config_hash(chain3("hidden")) != config_hash(chain3("observation"))
     assert config_hash(chain3()) == config_hash(chain3())
+
+
+def test_config_rejects_empty_hidden_indices():
+    with pytest.raises(ValueError, match="hidden_indices"):
+        chain3(hidden_indices=[])

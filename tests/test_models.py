@@ -367,6 +367,18 @@ def test_checkpoint_refuses_config_mismatch(tmp_path):
         load_checkpoint(tmp_path / "ckpt", expected_config_hash="bbbb")
 
 
+def test_checkpoint_rejects_truncated_blob(tmp_path):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    blob = tmp_path / "ckpt" / "tensors.bin"
+    full = blob.read_bytes()
+    blob.write_bytes(full[: len(full) // 2])
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(tmp_path / "ckpt")
+    msg = str(exc.value)
+    assert "tensors.bin" in msg and str(len(full)) in msg and str(len(full) // 2) in msg
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)

@@ -1,10 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
 from hindcaus import numcore as nc
-from hindcaus.numcore import Tensor, backward, constant, parameter
+from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
 from hindcaus.numcore.tensor import NonFiniteError, ShapeError
 
@@ -178,6 +179,45 @@ def test_adam_rejects_nan_gradient_naming_parameter():
         opt.step()
     # Aborted step must not have touched any parameter.
     assert p.data[0] == 1.0 and q.data[0] == 1.0
+
+
+def test_adam_load_state_resumes_bit_identical():
+    rng = np.random.default_rng(0)
+    target = rng.normal(size=(3, 2))
+
+    def quadratic_step(opt, p):
+        opt.zero_grad()
+        diff = p - constant(target)
+        backward((diff * diff).sum())
+        opt.step()
+
+    p = parameter(rng.normal(size=(3, 2)))
+    opt = nc.Adam({"p": p}, lr=0.05)
+    for _ in range(4):
+        quadratic_step(opt, p)
+
+    q = parameter(p.data.copy())
+    resumed = nc.Adam({"p": q}, lr=0.05)
+    resumed.load_state({k: v.copy() for k, v in opt.state_tensors().items()}, opt.step_count)
+    quadratic_step(opt, p)
+    quadratic_step(resumed, q)
+    assert np.array_equal(p.data, q.data)
+    for name, arr in opt.state_tensors().items():
+        assert np.array_equal(arr, resumed.state_tensors()[name]), name
+
+
+def test_backward_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        w = parameter(np.ones((3, 2)))
+        x = constant(np.arange(12.0).reshape(4, 3))
+        loss = (matmul(x, w).tanh() * 2.0).sum()
+        backward(loss)
+        del loss, w, x
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- Gumbel-softmax ----------------------------------------------------------
