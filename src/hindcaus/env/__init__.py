@@ -13,6 +13,7 @@ from .modulo import (
     Episode,
     PropertyReport,
     action_options,
+    cmi_masks,
     ground_truth_graph,
     reward,
     rollout,
@@ -31,6 +32,7 @@ __all__ = [
     "TabularTransitionModel",
     "TrainBatch",
     "action_options",
+    "cmi_masks",
     "config_hash",
     "enumerate_states",
     "enumeration_cmi",

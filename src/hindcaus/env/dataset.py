@@ -8,6 +8,7 @@ fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,15 +75,46 @@ def _episode_to_record(e: Episode) -> dict:
     }
 
 
-def _episode_from_record(d: dict) -> Episode:
-    return Episode(
-        o=np.asarray(d["o"], dtype=np.int64),
-        a=np.asarray(d["a"], dtype=np.int64),
-        tau=int(d["tau"]),
-        r=np.asarray(d["r"], dtype=np.int64),
-        gt_h=np.asarray(d["gt_h"], dtype=np.int64),
-        gt_eps=np.asarray(d["gt_eps"], dtype=np.int64),
-    )
+def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path) -> list[Episode]:
+    """Episodes from (line number, parsed line) pairs. Each field must be an
+    integer array of the shape and value range the header config implies; a
+    `ValueError` names the file, the line and the field that is not."""
+    T, l = cfg.horizon, cfg.l
+    spec = {  # field: (shape, low, high), values in [low, high)
+        "o": ((T + 1, cfg.d_o), 0, l),
+        "a": ((T, cfg.d_s), 0, 2),
+        "tau": ((), 0, l),
+        "r": ((T,), 0, 2),
+        "gt_h": ((T + 1, cfg.d_h), 0, l),
+        "gt_eps": ((T, cfg.d_s), -1, 2),
+    }
+    columns: dict[str, list[np.ndarray]] = {name: [] for name in spec}
+    for n, d in records:
+        for name, (shape, _, _) in spec.items():
+            try:
+                arr = np.asarray(d[name])
+                integer = arr.dtype == np.int64
+            except (KeyError, TypeError, ValueError):  # not a dict, no such field, ragged
+                integer = False
+            if not integer or arr.shape != shape:
+                got = f"shape {arr.shape}" if integer else "no integer array"
+                raise ValueError(f"{path} line {n}: field {name!r} has {got}, expected shape {shape}")
+            columns[name].append(arr)
+    if not records:
+        return []
+    # Ranges are checked per field over the whole file, which is cheaper than
+    # per line: every line's field has the same size, so the index of the
+    # first bad value gives its line.
+    for name, (shape, low, high) in spec.items():
+        values = np.concatenate(columns[name], axis=None)
+        bad = np.flatnonzero((values < low) | (values >= high))
+        if bad.size:
+            n = records[bad[0] // math.prod(shape)][0]
+            raise ValueError(f"{path} line {n}: field {name!r} has values outside [{low}, {high})")
+    return [
+        Episode(o=o, a=a, tau=int(tau), r=r, gt_h=gt_h, gt_eps=gt_eps)
+        for o, a, tau, r, gt_h, gt_eps in zip(*columns.values())
+    ]
 
 
 def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -> Dataset:
@@ -124,5 +156,6 @@ def load_dataset(path: str | Path) -> Dataset:
         cfg = EnvConfig.from_dict(header["config"])
         if header.get("config_hash") != config_hash(cfg):
             raise ValueError(f"dataset header hash mismatch in {path}")
-        episodes = [_episode_from_record(json.loads(line)) for line in fh if line.strip()]
+        records = [(n, json.loads(line)) for n, line in enumerate(fh, start=2) if line.strip()]
+    episodes = _parse_episodes(records, cfg, path)
     return Dataset(config=cfg, episodes=episodes, gt_graph=np.asarray(header["gt_graph"], dtype=np.int64))

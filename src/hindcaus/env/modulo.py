@@ -22,6 +22,7 @@ __all__ = [
     "action_options",
     "rollout",
     "ground_truth_graph",
+    "cmi_masks",
     "verify_properties",
     "PropertyReport",
 ]
@@ -140,6 +141,13 @@ def ground_truth_graph(cfg: EnvConfig) -> np.ndarray:
     g[: cfg.d_s] = adj.T
     g[cfg.d_s, cfg.observed_indices] = 1  # a_j enters equation j; hidden entries forced 0
     return g
+
+
+def cmi_masks(cfg: EnvConfig) -> np.ndarray:
+    """(d_s+2, d_s+1) keep-masks over the inputs of `ground_truth_graph`'s
+    rows: row 0 keeps every input, row i+1 leaves out input i."""
+    n = cfg.d_s + 1
+    return np.vstack([np.ones(n), 1.0 - np.eye(n)])
 
 
 @dataclass

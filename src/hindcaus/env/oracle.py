@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EnvConfig
-from .modulo import action_options
+from .modulo import action_options, cmi_masks
 
 __all__ = ["TabularTransitionModel", "enumeration_cmi", "noise_entropy", "enumerate_states"]
 
@@ -90,11 +90,6 @@ class TabularTransitionModel:
     def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         return np.log(np.maximum(self.probs(j, s, a, mask), _TINY))
 
-    def leave_one_out_mask(self, i: int) -> np.ndarray:
-        mask = np.ones(self.cfg.d_s + 1, dtype=bool)
-        mask[i] = False
-        return mask
-
 
 def enumeration_cmi(cfg: EnvConfig, max_states: int = 10**6) -> np.ndarray:
     """Exact CMI matrix of the environment under uniform states and the
@@ -104,14 +99,15 @@ def enumeration_cmi(cfg: EnvConfig, max_states: int = 10**6) -> np.ndarray:
     n = states.shape[0]
     opts = action_options(cfg)
     w_a = 1.0 / len(opts)
+    loo_masks = cmi_masks(cfg)[1:]
     out = np.zeros((cfg.d_s + 1, cfg.d_s))
     for j in range(cfg.d_s):
         for a_vec in opts:
             a = np.broadcast_to(a_vec, states.shape)
             p_full = model.probs(j, states, a)
             log_full = np.log(np.maximum(p_full, _TINY))
-            for i in range(cfg.d_s + 1):
-                p_masked = model.probs(j, states, a, model.leave_one_out_mask(i))
+            for i, mask in enumerate(loo_masks):
+                p_masked = model.probs(j, states, a, mask)
                 log_masked = np.log(np.maximum(p_masked, _TINY))
                 terms = np.where(p_full > 0, p_full * (log_full - log_masked), 0.0)
                 out[i, j] += w_a * terms.sum() / n

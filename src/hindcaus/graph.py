@@ -7,6 +7,11 @@ observed targets use the mean log-likelihood ratio at the realized next
 values, hidden targets use the mean KL divergence between the two predicted
 distributions. Estimates are clamped at zero, folded into an exponential
 moving average, and thresholded into the working graph.
+
+A CMI model answers `log_probs(j, s, a, masks)`: for K keep-masks of shape
+(K, d_s+1) over the inputs (d_s factors, then the action node) and n
+transitions, it returns the (K, n, l) log-probabilities of target j's next
+value. `estimate_cmi` passes the `cmi_masks` stack, full mask first.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
+from .env.modulo import cmi_masks
 from .env.oracle import TabularTransitionModel
 from .models import BatchEncoding, ModelBundle
 from .numcore.dists import gumbel_noise, one_hot
@@ -76,19 +82,14 @@ class NeuralCmiModel:
         self.bundle = bundle
         self.env = bundle.env
 
-    def log_probs_multi(self, j: int, s: np.ndarray, a: np.ndarray, masks: list[np.ndarray]):
+    def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
         env = self.env
         inputs = [constant(one_hot(s[:, i], env.l)) for i in range(env.d_s)]
         inputs.append(constant(a.astype(np.float64)))
-        outs = []
+        transition = self.bundle.transition
         with no_grad():
-            feats = self.bundle.transition.features(j, inputs)
-            for mask in masks:
-                logits = self.bundle.transition.logits_from_features(
-                    j, feats, mask.astype(np.float64)
-                )
-                outs.append(logits.log_softmax().data)
-        return outs
+            feats = transition.features(j, inputs)
+            return transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
 
 
 class TabularCmiModel:
@@ -98,8 +99,8 @@ class TabularCmiModel:
         self.model = model
         self.env = model.cfg
 
-    def log_probs_multi(self, j: int, s: np.ndarray, a: np.ndarray, masks: list[np.ndarray]):
-        return [self.model.log_probs(j, s, a, mask.astype(bool)) for mask in masks]
+    def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        return np.stack([self.model.log_probs(j, s, a, mask) for mask in masks])
 
 
 def estimate_cmi(
@@ -116,25 +117,17 @@ def estimate_cmi(
     hidden columns are ignored (hidden targets use the KL form, which needs
     no realized value).
     """
-    n = s.shape[0]
-    rows = np.arange(n)
+    masks = cmi_masks(env)
     hidden = set(env.hidden_indices)
     out = np.zeros((env.d_s + 1, env.d_s))
-    eye = np.eye(env.d_s + 1)
     for j in range(env.d_s):
-        masks = [np.ones(env.d_s + 1)] + [1.0 - eye[i] for i in range(env.d_s + 1)]
-        logps = model.log_probs_multi(j, s, a, masks)
-        lp_full = logps[0]
+        logps = model.log_probs(j, s, a, masks)  # (d_s+2, n, l), full mask first
         if j in hidden:
-            p_full = np.exp(lp_full)
-            for i in range(env.d_s + 1):
-                kl = (p_full * (lp_full - logps[i + 1])).sum(axis=1)
-                out[i, j] = kl.mean()
+            full = logps[0]
+            out[:, j] = (np.exp(full) * (full - logps[1:])).sum(axis=2).mean(axis=1)
         else:
-            picked_full = lp_full[rows, next_values[:, j]]
-            for i in range(env.d_s + 1):
-                picked_masked = logps[i + 1][rows, next_values[:, j]]
-                out[i, j] = (picked_full - picked_masked).mean()
+            picked = np.take_along_axis(logps, next_values[None, :, j, None], axis=2)[:, :, 0]
+            out[:, j] = (picked[0] - picked[1:]).mean(axis=1)
     return np.maximum(out, 0.0)
 
 

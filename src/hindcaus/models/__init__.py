@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..env.config import EnvConfig
 from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder
 from .store import ParameterStore, ParamFactory, load_checkpoint, save_checkpoint
-from .transition import MaskedTransition, RewardHead, full_mask, leave_one_out_mask
+from .transition import MaskedTransition, RewardHead
 
 __all__ = [
     "ENCODER_VARIANTS",
@@ -20,8 +20,6 @@ __all__ = [
     "ParamFactory",
     "RewardHead",
     "build_models",
-    "full_mask",
-    "leave_one_out_mask",
     "load_checkpoint",
     "save_checkpoint",
 ]

@@ -37,7 +37,6 @@ class BatchEncoding:
 
     def __init__(self, batch: TrainBatch, env: EnvConfig):
         self.env = env
-        self.batch = batch
         self.B = batch.size
         self.T = batch.horizon
         o_hot = one_hot(batch.o, env.l)  # (B, T+1, d_o, l)
@@ -45,7 +44,6 @@ class BatchEncoding:
         self._a = [constant(batch.a[:, t].astype(np.float64)) for t in range(self.T)]
         self._zero_o = constant(np.zeros((self.B, env.d_o * env.l)))
         self._zero_a = constant(np.zeros((self.B, env.d_s)))
-        self.tau_hot = constant(one_hot(batch.tau, env.l))
 
     def o(self, t: int) -> Tensor:
         if 0 <= t <= self.T:
@@ -97,10 +95,6 @@ class HiddenEncoder:
             else:
                 self.window_net = MLP(params, "window", 2 * d_oa, [H], H)
             self.combiner = MLP(params, "combiner", 2 * H, [H], d_out)
-
-    @property
-    def recursive(self) -> bool:
-        return self.variant.startswith("dvae")
 
     # -- shared sub-sequences ------------------------------------------------
 

@@ -4,8 +4,14 @@ Each next-step factor j has its own per-input feature extractors (one per
 current factor plus one for the action node) whose outputs are pooled by an
 elementwise max over the unmasked inputs. Masking an input removes it from
 the pool entirely, so one set of weights serves the full, leave-one-out and
-causal-parents conditioning variants, and the extractor features can be
-shared across mask variants within a forward pass.
+causal-parents conditioning variants, and the extractor features are shared
+by every mask of a call.
+
+Masks are keep-masks (1 keeps an input, 0 drops it) over the d_s factors
+followed by the action node. `logits_from_features` takes a stack of K of
+them, shape (K, 1 or rows, d_s+1): a middle axis of 1 applies one mask to
+every row, a middle axis of rows gives each row its own mask. It returns
+(K, rows, l) logits, block k conditioned on mask k.
 """
 
 from __future__ import annotations
@@ -17,19 +23,9 @@ from ..numcore.tensor import Tensor, concat, constant, stack
 from .nets import MLP, Linear
 from .store import ParamFactory
 
-__all__ = ["MaskedTransition", "RewardHead", "full_mask", "leave_one_out_mask"]
+__all__ = ["MaskedTransition", "RewardHead"]
 
 _MASK_OFF = -1e30
-
-
-def full_mask(d_s: int) -> np.ndarray:
-    return np.ones(d_s + 1, dtype=np.float64)
-
-
-def leave_one_out_mask(d_s: int, i: int) -> np.ndarray:
-    m = np.ones(d_s + 1, dtype=np.float64)
-    m[i] = 0.0
-    return m
 
 
 class MaskedTransition:
@@ -71,22 +67,25 @@ class MaskedTransition:
             feats.append(proj(emb(x).tanh()).tanh())
         return stack(feats, axis=1)
 
-    def logits_from_features(self, j: int, feats: Tensor, mask: np.ndarray) -> Tensor:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape[-1] != self.env.d_s + 1:
-            raise ValueError(f"mask must cover {self.env.d_s + 1} inputs, got shape {mask.shape}")
-        if np.any(mask.sum(axis=-1) == 0):
+    def logits_from_features(self, j: int, feats: Tensor, masks: np.ndarray) -> Tensor:
+        """(K, rows, l) logits of target j under a (K, 1 or rows, d_s+1) mask stack."""
+        masks = np.asarray(masks, dtype=np.float64)
+        if masks.ndim != 3 or masks.shape[-1] != self.env.d_s + 1:
+            raise ValueError(
+                f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
+            )
+        if np.any(masks.sum(axis=-1) == 0):
             raise ValueError("all-zero input mask: no information source for prediction")
-        offsets = (mask - 1.0) * -_MASK_OFF  # 0 where kept, -1e30 where masked
-        if offsets.ndim == 1:
-            offsets = offsets[None, :, None]
-        else:
-            offsets = offsets[:, :, None]
-        pooled = (feats + constant(offsets)).max(axis=1)
-        return self._heads[j](pooled)
+        offsets = (masks - 1.0) * -_MASK_OFF  # 0 where kept, -1e30 where masked
+        # One pool and head call per mask: a single broadcast pool over the
+        # whole stack would hold K copies of the features at once.
+        head = self._heads[j]
+        return stack([head((feats + constant(off[:, :, None])).max(axis=1)) for off in offsets])
 
     def forward(self, j: int, inputs: list[Tensor], mask: np.ndarray) -> Tensor:
-        return self.logits_from_features(j, self.features(j, inputs), mask)
+        """(rows, l) logits under one (d_s+1,) or (rows, d_s+1) mask."""
+        mask = np.reshape(mask, (1, -1, self.env.d_s + 1))
+        return self.logits_from_features(j, self.features(j, inputs), mask)[0]
 
 
 class RewardHead:

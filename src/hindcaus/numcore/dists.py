@@ -38,24 +38,16 @@ def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def gumbel_softmax_sample(
-    logits: Tensor,
-    temperature: float,
-    hard: bool,
-    rng: np.random.Generator | None = None,
-    noise: np.ndarray | None = None,
+    logits: Tensor, temperature: float, hard: bool, noise: np.ndarray
 ) -> Tensor:
-    """Relaxed categorical sample; `hard` gives straight-through one-hot.
+    """Relaxed categorical sample under the given Gumbel `noise` (see
+    `gumbel_noise`); `hard` gives straight-through one-hot.
 
     The forward value under `hard` is exactly one-hot at the perturbed argmax
-    while the gradient is that of the relaxed sample. Explicit `noise`
-    overrides rng-drawn Gumbel noise (used by tests and replay).
+    while the gradient is that of the relaxed sample.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if noise is None:
-        if rng is None:
-            raise ValueError("either rng or noise must be provided")
-        noise = gumbel_noise(logits.shape, rng)
     perturbed = scale(logits + constant(noise), 1.0 / temperature)
     soft = softmax(perturbed)
     if not hard:

@@ -402,12 +402,13 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
     data = a.data.max(axis=axis, keepdims=keepdims)
-    # Ties route the gradient to the first maximal entry.
-    idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
 
-    def backward_fn(out=None, a=a, axis=axis, keepdims=keepdims, idx=idx):
+    def backward_fn(out=None, a=a, axis=axis, keepdims=keepdims):
         if not a.requires_grad:
             return
+        # Found here, not in the forward pass, so no_grad work never pays for
+        # it. Ties route the gradient to the first maximal entry.
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
         g = out.grad
         if not keepdims:
             g = np.expand_dims(g, axis)

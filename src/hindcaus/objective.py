@@ -8,9 +8,12 @@ current binarized graph column). Hidden inputs to the predictors are the
 recursive straight-through samples of the live encoder; the KL targets come
 from the stop-gradient encoder copy evaluated on those samples detached.
 
-Everything is a mean over (episode, transition) rows; component values are
-sums over target factors of those means. The minimized total is the sum of
-the six terms plus reward_weight times the reward cross-entropy.
+Each target makes one `logits_from_features` call on a (3, rows, d_s+1)
+mask stack (full, leave-one-out, causal) and reads its three terms from one
+loss over the (3, rows, l) logits. Everything is a mean over (episode,
+transition) rows; component values are sums over target factors of those
+means. The minimized total is the sum of the six terms plus reward_weight
+times the reward cross-entropy.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .models import BatchEncoding, ModelBundle, full_mask
+from .models import BatchEncoding, ModelBundle
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
 from .numcore.random import stream
 from .numcore.tensor import Tensor, concat, constant
@@ -126,11 +129,6 @@ def _transition_inputs(batch: TrainBatch, env: EnvConfig, samples: list[Tensor])
     return inputs
 
 
-def _target_rows(logits_bar: list[Tensor], q: int, T: int) -> Tensor:
-    """Stop-gradient encoder logits for hidden factor q at t = 1..T."""
-    return concat([logits_bar[t + 1][:, q, :] for t in range(T)], axis=0)
-
-
 def vlb_losses(
     batch: TrainBatch,
     bundle: ModelBundle,
@@ -168,53 +166,41 @@ def vlb_losses(
     if mask_draw.shape != (B, T, env.d_s):
         raise ValueError(f"mask draw must have shape {(B, T, env.d_s)}, got {mask_draw.shape}")
 
-    ones = np.ones((T * B, env.d_s + 1))
     obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
     hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}
 
-    parts: dict[str, Tensor | None] = {c: None for c in COMPONENTS[:6]}
+    zero = constant(np.zeros(()))
+    sums = dict.fromkeys(COMPONENTS[:6], zero)
     per_factor: dict[str, dict[int, float]] = {c: {} for c in COMPONENTS[:6]}
     fallbacks: list[int] = []
-
-    def accumulate(component: str, j: int, value: Tensor):
-        parts[component] = value if parts[component] is None else parts[component] + value
-        per_factor[component][j] = float(value.data)
 
     for j in range(env.d_s):
         feats = bundle.transition.features(j, inputs)
 
-        loo = ones.copy()
-        rows = np.arange(T * B)
-        loo[rows, _flatten_tm(mask_draw[:, :, j])] = 0.0
-
-        causal = graph_binary[:, j].astype(np.float64)
-        if causal.sum() == 0:
+        masks = np.ones((3, T * B, env.d_s + 1))  # full, leave-one-out, causal
+        masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
+        if graph_binary[:, j].any():
+            masks[2] = graph_binary[:, j]
+        else:
             log.debug("causal mask for factor %d has no parents; falling back to full", j)
             fallbacks.append(j)
-            causal = full_mask(env.d_s)
-
-        logits_full = bundle.transition.logits_from_features(j, feats, full_mask(env.d_s))
-        logits_loo = bundle.transition.logits_from_features(j, feats, loo)
-        logits_causal = bundle.transition.logits_from_features(j, feats, causal)
+        logits = bundle.transition.logits_from_features(j, feats, masks)
 
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
-            accumulate("full_nll", j, cross_entropy(logits_full, labels).mean())
-            accumulate("masked_nll", j, cross_entropy(logits_loo, labels).mean())
-            accumulate("causal_nll", j, cross_entropy(logits_causal, labels).mean())
+            names, terms = COMPONENTS[:3], cross_entropy(logits, labels).mean(axis=1)
         else:
-            q_rows = _target_rows(target_logits, hid_pos[j], T)
-            accumulate("full_kl", j, categorical_kl(q_rows, logits_full).mean())
-            accumulate("masked_kl", j, categorical_kl(q_rows, logits_loo).mean())
-            accumulate("causal_kl", j, categorical_kl(q_rows, logits_causal).mean())
+            # Stop-gradient encoder logits of this factor at t = 1..T.
+            q = concat([target_logits[t + 1][:, hid_pos[j], :] for t in range(T)], axis=0)
+            names, terms = COMPONENTS[3:6], categorical_kl(q, logits).mean(axis=1)
+        for k, c in enumerate(names):
+            sums[c] = sums[c] + terms[k]
+            per_factor[c][j] = float(terms.data[k])
 
-    zero = constant(np.zeros(()))
     loss = zero
-    values = {}
     for c in COMPONENTS[:6]:
-        term = parts[c] if parts[c] is not None else zero
-        loss = loss + term
-        values[c] = float(term.data)
+        loss = loss + sums[c]
+    values = {c: float(sums[c].data) for c in COMPONENTS[:6]}
 
     breakdown = LossBreakdown(
         **values,
@@ -226,12 +212,7 @@ def vlb_losses(
     return loss, breakdown, samples
 
 
-def reward_loss(
-    batch: TrainBatch,
-    bundle: ModelBundle,
-    samples: list[Tensor],
-    enc: BatchEncoding | None = None,
-) -> Tensor:
+def reward_loss(batch: TrainBatch, bundle: ModelBundle, samples: list[Tensor]) -> Tensor:
     """Mean cross-entropy of reward prediction from (h_t sample, tau) against
     r_t over t = 1..T. Gradients reach phi (through samples) and psi."""
     env = bundle.env

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hindcaus.env import (
     EnvConfig,
     TabularTransitionModel,
     action_options,
+    cmi_masks,
     config_hash,
     enumeration_cmi,
     generate_dataset,
@@ -184,6 +186,33 @@ def test_dataset_file_layout_and_roundtrip(tmp_path):
         assert np.array_equal(e1.gt_eps, e2.gt_eps)
 
 
+def _set_o(record):
+    record["o"][1][0] = 9
+
+
+def _truncate_a(record):
+    record["a"] = record["a"][:2]
+
+
+def _float_r(record):
+    record["r"][0] = 0.5
+
+
+@pytest.mark.parametrize("field, edit", [("o", _set_o), ("a", _truncate_a), ("r", _float_r)])
+def test_load_dataset_rejects_corrupt_episode_line(tmp_path, field, edit):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[2])
+    edit(record)
+    lines[2] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "line 3" in msg and f"field {field!r}" in msg
+
+
 def test_dataset_episode_does_not_depend_on_episode_count():
     cfg = chain3()
     small = generate_dataset(cfg, 5, seed=3)
@@ -316,7 +345,7 @@ def test_tabular_model_full_distribution_sums_to_one():
     for j in range(3):
         p = model.probs(j, s, a)
         assert np.allclose(p.sum(axis=1), 1.0)
-        masked = model.probs(j, s, a, model.leave_one_out_mask(0))
+        masked = model.probs(j, s, a, cmi_masks(cfg)[1])
         assert np.allclose(masked.sum(axis=1), 1.0)
 
 

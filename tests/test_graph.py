@@ -7,15 +7,17 @@ from hindcaus.env import (
     enumeration_cmi,
     generate_dataset,
     ground_truth_graph,
+    stack_episodes,
 )
 from hindcaus.graph import (
     CmiMatrix,
+    NeuralCmiModel,
     TabularCmiModel,
+    cmi_from_batch,
     estimate_cmi,
     graph_accuracy,
 )
 from hindcaus.models import build_models
-from hindcaus.graph import NeuralCmiModel
 
 
 def chain3(noise_target="observation", **kw):
@@ -122,6 +124,24 @@ def test_neural_cmi_non_negative_and_hidden_rows_are_kl():
     assert cmi.shape == (4, 3)
     assert np.all(cmi >= 0.0)
     assert np.all(np.isfinite(cmi))
+
+
+def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
+    cfg = chain3("hidden")
+    batch = stack_episodes(generate_dataset(cfg, 8, seed=4).episodes)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+
+    def cmi():
+        return cmi_from_batch(bundle, batch, seed=1, step=3, temperature=1.0)
+
+    first = cmi()
+    assert np.array_equal(cmi(), first)
+    rng = np.random.default_rng(0)
+    for t in bundle.store.groups["phi"].values():
+        t.data += rng.normal(size=t.shape)
+    assert np.array_equal(cmi(), first)  # phi_bar still holds the old weights
+    bundle.sync_target()
+    assert not np.array_equal(cmi(), first)
 
 
 # -- graph accuracy ------------------------------------------------------------------

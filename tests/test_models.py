@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from hindcaus import numcore as nc
-from hindcaus.env import EnvConfig, config_hash, generate_dataset, stack_episodes, step
-from hindcaus.models import (
-    BatchEncoding,
-    ModelHyper,
-    build_models,
-    full_mask,
-    leave_one_out_mask,
-    load_checkpoint,
-    save_checkpoint,
-)
+from hindcaus.env import EnvConfig, cmi_masks, config_hash, generate_dataset, stack_episodes, step
+from hindcaus.models import BatchEncoding, build_models, load_checkpoint, save_checkpoint
 from hindcaus.numcore import Adam, backward, constant, one_hot, stream
 
 
@@ -208,20 +200,17 @@ def test_masked_output_ignores_masked_inputs():
     rng = np.random.default_rng(0)
     s = rng.integers(0, 4, size=(8, 3))
     a = np.zeros((8, 3), dtype=np.int64)
+    masks = cmi_masks(cfg)
     for j in range(3):
         for i in range(4):  # 3 factors + action node
-            base = bundle.transition.forward(
-                j, _transition_inputs(cfg, s, a), leave_one_out_mask(3, i)
-            ).data
+            base = bundle.transition.forward(j, _transition_inputs(cfg, s, a), masks[i + 1]).data
             s2 = s.copy()
             a2 = a.copy()
             if i < 3:
                 s2[:, i] = (s2[:, i] + 1) % 4
             else:
                 a2[:, 0] = 1
-            got = bundle.transition.forward(
-                j, _transition_inputs(cfg, s2, a2), leave_one_out_mask(3, i)
-            ).data
+            got = bundle.transition.forward(j, _transition_inputs(cfg, s2, a2), masks[i + 1]).data
             assert np.array_equal(got, base), f"masked input {i} leaked into target {j}"
 
 
@@ -234,11 +223,12 @@ def test_full_vs_leave_one_out_differ_only_through_that_factor():
     s2 = s.copy()
     s2[:, 0] = (s2[:, 0] + 2) % 4
     j = 1
-    full_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), full_mask(3)).data
-    full_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), full_mask(3)).data
+    full, loo = cmi_masks(cfg)[:2]
+    full_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), full).data
+    full_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), full).data
     assert not np.array_equal(full_a, full_b)
-    loo_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), leave_one_out_mask(3, 0)).data
-    loo_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), leave_one_out_mask(3, 0)).data
+    loo_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), loo).data
+    loo_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), loo).data
     assert np.array_equal(loo_a, loo_b)
 
 
@@ -257,6 +247,32 @@ def test_causal_mask_with_true_parents_ignores_non_parent():
     assert np.array_equal(out_a, out_b)
 
 
+@pytest.mark.parametrize("j", [2, 1])  # observed o^2, hidden h
+def test_mask_stack_call_matches_single_mask_forward(j):
+    cfg = chain3()
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    rng = np.random.default_rng(6)
+    s = rng.integers(0, 4, size=(8, 3))
+    a = np.zeros((8, 3), dtype=np.int64)
+    a[rng.random(8) < 0.5, 0] = 1
+    inputs = _transition_inputs(cfg, s, a)
+    feats = bundle.transition.features(j, inputs)
+    shared = cmi_masks(cfg)
+    per_row = np.ones((8, 4))
+    per_row[np.arange(8), rng.integers(0, 4, size=8)] = 0.0
+    # One mask per block (K, 1, d_s+1), and one per row (K, rows, d_s+1).
+    cases = [
+        (shared[:, None], list(shared)),
+        (np.concatenate([np.broadcast_to(shared[:, None], (5, 8, 4)), per_row[None]]),
+         list(shared) + [per_row]),
+    ]
+    for masks, singles in cases:
+        stacked = bundle.transition.logits_from_features(j, feats, masks).data
+        assert stacked.shape == (len(singles), 8, 4)
+        for k, mask in enumerate(singles):
+            assert np.array_equal(stacked[k], bundle.transition.forward(j, inputs, mask).data), k
+
+
 def test_all_zero_mask_rejected():
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)
@@ -264,6 +280,9 @@ def test_all_zero_mask_rejected():
     a = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="mask"):
         bundle.transition.forward(0, _transition_inputs(cfg, s, a), np.zeros(4))
+    feats = bundle.transition.features(0, _transition_inputs(cfg, s, a))
+    with pytest.raises(ValueError, match="masks must have shape"):
+        bundle.transition.logits_from_features(0, feats, cmi_masks(cfg))  # (K, d_s+1): no row axis
 
 
 def test_transition_learns_noise_free_chain_by_enumeration():
@@ -276,7 +295,7 @@ def test_transition_learns_noise_free_chain_by_enumeration():
         {n: t for n, t in bundle.store.trainable().items() if n.startswith("theta")}, lr=3e-3
     )
     rng = np.random.default_rng(3)
-    mask = full_mask(3)
+    mask = cmi_masks(cfg)[0]
     for step_i in range(400):
         s = rng.integers(0, 4, size=(64, 3))
         a_choice = rng.integers(0, 3, size=64)

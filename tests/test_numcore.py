@@ -232,7 +232,8 @@ def test_gumbel_zero_noise_low_temperature_is_argmax():
 def test_gumbel_hard_is_exact_one_hot():
     rng = nc.stream(0, "gumbel-test")
     logits = parameter(np.log([0.7, 0.2, 0.1]))
-    out = nc.gumbel_softmax_sample(logits, temperature=1.0, hard=True, rng=rng)
+    noise = nc.gumbel_noise(logits.shape, rng)
+    out = nc.gumbel_softmax_sample(logits, temperature=1.0, hard=True, noise=noise)
     assert sorted(out.data.tolist()) == [0.0, 0.0, 1.0]
     assert out.data.sum() == 1.0
 
@@ -260,7 +261,8 @@ def test_gumbel_hard_sample_frequencies_match_monte_carlo_oracle():
 
     rng = nc.stream(0, "gumbel-freq")
     logits = constant(np.tile(logits_arr, (10_000, 1)))
-    out = nc.gumbel_softmax_sample(logits, temperature=1.0, hard=True, rng=rng)
+    noise = nc.gumbel_noise(logits.shape, rng)
+    out = nc.gumbel_softmax_sample(logits, temperature=1.0, hard=True, noise=noise)
     freq = out.data.mean(axis=0)
     assert np.all(np.abs(freq - oracle_freq) < 0.03)
 
@@ -362,7 +364,7 @@ def test_deterministic_replay_same_stream_same_bits():
     def run():
         rng = nc.stream(42, "replay", 3)
         logits = parameter(np.linspace(-1, 1, 12).reshape(3, 4))
-        out = nc.gumbel_softmax_sample(logits, 0.7, hard=True, rng=rng)
+        out = nc.gumbel_softmax_sample(logits, 0.7, hard=True, noise=nc.gumbel_noise((3, 4), rng))
         loss = (out * constant(np.arange(12.0).reshape(3, 4))).sum()
         backward(loss)
         return loss.data.copy(), logits.grad.copy()

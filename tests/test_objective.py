@@ -7,6 +7,7 @@ from hindcaus import numcore as nc
 from hindcaus.env import (
     EnvConfig,
     TabularTransitionModel,
+    cmi_masks,
     generate_dataset,
     ground_truth_graph,
     noise_entropy,
@@ -46,27 +47,16 @@ class TabularAdapter:
     def features(self, j, inputs):
         return inputs
 
-    def logits_from_features(self, j, inputs, mask):
+    def logits_from_features(self, j, inputs, masks):
         s = np.stack([inp.data.argmax(axis=-1) for inp in inputs[:-1]], axis=1)
         a = inputs[-1].data.astype(np.int64)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim == 1:
-            return constant(self.model.log_probs(j, s, a, mask))
-        out = np.empty((s.shape[0], self.cfg.l))
-        groups: dict[tuple, list[int]] = {}
-        for r, m in enumerate(map(tuple, mask)):
-            groups.setdefault(m, []).append(r)
-        for m, rows in groups.items():
-            out[rows] = self.model.log_probs(j, s[rows], a[rows], np.asarray(m))
+        out = np.empty((len(masks), s.shape[0], self.cfg.l))
+        for k, mask in enumerate(np.asarray(masks, dtype=bool)):
+            mask = np.broadcast_to(mask, (s.shape[0], mask.shape[-1]))
+            for m in np.unique(mask, axis=0):
+                rows = (mask == m).all(axis=1)
+                out[k, rows] = self.model.log_probs(j, s[rows], a[rows], m)
         return constant(out)
-
-
-def oracle_samples(cfg, batch):
-    return [
-        constant(one_hot(batch_gt_h[:, t], cfg.l).reshape(batch_gt_h.shape[0], cfg.d_h, cfg.l))
-        for batch_gt_h in [None]
-        for t in []
-    ]
 
 
 def gt_hidden_samples(cfg, episodes):
@@ -168,23 +158,44 @@ def test_breakdown_matches_independent_recomputation():
     cfg = chain3()
     batch = make_batch(cfg, n=5, seed=2)
     bundle = build_models(cfg, "dvae_full", seed=2)
-    rand = StepRandomness(seed=7, step=3)
-    ocfg = ObjectiveConfig()
-    loss, b, samples = vlb_losses(batch, bundle, full_graph(cfg), rand, ocfg)
-
-    # Recompute the full NLL of o^2 (factor 2) with plain numpy.
     T, B = batch.horizon, batch.size
-    with no_grad():
-        from hindcaus.models import full_mask
-        from hindcaus.objective import _transition_inputs
+    mask_draw = np.random.default_rng(8).integers(0, cfg.d_s + 1, size=(B, T, cfg.d_s))
+    graph = ground_truth_graph(cfg)
+    assert graph[0, 2] == 0 and graph[:, 2].sum() == 3  # o^2's causal mask drops o^1
+    _, b, samples = vlb_losses(
+        batch, bundle, graph, StepRandomness(seed=7, step=3), ObjectiveConfig(), mask_draw=mask_draw
+    )
 
+    # Recompute factor 2's (o^2) NLL and factor 1's (h) KL terms with plain
+    # numpy, one single-mask forward call per term.
+    from hindcaus.objective import _transition_inputs
+
+    rows = np.arange(T * B)
+    flat = lambda arr: np.swapaxes(arr, 0, 1).reshape(T * B)  # transition-major
+
+    def log_softmax(x):
+        shifted = x - x.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+    def masks_for(j):
+        loo = np.ones((T * B, cfg.d_s + 1))
+        loo[rows, flat(mask_draw[:, :, j])] = 0.0
+        return {"full": cmi_masks(cfg)[0], "masked": loo, "causal": graph[:, j]}
+
+    with no_grad():
         inputs = _transition_inputs(batch, cfg, samples)
-        logits = bundle.transition.forward(2, inputs, full_mask(cfg.d_s)).data
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    labels = np.swapaxes(batch.o[:, 1:, 1], 0, 1).reshape(-1)  # o^2 is observed pos 1
-    expected = float(-logp[np.arange(T * B), labels].mean())
-    assert b.per_factor["full_nll"][2] == pytest.approx(expected, rel=1e-10)
+        enc = BatchEncoding(batch, cfg)
+        targets, _ = bundle.encoder_target.unroll(enc, prev_samples=[s.detach() for s in samples])
+        lq = log_softmax(np.concatenate([targets[t + 1].data[:, 0, :] for t in range(T)]))
+        labels = flat(batch.o[:, 1:, 1])  # o^2 is observed pos 1
+        for kind, mask in masks_for(2).items():
+            logp = log_softmax(bundle.transition.forward(2, inputs, mask).data)
+            expected = float(-logp[rows, labels].mean())
+            assert b.per_factor[f"{kind}_nll"][2] == pytest.approx(expected, rel=1e-10), kind
+        for kind, mask in masks_for(1).items():
+            logp = log_softmax(bundle.transition.forward(1, inputs, mask).data)
+            expected = float((np.exp(lq) * (lq - logp)).sum(axis=1).mean())
+            assert b.per_factor[f"{kind}_kl"][1] == pytest.approx(expected, rel=1e-10), kind
 
 
 def test_phi_bar_receives_no_gradient():
