@@ -2,7 +2,9 @@
 
 File layout: line 1 is a header {"version": 1, "config": {...}, "gt_graph":
 [[...]], "config_hash": "..."}; every further line is one episode with integer
-fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact.
+fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact. Loading checks
+the header's gt_graph against the config's ground-truth graph and every
+episode line against the config.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ def _episode_to_record(e: Episode) -> dict:
         "gt_h": e.gt_h.tolist(),
         "gt_eps": e.gt_eps.tolist(),
     }
+
+
+def _parse_line(line: str, path: Path, n: int):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} line {n}: not valid JSON ({exc})") from None
 
 
 def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path) -> list[Episode]:
@@ -150,12 +159,19 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
 def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
+        header = _parse_line(fh.readline(), path, 1)
         if header.get("version") != DATASET_VERSION:
             raise ValueError(f"unsupported dataset version in {path}: {header.get('version')}")
         cfg = EnvConfig.from_dict(header["config"])
         if header.get("config_hash") != config_hash(cfg):
             raise ValueError(f"dataset header hash mismatch in {path}")
-        records = [(n, json.loads(line)) for n, line in enumerate(fh, start=2) if line.strip()]
+        gt_graph = ground_truth_graph(cfg)
+        if header.get("gt_graph") != gt_graph.tolist():
+            raise ValueError(
+                f"{path}: header field 'gt_graph' does not match the graph of its config"
+            )
+        records = [
+            (n, _parse_line(line, path, n)) for n, line in enumerate(fh, start=2) if line.strip()
+        ]
     episodes = _parse_episodes(records, cfg, path)
-    return Dataset(config=cfg, episodes=episodes, gt_graph=np.asarray(header["gt_graph"], dtype=np.int64))
+    return Dataset(config=cfg, episodes=episodes, gt_graph=gt_graph)

@@ -24,8 +24,8 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import cmi_masks
 from .env.oracle import TabularTransitionModel
-from .models import BatchEncoding, ModelBundle
-from .numcore.dists import gumbel_noise, one_hot
+from .models import BatchEncoding, ModelBundle, input_stack
+from .numcore.dists import gumbel_noise
 from .numcore.random import stream
 from .numcore.tensor import constant, no_grad
 
@@ -83,12 +83,9 @@ class NeuralCmiModel:
         self.env = bundle.env
 
     def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        env = self.env
-        inputs = [constant(one_hot(s[:, i], env.l)) for i in range(env.d_s)]
-        inputs.append(constant(a.astype(np.float64)))
         transition = self.bundle.transition
         with no_grad():
-            feats = transition.features(j, inputs)
+            feats = transition.features(j, constant(input_stack(self.env, s, a)))
             return transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..env.config import EnvConfig
 from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder
 from .store import ParameterStore, ParamFactory, load_checkpoint, save_checkpoint
-from .transition import MaskedTransition, RewardHead
+from .transition import MaskedTransition, RewardHead, input_stack
 
 __all__ = [
     "ENCODER_VARIANTS",
@@ -20,6 +20,7 @@ __all__ = [
     "ParamFactory",
     "RewardHead",
     "build_models",
+    "input_stack",
     "load_checkpoint",
     "save_checkpoint",
 ]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from ..numcore.tensor import Tensor, matmul
+import numpy as np
+
+from ..numcore.tensor import Tensor, bmm, matmul
 from .store import ParamFactory
 
-__all__ = ["Linear", "MLP", "GRUCell"]
+__all__ = ["Linear", "StackedLinear", "MLP", "GRUCell"]
 
 
 class Linear:
@@ -15,6 +17,28 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(x, self.W) + self.b
+
+
+class StackedLinear:
+    """n independent linear maps applied to an (n, rows, max(d_ins)) stack
+    by one batched matmul.
+
+    Map i reads only the first d_ins[i] columns of its slice: its weight is
+    the glorot draw `draw_names[i]` above zero rows, and those rows get zero
+    gradient, so they stay zero under training.
+    """
+
+    def __init__(
+        self, params: ParamFactory, name: str, draw_names: list[str], d_ins: list[int], d_out: int
+    ):
+        W = np.zeros((len(d_ins), max(d_ins), d_out))
+        for i, (draw, d_in) in enumerate(zip(draw_names, d_ins)):
+            W[i, :d_in] = params.glorot_draw(draw, d_in, d_out)
+        self.W = params.add(f"{name}.W", W)
+        self.b = params.zeros(f"{name}.b", (len(d_ins), 1, d_out))
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return bmm(x, self.W) + self.b
 
 
 class MLP:

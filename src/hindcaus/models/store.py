@@ -13,7 +13,7 @@ from ..numcore.tensor import Tensor
 __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint"]
 
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ParameterStore:
@@ -87,13 +87,19 @@ class ParamFactory:
     def _rng(self, name: str) -> np.random.Generator:
         return stream(self.seed, "init", f"{self.group}/{name}")
 
-    def glorot(self, name: str, d_in: int, d_out: int) -> Tensor:
+    def glorot_draw(self, name: str, d_in: int, d_out: int) -> np.ndarray:
+        """The seeded (d_in, d_out) glorot draw of `name`, not registered."""
         limit = np.sqrt(6.0 / (d_in + d_out))
-        w = self._rng(name).uniform(-limit, limit, size=(d_in, d_out))
-        return self.store.add(self.group, name, w)
+        return self._rng(name).uniform(-limit, limit, size=(d_in, d_out))
+
+    def glorot(self, name: str, d_in: int, d_out: int) -> Tensor:
+        return self.add(name, self.glorot_draw(name, d_in, d_out))
 
     def zeros(self, name: str, shape) -> Tensor:
-        return self.store.add(self.group, name, np.zeros(shape))
+        return self.add(name, np.zeros(shape))
+
+    def add(self, name: str, array: np.ndarray) -> Tensor:
+        return self.store.add(self.group, name, array)
 
 
 def save_checkpoint(
@@ -138,7 +144,10 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     path = Path(path)
     manifest = json.loads((path / "manifest.json").read_text())
     if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {manifest.get('version')}")
+        raise ValueError(
+            f"{path}: checkpoint version {manifest.get('version')} is not supported "
+            f"(this build reads version {CHECKPOINT_VERSION})"
+        )
     if expected_config_hash is not None and manifest["config_hash"] != expected_config_hash:
         raise ValueError(
             f"checkpoint config hash {manifest['config_hash']} does not match "

@@ -16,9 +16,11 @@ from .tensor import (
     ShapeError,
     Tensor,
     backward,
+    bmm,
     concat,
     constant,
     log_softmax,
+    masked_max,
     matmul,
     parameter,
     set_debug_checks,
@@ -32,6 +34,7 @@ __all__ = [
     "ShapeError",
     "Tensor",
     "backward",
+    "bmm",
     "categorical_kl",
     "check_gradients",
     "concat",
@@ -41,6 +44,7 @@ __all__ = [
     "gumbel_noise",
     "gumbel_softmax_sample",
     "log_softmax",
+    "masked_max",
     "matmul",
     "max_relative_error",
     "no_grad",

@@ -20,6 +20,8 @@ __all__ = [
     "parameter",
     "concat",
     "stack",
+    "bmm",
+    "masked_max",
     "backward",
 ]
 
@@ -111,9 +113,9 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Out of place: a backward function may hand one array to several
+        # parents, so no gradient buffer is ever written into.
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- arithmetic -----------------------------------------------------
 
@@ -151,9 +153,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims: bool = False):
         return mean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis: int, keepdims: bool = False):
-        return max_(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) != 1 else shape[0])
@@ -307,6 +306,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(data, (a, b), backward_fn)
 
 
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product: (n, r, k) @ (n, k, m) -> (n, r, m)."""
+    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} are incompatible")
+    data = np.matmul(a.data, b.data)
+
+    def backward_fn(out=None, a=a, b=b):
+        g = out.grad
+        if a.requires_grad:
+            a._accumulate(np.matmul(g, b.data.transpose(0, 2, 1)))
+        if b.requires_grad:
+            b._accumulate(np.matmul(a.data.transpose(0, 2, 1), g))
+
+    return _finish(data, (a, b), backward_fn)
+
+
 # -- shape ops --------------------------------------------------------------
 
 
@@ -400,23 +415,42 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def max_(a: Tensor, axis: int, keepdims: bool = False) -> Tensor:
-    data = a.data.max(axis=axis, keepdims=keepdims)
+def masked_max(x: Tensor, offsets: np.ndarray) -> Tensor:
+    """Max over the n inputs of an (n, rows, F) stack under K offset rows.
 
-    def backward_fn(out=None, a=a, axis=axis, keepdims=keepdims):
-        if not a.requires_grad:
+    `offsets` has shape (K, 1 or rows, n): block k of the (K, rows, F)
+    output is max_i (x[i] + offsets[k, :, i]). An offset of 0 keeps an input
+    and a large negative one drops it. The inputs are folded in one at a
+    time, so no (K, n, rows, F) array is formed. The gradient of each output
+    goes to the first input that attains its maximum.
+    """
+    offsets = np.asarray(offsets, dtype=np.float64)
+    n = x.shape[0]
+    if x.data.ndim != 3 or offsets.ndim != 3 or offsets.shape[-1] != n:
+        raise ShapeError(
+            f"masked_max: stack {x.shape} and offsets {offsets.shape} are incompatible"
+        )
+    if offsets.shape[1] not in (1, x.shape[1]):
+        raise ShapeError(f"masked_max: offsets {offsets.shape} do not match {x.shape[1]} rows")
+    cols = offsets[:, :, :, None]  # (K, 1 or rows, n, 1): column i broadcasts over F
+    data = x.data[0] + cols[:, :, 0]
+    term = np.empty_like(data)
+    for i in range(1, n):
+        np.maximum(data, np.add(x.data[i], cols[:, :, i], out=term), out=data)
+
+    def backward_fn(out=None, x=x, cols=cols):
+        if not x.requires_grad:
             return
-        # Found here, not in the forward pass, so no_grad work never pays for
-        # it. Ties route the gradient to the first maximal entry.
-        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-        g = out.grad
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, idx, g, axis=axis)
-        a._accumulate(full)
+        left = out.grad.copy()  # gradient not yet routed to an earlier input
+        g = np.empty_like(x.data)
+        for i in range(n):
+            hit = (x.data[i] + cols[:, :, i]) == out.data
+            routed = left * hit
+            left -= routed
+            g[i] = routed.sum(axis=0)
+        x._accumulate(g)
 
-    return _finish(data, (a,), backward_fn)
+    return _finish(data, (x,), backward_fn)
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -25,10 +25,10 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .models import BatchEncoding, ModelBundle
+from .models import BatchEncoding, ModelBundle, input_stack
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
 from .numcore.random import stream
-from .numcore.tensor import Tensor, concat, constant
+from .numcore.tensor import Tensor, concat, constant, stack
 
 __all__ = [
     "COMPONENTS",
@@ -110,23 +110,22 @@ def _flatten_tm(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, 0, 1).reshape(arr.shape[1] * arr.shape[0], *arr.shape[2:])
 
 
-def _transition_inputs(batch: TrainBatch, env: EnvConfig, samples: list[Tensor]) -> list[Tensor]:
-    """Inputs for all T transitions stacked transition-major: per state factor
-    one (T*B, l) tensor (observed: data one-hots; hidden: encoder samples),
-    plus the (T*B, d_s) action block."""
-    T = batch.horizon
-    inputs: list[Tensor] = []
-    obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
-    hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}
-    for f in range(env.d_s):
-        if f in obs_pos:
-            hot = one_hot(batch.o[:, :T, obs_pos[f]], env.l)  # (B, T, l)
-            inputs.append(constant(_flatten_tm(hot)))
-        else:
-            q = hid_pos[f]
-            inputs.append(concat([samples[t][:, q, :] for t in range(T)], axis=0))
-    inputs.append(constant(_flatten_tm(batch.a.astype(np.float64))))
-    return inputs
+def _transition_inputs(batch: TrainBatch, env: EnvConfig, samples: list[Tensor]) -> Tensor:
+    """(d_s+1, T*B, width) input stack of all T transitions, rows
+    transition-major: observed factors are data one-hots, hidden factors the
+    encoder samples, the last slice the action."""
+    T, B = batch.horizon, batch.size
+    s = np.zeros((T * B, env.d_s), dtype=np.int64)  # hidden columns are replaced below
+    s[:, env.observed_indices] = _flatten_tm(batch.o[:, :T])
+    base = input_stack(env, s, _flatten_tm(batch.a))
+    hidden = concat(samples[:T], axis=0)  # (T*B, d_h, l)
+    pad = base.shape[2] - env.l
+    if pad:
+        hidden = concat([hidden, constant(np.zeros((T * B, env.d_h, pad)))], axis=2)
+    hid_pos = {f: q for q, f in enumerate(env.hidden_indices)}
+    return stack(
+        [hidden[:, hid_pos[f]] if f in hid_pos else constant(base[f]) for f in range(env.d_s + 1)]
+    )
 
 
 def vlb_losses(

@@ -213,6 +213,33 @@ def test_load_dataset_rejects_corrupt_episode_line(tmp_path, field, edit):
     assert str(path) in msg and "line 3" in msg and f"field {field!r}" in msg
 
 
+@pytest.mark.parametrize("line", [1, 3])  # the header, an episode
+def test_load_dataset_rejects_truncated_line(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = lines[line - 1][:40]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and f"line {line}:" in msg and "JSON" in msg
+
+
+def test_load_dataset_rejects_wrong_gt_graph(tmp_path):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["gt_graph"] = [[1]]
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "gt_graph" in msg
+
+
 def test_dataset_episode_does_not_depend_on_episode_count():
     cfg = chain3()
     small = generate_dataset(cfg, 5, seed=3)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,8 +6,16 @@ import pytest
 
 from hindcaus import numcore as nc
 from hindcaus.env import EnvConfig, cmi_masks, config_hash, generate_dataset, stack_episodes, step
-from hindcaus.models import BatchEncoding, build_models, load_checkpoint, save_checkpoint
-from hindcaus.numcore import Adam, backward, constant, one_hot, stream
+from hindcaus.models import (
+    BatchEncoding,
+    build_models,
+    input_stack,
+    load_checkpoint,
+    save_checkpoint,
+)
+from hindcaus.models.nets import Linear
+from hindcaus.numcore import Adam, backward, constant, one_hot, parameter, stream
+from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
 
 
 def chain3(noise_target="hidden", **kw):
@@ -186,12 +195,8 @@ def test_trainable_excludes_phi_bar():
 
 
 def _transition_inputs(cfg, s_values, a_values):
-    """Integer states -> list of one-hot/action constant inputs."""
-    inputs = []
-    for i in range(cfg.d_s):
-        inputs.append(constant(one_hot(s_values[:, i], cfg.l)))
-    inputs.append(constant(a_values.astype(np.float64)))
-    return inputs
+    """Integer states and actions -> the constant input stack."""
+    return constant(input_stack(cfg, s_values, a_values))
 
 
 def test_masked_output_ignores_masked_inputs():
@@ -271,6 +276,92 @@ def test_mask_stack_call_matches_single_mask_forward(j):
         assert stacked.shape == (len(singles), 8, 4)
         for k, mask in enumerate(singles):
             assert np.array_equal(stacked[k], bundle.transition.forward(j, inputs, mask).data), k
+
+
+def _per_input_reference(transition, j, x, masks):
+    """The fused path spelled out input by input: a `Linear` embed and proj
+    per input built from slices of the stacked weights, the offset added per
+    input, the max taken by selecting the first maximal input, and the head
+    run once per mask."""
+    env = transition.env
+    in_dims = [env.l] * env.d_s + [env.d_s]
+    embed, proj = transition._embed[j], transition._proj[j]
+    feats = []
+    for i, d in enumerate(in_dims):
+        emb, prj = Linear.__new__(Linear), Linear.__new__(Linear)
+        emb.W, emb.b = embed.W[i, :d], embed.b[i, 0]
+        prj.W, prj.b = proj.W[i], proj.b[i, 0]
+        feats.append(prj(emb(x[i, :, :d]).tanh()).tanh())
+    blocks = []
+    for mask in masks:
+        shifted = [f + constant((mask[:, i : i + 1] - 1.0) * 1e30) for i, f in enumerate(feats)]
+        first = np.argmax(np.stack([t.data for t in shifted]), axis=0)  # ties: first maximum
+        pooled = shifted[0] * constant(first == 0)
+        for i in range(1, len(shifted)):
+            pooled = pooled + shifted[i] * constant(first == i)
+        blocks.append(transition._heads[j](pooled))
+    return nc.stack(blocks)
+
+
+@pytest.mark.parametrize("j", [2, 1])  # observed o^2, hidden h
+def test_fused_transition_matches_per_input_reference(j):
+    cfg = chain3()
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    rng = np.random.default_rng(7)
+    for t in bundle.store.trainable().values():  # nonzero biases too
+        t.data += 0.1 * rng.normal(size=t.shape)
+    for embed in bundle.transition._embed:
+        embed.W.data[cfg.d_s, cfg.d_s :] = 0.0  # the action slice's padding row
+    s = rng.integers(0, 4, size=(8, 3))
+    a = np.zeros((8, 3), dtype=np.int64)
+    a[rng.random(8) < 0.5, 0] = 1
+    x = parameter(input_stack(cfg, s, a))
+    per_row = np.ones((8, 4))
+    per_row[np.arange(8), rng.integers(0, 4, size=8)] = 0.0
+    masks = np.concatenate([np.broadcast_to(cmi_masks(cfg)[:, None], (5, 8, 4)), per_row[None]])
+    weights = constant(rng.normal(size=(6, 8, 4)))
+    theta = {n: p for n, p in bundle.store.trainable().items() if f"/target{j}." in n}
+    theta["x"] = x
+
+    def logits_and_grads(logits_fn):
+        for p in theta.values():
+            p.grad = None
+        logits = logits_fn()
+        backward((logits * weights).sum())
+        return logits.data, {n: p.grad for n, p in theta.items()}
+
+    tr = bundle.transition
+    fused_fn = lambda: tr.logits_from_features(j, tr.features(j, x), masks)  # noqa: E731
+    fused, fused_grads = logits_and_grads(fused_fn)
+    ref, ref_grads = logits_and_grads(lambda: _per_input_reference(tr, j, x, masks))
+    assert fused.shape == (6, 8, 4)
+    assert np.array_equal(fused, ref)
+    for n, g in ref_grads.items():
+        assert np.abs(fused_grads[n] - g).max() <= 1e-12 * np.abs(g).max(), n
+
+
+# chain3 pads the action input (l > d_s), full5 the factor inputs (d_s > l).
+@pytest.mark.parametrize("graph", ["chain", "full"])
+def test_embed_padding_rows_stay_zero_under_training(graph):
+    cfg = EnvConfig.chain(d_s=3) if graph == "chain" else EnvConfig.full(d_s=5)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    batch = small_batch(cfg)
+    in_dims = [cfg.l] * cfg.d_s + [cfg.d_s]
+    pads = [(i, d) for i, d in enumerate(in_dims) if d < max(in_dims)]
+    assert pads
+    opt = Adam(bundle.store.trainable(), lr=1e-2)
+    graph_binary = np.ones((cfg.d_s + 1, cfg.d_s), dtype=np.int64)
+    for step_i in range(3):
+        opt.zero_grad()
+        rand = StepRandomness(0, step_i)
+        total, _ = total_objective(batch, bundle, graph_binary, rand, ObjectiveConfig())
+        backward(total)
+        opt.step()
+    for j, embed in enumerate(bundle.transition._embed):
+        assert np.any(embed.W.grad != 0)
+        for i, d in pads:
+            assert np.all(embed.W.data[i, d:] == 0.0), (j, i)
+            assert np.any(embed.W.data[i, :d] != 0.0)
 
 
 def test_all_zero_mask_rejected():
@@ -376,6 +467,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert step_no == 17
     for n, t in bundle.store.tensors().items():
         assert np.array_equal(t.data, before[n]), n
+
+
+def test_checkpoint_refuses_version_1_manifest(tmp_path):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    assert doc["version"] == 2
+    doc["version"] = 1
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="version 1"):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def test_checkpoint_refuses_config_mismatch(tmp_path):

@@ -63,12 +63,19 @@ def _scalarize(t: Tensor, rng: np.random.Generator) -> Tensor:
     return (t * w).sum()
 
 
+# masked_max offsets for a (4, 2, 2) stack: one mask per block (K=3, 1, n=4),
+# and one mask per row (K=2, rows=2, n=4). -1e30 drops an input.
+_OFF = -1e30
+SHARED_OFFSETS = np.array([[[0, 0, 0, 0]], [[0, _OFF, 0, 0]], [[_OFF, _OFF, 0, _OFF]]])
+ROW_OFFSETS = np.array([[[0, _OFF, 0, 0], [_OFF, 0, 0, 0]], [[0, 0, _OFF, _OFF], [0, 0, 0, 0]]])
+
 OP_CASES = {
     "add": lambda a, b: a + b,
     "add_broadcast": lambda a, b: a + b[0:1, :],
     "subtract": lambda a, b: a - b,
     "multiply": lambda a, b: a * b,
     "matmul": lambda a, b: nc.matmul(a, b),
+    "bmm": lambda a, b: nc.bmm(a.reshape(2, 2, 4), b.reshape(2, 4, 2)),
     "concat": lambda a, b: nc.concat([a, b], axis=1),
     "stack": lambda a, b: nc.stack([a, b], axis=1),
     "slice": lambda a, b: a[1:3, ::2] + b[1:3, ::2],
@@ -80,7 +87,8 @@ OP_CASES = {
     "softmax": lambda a, b: (a + b).softmax(),
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
     "mean_axis": lambda a, b: (a + b).mean(axis=1),
-    "max_axis": lambda a, b: (a * b).max(axis=1),
+    "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_OFFSETS),
+    "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_OFFSETS),
     "scale": lambda a, b: (a + b) * 1.7,
 }
 
@@ -97,6 +105,45 @@ def test_op_gradients_match_finite_differences(name):
 
     errs = check_gradients(f, {"a": a, "b": b})
     assert max(errs.values()) < 1e-4, errs
+
+
+@pytest.mark.parametrize("offsets", [SHARED_OFFSETS, ROW_OFFSETS], ids=["shared", "per_row"])
+def test_masked_max_equals_dense_max(offsets):
+    x = np.random.default_rng(5).normal(size=(4, 2, 3))
+    dense = x[None] + np.swapaxes(offsets, 1, 2)[..., None]  # (K, n, rows, F)
+    out = nc.masked_max(constant(x), offsets)
+    assert out.shape == (len(offsets), 2, 3)
+    assert np.array_equal(out.data, dense.max(axis=1))
+
+
+def test_masked_max_tie_sends_whole_gradient_to_first_kept_maximum():
+    # Inputs 0 and 1 tie in both columns, and all three tie in column 0.
+    x = parameter([[[0.5, 2.0]], [[0.5, 2.0]], [[0.5, 1.0]]])  # (n=3, rows=1, F=2)
+    offsets = np.array([[[0.0, 0.0, 0.0]], [[_OFF, 0.0, 0.0]]])  # all kept; input 0 dropped
+    out = nc.masked_max(x, offsets)
+    assert np.array_equal(out.data, [[[0.5, 2.0]], [[0.5, 2.0]]])
+    backward((out * constant([[[1.0, 10.0]], [[100.0, 1000.0]]])).sum())
+    assert np.array_equal(x.grad, [[[1.0, 10.0]], [[100.0, 1000.0]], [[0.0, 0.0]]])
+
+
+def test_masked_max_and_bmm_reject_bad_shapes():
+    x = constant(np.zeros((3, 2, 4)))
+    with pytest.raises(ShapeError, match="offsets"):
+        nc.masked_max(x, np.zeros((2, 1, 4)))  # 4 offset columns for 3 inputs
+    with pytest.raises(ShapeError, match="rows"):
+        nc.masked_max(x, np.zeros((2, 5, 3)))  # 5 offset rows for 2 rows
+    with pytest.raises(ShapeError, match="bmm"):
+        nc.bmm(x, constant(np.zeros((2, 4, 1))))
+
+
+def test_accumulated_gradient_is_not_aliased_between_parents():
+    x = parameter(np.ones(3))
+    y = parameter(np.ones(3))
+    backward((x + y).sum())  # add hands one gradient array to both parents
+    y_before = y.grad.copy()
+    backward((x * 2.0).sum())  # a second accumulation, into x only
+    assert np.array_equal(x.grad, [3.0, 3.0, 3.0])
+    assert np.array_equal(y.grad, y_before)
 
 
 def test_mlp_gradients_match_finite_differences():

@@ -44,12 +44,13 @@ class TabularAdapter:
         self.cfg = cfg
         self.model = TabularTransitionModel(cfg)
 
-    def features(self, j, inputs):
-        return inputs
+    def features(self, j, x):
+        return x
 
-    def logits_from_features(self, j, inputs, masks):
-        s = np.stack([inp.data.argmax(axis=-1) for inp in inputs[:-1]], axis=1)
-        a = inputs[-1].data.astype(np.int64)
+    def logits_from_features(self, j, x, masks):
+        d_s, l = self.cfg.d_s, self.cfg.l
+        s = x.data[:d_s, :, :l].argmax(axis=-1).T
+        a = x.data[d_s, :, :d_s].astype(np.int64)
         out = np.empty((len(masks), s.shape[0], self.cfg.l))
         for k, mask in enumerate(np.asarray(masks, dtype=bool)):
             mask = np.broadcast_to(mask, (s.shape[0], mask.shape[-1]))
