@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..fileio import write_atomic
 from .config import EnvConfig, config_hash
 from .modulo import Episode, ground_truth_graph, rollout
 
@@ -140,18 +141,19 @@ def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
+    """Write the JSON-lines file through `write_atomic`: an interrupted save
+    leaves the previous file at `path` as it was."""
     path = Path(path)
+    header = {
+        "version": DATASET_VERSION,
+        "config": ds.config.to_dict(),
+        "gt_graph": ds.gt_graph.tolist(),
+        "config_hash": ds.config_hash,
+    }
+    lines = [json.dumps(header, separators=(",", ":"))]
+    lines += [json.dumps(_episode_to_record(e), separators=(",", ":")) for e in ds.episodes]
     try:
-        with path.open("w", encoding="utf-8") as fh:
-            header = {
-                "version": DATASET_VERSION,
-                "config": ds.config.to_dict(),
-                "gt_graph": ds.gt_graph.tolist(),
-                "config_hash": ds.config_hash,
-            }
-            fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-            for e in ds.episodes:
-                fh.write(json.dumps(_episode_to_record(e), separators=(",", ":")) + "\n")
+        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path}: {exc}") from exc
 

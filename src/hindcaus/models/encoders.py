@@ -10,10 +10,17 @@ index t = 0..T, per-factor categorical logits of shape (B, d_h, l):
                   (o_t, a_t, o_{t+1}, a_{t+1}), combined
 - dvae_full:      past branch + backward recurrence branch, combined
 
-Out-of-range window slots (a_T and beyond, o_{T+1}) are zero vectors, which
-keeps each variant's conditioning set exact: inputs outside the declared
-window cannot influence the output. The dvae variants consume the previous
-hidden sample recursively; a learned context vector stands in at t = 0.
+The batch enters as one constant (T+1, B, d_o·l + d_s) stack of [o_t, a_t]
+steps (`BatchEncoding.steps`). Out-of-range slots (a_T, and step T+1 of a
+window) are zero rows, which keeps each variant's conditioning set exact:
+inputs outside the declared window cannot influence the output.
+
+Every layer whose input does not depend on a sample runs once over all T+1
+steps: a recurrence is one `GRUCell.scan`, a head or window net one call on
+(T+1)·B rows. The dvae variants consume the previous hidden sample
+recursively; a learned context vector stands in at t = 0. Given teacher
+samples, the past branch runs once over T·B rows and the combiner once over
+(T+1)·B rows, so only the sampling pass of a dvae variant loops over t.
 """
 
 from __future__ import annotations
@@ -33,31 +40,26 @@ ENCODER_VARIANTS = ("history", "current_1step", "current_full", "dvae_1step", "d
 
 
 class BatchEncoding:
-    """Constant one-hot views of a batch with zero pads past the horizon."""
+    """Constant one-hot view of a batch: `steps` is the (T+1, B, d_o·l + d_s)
+    stack of [o_t, a_t] rows, with a_T = 0."""
 
     def __init__(self, batch: TrainBatch, env: EnvConfig):
         self.env = env
         self.B = batch.size
         self.T = batch.horizon
-        o_hot = one_hot(batch.o, env.l)  # (B, T+1, d_o, l)
-        self._o = [constant(o_hot[:, t].reshape(self.B, env.d_o * env.l)) for t in range(self.T + 1)]
-        self._a = [constant(batch.a[:, t].astype(np.float64)) for t in range(self.T)]
-        self._zero_o = constant(np.zeros((self.B, env.d_o * env.l)))
-        self._zero_a = constant(np.zeros((self.B, env.d_s)))
+        d_ol = env.d_o * env.l
+        steps = np.zeros((self.T + 1, self.B, d_ol + env.d_s))
+        o_hot = one_hot(batch.o, env.l).reshape(self.B, self.T + 1, d_ol)
+        steps[:, :, :d_ol] = np.swapaxes(o_hot, 0, 1)
+        steps[: self.T, :, d_ol:] = np.swapaxes(batch.a, 0, 1)
+        self.steps = constant(steps)
 
-    def o(self, t: int) -> Tensor:
-        if 0 <= t <= self.T:
-            return self._o[t]
-        if t == self.T + 1:
-            return self._zero_o
-        raise IndexError(f"observation index {t} outside episode of horizon {self.T}")
-
-    def a(self, t: int) -> Tensor:
-        if 0 <= t < self.T:
-            return self._a[t]
-        if t in (self.T, self.T + 1):
-            return self._zero_a
-        raise IndexError(f"action index {t} outside episode of horizon {self.T}")
+    def windows(self) -> Tensor:
+        """(T+1, B, 2·width) stack of step t next to step t+1, with a zero
+        row for step T+1."""
+        s = self.steps.data
+        after = np.concatenate([s[1:], np.zeros_like(s[:1])])
+        return constant(np.concatenate([s, after], axis=2))
 
 
 class HiddenEncoder:
@@ -96,40 +98,15 @@ class HiddenEncoder:
                 self.window_net = MLP(params, "window", 2 * d_oa, [H], H)
             self.combiner = MLP(params, "combiner", 2 * H, [H], d_out)
 
-    # -- shared sub-sequences ------------------------------------------------
+    # -- helpers ----------------------------------------------------------------
 
-    def _step_input(self, enc: BatchEncoding, t: int) -> Tensor:
-        return concat([enc.o(t), enc.a(t)], axis=1)
+    def _rows(self, net, x: Tensor) -> Tensor:
+        """`net` run once on every row of an (S, B, d) stack -> (S, B, d_out)."""
+        S, B, d = x.shape
+        return net(x.reshape(S * B, d)).reshape(S, B, -1)
 
-    def _window_input(self, enc: BatchEncoding, t: int) -> Tensor:
-        return concat([enc.o(t), enc.a(t), enc.o(t + 1), enc.a(t + 1)], axis=1)
-
-    def _forward_states(self, enc: BatchEncoding) -> list[Tensor]:
-        h = constant(np.zeros((enc.B, self.H)))
-        states = []
-        for t in range(enc.T + 1):
-            h = self.cell(self._step_input(enc, t), h)
-            states.append(h)
-        return states
-
-    def _backward_states(self, enc: BatchEncoding) -> list[Tensor]:
-        g = constant(np.zeros((enc.B, self.H)))
-        states: list[Tensor] = [None] * (enc.T + 1)
-        for t in range(enc.T, -1, -1):
-            g = self.cell(self._step_input(enc, t), g)
-            states[t] = g
-        return states
-
-    def _shape_logits(self, flat: Tensor, B: int) -> Tensor:
-        return flat.reshape(B, self.env.d_h, self.env.l)
-
-    def _past_feature(self, enc: BatchEncoding, t: int, prev_sample: Tensor | None) -> Tensor:
-        if t == 0:
-            zeros = constant(np.zeros((enc.B, self.H)))
-            return (zeros + self.context0).tanh()
-        flat_h = prev_sample.reshape(enc.B, self.env.d_h * self.env.l)
-        x = concat([flat_h, enc.o(t - 1), enc.a(t - 1)], axis=1)
-        return self.past_net(x).tanh()
+    def _logits(self, flat: Tensor) -> Tensor:
+        return flat.reshape(*flat.shape[:-1], self.env.d_h, self.env.l)
 
     # -- unrolls ----------------------------------------------------------------
 
@@ -147,49 +124,49 @@ class HiddenEncoder:
         past branch consumes those instead of its own draws and no sampling
         happens; returns (logits, None). Otherwise draws straight-through
         Gumbel-softmax samples with noise from `noise_for(t)` and returns
-        (logits, samples).
+        (logits, samples). Both are lists over t of (B, d_h, l) tensors.
         """
         sampling = prev_samples is None
         if sampling and (temperature is None or noise_for is None):
             raise ValueError("sampling unroll needs temperature and noise_for")
-
-        logits_seq: list[Tensor] = []
-        samples_seq: list[Tensor] | None = [] if sampling else None
+        T, B = enc.T, enc.B
+        split = lambda x: [x[t] for t in range(T + 1)]  # noqa: E731
 
         if self.variant in ("history", "current_full", "current_1step"):
-            if self.variant == "history":
-                states = self._forward_states(enc)
-                logits_seq = [self._shape_logits(self.head(s), enc.B) for s in states]
-            elif self.variant == "current_full":
-                states = self._backward_states(enc)
-                logits_seq = [self._shape_logits(self.head(s), enc.B) for s in states]
+            if self.variant == "current_1step":
+                logits = self._logits(self._rows(self.window_net, enc.windows()))
             else:
-                logits_seq = [
-                    self._shape_logits(self.window_net(self._window_input(enc, t)), enc.B)
-                    for t in range(enc.T + 1)
-                ]
-            if sampling:
-                for t, logits in enumerate(logits_seq):
-                    samples_seq.append(
-                        gumbel_softmax_sample(logits, temperature, hard, noise=noise_for(t))
-                    )
-            return logits_seq, samples_seq
+                states = self.cell.scan(enc.steps, reverse=self.variant == "current_full")
+                logits = self._logits(self._rows(self.head, states))
+            if not sampling:
+                return split(logits), None
+            noise = np.stack([noise_for(t) for t in range(T + 1)])
+            samples = gumbel_softmax_sample(logits, temperature, hard, noise=noise)
+            return split(logits), split(samples)
 
-        # dvae variants: window/backward branch first, then the recursive pass.
+        # dvae variants: window/backward branch over all steps, then the past branch.
         if self.variant == "dvae_full":
-            g_seq = self._backward_states(enc)
+            g = self.cell.scan(enc.steps, reverse=True)
         else:
-            g_seq = [self.window_net(self._window_input(enc, t)).tanh() for t in range(enc.T + 1)]
+            g = self._rows(self.window_net, enc.windows()).tanh()
+        e0 = (constant(np.zeros((B, self.H))) + self.context0).tanh()
+        d_hl = self.env.d_h * self.env.l
 
-        prev = None
-        for t in range(enc.T + 1):
-            if not sampling and t > 0:
-                prev = prev_samples[t - 1]
-            e_t = self._past_feature(enc, t, prev)
-            logits = self._shape_logits(self.combiner(concat([e_t, g_seq[t]], axis=1)), enc.B)
+        if not sampling:
+            prev = concat([s.reshape(B, d_hl) for s in prev_samples[:T]], axis=0)
+            x = concat([prev, enc.steps[:T].reshape(T * B, -1)], axis=1)
+            e = concat([e0, self.past_net(x).tanh()], axis=0)
+            flat = self.combiner(concat([e, g.reshape((T + 1) * B, self.H)], axis=1))
+            return split(self._logits(flat.reshape(T + 1, B, -1))), None
+
+        logits_seq: list[Tensor] = []
+        samples_seq: list[Tensor] = []
+        e = e0
+        for t in range(T + 1):
+            if t > 0:
+                x = concat([samples_seq[-1].reshape(B, d_hl), enc.steps[t - 1]], axis=1)
+                e = self.past_net(x).tanh()
+            logits = self._logits(self.combiner(concat([e, g[t]], axis=1)))
             logits_seq.append(logits)
-            if sampling:
-                sample = gumbel_softmax_sample(logits, temperature, hard, noise=noise_for(t))
-                samples_seq.append(sample)
-                prev = sample
+            samples_seq.append(gumbel_softmax_sample(logits, temperature, hard, noise=noise_for(t)))
         return logits_seq, samples_seq

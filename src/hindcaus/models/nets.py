@@ -1,10 +1,17 @@
-"""Network building blocks on top of the autodiff core."""
+"""Network building blocks on top of the autodiff core.
+
+`Linear` is one `affine` node. `MLP` stacks them with tanh between.
+`StackedLinear` runs n independent maps on an (n, rows, d) stack with one
+batched matmul. `GRUCell` has no per-step call: `scan` projects all S steps
+of an (S, B, d) input with one `affine` over the S·B rows and runs the whole
+recurrence as one `gru_scan` node.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..numcore.tensor import Tensor, bmm, matmul
+from ..numcore.tensor import Tensor, affine, bmm, gru_scan
 from .store import ParamFactory
 
 __all__ = ["Linear", "StackedLinear", "MLP", "GRUCell"]
@@ -16,7 +23,7 @@ class Linear:
         self.b = params.zeros(f"{name}.b", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(x, self.W) + self.b
+        return affine(x, self.W, self.b)
 
 
 class StackedLinear:
@@ -57,7 +64,7 @@ class MLP:
 
 
 class GRUCell:
-    """Gated recurrent cell: h' = (1 - z) * n + z * h."""
+    """Gated recurrent cell, h' = (1 - z) * n + z * h, run as a scan from h = 0."""
 
     def __init__(self, params: ParamFactory, name: str, d_in: int, d_hidden: int):
         self.d_hidden = d_hidden
@@ -66,11 +73,9 @@ class GRUCell:
         self.Uzr = params.glorot(f"{name}.Uzr", d_hidden, 2 * d_hidden)
         self.Un = params.glorot(f"{name}.Un", d_hidden, d_hidden)
 
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        H = self.d_hidden
-        xw = matmul(x, self.Wx) + self.bx
-        hzr = matmul(h, self.Uzr)
-        z = (xw[:, :H] + hzr[:, :H]).sigmoid()
-        r = (xw[:, H : 2 * H] + hzr[:, H:]).sigmoid()
-        n = (xw[:, 2 * H :] + matmul(r * h, self.Un)).tanh()
-        return (1.0 - z) * n + z * h
+    def scan(self, xs: Tensor, reverse: bool = False) -> Tensor:
+        """(S, B, H) states over an (S, B, d_in) input sequence; `reverse`
+        runs it from the last step, so out[s] has seen steps s..S-1."""
+        S, B, d_in = xs.shape
+        xw = affine(xs.reshape(S * B, d_in), self.Wx, self.bx)
+        return gru_scan(xw.reshape(S, B, 3 * self.d_hidden), self.Uzr, self.Un, reverse)

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
+from ..fileio import write_atomic
 from ..numcore.random import stream
 from ..numcore.tensor import Tensor
 
 __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint"]
 
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class ParameterStore:
@@ -111,7 +113,12 @@ def save_checkpoint(
     extras: dict | None = None,
     extra_arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write manifest.json plus a flat little-endian float64 tensors.bin."""
+    """Write a flat little-endian float64 tensors.bin, then manifest.json.
+
+    Each file goes through `write_atomic`, and the manifest records the
+    blob's sha256. A save cut off between the two files leaves a new blob
+    beside the old manifest, which `load_checkpoint` refuses.
+    """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -128,15 +135,17 @@ def save_checkpoint(
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "count": arr.size})
         blobs.append(arr.tobytes())
         offset += arr.size
+    blob = b"".join(blobs)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "step": step,
+        "sha256": hashlib.sha256(blob).hexdigest(),
         "tensors": entries,
         "extras": extras or {},
     }
-    (path / "manifest.json").write_text(json.dumps(manifest, indent=1))
-    (path / "tensors.bin").write_bytes(b"".join(blobs))
+    write_atomic(path / "tensors.bin", blob)
+    write_atomic(path / "manifest.json", json.dumps(manifest, indent=1).encode("utf-8"))
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
@@ -158,6 +167,8 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     expected = 8 * sum(e["count"] for e in manifest["tensors"])
     if len(raw) != expected:
         raise ValueError(f"{blob} holds {len(raw)} bytes, manifest expects {expected}")
+    if hashlib.sha256(raw).hexdigest() != manifest["sha256"]:
+        raise ValueError(f"{blob} does not match the sha256 its manifest records (torn save?)")
     flat = np.frombuffer(raw, dtype="<f8")
     arrays = {}
     for e in manifest["tensors"]:

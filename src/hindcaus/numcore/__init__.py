@@ -15,10 +15,12 @@ from .tensor import (
     no_grad,
     ShapeError,
     Tensor,
+    affine,
     backward,
     bmm,
     concat,
     constant,
+    gru_scan,
     log_softmax,
     masked_max,
     matmul,
@@ -33,6 +35,7 @@ __all__ = [
     "NonFiniteError",
     "ShapeError",
     "Tensor",
+    "affine",
     "backward",
     "bmm",
     "categorical_kl",
@@ -41,6 +44,7 @@ __all__ = [
     "constant",
     "cross_entropy",
     "finite_difference_grad",
+    "gru_scan",
     "gumbel_noise",
     "gumbel_softmax_sample",
     "log_softmax",

@@ -20,7 +20,9 @@ __all__ = [
     "parameter",
     "concat",
     "stack",
+    "affine",
     "bmm",
+    "gru_scan",
     "masked_max",
     "backward",
 ]
@@ -306,6 +308,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(data, (a, b), backward_fn)
 
 
+def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """x @ W + b as one node: (rows, k) @ (k, m) plus an (m,) bias."""
+    if x.data.ndim != 2 or W.data.ndim != 2 or b.shape != (W.shape[1],) or x.shape[1] != W.shape[0]:
+        raise ShapeError(f"affine: shapes {x.shape} @ {W.shape} + {b.shape} are incompatible")
+    data = x.data @ W.data
+    data += b.data
+
+    def backward_fn(out=None, x=x, W=W, b=b):
+        g = out.grad
+        if x.requires_grad:
+            x._accumulate(g @ W.data.T)
+        if W.requires_grad:
+            W._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _finish(data, (x, W, b), backward_fn)
+
+
 def bmm(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product: (n, r, k) @ (n, k, m) -> (n, r, m)."""
     if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
@@ -320,6 +341,70 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.matmul(a.data.transpose(0, 2, 1), g))
 
     return _finish(data, (a, b), backward_fn)
+
+
+def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tensor:
+    """GRU recurrence from h = 0 over an (S, B, 3H) stack of input
+    projections; returns the (S, B, H) states as one node.
+
+    Step s reads xw[s] = [x_z, x_r, x_n] and the previous state h:
+    [z, r] = sigmoid([x_z, x_r] + h @ Uzr), n = tanh(x_n + (r * h) @ Un),
+    h' = (1 - z) * n + z * h. Steps run s = 0..S-1, or S-1..0 with
+    `reverse`; out[s] is the state after step s either way. The backward is
+    backpropagation through time over the saved z, r and n.
+    """
+    H = Un.shape[0]
+    if (
+        xw.data.ndim != 3
+        or xw.shape[2] != 3 * H
+        or Uzr.shape != (H, 2 * H)
+        or Un.shape != (H, H)
+    ):
+        raise ShapeError(
+            f"gru_scan: inputs {xw.shape}, Uzr {Uzr.shape} and Un {Un.shape} are incompatible "
+            f"(need (S, B, 3H), (H, 2H), (H, H))"
+        )
+    S, B = xw.shape[:2]
+    order = range(S - 1, -1, -1) if reverse else range(S)
+    zr = np.empty((S, B, 2 * H))
+    n = np.empty((S, B, H))
+    data = np.empty((S, B, H))
+    h = np.zeros((B, H))
+    for s in order:
+        zr[s] = _sigmoid(xw.data[s, :, : 2 * H] + h @ Uzr.data)
+        z, r = zr[s, :, :H], zr[s, :, H:]
+        n[s] = np.tanh(xw.data[s, :, 2 * H :] + (r * h) @ Un.data)
+        h = data[s] = (1.0 - z) * n[s] + z * h
+
+    def backward_fn(out=None, xw=xw, Uzr=Uzr, Un=Un):
+        # prev[s] is the state step s read.
+        prev = np.zeros_like(out.data)
+        if reverse:
+            prev[:-1] = out.data[1:]
+        else:
+            prev[1:] = out.data[:-1]
+        gx = np.empty_like(xw.data)
+        dh = np.zeros((B, H))
+        for s in reversed(order):
+            z, r = zr[s, :, :H], zr[s, :, H:]
+            dh = dh + out.grad[s]
+            dn = dh * (1.0 - z) * (1.0 - n[s] * n[s])
+            gx[s, :, 2 * H :] = dn
+            drh = dn @ Un.data.T
+            gx[s, :, :H] = dh * (prev[s] - n[s])
+            gx[s, :, H : 2 * H] = drh * prev[s]
+            gx[s, :, : 2 * H] *= zr[s] * (1.0 - zr[s])
+            dh = dh * z + drh * r + gx[s, :, : 2 * H] @ Uzr.data.T
+        if xw.requires_grad:
+            xw._accumulate(gx)
+        rows = (S * B, -1)
+        if Uzr.requires_grad:
+            Uzr._accumulate(prev.reshape(rows).T @ gx[:, :, : 2 * H].reshape(rows))
+        if Un.requires_grad:
+            rh = zr[:, :, H:] * prev
+            Un._accumulate(rh.reshape(rows).T @ gx[:, :, 2 * H :].reshape(rows))
+
+    return _finish(data, (xw, Uzr, Un), backward_fn)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -466,12 +551,14 @@ def tanh(a: Tensor) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    pos = a.data >= 0
-    data = np.empty_like(a.data)
-    data[pos] = 1.0 / (1.0 + np.exp(-a.data[pos]))
-    e = np.exp(a.data[~pos])
-    data[~pos] = e / (1.0 + e)
+    data = _sigmoid(a.data)
 
     def backward_fn(out=None, a=a):
         if a.requires_grad:

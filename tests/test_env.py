@@ -1,9 +1,12 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hindcaus.fileio
 from hindcaus.env import (
     EnvConfig,
     TabularTransitionModel,
@@ -238,6 +241,60 @@ def test_load_dataset_rejects_wrong_gt_graph(tmp_path):
         load_dataset(path)
     msg = str(exc.value)
     assert str(path) in msg and "gt_graph" in msg
+
+
+class _HalfWriter:
+    """A file handle whose write stores half the bytes and is then cut off."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise KeyboardInterrupt
+
+
+def _cut_mid_write(monkeypatch):
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _HalfWriter(fh) if "x" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_)
+    return KeyboardInterrupt
+
+
+def _fail_replace(monkeypatch):
+    def replace(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(hindcaus.fileio.os, "replace", replace)
+    return OSError
+
+
+@pytest.mark.parametrize(
+    "interrupt", [_cut_mid_write, _fail_replace], ids=["mid_write", "before_replace"]
+)
+def test_interrupted_dataset_save_keeps_old_file(tmp_path, monkeypatch, interrupt):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    old = path.read_bytes()
+    error = interrupt(monkeypatch)
+    with pytest.raises(error):
+        save_dataset(generate_dataset(chain3(), 6, seed=2), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["data.jsonl"]  # no temporary file left
+    save_dataset(generate_dataset(chain3(), 6, seed=2), path)
+    assert len(load_dataset(path)) == 6
 
 
 def test_dataset_episode_does_not_depend_on_episode_count():

@@ -1,12 +1,15 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+import hindcaus.models.store as store_mod
 from hindcaus import numcore as nc
 from hindcaus.env import EnvConfig, cmi_masks, config_hash, generate_dataset, stack_episodes, step
 from hindcaus.models import (
+    ENCODER_VARIANTS,
     BatchEncoding,
     build_models,
     input_stack,
@@ -14,7 +17,7 @@ from hindcaus.models import (
     save_checkpoint,
 )
 from hindcaus.models.nets import Linear
-from hindcaus.numcore import Adam, backward, constant, one_hot, parameter, stream
+from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
 
 
@@ -74,6 +77,125 @@ def test_unroll_deterministic_replay():
     l2, s2 = run()
     for a, b in zip(l1 + s1, l2 + s2):
         assert np.array_equal(a, b)
+
+
+# -- fused unroll against the per-step reference ----------------------------------
+#
+# The references below are the per-step formulas the fused code replaced, op
+# by op: `matmul` + bias instead of `affine`, one GRU cell call per step, one
+# head / past-net / combiner call per t. The fused path must give the same
+# logits and samples bit for bit. That holds at batch sizes up to 64: at 512
+# rows per step OpenBLAS can round a row-batched matmul differently from
+# per-step ones, so the test batches stay at or below 64.
+
+
+def _linear(layer, x):
+    return matmul(x, layer.W) + layer.b
+
+
+def _mlp(net, x):
+    for layer in net.layers[:-1]:
+        x = _linear(layer, x).tanh()
+    return _linear(net.layers[-1], x)
+
+
+def _gru_step(cell, x, h):
+    """The per-step GRU cell: h' = (1 - z) * n + z * h."""
+    H = cell.d_hidden
+    xw = matmul(x, cell.Wx) + cell.bx
+    hzr = matmul(h, cell.Uzr)
+    z = (xw[:, :H] + hzr[:, :H]).sigmoid()
+    r = (xw[:, H : 2 * H] + hzr[:, H:]).sigmoid()
+    n = (xw[:, 2 * H :] + matmul(r * h, cell.Un)).tanh()
+    return (1.0 - z) * n + z * h
+
+
+def _gru_states(cell, xs, reverse):
+    h = constant(np.zeros((xs[0].shape[0], cell.d_hidden)))
+    states = [None] * len(xs)
+    for t in reversed(range(len(xs))) if reverse else range(len(xs)):
+        h = states[t] = _gru_step(cell, xs[t], h)
+    return states
+
+
+def _reference_unroll(net, batch, temperature=None, noise_for=None, hard=True, prev_samples=None):
+    """The per-t unroll: step inputs [o_t, a_t] built per t (zero past the
+    horizon), every layer called once per t."""
+    env, B, T = net.env, batch.size, batch.horizon
+    o_hot = one_hot(batch.o, env.l).reshape(B, T + 1, -1)
+    a = np.concatenate([batch.a, np.zeros((B, 2, env.d_s))], axis=1).astype(np.float64)
+    zero_o = np.zeros((B, 1, o_hot.shape[2]))
+    o = np.concatenate([o_hot, zero_o], axis=1)
+    x = [constant(np.concatenate([o[:, t], a[:, t]], axis=1)) for t in range(T + 2)]
+    window = [concat([x[t], x[t + 1]], axis=1) for t in range(T + 1)]
+    shape = lambda flat: flat.reshape(B, env.d_h, env.l)  # noqa: E731
+    sampling = prev_samples is None
+    draw = lambda lg, t: nc.gumbel_softmax_sample(lg, temperature, hard, noise_for(t))  # noqa: E731
+
+    if net.variant in ("history", "current_full", "current_1step"):
+        if net.variant == "current_1step":
+            logits = [shape(_mlp(net.window_net, w)) for w in window]
+        else:
+            states = _gru_states(net.cell, x[: T + 1], reverse=net.variant == "current_full")
+            logits = [shape(_linear(net.head, s)) for s in states]
+        return logits, [draw(lg, t) for t, lg in enumerate(logits)] if sampling else None
+
+    if net.variant == "dvae_full":
+        g = _gru_states(net.cell, x[: T + 1], reverse=True)
+    else:
+        g = [_mlp(net.window_net, w).tanh() for w in window]
+    logits, samples = [], []
+    for t in range(T + 1):
+        if t == 0:
+            e = (constant(np.zeros((B, net.H))) + net.context0).tanh()
+        else:
+            prev = samples[t - 1] if sampling else prev_samples[t - 1]
+            e = _mlp(net.past_net, concat([prev.reshape(B, -1), x[t - 1]], axis=1)).tanh()
+        logits.append(shape(_mlp(net.combiner, concat([e, g[t]], axis=1))))
+        if sampling:
+            samples.append(draw(logits[-1], t))
+    return logits, samples if sampling else None
+
+
+def _outputs_and_grads(params, run, weights):
+    for p in params.values():
+        p.grad = None
+    logits, samples = run()
+    outs = logits + (samples or [])
+    backward(sum((out * constant(w)).sum() for out, w in zip(outs, weights)))
+    return [t.data for t in outs], {n: p.grad for n, p in params.items()}
+
+
+def _assert_grads_close(got, ref):
+    assert got.keys() == ref.keys()
+    for n, g in ref.items():
+        assert g is not None and got[n] is not None, n
+        assert np.abs(got[n] - g).max() <= 1e-12 * np.abs(g).max(), n
+
+
+@pytest.mark.parametrize("mode", ["sampling", "teacher"])
+@pytest.mark.parametrize("variant", ENCODER_VARIANTS)
+def test_fused_unroll_matches_per_step_reference(variant, mode):
+    cfg = chain3()
+    batch = small_batch(cfg, n=64, seed=9)  # at most 64 rows per step (see above)
+    bundle = build_models(cfg, variant, seed=5)
+    rng = np.random.default_rng(9)
+    for t in bundle.store.groups["phi"].values():  # nonzero biases and context too
+        t.data += 0.1 * rng.normal(size=t.shape)
+    net = bundle.encoder
+    kw = {"temperature": 0.7, "noise_for": noise_fn_for(cfg, 64), "hard": True}
+    if mode == "teacher":
+        _, samples = net.unroll(BatchEncoding(batch, cfg), **kw)
+        kw = {"prev_samples": [s.detach() for s in samples]}
+    weights = rng.normal(size=(12, 64, cfg.d_h, cfg.l))
+    params = bundle.store.groups["phi"]
+    fused = lambda: net.unroll(BatchEncoding(batch, cfg), **kw)  # noqa: E731
+    got, got_grads = _outputs_and_grads(params, fused, weights)
+    ref, ref_grads = _outputs_and_grads(params, lambda: _reference_unroll(net, batch, **kw), weights)
+    assert len(got) == len(ref) == (12 if mode == "sampling" else 6)
+    for t, (a, b) in enumerate(zip(got, ref)):
+        assert np.array_equal(a, b), t
+    _assert_grads_close(got_grads, ref_grads)
 
 
 # -- conditioning-set purity ---------------------------------------------------
@@ -474,11 +596,46 @@ def test_checkpoint_refuses_version_1_manifest(tmp_path):
     save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
     manifest = tmp_path / "ckpt" / "manifest.json"
     doc = json.loads(manifest.read_text())
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     doc["version"] = 1
     manifest.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="version 1"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def test_checkpoint_refuses_version_2_manifest(tmp_path):
+    # Version 2 manifests carry no blob sha256.
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["sha256"]
+    doc["version"] = 2
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="version 2"):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_torn_checkpoint_pair_is_refused(tmp_path, monkeypatch):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    for t in bundle.store.tensors().values():
+        t.data += 1.0
+    real_write = store_mod.write_atomic
+
+    def write_blob_only(path, data):
+        if path.name == "manifest.json":
+            raise KeyboardInterrupt  # cut off between the two files
+        real_write(path, data)
+
+    monkeypatch.setattr(store_mod, "write_atomic", write_blob_only)
+    with pytest.raises(KeyboardInterrupt):
+        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=2)
+    monkeypatch.undo()
+    assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "tensors.bin"]
+    with pytest.raises(ValueError, match="tensors.bin") as exc:
+        load_checkpoint(tmp_path / "ckpt")
+    assert "sha256" in str(exc.value)
 
 
 def test_checkpoint_refuses_config_mismatch(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hindcaus import numcore as nc
 from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
-from hindcaus.numcore.tensor import NonFiniteError, ShapeError
+from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _sigmoid
 
 
 def test_multiply_forward_and_grad():
@@ -69,8 +69,21 @@ _OFF = -1e30
 SHARED_OFFSETS = np.array([[[0, 0, 0, 0]], [[0, _OFF, 0, 0]], [[_OFF, _OFF, 0, _OFF]]])
 ROW_OFFSETS = np.array([[[0, _OFF, 0, 0], [_OFF, 0, 0, 0]], [[0, 0, _OFF, _OFF], [0, 0, 0, 0]]])
 
+
+def _gru_scan_case(reverse):
+    """gru_scan over S=3 steps of B=2 rows with H=2: xw, Uzr and Un all
+    come from a and b, so the gradient reaches each of the three."""
+
+    def op(a, b):
+        xw = nc.concat([a, b, a * b], axis=1).reshape(-1)[:36].reshape(3, 2, 6)
+        return nc.gru_scan(xw, b[:2], a[2:, 2:], reverse=reverse)
+
+    return op
+
+
 OP_CASES = {
     "add": lambda a, b: a + b,
+    "affine": lambda a, b: nc.affine(a, b, b[1]),
     "add_broadcast": lambda a, b: a + b[0:1, :],
     "subtract": lambda a, b: a - b,
     "multiply": lambda a, b: a * b,
@@ -83,6 +96,8 @@ OP_CASES = {
     "tanh": lambda a, b: (a + b).tanh(),
     "sigmoid": lambda a, b: (a * b).sigmoid(),
     "exp": lambda a, b: (a - b).exp(),
+    "gru_scan": _gru_scan_case(reverse=False),
+    "gru_scan_reverse": _gru_scan_case(reverse=True),
     "log_softmax": lambda a, b: (a * b).log_softmax(),
     "softmax": lambda a, b: (a + b).softmax(),
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
@@ -134,6 +149,40 @@ def test_masked_max_and_bmm_reject_bad_shapes():
         nc.masked_max(x, np.zeros((2, 5, 3)))  # 5 offset rows for 2 rows
     with pytest.raises(ShapeError, match="bmm"):
         nc.bmm(x, constant(np.zeros((2, 4, 1))))
+
+
+def test_affine_and_gru_scan_reject_bad_shapes():
+    x = constant(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match="affine"):
+        nc.affine(x, constant(np.zeros((4, 2))), constant(np.zeros(3)))  # bias is not (2,)
+    with pytest.raises(ShapeError, match="affine"):
+        nc.affine(x, constant(np.zeros((3, 2))), constant(np.zeros(2)))
+    Uzr, Un = constant(np.zeros((2, 4))), constant(np.zeros((2, 2)))  # H = 2
+    with pytest.raises(ShapeError, match="gru_scan"):
+        nc.gru_scan(constant(np.zeros((4, 3, 5))), Uzr, Un)  # last axis 5, not 3H = 6
+    with pytest.raises(ShapeError, match="gru_scan"):
+        nc.gru_scan(constant(np.zeros((3, 6))), Uzr, Un)  # no step axis
+    nc.gru_scan(constant(np.zeros((4, 3, 6))), Uzr, Un)
+
+
+def _masked_sigmoid(x):
+    """The boolean-mask formula the sigmoid op used before `_sigmoid`."""
+    pos = x >= 0
+    out = np.empty_like(x)
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_helper_matches_masked_formula_bit_for_bit():
+    edges = [800.0, -800.0, 745.0, -745.0, 709.0, -709.0, 36.8, -36.8, 0.0, -0.0, 1e-300, -1e-300]
+    x = np.concatenate([np.random.default_rng(12).normal(size=2000) * 8, edges])
+    assert np.array_equal(_sigmoid(x), _masked_sigmoid(x))
+    block = x[:2000].reshape(40, 50)  # a (B, 2H) block, as gru_scan passes it
+    assert np.array_equal(_sigmoid(block), _masked_sigmoid(block.ravel()).reshape(40, 50))
+    assert np.array_equal(_sigmoid(np.array([800.0, -800.0])), [1.0, 0.0])
+    assert np.array_equal(constant(x).sigmoid().data, _masked_sigmoid(x))
 
 
 def test_accumulated_gradient_is_not_aliased_between_parents():
