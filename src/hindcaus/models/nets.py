@@ -1,10 +1,10 @@
 """Network building blocks on top of the autodiff core.
 
 `Linear` is one `affine` node. `MLP` stacks them with tanh between.
-`StackedLinear` runs n independent maps on an (n, rows, d) stack with one
-batched matmul. `GRUCell` has no per-step call: `scan` projects all S steps
-of an (S, B, d) input with one `affine` over the S·B rows and runs the whole
-recurrence as one `gru_scan` node.
+`StackedLinear` runs n independent maps on an (n, rows, d) stack as one
+`bmm` node, bias included. `GRUCell` has no per-step call: `scan` projects
+all S steps of an (S, B, d) input with one `affine` over the S·B rows and
+runs the whole recurrence as one `gru_scan` node.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class Linear:
 
 class StackedLinear:
     """n independent linear maps applied to an (n, rows, max(d_ins)) stack
-    by one batched matmul.
+    as one `bmm` node: a batched matmul plus the (n, 1, d_out) bias.
 
     Map i reads only the first d_ins[i] columns of its slice: its weight is
     the glorot draw `draw_names[i]` above zero rows, and those rows get zero
@@ -45,7 +45,7 @@ class StackedLinear:
         self.b = params.zeros(f"{name}.b", (len(d_ins), 1, d_out))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return bmm(x, self.W) + self.b
+        return bmm(x, self.W, self.b)
 
 
 class MLP:

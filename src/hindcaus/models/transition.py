@@ -11,16 +11,19 @@ The inputs enter as one (d_s+1, rows, width) stack, width = max(l, d_s):
 slice i < d_s is factor i's one-hot (or hidden sample), slice d_s the action
 vector, each zero-padded on the right (`input_stack`). Target j's d_s+1
 extractors are stacked too: `target{j}.embed.W` is (d_s+1, width, embed)
-and `target{j}.proj.W` is (d_s+1, embed, feat), so `features` is two batched
-matmuls, each plus a bias and a tanh. An input narrower than width has zero
-weight rows under its padding columns, and those rows stay zero.
+and `target{j}.proj.W` is (d_s+1, embed, feat), so `features` is two `bmm`
+nodes (batched matmul plus bias), each followed by a tanh. An input narrower
+than width has zero weight rows under its padding columns, and those rows
+stay zero.
 
 Masks are keep-masks (1 keeps an input, 0 drops it) over the d_s factors
 followed by the action node. `logits_from_features` takes a stack of K of
 them, shape (K, 1 or rows, d_s+1): a middle axis of 1 applies one mask to
 every row, a middle axis of rows gives each row its own mask. It pools with
 one `masked_max` into a (K, rows, feat) block, runs the head once on that
-block, and returns (K, rows, l) logits, block k conditioned on mask k.
+block, and returns (K, rows, l) logits, block k conditioned on mask k. When
+taped, the pool keeps each output's winning input, so its backward routes
+the gradient in one pass; under `no_grad` (the CMI estimate) it keeps none.
 """
 
 from __future__ import annotations

@@ -68,6 +68,18 @@ class Adam:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
+        """Restore the moments from `state_tensors` output. Every entry is
+        checked before any is copied, so a refused load changes nothing."""
+        for name, p in self.params.items():
+            for key in (f"adam.m/{name}", f"adam.v/{name}"):
+                if key not in tensors:
+                    raise ValueError(f"Adam state {key!r} for parameter {name!r} is missing")
+                shape = np.shape(tensors[key])
+                if shape != p.data.shape:
+                    raise ValueError(
+                        f"Adam state {key!r} has shape {shape}, "
+                        f"but parameter {name!r} has shape {p.data.shape}"
+                    )
         for name in self.params:
             np.copyto(self.m[name], tensors[f"adam.m/{name}"])
             np.copyto(self.v[name], tensors[f"adam.v/{name}"])

@@ -8,6 +8,8 @@ dtype promotion to manage.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -198,6 +200,11 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
+def _records(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on these inputs records a tape node."""
+    return _NO_GRAD_DEPTH == 0 and any(p.requires_grad for p in parents)
+
+
 def _finish(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Build an op output, recording the tape node only when needed."""
     data = np.asarray(data)
@@ -207,7 +214,7 @@ def _finish(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out.data = data
     out.grad = None
     out.name = None
-    if _NO_GRAD_DEPTH == 0 and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
@@ -327,20 +334,30 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _finish(data, (x, W, b), backward_fn)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product: (n, r, k) @ (n, k, m) -> (n, r, m)."""
-    if a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ShapeError(f"bmm: shapes {a.shape} and {b.shape} are incompatible")
-    data = np.matmul(a.data, b.data)
+def bmm(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Batched affine map as one node: (n, r, k) @ (n, k, m) plus an
+    (n, 1, m) bias -> (n, r, m)."""
+    if (
+        x.data.ndim != 3
+        or W.data.ndim != 3
+        or x.shape[0] != W.shape[0]
+        or x.shape[2] != W.shape[1]
+        or b.shape != (W.shape[0], 1, W.shape[2])
+    ):
+        raise ShapeError(f"bmm: shapes {x.shape} @ {W.shape} + {b.shape} are incompatible")
+    data = np.matmul(x.data, W.data)
+    data += b.data
 
-    def backward_fn(out=None, a=a, b=b):
+    def backward_fn(out=None, x=x, W=W, b=b):
         g = out.grad
-        if a.requires_grad:
-            a._accumulate(np.matmul(g, b.data.transpose(0, 2, 1)))
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, W.data.transpose(0, 2, 1)))
+        if W.requires_grad:
+            W._accumulate(np.matmul(x.data.transpose(0, 2, 1), g))
         if b.requires_grad:
-            b._accumulate(np.matmul(a.data.transpose(0, 2, 1), g))
+            b._accumulate(g.sum(axis=1, keepdims=True))
 
-    return _finish(data, (a, b), backward_fn)
+    return _finish(data, (x, W, b), backward_fn)
 
 
 def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tensor:
@@ -487,7 +504,8 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.shape[axis]
+    axes = range(a.data.ndim) if axis is None else np.atleast_1d(axis)
+    count = math.prod(a.shape[i] for i in axes)
 
     def backward_fn(out=None, a=a, axis=axis, keepdims=keepdims, count=count):
         if not a.requires_grad:
@@ -508,6 +526,11 @@ def masked_max(x: Tensor, offsets: np.ndarray) -> Tensor:
     and a large negative one drops it. The inputs are folded in one at a
     time, so no (K, n, rows, F) array is formed. The gradient of each output
     goes to the first input that attains its maximum.
+
+    Only when the node is recorded does the fold also keep that winning
+    input's index, as a (K, rows, F) uint8 array (so n is at most 255); the
+    backward then routes the gradient with one scatter. Under `no_grad`, or
+    when `x` needs no gradient, the forward keeps no index.
     """
     offsets = np.asarray(offsets, dtype=np.float64)
     n = x.shape[0]
@@ -517,23 +540,34 @@ def masked_max(x: Tensor, offsets: np.ndarray) -> Tensor:
         )
     if offsets.shape[1] not in (1, x.shape[1]):
         raise ShapeError(f"masked_max: offsets {offsets.shape} do not match {x.shape[1]} rows")
+    if n > 255:
+        raise ShapeError(f"masked_max: {n} inputs do not fit the uint8 winner index (max 255)")
     cols = offsets[:, :, :, None]  # (K, 1 or rows, n, 1): column i broadcasts over F
     data = x.data[0] + cols[:, :, 0]
     term = np.empty_like(data)
+    taped = _records((x,))
+    if taped:
+        win = np.zeros(data.shape, dtype=np.uint8)
+        beats = np.empty(data.shape, dtype=bool)
+        step = np.empty_like(win)
     for i in range(1, n):
-        np.maximum(data, np.add(x.data[i], cols[:, :, i], out=term), out=data)
+        np.add(x.data[i], cols[:, :, i], out=term)
+        if taped:
+            # win = max(win, i * (term > data)): only a strictly larger term
+            # moves the winner, and i only grows, so a tie stays with the
+            # first input that reached the maximum. (Masked writes such as
+            # copyto(where=) cost over ten times as much.)
+            np.greater(term, data, out=beats)
+            np.multiply(beats, np.uint8(i), out=step)
+            np.maximum(win, step, out=win)
+        np.maximum(data, term, out=data)
 
-    def backward_fn(out=None, x=x, cols=cols):
-        if not x.requires_grad:
-            return
-        left = out.grad.copy()  # gradient not yet routed to an earlier input
-        g = np.empty_like(x.data)
-        for i in range(n):
-            hit = (x.data[i] + cols[:, :, i]) == out.data
-            routed = left * hit
-            left -= routed
-            g[i] = routed.sum(axis=0)
-        x._accumulate(g)
+    def backward_fn(out=None, x=x):
+        block = out.data[0].size  # rows * F positions per input
+        bins = win * np.intp(block)
+        bins += np.arange(block).reshape(out.data.shape[1:])
+        g = np.bincount(bins.ravel(), weights=out.grad.ravel(), minlength=n * block)
+        x._accumulate(g.reshape(x.shape))
 
     return _finish(data, (x,), backward_fn)
 
@@ -546,7 +580,10 @@ def tanh(a: Tensor) -> Tensor:
 
     def backward_fn(out=None, a=a):
         if a.requires_grad:
-            a._accumulate(out.grad * (1.0 - out.data * out.data))
+            g = out.data * out.data
+            np.subtract(1.0, g, out=g)
+            g *= out.grad
+            a._accumulate(g)
 
     return _finish(data, (a,), backward_fn)
 

@@ -88,7 +88,7 @@ OP_CASES = {
     "subtract": lambda a, b: a - b,
     "multiply": lambda a, b: a * b,
     "matmul": lambda a, b: nc.matmul(a, b),
-    "bmm": lambda a, b: nc.bmm(a.reshape(2, 2, 4), b.reshape(2, 4, 2)),
+    "bmm": lambda a, b: nc.bmm(a.reshape(2, 2, 4), b.reshape(2, 4, 2), a[3].reshape(2, 1, 2)),
     "concat": lambda a, b: nc.concat([a, b], axis=1),
     "stack": lambda a, b: nc.stack([a, b], axis=1),
     "slice": lambda a, b: a[1:3, ::2] + b[1:3, ::2],
@@ -102,6 +102,7 @@ OP_CASES = {
     "softmax": lambda a, b: (a + b).softmax(),
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
     "mean_axis": lambda a, b: (a + b).mean(axis=1),
+    "mean_axes": lambda a, b: (a * b).reshape(2, 2, 4).mean(axis=(0, 2)),
     "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_OFFSETS),
     "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_OFFSETS),
     "scale": lambda a, b: (a + b) * 1.7,
@@ -141,6 +142,57 @@ def test_masked_max_tie_sends_whole_gradient_to_first_kept_maximum():
     assert np.array_equal(x.grad, [[[1.0, 10.0]], [[100.0, 1000.0]], [[0.0, 0.0]]])
 
 
+def _routing_reference_grad(x, offsets, out_data, out_grad):
+    """The per-input routing loop masked_max's backward used before it kept
+    the winner index: each input takes the gradient still unrouted where its
+    term equals the output."""
+    cols = offsets[:, :, :, None]
+    left = out_grad.copy()  # gradient not yet routed to an earlier input
+    g = np.empty_like(x)
+    for i in range(len(x)):
+        hit = (x[i] + cols[:, :, i]) == out_data
+        routed = left * hit
+        left -= routed
+        g[i] = routed.sum(axis=0)
+    return g
+
+
+def _tied_stack(rng, n, rows, F):
+    """Random (n, rows, F) stack with forced ties: input 1 duplicates input
+    0, the last input duplicates input 1 on half the rows, and about a
+    quarter of the values are exactly 1.0, as in a saturated tanh."""
+    x = rng.normal(size=(n, rows, F))
+    x[1] = x[0]
+    x[-1, : rows // 2] = x[1, : rows // 2]
+    x[rng.random(x.shape) < 0.25] = 1.0
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+def test_masked_max_backward_matches_routing_reference(n, per_row):
+    rng = np.random.default_rng(40 + n)
+    K, rows, F = 3, 5, 7
+    x = parameter(_tied_stack(rng, n, rows, F))
+    keep = rng.random((K, rows if per_row else 1, n)) < 0.6
+    keep[0] = True  # block 0 is the full mask
+    keep[1, :, 0] = False  # block 1 drops input 0, so its ties go to input 1
+    offsets = np.where(keep, 0.0, _OFF)
+    out = nc.masked_max(x, offsets)
+    with nc.no_grad():
+        assert np.array_equal(nc.masked_max(x, offsets).data, out.data)
+    weights = rng.normal(size=out.shape)
+    backward((out * constant(weights)).sum())
+    expected = _routing_reference_grad(x.data, offsets, out.data, weights)
+    assert np.array_equal(x.grad, expected)
+
+
+def test_masked_max_rejects_more_inputs_than_the_winner_index_holds():
+    nc.masked_max(constant(np.zeros((255, 1, 2))), np.zeros((1, 1, 255)))
+    with pytest.raises(ShapeError, match="256"):
+        nc.masked_max(constant(np.zeros((256, 1, 2))), np.zeros((1, 1, 256)))
+
+
 def test_masked_max_and_bmm_reject_bad_shapes():
     x = constant(np.zeros((3, 2, 4)))
     with pytest.raises(ShapeError, match="offsets"):
@@ -148,7 +200,12 @@ def test_masked_max_and_bmm_reject_bad_shapes():
     with pytest.raises(ShapeError, match="rows"):
         nc.masked_max(x, np.zeros((2, 5, 3)))  # 5 offset rows for 2 rows
     with pytest.raises(ShapeError, match="bmm"):
-        nc.bmm(x, constant(np.zeros((2, 4, 1))))
+        nc.bmm(x, constant(np.zeros((2, 4, 1))), constant(np.zeros((2, 1, 1))))  # 2 maps for 3
+    W = constant(np.zeros((3, 4, 5)))
+    for bias in [(3, 5), (3, 2, 5), (1, 1, 5), (3, 1, 4)]:  # the bias must be (3, 1, 5)
+        with pytest.raises(ShapeError, match="bmm"):
+            nc.bmm(x, W, constant(np.zeros(bias)))
+    assert nc.bmm(x, W, constant(np.zeros((3, 1, 5)))).shape == (3, 2, 5)
 
 
 def test_affine_and_gru_scan_reject_bad_shapes():
@@ -300,6 +357,28 @@ def test_adam_load_state_resumes_bit_identical():
     assert np.array_equal(p.data, q.data)
     for name, arr in opt.state_tensors().items():
         assert np.array_equal(arr, resumed.state_tensors()[name]), name
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [("missing", "adam.v/q.*missing"), ("shape", "adam.m/q.*shape \\(4,\\).*\\(3,\\)")],
+)
+def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
+    p, q = parameter(np.ones(2)), parameter(np.ones(3))
+    opt = nc.Adam({"p": p, "q": q}, lr=0.1)
+    p.grad, q.grad = np.full(2, 0.5), np.full(3, -0.5)
+    opt.step()
+    before = {k: v.copy() for k, v in opt.state_tensors().items()}
+    state = {k: np.full_like(v, 7.0) for k, v in before.items()}  # "p" is loaded before "q"
+    if fault == "missing":
+        del state["adam.v/q"]
+    else:
+        state["adam.m/q"] = np.zeros(4)
+    with pytest.raises(ValueError, match=message):
+        opt.load_state(state, 5)
+    assert opt.step_count == 1
+    for k, v in opt.state_tensors().items():
+        assert np.array_equal(v, before[k]), k
 
 
 def test_backward_leaves_no_reference_cycles():

@@ -215,6 +215,34 @@ def test_phi_bar_receives_no_gradient():
     assert all(got.values()), got
 
 
+def tape_nodes(loss):
+    """Tensors the backward from `loss` visits: op outputs and parameters."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "make, d_s, nodes",
+    [(EnvConfig.chain, 3, 235), (EnvConfig.full, 5, 294)],
+    ids=["chain3", "full5"],
+)
+def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
+    # The benchmark's training configs (l=4, T=5, dvae_full). Each stacked
+    # layer is one bmm node with its bias and each pool one masked_max node;
+    # splitting either again raises the count.
+    cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    total, _ = total_objective(
+        make_batch(cfg), bundle, full_graph(cfg), StepRandomness(seed=0, step=0), ObjectiveConfig()
+    )
+    assert tape_nodes(total) == nodes
+
+
 @pytest.mark.parametrize(
     "param_name",
     ["theta_o/target0.head.l1.b", "theta_h/target1.head.l1.b", "psi/reward.l2.b"],
