@@ -17,7 +17,6 @@ from .modulo import (
     ground_truth_graph,
     reward,
     rollout,
-    sample_action,
     sample_noise,
     step,
     verify_properties,
@@ -42,7 +41,6 @@ __all__ = [
     "noise_entropy",
     "reward",
     "rollout",
-    "sample_action",
     "sample_noise",
     "save_dataset",
     "stack_episodes",

@@ -1,10 +1,14 @@
 """JSON-lines dataset serialization and batch assembly.
 
-File layout: line 1 is a header {"version": 1, "config": {...}, "gt_graph":
+File layout: line 1 is a header {"version": 2, "config": {...}, "gt_graph":
 [[...]], "config_hash": "..."}; every further line is one episode with integer
 fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact. Loading checks
-the header's gt_graph against the config's ground-truth graph and every
-episode line against the config.
+the header (its version, its config, the config's hash, and gt_graph against
+the config's ground-truth graph) and every episode line against the config.
+
+Version 2 holds episodes from the batched `rollout`, which takes each
+episode's draws in one call. Version 1 files drew the same law step by step,
+so the same (config, seed) gave other episodes; they are refused.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .modulo import Episode, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 @dataclass
@@ -128,15 +132,15 @@ def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path)
 
 
 def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -> Dataset:
-    """Roll out `n_episodes` episodes in memory; `save_dataset` writes them.
+    """Roll out `n_episodes` episodes in memory with one batched `rollout`
+    call; `save_dataset` writes them.
 
     Episode i always comes from stream (seed, "episode", i), so it is
     identical for any `n_episodes` greater than i.
     """
     if n_episodes <= 0:
         raise ValueError(f"n_episodes must be positive, got {n_episodes}")
-    seed = cfg.seed if seed is None else seed
-    episodes = [rollout(cfg, i, seed=seed) for i in range(n_episodes)]
+    episodes = rollout(cfg, range(n_episodes), seed=seed)
     return Dataset(config=cfg, episodes=episodes, gt_graph=ground_truth_graph(cfg))
 
 
@@ -158,19 +162,40 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         raise OSError(f"cannot write dataset to {path}: {exc}") from exc
 
 
+def _header_config(header, path: Path) -> EnvConfig:
+    """The config of a parsed header line. Anything that is not a header
+    object of this version holding a valid config raises a `ValueError` that
+    names the file, line 1 and the field."""
+    if not isinstance(header, dict):
+        raise ValueError(
+            f"{path} line 1: header is a JSON {type(header).__name__}, "
+            "expected an object with fields 'version' and 'config'"
+        )
+    if header.get("version") != DATASET_VERSION:
+        raise ValueError(
+            f"{path} line 1: field 'version' is {header.get('version')!r}, "
+            f"this build reads dataset version {DATASET_VERSION} only"
+        )
+    try:
+        return EnvConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path} line 1: field 'config' is not a valid EnvConfig "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+
+
 def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = _parse_line(fh.readline(), path, 1)
-        if header.get("version") != DATASET_VERSION:
-            raise ValueError(f"unsupported dataset version in {path}: {header.get('version')}")
-        cfg = EnvConfig.from_dict(header["config"])
+        cfg = _header_config(header, path)
         if header.get("config_hash") != config_hash(cfg):
-            raise ValueError(f"dataset header hash mismatch in {path}")
+            raise ValueError(f"{path} line 1: field 'config_hash' does not match its config")
         gt_graph = ground_truth_graph(cfg)
         if header.get("gt_graph") != gt_graph.tolist():
             raise ValueError(
-                f"{path}: header field 'gt_graph' does not match the graph of its config"
+                f"{path} line 1: field 'gt_graph' does not match the graph of its config"
             )
         records = [
             (n, _parse_line(line, path, n)) for n, line in enumerate(fh, start=2) if line.strip()

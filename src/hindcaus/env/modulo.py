@@ -7,6 +7,7 @@ given the named RNG streams.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,6 @@ __all__ = [
     "step",
     "sample_noise",
     "reward",
-    "sample_action",
     "action_options",
     "rollout",
     "ground_truth_graph",
@@ -47,23 +47,32 @@ def step(s: np.ndarray, a: np.ndarray, eps: np.ndarray, cfg: EnvConfig) -> np.nd
     return (s @ adj.T + a + eps) % cfg.l
 
 
-def sample_noise(cfg: EnvConfig, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Per-factor noise in {-1, 0, +1}, i.i.d. across factors and draws."""
+def _noise_from_uniform(cfg: EnvConfig, u: np.ndarray) -> np.ndarray:
+    """Noise in {-1, 0, +1} from uniforms `u` of shape (..., d_s), by the
+    inverse CDF of each factor's row of `cfg.noise_table()`: -1 below
+    p(-1), +1 at or above p(-1) + p(0), 0 between."""
     table = cfg.noise_table()
-    shape = (cfg.d_s,) if n is None else (n, cfg.d_s)
-    u = rng.random(shape)
-    # Inverse-CDF per factor: (-1) below p(-1), (+1) above p(-1)+p(0).
     lo = table[:, 0]
     hi = table[:, 0] + table[:, 1]
     return np.where(u < lo, -1, np.where(u < hi, 0, 1)).astype(np.int64)
 
 
-def reward(h: np.ndarray, tau: int, cfg: EnvConfig) -> int:
-    """1 iff the first hidden factor equals the episode target."""
-    if not 0 <= tau < cfg.l:
-        raise ValueError(f"tau must be in [0, {cfg.l}), got {tau}")
-    h = np.asarray(h)
-    return int(h[..., 0] == tau) if h.ndim == 1 else (h[..., 0] == tau).astype(np.int64)
+def sample_noise(cfg: EnvConfig, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Per-factor noise in {-1, 0, +1}, i.i.d. across factors and draws."""
+    return _noise_from_uniform(cfg, rng.random((cfg.d_s,) if n is None else (n, cfg.d_s)))
+
+
+def reward(h: np.ndarray, tau: int | np.ndarray, cfg: EnvConfig) -> int | np.ndarray:
+    """1 iff the first hidden factor equals the episode target.
+
+    `tau` broadcasts against `h[..., 0]`, so one call scores a batch of
+    episodes; a single state (d_h,) with a scalar target gives an int."""
+    tau = np.asarray(tau)
+    bad = (tau < 0) | (tau >= cfg.l)
+    if bad.any():
+        raise ValueError(f"tau must be in [0, {cfg.l}), got {tau[bad].tolist()}")
+    hit = (np.asarray(h)[..., 0] == tau).astype(np.int64)
+    return int(hit) if hit.ndim == 0 else hit
 
 
 def action_options(cfg: EnvConfig) -> np.ndarray:
@@ -73,12 +82,6 @@ def action_options(cfg: EnvConfig) -> np.ndarray:
     for k, i in enumerate(cfg.observed_indices):
         opts[k + 1, i] = 1
     return opts
-
-
-def sample_action(cfg: EnvConfig, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    opts = action_options(cfg)
-    idx = rng.integers(0, len(opts), size=n)
-    return opts[idx]
 
 
 @dataclass
@@ -96,41 +99,49 @@ class Episode:
         return self.a.shape[0]
 
 
-def rollout(cfg: EnvConfig, episode_index: int, seed: int | None = None) -> Episode:
-    """Generate one episode under the data-collection policy.
+def _uniform_index(u: np.ndarray, n: int) -> np.ndarray:
+    """floor(u * n) for u in [0, 1). The product of the largest double below
+    1 and a positive int n rounds to below n, so the index is in [0, n)."""
+    return (u * n).astype(np.int64)
 
-    The stream is derived from (seed, episode_index) alone, so an episode
-    does not depend on which other episodes are generated or in what order.
+
+def rollout(
+    cfg: EnvConfig, episode_indices: Iterable[int], seed: int | None = None
+) -> list[Episode]:
+    """Generate the episodes with the given indices under the data-collection
+    policy, all of them stepped together.
+
+    Episode i takes k = d_o + 1 + T * (1 + d_s) uniforms in one draw from
+    stream (seed, "episode", i). In order they give the initial observed
+    values (floor(u * l) each), the reward target tau (floor(u * l)), and per
+    step the action index (floor(u * (d_o + 1)) into `action_options`)
+    followed by d_s noise uniforms. So an episode depends on (seed, i)
+    alone, not on which other episodes are generated or in what order.
     """
     seed = cfg.seed if seed is None else seed
-    rng = stream(seed, "episode", episode_index)
-    T = cfg.horizon
-    obs_idx = cfg.observed_indices
-    hid_idx = cfg.hidden_indices
+    T, d_o, d_s = cfg.horizon, cfg.d_o, cfg.d_s
+    obs_idx, hid_idx = cfg.observed_indices, cfg.hidden_indices
+    k = d_o + 1 + T * (1 + d_s)
+    u = np.array([stream(seed, "episode", i).random(k) for i in episode_indices]).reshape(-1, k)
+    n = u.shape[0]
 
-    s = np.empty(cfg.d_s, dtype=np.int64)
-    s[obs_idx] = rng.integers(0, cfg.l, size=cfg.d_o)
-    s[hid_idx] = cfg.initial_hidden
-    tau = int(rng.integers(0, cfg.l))
+    per_step = u[:, d_o + 1 :].reshape(n, T, 1 + d_s)
+    a = action_options(cfg)[_uniform_index(per_step[..., 0], d_o + 1)]  # (n, T, d_s)
+    eps = _noise_from_uniform(cfg, per_step[..., 1:])  # (n, T, d_s)
+    tau = _uniform_index(u[:, d_o], cfg.l)
 
-    o_seq = np.empty((T + 1, cfg.d_o), dtype=np.int64)
-    h_seq = np.empty((T + 1, cfg.d_h), dtype=np.int64)
-    a_seq = np.empty((T, cfg.d_s), dtype=np.int64)
-    eps_seq = np.empty((T, cfg.d_s), dtype=np.int64)
-    r_seq = np.empty(T, dtype=np.int64)
-
-    o_seq[0] = s[obs_idx]
-    h_seq[0] = s[hid_idx]
+    s = np.empty((n, T + 1, d_s), dtype=np.int64)
+    s[:, 0, obs_idx] = _uniform_index(u[:, :d_o], cfg.l)
+    s[:, 0, hid_idx] = cfg.initial_hidden
     for t in range(T):
-        a = sample_action(cfg, rng)
-        eps = sample_noise(cfg, rng)
-        s = step(s, a, eps, cfg)
-        a_seq[t] = a
-        eps_seq[t] = eps
-        o_seq[t + 1] = s[obs_idx]
-        h_seq[t + 1] = s[hid_idx]
-        r_seq[t] = reward(s[hid_idx], tau, cfg)
-    return Episode(o=o_seq, a=a_seq, tau=tau, r=r_seq, gt_h=h_seq, gt_eps=eps_seq)
+        s[:, t + 1] = step(s[:, t], a[:, t], eps[:, t], cfg)
+    o = s.take(obs_idx, axis=2)  # take, not s[:, :, obs_idx]: keeps each o[i] C-contiguous
+    h = s.take(hid_idx, axis=2)
+    r = reward(h[:, 1:], tau[:, None], cfg)
+    return [
+        Episode(o=o[i], a=a[i], tau=tau_i, r=r[i], gt_h=h[i], gt_eps=eps[i])
+        for i, tau_i in enumerate(tau.tolist())
+    ]
 
 
 def ground_truth_graph(cfg: EnvConfig) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hindcaus.env.modulo
 import hindcaus.fileio
 from hindcaus.env import (
     EnvConfig,
@@ -120,12 +121,25 @@ def test_reward_ignores_observed_factors():
         reward(np.array([0]), 7, cfg)
 
 
+def test_reward_batch_equals_scalar_calls():
+    cfg = chain3()
+    rng = stream(4, "reward-batch")
+    h = rng.integers(0, 4, size=(50, 1))
+    tau = rng.integers(0, 4, size=50)
+    batch = reward(h, tau, cfg)
+    assert batch.dtype == np.int64
+    assert batch.tolist() == [reward(h[i], int(tau[i]), cfg) for i in range(50)]
+    assert reward(np.array([[1], [2]]), np.array([1, 2]), cfg).tolist() == [1, 1]
+    with pytest.raises(ValueError, match=r"\[4\]"):
+        reward(h[:3], np.array([0, 4, 1]), cfg)
+
+
 # -- rollout ----------------------------------------------------------------
 
 
 def test_rollout_lengths():
     cfg = chain3(horizon=5)
-    ep = rollout(cfg, 0)
+    (ep,) = rollout(cfg, [0])
     assert ep.o.shape == (6, 2)
     assert ep.a.shape == (5, 3)
     assert ep.r.shape == (5,)
@@ -135,7 +149,7 @@ def test_rollout_lengths():
 
 def test_rollout_replays_exactly_through_step():
     cfg = chain3(noise_probs=[0.0, 1.0, 0.0])
-    ep = rollout(cfg, 7)
+    (ep,) = rollout(cfg, [7])
     s = np.empty(3, dtype=int)
     s[[0, 2]] = ep.o[0]
     s[1] = ep.gt_h[0, 0]
@@ -148,11 +162,10 @@ def test_rollout_replays_exactly_through_step():
 
 def test_rollout_same_seed_identical():
     cfg = chain3()
-    e1 = rollout(cfg, 11, seed=5)
-    e2 = rollout(cfg, 11, seed=5)
+    e1, e3 = rollout(cfg, [11, 12], seed=5)
+    (e2,) = rollout(cfg, [11], seed=5)
     assert np.array_equal(e1.o, e2.o) and np.array_equal(e1.a, e2.a)
     assert e1.tau == e2.tau and np.array_equal(e1.gt_eps, e2.gt_eps)
-    e3 = rollout(cfg, 12, seed=5)
     assert not (np.array_equal(e1.o, e3.o) and np.array_equal(e1.a, e3.a))
 
 
@@ -161,10 +174,77 @@ def test_actions_only_intervene_observed():
     opts = action_options(cfg)
     assert opts.shape == (3, 3)
     assert np.all(opts[:, 1] == 0)
-    for i in range(200):
-        ep = rollout(cfg, i)
+    for ep in rollout(cfg, range(200)):
         assert np.all(ep.a[:, 1] == 0)
         assert np.all(ep.a.sum(axis=1) <= 1)
+
+
+def _episode_fields(episodes):
+    return [
+        (e.o.tolist(), e.a.tolist(), e.tau, e.r.tolist(), e.gt_h.tolist(), e.gt_eps.tolist())
+        for e in episodes
+    ]
+
+
+def test_rollout_order_and_subset_do_not_change_episodes():
+    cfg = chain3()
+    whole = rollout(cfg, range(12), seed=8)
+    assert _episode_fields(rollout(cfg, [9, 3], seed=8)) == _episode_fields([whole[9], whole[3]])
+    assert rollout(cfg, [], seed=8) == []
+
+
+def _within(count, n, p, k=4.0):
+    """`count` hits out of `n` draws is within k standard errors of n * p."""
+    return abs(count / n - p) <= k * math.sqrt(p * (1 - p) / n)
+
+
+@pytest.mark.parametrize(
+    "cfg", [chain3("hidden"), EnvConfig.full(d_s=5)], ids=["chain3-hidden", "full5"]
+)
+def test_rollout_draws_follow_the_policy_and_noise_law(cfg):
+    n = 20_000
+    episodes = rollout(cfg, range(n), seed=9)
+    o0 = np.stack([e.o[0] for e in episodes])  # (n, d_o)
+    tau = np.array([e.tau for e in episodes])
+    a = np.stack([e.a for e in episodes]).reshape(-1, cfg.d_s)  # (n*T, d_s)
+    eps = np.stack([e.gt_eps for e in episodes]).reshape(-1, cfg.d_s)
+    for value in range(cfg.l):
+        assert _within(int((o0 == value).sum()), o0.size, 1 / cfg.l)
+        assert _within(int((tau == value).sum()), n, 1 / cfg.l)
+    pairs = o0[:, -1] * cfg.l + tau  # tau takes its own uniform, not a reused one
+    for cell in range(cfg.l**2):
+        assert _within(int((pairs == cell).sum()), n, 1 / cfg.l**2)
+    assert np.all(a[:, cfg.hidden_indices] == 0)
+    assert np.all(a.sum(axis=1) <= 1)
+    options = cfg.d_o + 1
+    assert _within(int((a.sum(axis=1) == 0).sum()), len(a), 1 / options)
+    for i in cfg.observed_indices:
+        assert _within(int(a[:, i].sum()), len(a), 1 / options)
+    table = cfg.noise_table()
+    for j in range(cfg.d_s):
+        for v in (-1, 0, 1):
+            assert _within(int((eps[:, j] == v).sum()), len(eps), table[j, v + 1])
+
+
+class _ConstantStream:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, k):
+        return np.full(k, self.value)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 1000])
+def test_rollout_maps_extreme_uniforms_inside_their_ranges(monkeypatch, l):
+    cfg = EnvConfig.full(d_s=5, l=l, noise_probs=[0.2, 0.6, 0.2])
+    opts = action_options(cfg)
+    noisy = np.array([i in cfg.hidden_indices for i in range(cfg.d_s)])
+    for u, index, noise in ((0.0, 0, -1), (np.nextafter(1.0, 0.0), l - 1, 1)):
+        monkeypatch.setattr(hindcaus.env.modulo, "stream", lambda *ids, u=u: _ConstantStream(u))
+        (ep,) = rollout(cfg, [0])
+        assert np.all(ep.o[0] == index) and ep.tau == index
+        assert np.all(ep.a == opts[0 if u == 0.0 else cfg.d_o])
+        assert np.array_equal(ep.gt_eps, np.broadcast_to(np.where(noisy, noise, 0), ep.gt_eps.shape))
 
 
 # -- dataset ----------------------------------------------------------------
@@ -243,6 +323,56 @@ def test_load_dataset_rejects_wrong_gt_graph(tmp_path):
     assert str(path) in msg and "gt_graph" in msg
 
 
+def _header_as_list(header):
+    return [header]
+
+
+def _drop_config(header):
+    del header["config"]
+
+
+def _unknown_config_key(header):
+    header["config"]["colour"] = "red"
+
+
+def _string_horizon(header):
+    header["config"]["horizon"] = "5"
+
+
+def _l_below_two(header):
+    header["config"]["l"] = 1
+
+
+def _version_1(header):
+    header["version"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, field, original",
+    [
+        (_header_as_list, "config", "JSON list"),
+        (_drop_config, "config", "KeyError"),
+        (_unknown_config_key, "config", "colour"),
+        (_string_horizon, "config", "'<' not supported"),
+        (_l_below_two, "config", "l must be >= 2"),
+        (_version_1, "version", "'version' is 1"),
+    ],
+    ids=["list", "no_config", "unknown_key", "string_horizon", "l_1", "version_1"],
+)
+def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header = edit(header) or header
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "line 1:" in msg and f"{field!r}" in msg and original in msg
+
+
 class _HalfWriter:
     """A file handle whose write stores half the bytes and is then cut off."""
 
@@ -308,6 +438,20 @@ def test_dataset_episode_does_not_depend_on_episode_count():
         assert np.array_equal(e1.r, e2.r)
         assert np.array_equal(e1.gt_h, e2.gt_h)
         assert np.array_equal(e1.gt_eps, e2.gt_eps)
+
+
+def test_generate_dataset_steps_all_episodes_together(monkeypatch):
+    cfg = chain3()
+    calls = []
+    real_step = hindcaus.env.modulo.step
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return real_step(*args)
+
+    monkeypatch.setattr(hindcaus.env.modulo, "step", counted)
+    generate_dataset(cfg, 50, seed=1)
+    assert calls == [(50, cfg.d_s)] * cfg.horizon
 
 
 def test_observed_marginals_near_uniform():
