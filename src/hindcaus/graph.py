@@ -69,6 +69,12 @@ class CmiMatrix:
         fresh = np.asarray(fresh, dtype=np.float64)
         if fresh.shape != self.values.shape:
             raise ValueError(f"CMI shape {fresh.shape} != {self.values.shape}")
+        # A NaN would stay in the EMA and drop its edge for good (NaN >= threshold
+        # is false); an infinity would keep its edge for good.
+        bad = np.argwhere(~np.isfinite(fresh))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"non-finite CMI estimate {fresh[i, j]} at (input {i}, target {j})")
         fresh = np.maximum(fresh, 0.0)  # finite-sample artifacts
         c = self.ema_coeff
         self.values = c * self.values + (1.0 - c) * fresh

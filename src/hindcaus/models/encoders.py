@@ -20,7 +20,8 @@ steps: a recurrence is one `GRUCell.scan`, a head or window net one call on
 (T+1)·B rows. The dvae variants consume the previous hidden sample
 recursively; a learned context vector stands in at t = 0. Given teacher
 samples, the past branch runs once over T·B rows and the combiner once over
-(T+1)·B rows, so only the sampling pass of a dvae variant loops over t.
+(T+1)·B rows. The sampling pass, where each step reads the sample drawn at
+the step before, is one `sample_scan` node over all T+1 steps.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from ..env.config import EnvConfig
 from ..env.dataset import TrainBatch
 from ..numcore.dists import gumbel_softmax_sample, one_hot
-from ..numcore.tensor import Tensor, concat, constant
+from ..numcore.tensor import Tensor, concat, constant, sample_scan
 from .nets import MLP, GRUCell, Linear
 from .store import ParamFactory
 
@@ -131,6 +132,7 @@ class HiddenEncoder:
             raise ValueError("sampling unroll needs temperature and noise_for")
         T, B = enc.T, enc.B
         split = lambda x: [x[t] for t in range(T + 1)]  # noqa: E731
+        noise = np.stack([noise_for(t) for t in range(T + 1)]) if sampling else None
 
         if self.variant in ("history", "current_full", "current_1step"):
             if self.variant == "current_1step":
@@ -140,7 +142,6 @@ class HiddenEncoder:
                 logits = self._logits(self._rows(self.head, states))
             if not sampling:
                 return split(logits), None
-            noise = np.stack([noise_for(t) for t in range(T + 1)])
             samples = gumbel_softmax_sample(logits, temperature, hard, noise=noise)
             return split(logits), split(samples)
 
@@ -149,24 +150,27 @@ class HiddenEncoder:
             g = self.cell.scan(enc.steps, reverse=True)
         else:
             g = self._rows(self.window_net, enc.windows()).tanh()
-        e0 = (constant(np.zeros((B, self.H))) + self.context0).tanh()
-        d_hl = self.env.d_h * self.env.l
-
         if not sampling:
-            prev = concat([s.reshape(B, d_hl) for s in prev_samples[:T]], axis=0)
+            e0 = (constant(np.zeros((B, self.H))) + self.context0).tanh()
+            prev = concat([s.reshape(B, -1) for s in prev_samples[:T]], axis=0)
             x = concat([prev, enc.steps[:T].reshape(T * B, -1)], axis=1)
             e = concat([e0, self.past_net(x).tanh()], axis=0)
             flat = self.combiner(concat([e, g.reshape((T + 1) * B, self.H)], axis=1))
             return split(self._logits(flat.reshape(T + 1, B, -1))), None
 
-        logits_seq: list[Tensor] = []
-        samples_seq: list[Tensor] = []
-        e = e0
-        for t in range(T + 1):
-            if t > 0:
-                x = concat([samples_seq[-1].reshape(B, d_hl), enc.steps[t - 1]], axis=1)
-                e = self.past_net(x).tanh()
-            logits = self._logits(self.combiner(concat([e, g[t]], axis=1)))
-            logits_seq.append(logits)
-            samples_seq.append(gumbel_softmax_sample(logits, temperature, hard, noise=noise_for(t)))
-        return logits_seq, samples_seq
+        out = sample_scan(
+            g,
+            enc.steps,
+            self.context0,
+            _weights(self.past_net),
+            _weights(self.combiner),
+            noise,
+            temperature,
+            hard,
+        )
+        return [out[0, t] for t in range(T + 1)], [out[1, t] for t in range(T + 1)]
+
+
+def _weights(net: MLP) -> tuple[Tensor, ...]:
+    """(W0, b0, W1, ...) of an MLP, in layer order."""
+    return tuple(t for layer in net.layers for t in (layer.W, layer.b))

@@ -25,6 +25,7 @@ from .tensor import (
     masked_max,
     matmul,
     parameter,
+    sample_scan,
     set_debug_checks,
     softmax,
     stack,
@@ -54,6 +55,7 @@ __all__ = [
     "no_grad",
     "one_hot",
     "parameter",
+    "sample_scan",
     "set_debug_checks",
     "softmax",
     "stack",

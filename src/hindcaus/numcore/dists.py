@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, constant, log_softmax, multiply, scale, softmax
+from .tensor import ShapeError, Tensor, constant, log_softmax, multiply, scale, softmax
 
 __all__ = [
     "gumbel_noise",
@@ -41,13 +41,17 @@ def gumbel_softmax_sample(
     logits: Tensor, temperature: float, hard: bool, noise: np.ndarray
 ) -> Tensor:
     """Relaxed categorical sample under the given Gumbel `noise` (see
-    `gumbel_noise`); `hard` gives straight-through one-hot.
+    `gumbel_noise`), one draw per logit: `noise` has the logits' shape.
+    `hard` gives straight-through one-hot.
 
     The forward value under `hard` is exactly one-hot at the perturbed argmax
     while the gradient is that of the relaxed sample.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
+    noise = np.asarray(noise)
+    if noise.shape != logits.shape:
+        raise ShapeError(f"gumbel_softmax_sample: noise {noise.shape} != logits {logits.shape}")
     perturbed = scale(logits + constant(noise), 1.0 / temperature)
     soft = softmax(perturbed)
     if not hard:

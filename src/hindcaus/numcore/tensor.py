@@ -25,6 +25,7 @@ __all__ = [
     "affine",
     "bmm",
     "gru_scan",
+    "sample_scan",
     "masked_max",
     "backward",
 ]
@@ -422,6 +423,157 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
             Un._accumulate(rh.reshape(rows).T @ gx[:, :, 2 * H :].reshape(rows))
 
     return _finish(data, (xw, Uzr, Un), backward_fn)
+
+
+def sample_scan(
+    g: Tensor,
+    steps: Tensor,
+    context0: Tensor,
+    past: tuple[Tensor, Tensor, Tensor, Tensor],
+    combiner: tuple[Tensor, Tensor, Tensor, Tensor],
+    noise: np.ndarray,
+    temperature: float,
+    hard: bool,
+) -> Tensor:
+    """Straight-through Gumbel-softmax sampling recursion of a dvae encoder
+    over S steps, as one node; returns the (2, S, B, d_h, l) stack of the
+    logits and the samples.
+
+    `g` is the (S, B, H) branch output, `steps` the (S, B, d) step inputs and
+    `noise` the (S, B, d_h, l) Gumbel draws; its last two axes fix d_h and l.
+    `past` and `combiner` are the (W0, b0, W1, b1) weights of two
+    one-hidden-layer tanh MLPs. Step t: e_0 = tanh(0 + context0),
+    e_t = tanh(past([s_{t-1}, steps[t-1]])) for t > 0,
+    logits_t = combiner([e_t, g[t]]), and s_t is the softmax over l of
+    (logits_t + noise[t]) * (1/temperature), or with `hard` the one-hot of
+    its argmax while the gradient stays the relaxed one. Each step runs the
+    ops of the per-step formulas in their order, so the values are theirs
+    bit for bit.
+
+    The backward is backpropagation through time over the saved
+    activations; each weight and bias gradient is one matmul or one sum
+    over all rows. When the node is not recorded, no sequence-long
+    activation is kept and hard samples skip the softmax.
+    """
+    if temperature <= 0:
+        raise ValueError(f"sample_scan: temperature must be positive, got {temperature}")
+    noise = np.asarray(noise, dtype=np.float64)
+    W0, b0, W1, b1 = past
+    V0, c0, V1, c1 = combiner
+
+    def incompatible() -> ShapeError:
+        return ShapeError(
+            f"sample_scan: g {g.shape}, steps {steps.shape}, noise {noise.shape}, "
+            f"context0 {context0.shape}, past {[t.shape for t in past]} and combiner "
+            f"{[t.shape for t in combiner]} are incompatible (need g (S, B, H), steps (S, B, d), "
+            "noise (S, B, d_h, l), context0 (H,), past (d_h*l + d, P), (P,), (P, H), (H,) "
+            "and combiner (2H, C), (C,), (C, d_h*l), (d_h*l,))"
+        )
+
+    if g.data.ndim != 3 or steps.data.ndim != 3 or noise.ndim != 4 or W0.data.ndim != 2:
+        raise incompatible()
+    S, B, H = g.shape
+    d_h, l = noise.shape[2:]
+    d_hl, P = d_h * l, W0.shape[1]
+    C = V0.shape[1] if V0.data.ndim == 2 else -1
+    need = (
+        ((S, B), steps.shape[:2], noise.shape[:2]),
+        ((H,), context0.shape),
+        ((d_hl + steps.shape[2], P), W0.shape),
+        ((P,), b0.shape),
+        ((P, H), W1.shape),
+        ((H,), b1.shape),
+        ((2 * H, C), V0.shape),
+        ((C,), c0.shape),
+        ((C, d_hl), V1.shape),
+        ((d_hl,), c1.shape),
+    )
+    if any(len(set(group)) != 1 for group in need):
+        raise incompatible()
+    _require_finite(noise, "sample_scan noise")
+
+    parents = (g, steps, context0, *past, *combiner)
+    taped = _records(parents)
+    inv = 1.0 / temperature
+    data = np.empty((2, S, B, d_h, l))
+    logits, samples = data[0], data[1]
+
+    def kept(*shape):
+        """Per-step buffers the backward reads; unrecorded, each step's
+        `out=None` makes a fresh array, so no sequence-long one is kept."""
+        return np.empty(shape) if taped else [None] * shape[0]
+
+    # The past net's input x = [s_{t-1}, steps[t-1]] and hidden layer a
+    # (index t-1), the combiner's input c = [e_t, g[t]] and hidden layer u.
+    x_in, a_hid = kept(S - 1, B, d_hl + steps.shape[2]), kept(S - 1, B, P)
+    c_in, u_hid = kept(S, B, 2 * H), kept(S, B, C)
+    soft = kept(S, B, d_h, l)
+    e = np.tanh(np.zeros((B, H)) + context0.data)
+    for t in range(S):
+        if t > 0:
+            x = [samples[t - 1].reshape(B, d_hl), steps.data[t - 1]]
+            h = np.concatenate(x, axis=1, out=x_in[t - 1]) @ W0.data
+            h += b0.data
+            h = np.tanh(h, out=a_hid[t - 1]) @ W1.data
+            h += b1.data
+            e = np.tanh(h)
+        h = np.concatenate([e, g.data[t]], axis=1, out=c_in[t]) @ V0.data
+        h += c0.data
+        h = np.tanh(h, out=u_hid[t]) @ V1.data
+        h += c1.data
+        logits[t] = h.reshape(B, d_h, l)
+        perturbed = (logits[t] + noise[t]) * inv
+        if taped or not hard:
+            shifted = perturbed - perturbed.max(axis=-1, keepdims=True)
+            sm = np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), out=soft[t])
+        # One-hot of the first maximum: soft - soft adds exactly zero.
+        samples[t] = np.arange(l) == perturbed.argmax(axis=-1)[..., None] if hard else sm
+
+    def backward_fn(out=None):
+        G = out.grad
+        dl = np.empty((S, B, d_hl))  # gradient at the logits
+        du = np.empty((S, B, C))  # at the combiner's hidden pre-activation
+        de = np.empty((S, B, H))  # at the past net's output pre-activation (e_0: context0)
+        da = np.empty((S - 1, B, P))  # at the past net's hidden pre-activation, index t-1
+        du_f = 1.0 - u_hid * u_hid
+        e = c_in[:, :, :H]
+        de_f = 1.0 - e * e
+        da_f = 1.0 - a_hid * a_hid
+        Ve = V0.data[:H].T
+        Ws = W0.data[:d_hl].T
+        carry = np.zeros((B, d_h, l))  # reaches s_t through the past net of step t+1
+        for t in range(S - 1, -1, -1):
+            ds = G[1, t] + carry
+            sm = soft[t]
+            dp = sm * (ds - (ds * sm).sum(axis=-1, keepdims=True))
+            dl[t] = (G[0, t] + dp * inv).reshape(B, d_hl)
+            np.multiply(dl[t] @ V1.data.T, du_f[t], out=du[t])
+            np.multiply(du[t] @ Ve, de_f[t], out=de[t])
+            if t > 0:
+                np.multiply(de[t] @ W1.data.T, da_f[t - 1], out=da[t - 1])
+                carry = (da[t - 1] @ Ws).reshape(B, d_h, l)
+        rows = lambda arr: arr.reshape(-1, arr.shape[-1])  # noqa: E731
+        grads = (
+            (W0, lambda: rows(x_in).T @ rows(da)),
+            (b0, lambda: rows(da).sum(axis=0)),
+            (W1, lambda: rows(a_hid).T @ rows(de[1:])),
+            (b1, lambda: rows(de[1:]).sum(axis=0)),
+            (V0, lambda: rows(c_in).T @ rows(du)),
+            (c0, lambda: rows(du).sum(axis=0)),
+            (V1, lambda: rows(u_hid).T @ rows(dl)),
+            (c1, lambda: rows(dl).sum(axis=0)),
+            (context0, lambda: de[0].sum(axis=0)),
+            (g, lambda: (rows(du) @ V0.data[H:].T).reshape(S, B, H)),
+        )
+        for p, grad in grads:
+            if p.requires_grad:
+                p._accumulate(grad())
+        if steps.requires_grad:
+            gs = np.zeros_like(steps.data)
+            gs[:-1] = (rows(da) @ W0.data[d_hl:].T).reshape(S - 1, B, -1)
+            steps._accumulate(gs)
+
+    return _finish(data, parents, backward_fn)
 
 
 # -- shape ops --------------------------------------------------------------

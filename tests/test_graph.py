@@ -70,6 +70,18 @@ def test_ema_clamps_negative_fresh_values():
     assert np.all(m.binarized == 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ema_refuses_non_finite_estimate_and_keeps_state(bad):
+    m = CmiMatrix.initial(3, threshold=0.03, ema_coeff=0.8)
+    m.update_ema(np.full((4, 3), 0.1))
+    values, updates = m.values.copy(), m.updates
+    fresh = np.full((4, 3), 0.2)
+    fresh[3, 1] = bad
+    with pytest.raises(ValueError, match=r"\(input 3, target 1\)"):
+        m.update_ema(fresh)
+    assert np.array_equal(m.values, values) and m.updates == updates
+
+
 def test_binarization_monotone_in_threshold():
     values = np.random.default_rng(0).random((4, 3))
     lo = CmiMatrix(values=values.copy(), threshold=0.2, ema_coeff=0.9)

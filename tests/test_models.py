@@ -183,19 +183,20 @@ def test_fused_unroll_matches_per_step_reference(variant, mode):
     for t in bundle.store.groups["phi"].values():  # nonzero biases and context too
         t.data += 0.1 * rng.normal(size=t.shape)
     net = bundle.encoder
-    kw = {"temperature": 0.7, "noise_for": noise_fn_for(cfg, 64), "hard": True}
-    if mode == "teacher":
-        _, samples = net.unroll(BatchEncoding(batch, cfg), **kw)
-        kw = {"prev_samples": [s.detach() for s in samples]}
-    weights = rng.normal(size=(12, 64, cfg.d_h, cfg.l))
     params = bundle.store.groups["phi"]
-    fused = lambda: net.unroll(BatchEncoding(batch, cfg), **kw)  # noqa: E731
-    got, got_grads = _outputs_and_grads(params, fused, weights)
-    ref, ref_grads = _outputs_and_grads(params, lambda: _reference_unroll(net, batch, **kw), weights)
-    assert len(got) == len(ref) == (12 if mode == "sampling" else 6)
-    for t, (a, b) in enumerate(zip(got, ref)):
-        assert np.array_equal(a, b), t
-    _assert_grads_close(got_grads, ref_grads)
+    for hard in (True, False):
+        kw = {"temperature": 0.7, "noise_for": noise_fn_for(cfg, 64), "hard": hard}
+        if mode == "teacher":
+            _, samples = net.unroll(BatchEncoding(batch, cfg), **kw)
+            kw = {"prev_samples": [s.detach() for s in samples]}
+        weights = rng.normal(size=(12, 64, cfg.d_h, cfg.l))
+        fused = lambda: net.unroll(BatchEncoding(batch, cfg), **kw)  # noqa: E731
+        got, got_grads = _outputs_and_grads(params, fused, weights)
+        ref, ref_grads = _outputs_and_grads(params, lambda: _reference_unroll(net, batch, **kw), weights)
+        assert len(got) == len(ref) == (12 if mode == "sampling" else 6)
+        for t, (a, b) in enumerate(zip(got, ref)):
+            assert np.array_equal(a, b), (hard, t)
+        _assert_grads_close(got_grads, ref_grads)
 
 
 # -- conditioning-set purity ---------------------------------------------------

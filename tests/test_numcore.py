@@ -222,6 +222,79 @@ def test_affine_and_gru_scan_reject_bad_shapes():
     nc.gru_scan(constant(np.zeros((4, 3, 6))), Uzr, Un)
 
 
+# -- sample_scan ------------------------------------------------------------------
+
+def _sample_scan_args(S=3, B=2, H=3, d_h=2, l=3, d=2, P=4, C=5):
+    """sample_scan inputs with every tensor a parameter, as keyword arguments."""
+    rng = np.random.default_rng(11)
+    p = lambda *shape: parameter(0.6 * rng.normal(size=shape))  # noqa: E731
+    return {
+        "g": p(S, B, H),
+        "steps": p(S, B, d),
+        "context0": p(H),
+        "past": (p(d_h * l + d, P), p(P), p(P, H), p(H)),
+        "combiner": (p(2 * H, C), p(C), p(C, d_h * l), p(d_h * l)),
+        "noise": nc.gumbel_noise((S, B, d_h, l), nc.stream(0, "sample-scan")),
+    }
+
+
+def test_sample_scan_gradients_match_finite_differences():
+    args = _sample_scan_args()
+    params = {name: args[name] for name in ("g", "steps", "context0")}
+    for net in ("past", "combiner"):
+        params.update({f"{net}.{n}": t for n, t in zip(("W0", "b0", "W1", "b1"), args[net])})
+
+    def f():
+        out = nc.sample_scan(**args, temperature=0.7, hard=False)
+        return _scalarize(out, np.random.default_rng(99))
+
+    errs = check_gradients(f, params)
+    assert len(errs) == 11
+    assert max(errs.values()) < 1e-4, errs
+
+
+@pytest.mark.parametrize("hard", [True, False])
+def test_sample_scan_untaped_forward_equals_taped_forward(hard):
+    args = _sample_scan_args(S=5, B=8)
+    taped = nc.sample_scan(**args, temperature=0.7, hard=hard)
+    assert taped.requires_grad
+    with nc.no_grad():
+        plain = nc.sample_scan(**args, temperature=0.7, hard=hard)
+    assert not plain.requires_grad
+    assert np.array_equal(plain.data, taped.data)
+    if hard:
+        assert np.all(taped.data[1].sum(axis=-1) == 1.0)
+
+
+def test_sample_scan_rejects_bad_temperature_noise_and_weights():
+    args = _sample_scan_args()  # S=3, B=2, H=3, d_h=2, l=3, d=2, P=4, C=5
+    for temperature in (0.0, -1.0):
+        with pytest.raises(ValueError, match="temperature"):
+            nc.sample_scan(**args, temperature=temperature, hard=True)
+    for shape in [(3, 2, 6), (4, 2, 2, 3), (3, 1, 2, 3), (3, 2, 2, 4)]:
+        with pytest.raises(ShapeError, match=rf"noise \({shape[0]}, {shape[1]}"):
+            nc.sample_scan(**{**args, "noise": np.zeros(shape)}, temperature=1.0, hard=True)
+    for bad in (np.nan, np.inf):
+        noise = args["noise"].copy()
+        noise[2, 1, 0, 2] = bad
+        with pytest.raises(NonFiniteError, match="noise"):
+            nc.sample_scan(**{**args, "noise": noise}, temperature=1.0, hard=True)
+    W0, b0, W1, b1 = args["past"]
+    V0, c0, V1, c1 = args["combiner"]
+    z = lambda *shape: constant(np.zeros(shape))  # noqa: E731
+    for field, value in [
+        ("g", z(3, 2)),
+        ("steps", z(2, 2, 2)),
+        ("context0", z(4)),
+        ("past", (z(7, 4), b0, W1, b1)),  # needs d_h*l + d = 8 rows
+        ("past", (W0, b0, z(4, 2), b1)),
+        ("combiner", (z(5, 5), c0, V1, c1)),  # needs 2H = 6 rows
+        ("combiner", (V0, c0, V1, z(5))),
+    ]:
+        with pytest.raises(ShapeError, match="sample_scan"):
+            nc.sample_scan(**{**args, field: value}, temperature=1.0, hard=True)
+
+
 def _masked_sigmoid(x):
     """The boolean-mask formula the sigmoid op used before `_sigmoid`."""
     pos = x >= 0
@@ -445,6 +518,18 @@ def test_gumbel_hard_sample_frequencies_match_monte_carlo_oracle():
 def test_gumbel_rejects_non_positive_temperature():
     with pytest.raises(ValueError):
         nc.gumbel_softmax_sample(constant([0.0, 0.0]), temperature=0.0, hard=False, noise=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "logits_shape, noise_shape",
+    [((1, 1, 4), (4, 1, 4)), ((4, 1, 4), (4, 1, 1)), ((4, 1, 4), ())],
+    ids=["more_rows", "broadcast_last_axis", "scalar"],
+)
+def test_gumbel_rejects_noise_not_shaped_like_logits(logits_shape, noise_shape):
+    logits = constant(np.zeros(logits_shape))
+    with pytest.raises(ShapeError) as exc:
+        nc.gumbel_softmax_sample(logits, 1.0, hard=True, noise=np.zeros(noise_shape))
+    assert str(logits_shape) in str(exc.value) and str(noise_shape) in str(exc.value)
 
 
 # -- KL / cross-entropy -------------------------------------------------------

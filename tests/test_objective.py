@@ -13,7 +13,7 @@ from hindcaus.env import (
     noise_entropy,
     stack_episodes,
 )
-from hindcaus.models import BatchEncoding, build_models
+from hindcaus.models import BatchEncoding, ModelHyper, build_models
 from hindcaus.numcore import backward, constant, no_grad, one_hot
 from hindcaus.objective import (
     LossBreakdown,
@@ -228,7 +228,7 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 235), (EnvConfig.full, 5, 294)],
+    [(EnvConfig.chain, 3, 144), (EnvConfig.full, 5, 203)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
@@ -264,15 +264,25 @@ def test_total_gradient_matches_finite_differences(param_name):
     assert max(errs.values()) < 1e-3, errs
 
 
-@pytest.mark.parametrize("param_name", ["phi/combiner.l1.b", "phi/context0"])
-def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_name):
+@pytest.mark.parametrize(
+    "param_name, hidden_dim",
+    [
+        pytest.param("phi/combiner.l1.b", 64, id="phi/combiner.l1.b"),
+        pytest.param("phi/context0", 64, id="phi/context0"),
+        # Weights whose gradients sum over every step of the sampling pass;
+        # a small hidden layer keeps their finite differences quick.
+        pytest.param("phi/past.l0.W", 8, id="phi/past.l0.W"),
+        pytest.param("phi/combiner.l0.W", 8, id="phi/combiner.l0.W"),
+    ],
+)
+def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_name, hidden_dim):
     # Finite differences see the stop-gradient path (phi's samples feed the
     # detached target pass), reverse mode deliberately does not. Freezing the
     # KL targets isolates the differentiable phi paths; relaxed samples keep
     # the forward smooth.
     cfg = chain3(horizon=2)
     batch = make_batch(cfg, n=2, seed=4)
-    bundle = build_models(cfg, "dvae_full", seed=4)
+    bundle = build_models(cfg, "dvae_full", seed=4, hyper=ModelHyper(hidden_dim=hidden_dim))
     rand = StepRandomness(seed=9, step=2)
     ocfg = ObjectiveConfig(hard_samples=False)
     g = full_graph(cfg)
