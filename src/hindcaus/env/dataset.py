@@ -4,7 +4,8 @@ File layout: line 1 is a header {"version": 2, "config": {...}, "gt_graph":
 [[...]], "config_hash": "..."}; every further line is one episode with integer
 fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact. Loading checks
 the header (its version, its config, the config's hash, and gt_graph against
-the config's ground-truth graph) and every episode line against the config.
+the config's ground-truth graph) and every episode line against the config,
+including that each action is one the data-collection policy can take.
 
 Version 2 holds episodes from the batched `rollout`, which takes each
 episode's draws in one call. Version 1 files drew the same law step by step,
@@ -22,7 +23,7 @@ import numpy as np
 
 from ..fileio import write_atomic
 from .config import EnvConfig, config_hash
-from .modulo import Episode, ground_truth_graph, rollout
+from .modulo import Episode, action_options, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
@@ -125,6 +126,16 @@ def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path)
         if bad.size:
             n = records[bad[0] // math.prod(shape)][0]
             raise ValueError(f"{path} line {n}: field {name!r} has values outside [{low}, {high})")
+    # Every action must be one the data-collection policy can take: a no-op
+    # or one intervention on an observed factor.
+    actions = np.stack(columns["a"]).reshape(-1, 1, cfg.d_s)
+    allowed = (actions == action_options(cfg)).all(axis=2).any(axis=1)
+    if not allowed.all():
+        n = records[np.argmin(allowed) // T][0]
+        raise ValueError(
+            f"{path} line {n}: field 'a' has a row that is neither a no-op nor a single "
+            f"intervention on an observed factor {cfg.observed_indices}"
+        )
     return [
         Episode(o=o, a=a, tau=int(tau), r=r, gt_h=gt_h, gt_eps=gt_eps)
         for o, a, tau, r, gt_h, gt_eps in zip(*columns.values())

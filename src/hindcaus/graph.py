@@ -12,6 +12,9 @@ A CMI model answers `log_probs(j, s, a, masks)`: for K keep-masks of shape
 (K, d_s+1) over the inputs (d_s factors, then the action node) and n
 transitions, it returns the (K, n, l) log-probabilities of target j's next
 value. `estimate_cmi` passes the `cmi_masks` stack, full mask first.
+`NeuralCmiModel` feeds the transition the `input_indices` of s and a, and
+the integer hidden values as constant one-hots on its dense hidden path, so
+it runs the training path's ops untaped.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import cmi_masks
 from .env.oracle import TabularTransitionModel
-from .models import BatchEncoding, ModelBundle, input_stack
+from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
 from .numcore.dists import gumbel_noise
 from .numcore.random import stream
 from .numcore.tensor import constant, no_grad
@@ -90,8 +93,12 @@ class NeuralCmiModel:
 
     def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
         transition = self.bundle.transition
+        env = self.env
         with no_grad():
-            feats = transition.features(j, constant(input_stack(self.env, s, a)))
+            idx = input_indices(env, s, a)  # also checks that s is in [0, l)
+            # Integer hidden values enter the dense path as constant one-hots.
+            hidden = constant(np.eye(env.l)[s[:, env.hidden_indices]])
+            feats = transition.features(j, idx, hidden_stack(env, hidden))
             return transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..env.config import EnvConfig
 from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder
 from .store import ParameterStore, ParamFactory, load_checkpoint, save_checkpoint
-from .transition import MaskedTransition, RewardHead, input_stack
+from .transition import MaskedTransition, RewardHead, hidden_stack, input_indices
 
 __all__ = [
     "ENCODER_VARIANTS",
@@ -20,7 +20,8 @@ __all__ = [
     "ParamFactory",
     "RewardHead",
     "build_models",
-    "input_stack",
+    "hidden_stack",
+    "input_indices",
     "load_checkpoint",
     "save_checkpoint",
 ]

@@ -1,10 +1,10 @@
 """Network building blocks on top of the autodiff core.
 
 `Linear` is one `affine` node. `MLP` stacks them with tanh between.
-`StackedLinear` runs n independent maps on an (n, rows, d) stack as one
-`bmm` node, bias included. `GRUCell` has no per-step call: `scan` projects
-all S steps of an (S, B, d) input with one `affine` over the S·B rows and
-runs the whole recurrence as one `gru_scan` node.
+`StackedLinear` runs n independent maps, or a selection of them, on a
+stack as one `bmm` node, bias included. `GRUCell` has no per-step call:
+`scan` projects all S steps of an (S, B, d) input with one `affine` over the
+S·B rows and runs the whole recurrence as one `gru_scan` node.
 """
 
 from __future__ import annotations
@@ -44,8 +44,10 @@ class StackedLinear:
         self.W = params.add(f"{name}.W", W)
         self.b = params.zeros(f"{name}.b", (len(d_ins), 1, d_out))
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return bmm(x, self.W, self.b)
+    def __call__(self, x: Tensor, select=None) -> Tensor:
+        """All n maps on an (n, rows, d) stack, or with `select` the maps
+        it names on a (len(select), rows, d) stack."""
+        return bmm(x, self.W, self.b, select)
 
 
 class MLP:

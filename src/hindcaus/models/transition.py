@@ -7,14 +7,30 @@ the pool entirely, so one set of weights serves the full, leave-one-out and
 causal-parents conditioning variants, and the extractor features are shared
 by every mask of a call.
 
-The inputs enter as one (d_s+1, rows, width) stack, width = max(l, d_s):
-slice i < d_s is factor i's one-hot (or hidden sample), slice d_s the action
-vector, each zero-padded on the right (`input_stack`). Target j's d_s+1
-extractors are stacked too: `target{j}.embed.W` is (d_s+1, width, embed)
-and `target{j}.proj.W` is (d_s+1, embed, feat), so `features` is two `bmm`
-nodes (batched matmul plus bias), each followed by a tanh. An input narrower
-than width has zero weight rows under its padding columns, and those rows
-stay zero.
+Target j's d_s+1 extractors are stacked: `target{j}.embed.W` is
+(d_s+1, width, embed) and `target{j}.proj.W` is (d_s+1, embed, feat), with
+width = max(l, d_s), and an extractor is embed, tanh, proj, tanh. Input i
+reads a width-wide vector: factor i's one-hot (or hidden sample) or the
+action vector, zero-padded on the right. An input narrower than width has
+zero weight rows under its padding columns, and those rows stay zero.
+
+The two kinds of input take different paths to the same features:
+
+- Data inputs (observed factors and the action) are one-hots over at most
+  width + 1 values: a unit vector, or the action's zero vector for a
+  no-op. `input_indices` turns them into one (d_s+1, rows) index array.
+  `features` runs the extractors once on the constant (d_s+1, width+1,
+  width) basis of those vectors, giving a (d_s+1, width+1, feat) table,
+  and gathers each row's features from it. A one-hot times a matrix is
+  exactly one of its rows, so these are the dense path's values bit for
+  bit.
+- Hidden inputs are encoder samples, soft under `hard_samples=False`, so
+  they run the extractors densely: `hidden_stack` gives their
+  (d_h, rows, width) stack and `features` maps it with the d_h hidden
+  extractors only.
+
+One `lookup` node places both in input order as the (d_s+1, rows, feat)
+feature stack.
 
 Masks are keep-masks (1 keeps an input, 0 drops it) over the d_s factors
 followed by the action node. `logits_from_features` takes a stack of K of
@@ -31,23 +47,62 @@ from __future__ import annotations
 import numpy as np
 
 from ..env.config import EnvConfig
-from ..numcore.dists import one_hot
-from ..numcore.tensor import Tensor, concat, masked_max
+from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, transpose
 from .nets import MLP, StackedLinear
 from .store import ParamFactory
 
-__all__ = ["MaskedTransition", "RewardHead", "input_stack"]
+__all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
 
 _MASK_OFF = -1e30
 
 
-def input_stack(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(d_s+1, n, max(l, d_s)) input stack from (n, d_s) integer factors `s`
-    and (n, d_s) actions `a`."""
-    n = s.shape[0]
-    x = np.zeros((env.d_s + 1, n, max(env.l, env.d_s)))
-    x[: env.d_s, :, : env.l] = one_hot(s.T, env.l)
-    x[env.d_s, :, : env.d_s] = a
+def _width(env: EnvConfig) -> int:
+    return max(env.l, env.d_s)
+
+
+def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(d_s+1, n) intp lookup indices from (n, d_s) integer factors `s` and
+    (n, d_s) actions `a`: row i < d_s holds factor i's values, row d_s the
+    position of the action's single 1, or width = max(l, d_s) for a no-op.
+
+    Every action row must be a no-op or one intervention on an observed
+    factor (a row of `action_options`); any other row raises `ValueError`.
+    The hidden columns of `s` are copied but not read by `features`.
+    """
+    s = np.asarray(s)
+    a = np.asarray(a)
+    n = s.shape[0] if s.ndim == 2 else -1
+    if s.shape != (n, env.d_s) or a.shape != (n, env.d_s):
+        raise ValueError(
+            f"s and a must both have shape (n, {env.d_s}), got {s.shape} and {a.shape}"
+        )
+    width = _width(env)
+    idx = np.empty((env.d_s + 1, n), dtype=np.intp)
+    if not n:
+        return idx
+    if s.min() < 0 or s.max() >= env.l:
+        raise ValueError(f"factor values must be in [0, {env.l}), got [{s.min()}, {s.max()}]")
+    idx[: env.d_s] = s.T
+    total = a.sum(axis=1)
+    on_hidden = a[:, env.hidden_indices]
+    if a.min() < 0 or a.max() > 1 or total.max() > 1 or on_hidden.any():
+        bad = ((a != 0) & (a != 1)).any(axis=1) | (total > 1) | on_hidden.any(axis=1)
+        r = int(np.argmax(bad))
+        raise ValueError(
+            f"action row {r} is {a[r].tolist()}: expected a no-op or a single "
+            f"intervention on an observed factor {env.observed_indices}"
+        )
+    idx[env.d_s] = np.where(total == 0, width, a.argmax(axis=1))
+    return idx
+
+
+def hidden_stack(env: EnvConfig, hidden: Tensor) -> Tensor:
+    """(d_h, rows, width) stack of the hidden inputs from (rows, d_h, l)
+    samples or one-hots, zero-padded on the right to width = max(l, d_s)."""
+    x = transpose(hidden, (1, 0, 2))
+    pad = _width(env) - env.l
+    if pad:
+        x = concat([x, constant(np.zeros((env.d_h, hidden.shape[0], pad)))], axis=2)
     return x
 
 
@@ -66,7 +121,12 @@ class MaskedTransition:
         self.env = env
         self.feat_dim = feat_dim
         in_dims = [env.l] * env.d_s + [env.d_s]
-        self.in_width = max(in_dims)
+        self.in_width = _width(env)
+        # Row v of slice i is the width-wide vector of value v: the unit
+        # vectors, then the zero vector (the action's no-op).
+        basis = np.eye(self.in_width + 1, self.in_width)
+        self._basis = constant(np.repeat(basis[None], env.d_s + 1, axis=0))
+        self._hidden = np.asarray(env.hidden_indices, dtype=np.intp)
         hidden = set(env.hidden_indices)
         self._embed: list[StackedLinear] = []
         self._proj: list[StackedLinear] = []
@@ -83,15 +143,21 @@ class MaskedTransition:
             self._proj.append(stacked("proj", [embed_dim] * len(in_dims), feat_dim))
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
 
-    def features(self, j: int, x: Tensor) -> Tensor:
+    def features(self, j: int, idx: np.ndarray, hidden: Tensor) -> Tensor:
         """(d_s+1, rows, feat) per-input features of target j from the
-        (d_s+1, rows, width) input stack."""
-        expected = (self.env.d_s + 1, self.in_width)
-        if x.data.ndim != 3 or (x.shape[0], x.shape[2]) != expected:
+        (d_s+1, rows) `input_indices` of the data inputs and the
+        (d_h, rows, width) `hidden_stack` of the hidden ones."""
+        idx = np.asarray(idx)
+        expected = (len(self._hidden), idx.shape[-1], self.in_width)
+        if idx.ndim != 2 or idx.shape[0] != self.env.d_s + 1 or hidden.shape != expected:
             raise ValueError(
-                f"input stack must have shape ({expected[0]}, rows, {expected[1]}), got {x.shape}"
+                f"indices must have shape ({self.env.d_s + 1}, rows) and the hidden stack "
+                f"shape {expected}, got {idx.shape} and {hidden.shape}"
             )
-        return self._proj[j](self._embed[j](x).tanh()).tanh()
+        embed, proj = self._embed[j], self._proj[j]
+        table = proj(embed(self._basis).tanh()).tanh()
+        dense = proj(embed(hidden, self._hidden).tanh(), self._hidden).tanh()
+        return lookup(table, idx, dense, self._hidden)
 
     def logits_from_features(self, j: int, feats: Tensor, masks: np.ndarray) -> Tensor:
         """(K, rows, l) logits of target j under a (K, 1 or rows, d_s+1) mask stack."""
@@ -107,10 +173,10 @@ class MaskedTransition:
         K, rows, F = pooled.shape
         return self._heads[j](pooled.reshape(K * rows, F)).reshape(K, rows, self.env.l)
 
-    def forward(self, j: int, x: Tensor, mask: np.ndarray) -> Tensor:
+    def forward(self, j: int, idx: np.ndarray, hidden: Tensor, mask: np.ndarray) -> Tensor:
         """(rows, l) logits under one (d_s+1,) or (rows, d_s+1) mask."""
         mask = np.reshape(mask, (1, -1, self.env.d_s + 1))
-        return self.logits_from_features(j, self.features(j, x), mask)[0]
+        return self.logits_from_features(j, self.features(j, idx, hidden), mask)[0]
 
 
 class RewardHead:

@@ -34,7 +34,8 @@ class Adam:
             p.grad = None
 
     def step(self, lr: float | None = None) -> None:
-        """One update. Parameters without a grad this step are left alone."""
+        """One update. A parameter without a grad this step is left alone:
+        its data and both moments keep their values."""
         lr = self.lr if lr is None else lr
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
@@ -49,8 +50,8 @@ class Adam:
         bc2 = 1.0 - self.beta2**t
         for name, p in self.params.items():
             g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+            if g is None:  # no gradient: the moments would still move it
+                continue
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1

@@ -25,8 +25,10 @@ __all__ = [
     "affine",
     "bmm",
     "gru_scan",
+    "lookup",
     "sample_scan",
     "masked_max",
+    "transpose",
     "backward",
 ]
 
@@ -335,28 +337,47 @@ def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
     return _finish(data, (x, W, b), backward_fn)
 
 
-def bmm(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
+def bmm(x: Tensor, W: Tensor, b: Tensor, select=None) -> Tensor:
     """Batched affine map as one node: (n, r, k) @ (n, k, m) plus an
-    (n, 1, m) bias -> (n, r, m)."""
+    (n, 1, m) bias -> (n, r, m).
+
+    With `select`, a sequence of n distinct indices into W's first axis, the
+    node maps x with W[select] and b[select] instead, and the gradient of
+    every other map of W and b is zero; no slice of the weights is taped.
+    """
+    Wd, bd = W.data, b.data
+    if select is not None:
+        select = np.asarray(select, dtype=np.intp)
+        if select.ndim != 1 or len(set(select.tolist())) != len(select):
+            raise ValueError(f"bmm: select must be distinct indices, got {select.tolist()}")
+        Wd, bd = Wd[select], bd[select]
     if (
         x.data.ndim != 3
         or W.data.ndim != 3
-        or x.shape[0] != W.shape[0]
+        or x.shape[0] != Wd.shape[0]
         or x.shape[2] != W.shape[1]
         or b.shape != (W.shape[0], 1, W.shape[2])
     ):
-        raise ShapeError(f"bmm: shapes {x.shape} @ {W.shape} + {b.shape} are incompatible")
-    data = np.matmul(x.data, W.data)
-    data += b.data
+        picked = "" if select is None else f" (select {select.tolist()})"
+        raise ShapeError(f"bmm: shapes {x.shape} @ {W.shape} + {b.shape}{picked} are incompatible")
+    data = np.matmul(x.data, Wd)
+    data += bd
+
+    def picked_grad(g: np.ndarray, full_shape) -> np.ndarray:
+        if select is None:
+            return g
+        full = np.zeros(full_shape)
+        full[select] = g
+        return full
 
     def backward_fn(out=None, x=x, W=W, b=b):
         g = out.grad
         if x.requires_grad:
-            x._accumulate(np.matmul(g, W.data.transpose(0, 2, 1)))
+            x._accumulate(np.matmul(g, Wd.transpose(0, 2, 1)))
         if W.requires_grad:
-            W._accumulate(np.matmul(x.data.transpose(0, 2, 1), g))
+            W._accumulate(picked_grad(np.matmul(x.data.transpose(0, 2, 1), g), W.shape))
         if b.requires_grad:
-            b._accumulate(g.sum(axis=1, keepdims=True))
+            b._accumulate(picked_grad(g.sum(axis=1, keepdims=True), b.shape))
 
     return _finish(data, (x, W, b), backward_fn)
 
@@ -614,14 +635,25 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return _finish(data, tuple(tensors), backward_fn)
 
 
+def _advanced(key) -> bool:
+    """Whether an index key holds an array (advanced indexing)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return any(isinstance(k, (list, np.ndarray)) for k in parts)
+
+
 def slice_(a: Tensor, key) -> Tensor:
     data = a.data[key]
 
     def backward_fn(out=None, a=a, key=key):
         if a.requires_grad:
-            # Basic (slice/int) indexing only: regions never alias.
             g = np.zeros_like(a.data)
-            g[key] += out.grad
+            if _advanced(key):
+                # An array key may repeat an index; `+=` would keep one of
+                # the repeated gradients, add.at sums them all.
+                np.add.at(g, key, out.grad)
+            else:
+                # Basic (slice/int) keys never alias.
+                g[key] += out.grad
             a._accumulate(g)
 
     return _finish(data, (a,), backward_fn)
@@ -635,6 +667,66 @@ def reshape(a: Tensor, shape) -> Tensor:
             a._accumulate(out.grad.reshape(a.shape))
 
     return _finish(data, (a,), backward_fn)
+
+
+def transpose(a: Tensor, axes) -> Tensor:
+    """The axes of `a` permuted as `np.transpose` does, as a view."""
+    axes = tuple(axes)
+    data = a.data.transpose(axes)
+
+    def backward_fn(out=None, a=a):
+        if a.requires_grad:
+            a._accumulate(out.grad.transpose(np.argsort(axes)))
+
+    return _finish(data, (a,), backward_fn)
+
+
+def lookup(table: Tensor, index: np.ndarray, dense: Tensor, dense_pos) -> Tensor:
+    """Stack of table rows and dense slices in input order, as one node.
+
+    `table` is (n, V, F) and `index` an (n, rows) integer array with every
+    entry in [0, V). `dense` is (m, rows, F) and `dense_pos` names the m
+    distinct slices it fills. Slice i of the (n, rows, F) output is
+    table[i, index[i]], or dense[q] where i == dense_pos[q]; the index row
+    of a dense slice is not read.
+
+    The backward gives each table row the sum of the gradients of the rows
+    that read it, as one batched (n, V, rows) one-hot matmul, and `dense`
+    the gradient of its slices.
+    """
+    index = np.asarray(index)
+    dense_pos = np.asarray(dense_pos, dtype=np.intp)
+    if (
+        table.data.ndim != 3
+        or dense.data.ndim != 3
+        or index.shape != (table.shape[0], dense.shape[1])
+        or dense.shape[2] != table.shape[2]
+        or dense_pos.shape != (dense.shape[0],)
+    ):
+        raise ShapeError(
+            f"lookup: table {table.shape}, index {index.shape}, dense {dense.shape} and "
+            f"dense_pos {dense_pos.shape} are incompatible (need (n, V, F), (n, rows), "
+            "(m, rows, F) and (m,))"
+        )
+    n, V, F = table.shape
+    if index.size and (index.min() < 0 or index.max() >= V):
+        raise ValueError(
+            f"lookup: index values must be in [0, {V}), got [{index.min()}, {index.max()}]"
+        )
+    flat = index + np.arange(0, n * V, V)[:, None]  # row of the (n*V, F) table
+    data = np.take(table.data.reshape(n * V, F), flat, axis=0)
+    data[dense_pos] = dense.data
+
+    def backward_fn(out=None, table=table, dense=dense):
+        g = out.grad
+        if table.requires_grad:
+            hot = (np.arange(V)[:, None] == index[:, None, :]).astype(np.float64)
+            hot[dense_pos] = 0.0
+            table._accumulate(np.matmul(hot, g))
+        if dense.requires_grad:
+            dense._accumulate(g[dense_pos])
+
+    return _finish(data, (table, dense), backward_fn)
 
 
 # -- reductions --------------------------------------------------------------

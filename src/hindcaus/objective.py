@@ -8,9 +8,14 @@ current binarized graph column). Hidden inputs to the predictors are the
 recursive straight-through samples of the live encoder; the KL targets come
 from the stop-gradient encoder copy evaluated on those samples detached.
 
-Each target makes one `logits_from_features` call on a (3, rows, d_s+1)
-mask stack (full, leave-one-out, causal) and reads its three terms from one
-loss over the (3, rows, l) logits. Everything is a mean over (episode,
+The transition reads all T*B (episode, transition) rows at once, in
+transition-major order: `_transition_inputs` gives the lookup indices of
+the observed factors and the actions, and the (d_h, rows, width) stack of
+the live samples, which stay on the taped dense path. Per target, one
+`features` call builds the (d_s+1, rows, feat) feature stack from both,
+and one `logits_from_features` call on a (3, rows, d_s+1) mask stack (full,
+leave-one-out, causal) gives the (3, rows, l) logits that one loss reads
+all three terms from. Everything is a mean over (episode,
 transition) rows; component values are sums over target factors of those
 means. The minimized total is the sum of the six terms plus reward_weight
 times the reward cross-entropy.
@@ -25,10 +30,10 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .models import BatchEncoding, ModelBundle, input_stack
+from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
 from .numcore.random import stream
-from .numcore.tensor import Tensor, concat, constant, stack
+from .numcore.tensor import Tensor, concat, constant
 
 __all__ = [
     "COMPONENTS",
@@ -110,22 +115,17 @@ def _flatten_tm(arr: np.ndarray) -> np.ndarray:
     return np.swapaxes(arr, 0, 1).reshape(arr.shape[1] * arr.shape[0], *arr.shape[2:])
 
 
-def _transition_inputs(batch: TrainBatch, env: EnvConfig, samples: list[Tensor]) -> Tensor:
-    """(d_s+1, T*B, width) input stack of all T transitions, rows
-    transition-major: observed factors are data one-hots, hidden factors the
-    encoder samples, the last slice the action."""
+def _transition_inputs(
+    batch: TrainBatch, env: EnvConfig, samples: list[Tensor]
+) -> tuple[np.ndarray, Tensor]:
+    """Transition inputs of all T transitions, rows transition-major: the
+    (d_s+1, T*B) `input_indices` of the observed factors and the actions,
+    and the (d_h, T*B, width) `hidden_stack` of the encoder samples."""
     T, B = batch.horizon, batch.size
-    s = np.zeros((T * B, env.d_s), dtype=np.int64)  # hidden columns are replaced below
+    s = np.zeros((T * B, env.d_s), dtype=np.int64)  # hidden columns are not read
     s[:, env.observed_indices] = _flatten_tm(batch.o[:, :T])
-    base = input_stack(env, s, _flatten_tm(batch.a))
-    hidden = concat(samples[:T], axis=0)  # (T*B, d_h, l)
-    pad = base.shape[2] - env.l
-    if pad:
-        hidden = concat([hidden, constant(np.zeros((T * B, env.d_h, pad)))], axis=2)
-    hid_pos = {f: q for q, f in enumerate(env.hidden_indices)}
-    return stack(
-        [hidden[:, hid_pos[f]] if f in hid_pos else constant(base[f]) for f in range(env.d_s + 1)]
-    )
+    idx = input_indices(env, s, _flatten_tm(batch.a))
+    return idx, hidden_stack(env, concat(samples[:T], axis=0))
 
 
 def vlb_losses(
@@ -158,7 +158,7 @@ def vlb_losses(
         detached = [s.detach() for s in samples]
         target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=detached)
 
-    inputs = _transition_inputs(batch, env, samples)
+    idx, hidden = _transition_inputs(batch, env, samples)
 
     if mask_draw is None:
         mask_draw = rand.mask_indices(B, T, env)
@@ -174,7 +174,7 @@ def vlb_losses(
     fallbacks: list[int] = []
 
     for j in range(env.d_s):
-        feats = bundle.transition.features(j, inputs)
+        feats = bundle.transition.features(j, idx, hidden)
 
         masks = np.ones((3, T * B, env.d_s + 1))  # full, leave-one-out, causal
         masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0

@@ -296,6 +296,23 @@ def test_load_dataset_rejects_corrupt_episode_line(tmp_path, field, edit):
     assert str(path) in msg and "line 3" in msg and f"field {field!r}" in msg
 
 
+@pytest.mark.parametrize(
+    "row", [[1, 0, 1], [0, 1, 0]], ids=["two_interventions", "hidden_factor"]
+)
+def test_load_dataset_rejects_action_outside_policy_support(tmp_path, row):
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)  # factor 1 is hidden
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[3])
+    record["a"][1] = row
+    lines[3] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and "line 4:" in msg and "field 'a'" in msg
+
+
 @pytest.mark.parametrize("line", [1, 3])  # the header, an episode
 def test_load_dataset_rejects_truncated_line(tmp_path, line):
     path = tmp_path / "data.jsonl"

@@ -1,18 +1,20 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
 import hindcaus.models.store as store_mod
 from hindcaus import numcore as nc
-from hindcaus.env import EnvConfig, cmi_masks, config_hash, generate_dataset, stack_episodes, step
+from hindcaus.env import EnvConfig, action_options, cmi_masks, config_hash, generate_dataset, stack_episodes, step
 from hindcaus.models import (
     ENCODER_VARIANTS,
     BatchEncoding,
     build_models,
-    input_stack,
+    hidden_stack,
+    input_indices,
     load_checkpoint,
     save_checkpoint,
 )
@@ -318,8 +320,10 @@ def test_trainable_excludes_phi_bar():
 
 
 def _transition_inputs(cfg, s_values, a_values):
-    """Integer states and actions -> the constant input stack."""
-    return constant(input_stack(cfg, s_values, a_values))
+    """Integer states and actions -> the lookup indices and the hidden
+    stack of constant one-hots, as the CMI estimate passes them."""
+    hidden = constant(one_hot(s_values[:, cfg.hidden_indices], cfg.l))
+    return input_indices(cfg, s_values, a_values), hidden_stack(cfg, hidden)
 
 
 def test_masked_output_ignores_masked_inputs():
@@ -331,14 +335,14 @@ def test_masked_output_ignores_masked_inputs():
     masks = cmi_masks(cfg)
     for j in range(3):
         for i in range(4):  # 3 factors + action node
-            base = bundle.transition.forward(j, _transition_inputs(cfg, s, a), masks[i + 1]).data
+            base = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), masks[i + 1]).data
             s2 = s.copy()
             a2 = a.copy()
             if i < 3:
                 s2[:, i] = (s2[:, i] + 1) % 4
             else:
                 a2[:, 0] = 1
-            got = bundle.transition.forward(j, _transition_inputs(cfg, s2, a2), masks[i + 1]).data
+            got = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a2), masks[i + 1]).data
             assert np.array_equal(got, base), f"masked input {i} leaked into target {j}"
 
 
@@ -352,11 +356,11 @@ def test_full_vs_leave_one_out_differ_only_through_that_factor():
     s2[:, 0] = (s2[:, 0] + 2) % 4
     j = 1
     full, loo = cmi_masks(cfg)[:2]
-    full_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), full).data
-    full_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), full).data
+    full_a = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), full).data
+    full_b = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a), full).data
     assert not np.array_equal(full_a, full_b)
-    loo_a = bundle.transition.forward(j, _transition_inputs(cfg, s, a), loo).data
-    loo_b = bundle.transition.forward(j, _transition_inputs(cfg, s2, a), loo).data
+    loo_a = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), loo).data
+    loo_b = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a), loo).data
     assert np.array_equal(loo_a, loo_b)
 
 
@@ -370,8 +374,8 @@ def test_causal_mask_with_true_parents_ignores_non_parent():
     a = np.zeros((8, 3), dtype=np.int64)
     s2 = s.copy()
     s2[:, 0] = (s2[:, 0] + 1) % 4
-    out_a = bundle.transition.forward(2, _transition_inputs(cfg, s, a), mask).data
-    out_b = bundle.transition.forward(2, _transition_inputs(cfg, s2, a), mask).data
+    out_a = bundle.transition.forward(2, *_transition_inputs(cfg, s, a), mask).data
+    out_b = bundle.transition.forward(2, *_transition_inputs(cfg, s2, a), mask).data
     assert np.array_equal(out_a, out_b)
 
 
@@ -384,7 +388,7 @@ def test_mask_stack_call_matches_single_mask_forward(j):
     a = np.zeros((8, 3), dtype=np.int64)
     a[rng.random(8) < 0.5, 0] = 1
     inputs = _transition_inputs(cfg, s, a)
-    feats = bundle.transition.features(j, inputs)
+    feats = bundle.transition.features(j, *inputs)
     shared = cmi_masks(cfg)
     per_row = np.ones((8, 4))
     per_row[np.arange(8), rng.integers(0, 4, size=8)] = 0.0
@@ -398,14 +402,30 @@ def test_mask_stack_call_matches_single_mask_forward(j):
         stacked = bundle.transition.logits_from_features(j, feats, masks).data
         assert stacked.shape == (len(singles), 8, 4)
         for k, mask in enumerate(singles):
-            assert np.array_equal(stacked[k], bundle.transition.forward(j, inputs, mask).data), k
+            assert np.array_equal(stacked[k], bundle.transition.forward(j, *inputs, mask).data), k
+
+
+def _dense_input_stack(cfg, s, a, hidden):
+    """The (d_s+1, rows, width) input stack the lookup replaces: each
+    factor's one-hot and the action vector, zero-padded on the right, with
+    the hidden factors' slices taken from the (rows, d_h, l) tensor
+    `hidden`."""
+    width = max(cfg.l, cfg.d_s)
+    x = np.zeros((cfg.d_s + 1, len(s), width))
+    x[: cfg.d_s, :, : cfg.l] = one_hot(s.T, cfg.l)
+    x[cfg.d_s, :, : cfg.d_s] = a
+    pad = constant(np.zeros((len(s), width - cfg.l)))
+    slices = [constant(x[i]) for i in range(cfg.d_s + 1)]
+    for q, f in enumerate(cfg.hidden_indices):
+        slices[f] = concat([hidden[:, q], pad], axis=1)
+    return nc.stack(slices)
 
 
 def _per_input_reference(transition, j, x, masks):
-    """The fused path spelled out input by input: a `Linear` embed and proj
-    per input built from slices of the stacked weights, the offset added per
-    input, the max taken by selecting the first maximal input, and the head
-    run once per mask."""
+    """The transition spelled out input by input on a dense input stack: a
+    `Linear` embed and proj per input built from slices of the stacked
+    weights, the offset added per input, the max taken by selecting the
+    first maximal input, and the head run once per mask."""
     env = transition.env
     in_dims = [env.l] * env.d_s + [env.d_s]
     embed, proj = transition._embed[j], transition._proj[j]
@@ -426,41 +446,74 @@ def _per_input_reference(transition, j, x, masks):
     return nc.stack(blocks)
 
 
-@pytest.mark.parametrize("j", [2, 1])  # observed o^2, hidden h
-def test_fused_transition_matches_per_input_reference(j):
-    cfg = chain3()
+# chain3 pads the action input (l > d_s), full5 the factor inputs (d_s > l);
+# full5 with two hidden factors selects two dense extractors.
+@pytest.mark.parametrize("graph", ["chain", "full", "full_two_hidden"])
+def test_lookup_features_match_dense_extractor(graph):
+    configs = {
+        "chain": chain3(),
+        "full": EnvConfig.full(d_s=5),
+        "full_two_hidden": EnvConfig.full(d_s=5, hidden_indices=[3, 1]),
+    }
+    cfg = configs[graph]
     bundle = build_models(cfg, "dvae_full", seed=0)
     rng = np.random.default_rng(7)
-    for t in bundle.store.trainable().values():  # nonzero biases too
+    for t in bundle.store.trainable().values():  # nonzero biases and padding rows too
         t.data += 0.1 * rng.normal(size=t.shape)
-    for embed in bundle.transition._embed:
-        embed.W.data[cfg.d_s, cfg.d_s :] = 0.0  # the action slice's padding row
-    s = rng.integers(0, 4, size=(8, 3))
-    a = np.zeros((8, 3), dtype=np.int64)
-    a[rng.random(8) < 0.5, 0] = 1
-    x = parameter(input_stack(cfg, s, a))
-    per_row = np.ones((8, 4))
-    per_row[np.arange(8), rng.integers(0, 4, size=8)] = 0.0
-    masks = np.concatenate([np.broadcast_to(cmi_masks(cfg)[:, None], (5, 8, 4)), per_row[None]])
-    weights = constant(rng.normal(size=(6, 8, 4)))
-    theta = {n: p for n, p in bundle.store.trainable().items() if f"/target{j}." in n}
-    theta["x"] = x
-
-    def logits_and_grads(logits_fn):
-        for p in theta.values():
-            p.grad = None
-        logits = logits_fn()
-        backward((logits * weights).sum())
-        return logits.data, {n: p.grad for n, p in theta.items()}
-
+    rows, n_in = 8, cfg.d_s + 1
+    s = rng.integers(0, cfg.l, size=(rows, cfg.d_s))
+    a = action_options(cfg)[rng.integers(0, cfg.d_o + 1, size=rows)]
+    idx = input_indices(cfg, s, a)
+    per_row = np.ones((rows, n_in))
+    per_row[np.arange(rows), rng.integers(0, n_in, size=rows)] = 0.0
+    shared = np.broadcast_to(cmi_masks(cfg)[:, None], (n_in + 1, rows, n_in))
+    masks = np.concatenate([shared, per_row[None]])
+    weights = constant(rng.normal(size=(len(masks), rows, cfg.l)))
     tr = bundle.transition
-    fused_fn = lambda: tr.logits_from_features(j, tr.features(j, x), masks)  # noqa: E731
-    fused, fused_grads = logits_and_grads(fused_fn)
-    ref, ref_grads = logits_and_grads(lambda: _per_input_reference(tr, j, x, masks))
-    assert fused.shape == (6, 8, 4)
-    assert np.array_equal(fused, ref)
-    for n, g in ref_grads.items():
-        assert np.abs(fused_grads[n] - g).max() <= 1e-12 * np.abs(g).max(), n
+
+    for hard in (True, False):
+        logits = rng.normal(size=(rows, cfg.d_h, cfg.l))
+        soft = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        h = parameter(one_hot(logits.argmax(axis=-1), cfg.l) if hard else soft)
+        for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
+            theta = {n: p for n, p in bundle.store.trainable().items() if f"/target{j}." in n}
+            theta["hidden"] = h
+
+            def logits_and_grads(logits_fn):
+                for p in theta.values():
+                    p.grad = None
+                out = logits_fn()
+                backward((out * weights).sum())
+                return out.data, {n: p.grad for n, p in theta.items()}
+
+            def lookup_fn():
+                return tr.logits_from_features(j, tr.features(j, idx, hidden_stack(cfg, h)), masks)
+
+            def dense_fn():
+                return _per_input_reference(tr, j, _dense_input_stack(cfg, s, a, h), masks)
+
+            got, got_grads = logits_and_grads(lookup_fn)
+            ref, ref_grads = logits_and_grads(dense_fn)
+            assert got.shape == (len(masks), rows, cfg.l)
+            assert np.array_equal(got, ref), (hard, j)
+            for n, g in ref_grads.items():
+                assert np.abs(got_grads[n] - g).max() <= 1e-12 * np.abs(g).max(), (hard, j, n)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1, 0, 1], [0, 1, 0], [-1, 0, 1]],  # the last sums to 0, like a no-op
+    ids=["two_interventions", "hidden_factor", "not_binary"],
+)
+def test_input_indices_reject_actions_a_table_cannot_hold(row):
+    cfg = chain3()  # factor 1 is hidden
+    s = np.zeros((3, 3), dtype=np.int64)
+    a = np.zeros((3, 3), dtype=np.int64)
+    a[2] = row
+    with pytest.raises(ValueError, match=re.escape(f"action row 2 is {row}")):
+        input_indices(cfg, s, a)
+    a[2] = [0, 0, 1]
+    assert input_indices(cfg, s, a)[cfg.d_s].tolist() == [4, 4, 2]  # a no-op reads index width
 
 
 # chain3 pads the action input (l > d_s), full5 the factor inputs (d_s > l).
@@ -493,8 +546,8 @@ def test_all_zero_mask_rejected():
     s = np.zeros((2, 3), dtype=np.int64)
     a = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="mask"):
-        bundle.transition.forward(0, _transition_inputs(cfg, s, a), np.zeros(4))
-    feats = bundle.transition.features(0, _transition_inputs(cfg, s, a))
+        bundle.transition.forward(0, *_transition_inputs(cfg, s, a), np.zeros(4))
+    feats = bundle.transition.features(0, *_transition_inputs(cfg, s, a))
     with pytest.raises(ValueError, match="masks must have shape"):
         bundle.transition.logits_from_features(0, feats, cmi_masks(cfg))  # (K, d_s+1): no row axis
 
@@ -520,7 +573,7 @@ def test_transition_learns_noise_free_chain_by_enumeration():
         inputs = _transition_inputs(cfg, s, a)
         losses = []
         for j in range(3):
-            logits = bundle.transition.forward(j, inputs, mask)
+            logits = bundle.transition.forward(j, *inputs, mask)
             losses.append(nc.cross_entropy(logits, nxt[:, j]).mean())
         total = losses[0] + losses[1] + losses[2]
         opt.zero_grad()
@@ -533,7 +586,7 @@ def test_transition_learns_noise_free_chain_by_enumeration():
         nxt = step(states, a, np.zeros_like(states), cfg)
         inputs = _transition_inputs(cfg, states, a)
         for j in range(3):
-            pred = bundle.transition.forward(j, inputs, mask).argmax(axis=-1)
+            pred = bundle.transition.forward(j, *inputs, mask).argmax(axis=-1)
             assert np.array_equal(pred, nxt[:, j]), f"target {j} wrong under a={a_vec}"
 
 

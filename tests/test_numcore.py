@@ -81,6 +81,13 @@ def _gru_scan_case(reverse):
     return op
 
 
+def _lookup_case(a, b):
+    """lookup of a (2, 4, 2) table with repeated indices, slice 0 filled
+    densely: table row 3 of slice 1 is read twice, row 1 never."""
+    index = np.array([[3, 3, 3], [0, 3, 3]])  # row 0 is a dense slice's, not read
+    return nc.lookup(a.reshape(2, 4, 2), index, (a * b)[:3, :2].reshape(1, 3, 2), [0])
+
+
 OP_CASES = {
     "add": lambda a, b: a + b,
     "affine": lambda a, b: nc.affine(a, b, b[1]),
@@ -89,9 +96,13 @@ OP_CASES = {
     "multiply": lambda a, b: a * b,
     "matmul": lambda a, b: nc.matmul(a, b),
     "bmm": lambda a, b: nc.bmm(a.reshape(2, 2, 4), b.reshape(2, 4, 2), a[3].reshape(2, 1, 2)),
+    "bmm_select": lambda a, b: nc.bmm(  # maps 3 and 1 of 4, in that order
+        a[:2].reshape(2, 2, 2), b.reshape(4, 2, 2), a[2:].reshape(4, 1, 2), [3, 1]
+    ),
     "concat": lambda a, b: nc.concat([a, b], axis=1),
     "stack": lambda a, b: nc.stack([a, b], axis=1),
     "slice": lambda a, b: a[1:3, ::2] + b[1:3, ::2],
+    "slice_repeated_index": lambda a, b: a[np.array([0, 2, 0])] * b[1:],
     "reshape": lambda a, b: (a * b).reshape(-1),
     "tanh": lambda a, b: (a + b).tanh(),
     "sigmoid": lambda a, b: (a * b).sigmoid(),
@@ -99,6 +110,7 @@ OP_CASES = {
     "gru_scan": _gru_scan_case(reverse=False),
     "gru_scan_reverse": _gru_scan_case(reverse=True),
     "log_softmax": lambda a, b: (a * b).log_softmax(),
+    "lookup": _lookup_case,
     "softmax": lambda a, b: (a + b).softmax(),
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
     "mean_axis": lambda a, b: (a + b).mean(axis=1),
@@ -106,6 +118,7 @@ OP_CASES = {
     "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_OFFSETS),
     "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_OFFSETS),
     "scale": lambda a, b: (a + b) * 1.7,
+    "transpose": lambda a, b: nc.transpose((a * b).reshape(2, 2, 4), (2, 0, 1)),
 }
 
 
@@ -185,6 +198,52 @@ def test_masked_max_backward_matches_routing_reference(n, per_row):
     backward((out * constant(weights)).sum())
     expected = _routing_reference_grad(x.data, offsets, out.data, weights)
     assert np.array_equal(x.grad, expected)
+
+
+def test_slice_gradient_sums_repeated_indices():
+    x = parameter([1.0, 2.0, 3.0])
+    backward(x[np.array([0, 0])].sum())
+    assert np.array_equal(x.grad, [2.0, 0.0, 0.0])
+    y = parameter(np.ones((2, 3)))
+    backward((y[[1, 1, 0], 1:] * constant(np.arange(6.0).reshape(3, 2))).sum())
+    assert np.array_equal(y.grad, [[0.0, 4.0, 5.0], [0.0, 2.0, 4.0]])
+
+
+def test_lookup_places_table_rows_and_dense_slices_in_input_order():
+    table = parameter(np.arange(24.0).reshape(3, 4, 2))  # (n=3, V=4, F=2)
+    dense = parameter(-np.ones((1, 5, 2)))
+    index = np.array([[0, 1, 2, 3, 3], [0, 0, 0, 0, 0], [2, 2, 1, 0, 3]])
+    out = nc.lookup(table, index, dense, [1])
+    assert np.array_equal(out.data[0], table.data[0, index[0]])
+    assert np.array_equal(out.data[1], dense.data[0])
+    assert np.array_equal(out.data[2], table.data[2, index[2]])
+    with nc.no_grad():
+        assert np.array_equal(nc.lookup(table, index, dense, [1]).data, out.data)
+    g = np.random.default_rng(3).normal(size=out.shape)
+    backward((out * constant(g)).sum())
+    expected = np.zeros_like(table.data)
+    for i in (0, 2):
+        np.add.at(expected[i], index[i], g[i])
+    assert np.allclose(table.grad, expected, rtol=0, atol=1e-15)
+    assert np.array_equal(dense.grad, g[1:2])
+
+
+def test_lookup_and_bmm_select_reject_bad_input():
+    table, dense = constant(np.zeros((3, 4, 2))), constant(np.zeros((1, 5, 2)))
+    index = np.zeros((3, 5), dtype=np.intp)
+    with pytest.raises(ShapeError, match="lookup"):
+        nc.lookup(table, index[:, :4], dense, [1])  # 4 index rows for 5 dense rows
+    with pytest.raises(ShapeError, match="dense_pos"):
+        nc.lookup(table, index, dense, [0, 1])
+    index[2, 3] = 4
+    with pytest.raises(ValueError, match=r"\[0, 4\)"):
+        nc.lookup(table, index, dense, [1])
+    x, W, b = constant(np.zeros((2, 3, 4))), constant(np.zeros((3, 4, 2))), constant(np.zeros((3, 1, 2)))
+    assert nc.bmm(x, W, b, [2, 0]).shape == (2, 3, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        nc.bmm(x, W, b, [1, 1])
+    with pytest.raises(ShapeError, match="select"):
+        nc.bmm(x, W, b, [1])
 
 
 def test_masked_max_rejects_more_inputs_than_the_winner_index_holds():
@@ -372,6 +431,22 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     p.grad = np.zeros(2)
     opt.step()
     assert np.array_equal(p.data, [1.0, -2.0])
+
+
+def test_adam_skips_parameter_without_gradient():
+    p, q = parameter([0.8]), parameter([0.5, -0.5])
+    opt = nc.Adam({"p": p, "q": q}, lr=0.1)
+    p.grad, q.grad = np.ones(1), np.ones(2)
+    opt.step()  # p and its moments are now nonzero
+    before = {k: v.copy() for k, v in opt.state_tensors().items()}
+    p_before, q_before = p.data.copy(), q.data.copy()
+    p.grad, q.grad = None, np.ones(2)
+    opt.step()
+    assert np.array_equal(p.data, p_before)
+    assert np.array_equal(opt.m["p"], before["adam.m/p"])
+    assert np.array_equal(opt.v["p"], before["adam.v/p"])
+    assert not np.array_equal(q.data, q_before)
+    assert not np.array_equal(opt.m["q"], before["adam.m/q"])
 
 
 def test_adam_first_step_closed_form():

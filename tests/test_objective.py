@@ -44,14 +44,18 @@ class TabularAdapter:
         self.cfg = cfg
         self.model = TabularTransitionModel(cfg)
 
-    def features(self, j, x):
-        return x
+    def features(self, j, idx, hidden):
+        return idx, hidden
 
-    def logits_from_features(self, j, x, masks):
-        d_s, l = self.cfg.d_s, self.cfg.l
-        s = x.data[:d_s, :, :l].argmax(axis=-1).T
-        a = x.data[d_s, :, :d_s].astype(np.int64)
-        out = np.empty((len(masks), s.shape[0], self.cfg.l))
+    def logits_from_features(self, j, inputs, masks):
+        idx, hidden = inputs
+        cfg = self.cfg
+        s = idx[: cfg.d_s].T.copy()
+        s[:, cfg.hidden_indices] = hidden.data[:, :, : cfg.l].argmax(axis=-1).T
+        a = np.zeros_like(s)
+        acted = idx[cfg.d_s] < cfg.d_s  # a no-op reads index width
+        a[acted, idx[cfg.d_s, acted]] = 1
+        out = np.empty((len(masks), s.shape[0], cfg.l))
         for k, mask in enumerate(np.asarray(masks, dtype=bool)):
             mask = np.broadcast_to(mask, (s.shape[0], mask.shape[-1]))
             for m in np.unique(mask, axis=0):
@@ -190,11 +194,11 @@ def test_breakdown_matches_independent_recomputation():
         lq = log_softmax(np.concatenate([targets[t + 1].data[:, 0, :] for t in range(T)]))
         labels = flat(batch.o[:, 1:, 1])  # o^2 is observed pos 1
         for kind, mask in masks_for(2).items():
-            logp = log_softmax(bundle.transition.forward(2, inputs, mask).data)
+            logp = log_softmax(bundle.transition.forward(2, *inputs, mask).data)
             expected = float(-logp[rows, labels].mean())
             assert b.per_factor[f"{kind}_nll"][2] == pytest.approx(expected, rel=1e-10), kind
         for kind, mask in masks_for(1).items():
-            logp = log_softmax(bundle.transition.forward(1, inputs, mask).data)
+            logp = log_softmax(bundle.transition.forward(1, *inputs, mask).data)
             expected = float((np.exp(lq) * (lq - logp)).sum(axis=1).mean())
             assert b.per_factor[f"{kind}_kl"][1] == pytest.approx(expected, rel=1e-10), kind
 
@@ -228,13 +232,15 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 144), (EnvConfig.full, 5, 203)],
+    [(EnvConfig.chain, 3, 158), (EnvConfig.full, 5, 227)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # The benchmark's training configs (l=4, T=5, dvae_full). Each stacked
-    # layer is one bmm node with its bias and each pool one masked_max node;
-    # splitting either again raises the count.
+    # layer is one bmm node with its bias, run once on the table basis and
+    # once on the hidden slices (no weight slices are taped); one lookup node
+    # places the features and one masked_max node pools them. Splitting any
+    # of these raises the count.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     bundle = build_models(cfg, "dvae_full", seed=0)
     total, _ = total_objective(
