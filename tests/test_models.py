@@ -446,16 +446,10 @@ def _per_input_reference(transition, j, x, masks):
     return nc.stack(blocks)
 
 
-# chain3 pads the action input (l > d_s), full5 the factor inputs (d_s > l);
-# full5 with two hidden factors selects two dense extractors.
-@pytest.mark.parametrize("graph", ["chain", "full", "full_two_hidden"])
-def test_lookup_features_match_dense_extractor(graph):
-    configs = {
-        "chain": chain3(),
-        "full": EnvConfig.full(d_s=5),
-        "full_two_hidden": EnvConfig.full(d_s=5, hidden_indices=[3, 1]),
-    }
-    cfg = configs[graph]
+def _assert_lookup_matches_reference(cfg, j):
+    """Target j's logits from the lookup path equal the per-input reference
+    on the dense input stack, and so do their gradients to 1e-12 relative,
+    for hard and soft hidden samples and for shared and per-row masks."""
     bundle = build_models(cfg, "dvae_full", seed=0)
     rng = np.random.default_rng(7)
     for t in bundle.store.trainable().values():  # nonzero biases and padding rows too
@@ -475,29 +469,44 @@ def test_lookup_features_match_dense_extractor(graph):
         logits = rng.normal(size=(rows, cfg.d_h, cfg.l))
         soft = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
         h = parameter(one_hot(logits.argmax(axis=-1), cfg.l) if hard else soft)
-        for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
-            theta = {n: p for n, p in bundle.store.trainable().items() if f"/target{j}." in n}
-            theta["hidden"] = h
+        theta = {n: p for n, p in bundle.store.trainable().items() if f"/target{j}." in n}
+        theta["hidden"] = h
 
-            def logits_and_grads(logits_fn):
-                for p in theta.values():
-                    p.grad = None
-                out = logits_fn()
-                backward((out * weights).sum())
-                return out.data, {n: p.grad for n, p in theta.items()}
+        def logits_and_grads(logits_fn):
+            for p in theta.values():
+                p.grad = None
+            out = logits_fn()
+            backward((out * weights).sum())
+            return out.data, {n: p.grad for n, p in theta.items()}
 
-            def lookup_fn():
-                return tr.logits_from_features(j, tr.features(j, idx, hidden_stack(cfg, h)), masks)
+        def lookup_fn():
+            return tr.logits_from_features(j, tr.features(j, idx, hidden_stack(cfg, h)), masks)
 
-            def dense_fn():
-                return _per_input_reference(tr, j, _dense_input_stack(cfg, s, a, h), masks)
+        def dense_fn():
+            return _per_input_reference(tr, j, _dense_input_stack(cfg, s, a, h), masks)
 
-            got, got_grads = logits_and_grads(lookup_fn)
-            ref, ref_grads = logits_and_grads(dense_fn)
-            assert got.shape == (len(masks), rows, cfg.l)
-            assert np.array_equal(got, ref), (hard, j)
-            for n, g in ref_grads.items():
-                assert np.abs(got_grads[n] - g).max() <= 1e-12 * np.abs(g).max(), (hard, j, n)
+        got, got_grads = logits_and_grads(lookup_fn)
+        ref, ref_grads = logits_and_grads(dense_fn)
+        assert got.shape == (len(masks), rows, cfg.l)
+        assert np.array_equal(got, ref), hard
+        for n, g in ref_grads.items():
+            assert np.abs(got_grads[n] - g).max() <= 1e-12 * np.abs(g).max(), (hard, n)
+
+
+# chain3 pads the action input (l > d_s).
+@pytest.mark.parametrize("j", [2, 1])  # observed o^2, hidden h
+def test_fused_transition_matches_per_input_reference(j):
+    _assert_lookup_matches_reference(chain3(), j)
+
+
+# full5 pads the factor inputs (d_s > l); with two hidden factors it selects
+# two dense extractors.
+@pytest.mark.parametrize("graph", ["full", "full_two_hidden"])
+def test_lookup_features_match_dense_extractor(graph):
+    configs = {"full": EnvConfig.full(d_s=5), "full_two_hidden": EnvConfig.full(d_s=5, hidden_indices=[3, 1])}
+    cfg = configs[graph]
+    for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
+        _assert_lookup_matches_reference(cfg, j)
 
 
 @pytest.mark.parametrize(
