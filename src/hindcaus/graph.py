@@ -8,13 +8,19 @@ values, hidden targets use the mean KL divergence between the two predicted
 distributions. Estimates are clamped at zero, folded into an exponential
 moving average, and thresholded into the working graph.
 
-A CMI model answers `log_probs(j, s, a, masks)`: for K keep-masks of shape
-(K, d_s+1) over the inputs (d_s factors, then the action node) and n
-transitions, it returns the (K, n, l) log-probabilities of target j's next
-value. `estimate_cmi` passes the `cmi_masks` stack, full mask first.
-`NeuralCmiModel` feeds the transition the `input_indices` of s and a, and
-the integer hidden values as constant one-hots on its dense hidden path, so
-it runs the training path's ops untaped.
+A CMI model answers `log_probs(s, a, masks)` for every target at once: for
+n transitions and K keep-masks of shape (K, d_s+1) over the inputs (d_s
+factors, then the action node), it returns the (d_s, K, n, l)
+log-probabilities of each target's next value, block [j, k] conditioned on
+mask k. `estimate_cmi` passes the `cmi_masks` stack, full mask first.
+
+A batch repeats many (s, a) rows (chain3 at l = 4 has only 192), so
+`estimate_cmi` asks the model only for the distinct rows, once, and expands
+the answer back to every row before the per-target means. This needs a
+model whose rows are independent, as both models here are.
+`NeuralCmiModel` builds the transition's `input_indices` of s and a and the
+integer hidden values' constant one-hots for its dense hidden path once per
+call, then runs the training path's ops untaped for each target.
 """
 
 from __future__ import annotations
@@ -91,15 +97,19 @@ class NeuralCmiModel:
         self.bundle = bundle
         self.env = bundle.env
 
-    def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
         transition = self.bundle.transition
         env = self.env
+        out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
         with no_grad():
             idx = input_indices(env, s, a)  # also checks that s is in [0, l)
             # Integer hidden values enter the dense path as constant one-hots.
-            hidden = constant(np.eye(env.l)[s[:, env.hidden_indices]])
-            feats = transition.features(j, idx, hidden_stack(env, hidden))
-            return transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
+            hidden = hidden_stack(env, constant(np.eye(env.l)[s[:, env.hidden_indices]]))
+            for j in range(env.d_s):
+                feats = transition.features(j, idx, hidden)
+                logits = transition.logits_from_features(j, feats, masks[:, None])
+                out[j] = logits.log_softmax().data
+        return out
 
 
 class TabularCmiModel:
@@ -109,8 +119,34 @@ class TabularCmiModel:
         self.model = model
         self.env = model.cfg
 
-    def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return np.stack([self.model.log_probs(j, s, a, mask) for mask in masks])
+    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        return np.stack(
+            [
+                np.stack([self.model.log_probs(j, s, a, mask) for mask in masks])
+                for j in range(self.env.d_s)
+            ]
+        )
+
+
+def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
+    """`s`, `a` and `next_values` as arrays, or a `ValueError` that names
+    the argument `estimate_cmi` cannot score."""
+    arrays = [np.asarray(x) for x in (s, a, next_values)]
+    n = len(arrays[0]) if arrays[0].ndim else 0
+    for name, arr in zip(("s", "a", "next_values"), arrays):
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+        if arr.shape != (n, env.d_s) or not n:
+            raise ValueError(
+                f"{name} must have shape (n, {env.d_s}) with n >= 1 rows, the same n for "
+                f"s, a and next_values; got {arr.shape}"
+            )
+    for name, values in (("s", arrays[0]), ("next_values", arrays[2][:, env.observed_indices])):
+        if values.size and (values.min() < 0 or values.max() >= env.l):
+            raise ValueError(
+                f"{name} must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
+            )
+    return arrays
 
 
 def estimate_cmi(
@@ -125,13 +161,23 @@ def estimate_cmi(
     `s`, `a`: (n, d_s) integer current factors (hidden entries are encoder
     samples) and actions. `next_values`: (n, d_s) realized next factors;
     hidden columns are ignored (hidden targets use the KL form, which needs
-    no realized value).
+    no realized value); `s` and the observed columns must be in [0, l).
     """
+    s, a, next_values = _checked_transitions(env, s, a, next_values)
     masks = cmi_masks(env)
     hidden = set(env.hidden_indices)
+    # The model sees each distinct (s, a) row once; its rows are independent,
+    # so expanding them back by `inverse` gives every row's log-probs.
+    _, first, inverse = np.unique(
+        np.concatenate([s, a], axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)  # (n,) or (n, 1) depending on the numpy version
+    distinct = model.log_probs(s[first], a[first], masks)  # (d_s, d_s+2, rows, l)
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):
-        logps = model.log_probs(j, s, a, masks)  # (d_s+2, n, l), full mask first
+        # np.take keeps the result C-contiguous, so the means below add in
+        # the same order as on a batch evaluated row by row.
+        logps = np.take(distinct[j], inverse, axis=1)  # (d_s+2, n, l), full mask first
         if j in hidden:
             full = logps[0]
             out[:, j] = (np.exp(full) * (full - logps[1:])).sum(axis=2).mean(axis=1)

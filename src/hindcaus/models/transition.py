@@ -35,11 +35,15 @@ feature stack.
 Masks are keep-masks (1 keeps an input, 0 drops it) over the d_s factors
 followed by the action node. `logits_from_features` takes a stack of K of
 them, shape (K, 1 or rows, d_s+1): a middle axis of 1 applies one mask to
-every row, a middle axis of rows gives each row its own mask. It pools with
-one `masked_max` into a (K, rows, feat) block, runs the head once on that
-block, and returns (K, rows, l) logits, block k conditioned on mask k. When
-taped, the pool keeps each output's winning input, so its backward routes
-the gradient in one pass; under `no_grad` (the CMI estimate) it keeps none.
+every row, a middle axis of rows gives each row its own mask. It hands the
+stack to one `masked_max`, which pools each block over the inputs its mask
+keeps: an input kept on every row is read as it is, one dropped on every row
+is not read, and only an input kept on some rows is offset on the others. A
+mask that keeps no input is refused there. The head runs once on the
+(K, rows, feat) block and gives (K, rows, l) logits, block k conditioned on
+mask k. When taped, the pool keeps each output's winning input, so its
+backward routes the gradient in one pass; under `no_grad` (the CMI
+estimate) it keeps none.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ from .nets import MLP, StackedLinear
 from .store import ParamFactory
 
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
-
-_MASK_OFF = -1e30
 
 
 def _width(env: EnvConfig) -> int:
@@ -161,15 +163,12 @@ class MaskedTransition:
 
     def logits_from_features(self, j: int, feats: Tensor, masks: np.ndarray) -> Tensor:
         """(K, rows, l) logits of target j under a (K, 1 or rows, d_s+1) mask stack."""
-        masks = np.asarray(masks, dtype=np.float64)
+        masks = np.asarray(masks)
         if masks.ndim != 3 or masks.shape[-1] != self.env.d_s + 1:
             raise ValueError(
                 f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
             )
-        if np.any(masks.sum(axis=-1) == 0):
-            raise ValueError("all-zero input mask: no information source for prediction")
-        offsets = (masks - 1.0) * -_MASK_OFF  # 0 where kept, -1e30 where masked
-        pooled = masked_max(feats, offsets)
+        pooled = masked_max(feats, masks)
         K, rows, F = pooled.shape
         return self._heads[j](pooled.reshape(K * rows, F)).reshape(K, rows, self.env.l)
 

@@ -762,49 +762,81 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def masked_max(x: Tensor, offsets: np.ndarray) -> Tensor:
-    """Max over the n inputs of an (n, rows, F) stack under K offset rows.
+_DROP = -1e30  # offset that drops an input on the rows of a mixed column
 
-    `offsets` has shape (K, 1 or rows, n): block k of the (K, rows, F)
-    output is max_i (x[i] + offsets[k, :, i]). An offset of 0 keeps an input
-    and a large negative one drops it. The inputs are folded in one at a
-    time, so no (K, n, rows, F) array is formed. The gradient of each output
-    goes to the first input that attains its maximum.
+
+def masked_max(x: Tensor, keep: np.ndarray) -> Tensor:
+    """Max over the kept inputs of an (n, rows, F) stack under K keep masks.
+
+    `keep` is a 0/1 (or bool) stack of shape (K, 1 or rows, n): block k of
+    the (K, rows, F) output is, on each row, the elementwise max over the
+    inputs i with keep[k, row, i] = 1. Every (block, row) must keep at least
+    one input, or `ValueError` is raised.
+
+    Each block is folded on its own, its inputs in ascending order, so no
+    (K, n, rows, F) array is formed. Within a block an input kept on every
+    row is folded as it is, an input dropped on every row is skipped, and
+    only an input kept on some rows gets an offset of -1e30 on the rows that
+    drop it. The fold replaces the running max only where a term is strictly
+    larger, so the gradient of each output goes to the first kept input that
+    attains its maximum.
 
     Only when the node is recorded does the fold also keep that winning
     input's index, as a (K, rows, F) uint8 array (so n is at most 255); the
     backward then routes the gradient with one scatter. Under `no_grad`, or
     when `x` needs no gradient, the forward keeps no index.
     """
-    offsets = np.asarray(offsets, dtype=np.float64)
+    keep = np.asarray(keep)
     n = x.shape[0]
-    if x.data.ndim != 3 or offsets.ndim != 3 or offsets.shape[-1] != n:
+    if x.data.ndim != 3 or keep.ndim != 3 or keep.shape[-1] != n:
         raise ShapeError(
-            f"masked_max: stack {x.shape} and offsets {offsets.shape} are incompatible"
+            f"masked_max: stack {x.shape} and keep stack {keep.shape} are incompatible"
         )
-    if offsets.shape[1] not in (1, x.shape[1]):
-        raise ShapeError(f"masked_max: offsets {offsets.shape} do not match {x.shape[1]} rows")
+    K, rows, F = len(keep), x.shape[1], x.shape[2]
+    if keep.shape[1] not in (1, rows):
+        raise ShapeError(f"masked_max: keep stack {keep.shape} does not match {rows} rows")
     if n > 255:
         raise ShapeError(f"masked_max: {n} inputs do not fit the uint8 winner index (max 255)")
-    cols = offsets[:, :, :, None]  # (K, 1 or rows, n, 1): column i broadcasts over F
-    data = x.data[0] + cols[:, :, 0]
-    term = np.empty_like(data)
+    kept = keep == 1
+    if not (kept | (keep == 0)).all():
+        raise ValueError("masked_max: the keep stack must hold only 0 and 1")
+    empty = ~kept.any(axis=2)
+    if empty.any():
+        k, r = np.argwhere(empty)[0]
+        raise ValueError(f"masked_max: block {k}, row {r} of the keep mask keeps no input")
+    every = kept.all(axis=1)  # (K, n): kept on every row of the block (all, on zero rows)
+    read = kept.any(axis=1) | every  # (K, n): the inputs each block folds in
+    data = np.empty((K, rows, F))
+    term = np.empty((rows, F))
     taped = _records((x,))
     if taped:
-        win = np.zeros(data.shape, dtype=np.uint8)
-        beats = np.empty(data.shape, dtype=bool)
-        step = np.empty_like(win)
-    for i in range(1, n):
-        np.add(x.data[i], cols[:, :, i], out=term)
+        win = np.empty(data.shape, dtype=np.uint8)
+        beats = np.empty((rows, F), dtype=bool)
+        step = np.empty((rows, F), dtype=np.uint8)
+
+    def term_of(k, i, out):
+        if every[k, i]:
+            return x.data[i]
+        return np.add(x.data[i], np.where(kept[k, :, i], 0.0, _DROP)[:, None], out=out)
+
+    for k in range(K):
+        first, *rest = np.flatnonzero(read[k])
+        acc = data[k]
+        np.copyto(acc, term_of(k, first, acc))
         if taped:
-            # win = max(win, i * (term > data)): only a strictly larger term
-            # moves the winner, and i only grows, so a tie stays with the
-            # first input that reached the maximum. (Masked writes such as
-            # copyto(where=) cost over ten times as much.)
-            np.greater(term, data, out=beats)
-            np.multiply(beats, np.uint8(i), out=step)
-            np.maximum(win, step, out=win)
-        np.maximum(data, term, out=data)
+            won = win[k]
+            won.fill(first)
+        for i in rest:
+            t = term_of(k, i, term)
+            if taped:
+                # won = max(won, i * (t > acc)): only a strictly larger term
+                # moves the winner, and i only grows, so a tie stays with the
+                # first input that reached the maximum. (Masked writes such as
+                # copyto(where=) cost over ten times as much.)
+                np.greater(t, acc, out=beats)
+                np.multiply(beats, np.uint8(i), out=step)
+                np.maximum(won, step, out=won)
+            np.maximum(acc, t, out=acc)
 
     def backward_fn(out=None, x=x):
         block = out.data[0].size  # rows * F positions per input

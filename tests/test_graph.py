@@ -3,6 +3,7 @@ import pytest
 
 from hindcaus.env import (
     EnvConfig,
+    cmi_masks,
     TabularTransitionModel,
     enumeration_cmi,
     generate_dataset,
@@ -154,6 +155,142 @@ def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
     assert np.array_equal(cmi(), first)  # phi_bar still holds the old weights
     bundle.sync_target()
     assert not np.array_equal(cmi(), first)
+
+
+# -- distinct rows and input checks -----------------------------------------------
+
+
+def estimate_cmi_every_row(model, env, s, a, next_values):
+    """`estimate_cmi` as it was before it evaluated only the distinct (s, a)
+    rows: the model scores every row of the batch."""
+    logps_all = model.log_probs(s, a, cmi_masks(env))
+    out = np.zeros((env.d_s + 1, env.d_s))
+    for j in range(env.d_s):
+        logps = logps_all[j]
+        if j in env.hidden_indices:
+            full = logps[0]
+            out[:, j] = (np.exp(full) * (full - logps[1:])).sum(axis=2).mean(axis=1)
+        else:
+            picked = np.take_along_axis(logps, next_values[None, :, j, None], axis=2)[:, :, 0]
+            out[:, j] = (picked[0] - picked[1:]).mean(axis=1)
+    return np.maximum(out, 0.0)
+
+
+WORKLOAD_CONFIGS = {
+    "chain3-obs": lambda: chain3("observation"),
+    "chain3-hidden": lambda: chain3("hidden"),
+    "full5-hidden": lambda: EnvConfig.full(d_s=5, l=4, noise_target="hidden"),
+}
+
+
+def _cmi_models(cfg):
+    """The tabular model and a neural one at perturbed parameters."""
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    rng = np.random.default_rng(8)
+    for t in bundle.store.tensors().values():
+        t.data += 0.3 * rng.normal(size=t.shape)
+    tabular = TabularCmiModel(TabularTransitionModel(cfg))
+    return {"tabular": tabular, "neural": NeuralCmiModel(bundle)}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_distinct_rows_match_every_row_reference(name):
+    cfg = WORKLOAD_CONFIGS[name]()
+    # 64 episodes of 5 steps: the benchmark's 320-row batches, with hard
+    # (integer) hidden values.
+    s, a, nxt = transitions_from_dataset(cfg, 64, seed=5)
+    assert len(s) == 320 and len(np.unique(np.concatenate([s, a], 1), axis=0)) < 320
+    # Every row twice, at the same size: OpenBLAS may round a matmul over
+    # many more rows differently, which would move the reference, not the
+    # estimate.
+    doubled = [np.repeat(x[:160], 2, axis=0) for x in (s, a, nxt)]
+    for kind, model in _cmi_models(cfg).items():
+        for batch in [(s, a, nxt), doubled]:
+            got = estimate_cmi(model, cfg, *batch)
+            assert np.array_equal(got, estimate_cmi_every_row(model, cfg, *batch)), kind
+        halves = estimate_cmi(model, cfg, s[:160], a[:160], nxt[:160])
+        assert np.allclose(estimate_cmi(model, cfg, *doubled), halves, rtol=1e-12, atol=1e-15)
+
+
+def test_batch_of_one_repeated_row_matches_every_row_reference():
+    cfg = chain3()
+    s, a, nxt = (np.repeat(x[:1], 12, axis=0) for x in transitions_from_dataset(cfg, 1, seed=6))
+    models = _cmi_models(cfg)
+    tabular = models["tabular"]
+    assert np.array_equal(
+        estimate_cmi(tabular, cfg, s, a, nxt), estimate_cmi_every_row(tabular, cfg, s, a, nxt)
+    )
+    # One distinct row runs the model's matmuls on a single row, which BLAS
+    # may compute as a matrix-vector product with different rounding.
+    neural = models["neural"]
+    assert np.allclose(
+        estimate_cmi(neural, cfg, s, a, nxt),
+        estimate_cmi_every_row(neural, cfg, s, a, nxt),
+        rtol=1e-12,
+        atol=1e-15,
+    )
+
+
+def _bad_transitions(case, s, a, nxt):
+    s, a, nxt = s.copy(), a.copy(), nxt.copy()
+    if case == "next_minus_one":
+        nxt[3, 0] = -1  # observed o^0
+    elif case == "next_too_large":
+        nxt[0, 2] = 4
+    elif case == "s_out_of_range":
+        s[1, 1] = 4
+    elif case == "empty":
+        s, a, nxt = s[:0], a[:0], nxt[:0]
+    elif case == "short_next":
+        nxt = nxt[:-1]
+    elif case == "short_a":
+        a = a[:-2]
+    elif case == "float_s":
+        s = s.astype(np.float64)
+    elif case == "float_next":
+        nxt = nxt + 0.0
+    elif case == "bool_a":
+        a = a.astype(bool)
+    elif case == "one_dim_s":
+        s = s[:, 0]
+    elif case == "wide_a":
+        a = np.concatenate([a, a[:, :1]], axis=1)
+    return s, a, nxt
+
+
+@pytest.mark.parametrize(
+    "case, name",
+    [
+        ("next_minus_one", "next_values"),
+        ("next_too_large", "next_values"),
+        ("s_out_of_range", "s"),
+        ("empty", "s"),
+        ("short_next", "next_values"),
+        ("short_a", "a"),
+        ("float_s", "s"),
+        ("float_next", "next_values"),
+        ("bool_a", "a"),
+        ("one_dim_s", "s"),
+        ("wide_a", "a"),
+    ],
+)
+def test_estimate_cmi_refuses_bad_input_naming_the_argument(case, name):
+    cfg = chain3()
+    s, a, nxt = transitions_from_dataset(cfg, 4, seed=7)
+    bad = _bad_transitions(case, s, a, nxt)
+    for model in _cmi_models(cfg).values():
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            estimate_cmi(model, cfg, *bad)
+
+
+def test_hidden_next_values_are_not_read():
+    cfg = chain3()
+    s, a, nxt = transitions_from_dataset(cfg, 4, seed=7)
+    other = nxt.copy()
+    other[:, cfg.hidden_indices] = -1
+    for model in _cmi_models(cfg).values():
+        got = estimate_cmi(model, cfg, s, a, other)
+        assert np.array_equal(got, estimate_cmi(model, cfg, s, a, nxt))
 
 
 # -- graph accuracy ------------------------------------------------------------------

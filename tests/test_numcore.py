@@ -63,11 +63,10 @@ def _scalarize(t: Tensor, rng: np.random.Generator) -> Tensor:
     return (t * w).sum()
 
 
-# masked_max offsets for a (4, 2, 2) stack: one mask per block (K=3, 1, n=4),
-# and one mask per row (K=2, rows=2, n=4). -1e30 drops an input.
-_OFF = -1e30
-SHARED_OFFSETS = np.array([[[0, 0, 0, 0]], [[0, _OFF, 0, 0]], [[_OFF, _OFF, 0, _OFF]]])
-ROW_OFFSETS = np.array([[[0, _OFF, 0, 0], [_OFF, 0, 0, 0]], [[0, 0, _OFF, _OFF], [0, 0, 0, 0]]])
+# masked_max keep stacks for a (4, 2, 2) stack: one mask per block (K=3, 1,
+# n=4), and one mask per row (K=2, rows=2, n=4). 0 drops an input.
+SHARED_KEEP = np.array([[[1, 1, 1, 1]], [[1, 0, 1, 1]], [[0, 0, 1, 0]]])
+ROW_KEEP = np.array([[[1, 0, 1, 1], [0, 1, 1, 1]], [[1, 1, 0, 0], [1, 1, 1, 1]]])
 
 
 def _gru_scan_case(reverse):
@@ -115,8 +114,8 @@ OP_CASES = {
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
     "mean_axis": lambda a, b: (a + b).mean(axis=1),
     "mean_axes": lambda a, b: (a * b).reshape(2, 2, 4).mean(axis=(0, 2)),
-    "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_OFFSETS),
-    "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_OFFSETS),
+    "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_KEEP),
+    "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_KEEP),
     "scale": lambda a, b: (a + b) * 1.7,
     "transpose": lambda a, b: nc.transpose((a * b).reshape(2, 2, 4), (2, 0, 1)),
 }
@@ -136,20 +135,28 @@ def test_op_gradients_match_finite_differences(name):
     assert max(errs.values()) < 1e-4, errs
 
 
-@pytest.mark.parametrize("offsets", [SHARED_OFFSETS, ROW_OFFSETS], ids=["shared", "per_row"])
-def test_masked_max_equals_dense_max(offsets):
+_OFF = -1e30  # the offset the reference folds add to drop an input
+
+
+def _offsets(keep):
+    """The float offsets masked_max took before it took a keep stack."""
+    return np.where(np.asarray(keep, dtype=bool), 0.0, _OFF)
+
+
+@pytest.mark.parametrize("keep", [SHARED_KEEP, ROW_KEEP], ids=["shared", "per_row"])
+def test_masked_max_equals_dense_max(keep):
     x = np.random.default_rng(5).normal(size=(4, 2, 3))
-    dense = x[None] + np.swapaxes(offsets, 1, 2)[..., None]  # (K, n, rows, F)
-    out = nc.masked_max(constant(x), offsets)
-    assert out.shape == (len(offsets), 2, 3)
+    dense = x[None] + np.swapaxes(_offsets(keep), 1, 2)[..., None]  # (K, n, rows, F)
+    out = nc.masked_max(constant(x), keep)
+    assert out.shape == (len(keep), 2, 3)
     assert np.array_equal(out.data, dense.max(axis=1))
 
 
 def test_masked_max_tie_sends_whole_gradient_to_first_kept_maximum():
     # Inputs 0 and 1 tie in both columns, and all three tie in column 0.
     x = parameter([[[0.5, 2.0]], [[0.5, 2.0]], [[0.5, 1.0]]])  # (n=3, rows=1, F=2)
-    offsets = np.array([[[0.0, 0.0, 0.0]], [[_OFF, 0.0, 0.0]]])  # all kept; input 0 dropped
-    out = nc.masked_max(x, offsets)
+    keep = np.array([[[1, 1, 1]], [[0, 1, 1]]])  # all kept; input 0 dropped
+    out = nc.masked_max(x, keep)
     assert np.array_equal(out.data, [[[0.5, 2.0]], [[0.5, 2.0]]])
     backward((out * constant([[[1.0, 10.0]], [[100.0, 1000.0]]])).sum())
     assert np.array_equal(x.grad, [[[1.0, 10.0]], [[100.0, 1000.0]], [[0.0, 0.0]]])
@@ -170,6 +177,25 @@ def _routing_reference_grad(x, offsets, out_data, out_grad):
     return g
 
 
+def _offset_fold_reference(x, keep, out_grad):
+    """masked_max as it was before it took a keep stack: every input of
+    every block folded in with its offset added, the winner kept as the
+    largest index whose term strictly beat the running max. Returns the
+    output and the gradient that winner routes."""
+    cols = _offsets(keep)[:, :, :, None]  # (K, 1 or rows, n, 1)
+    data = x[0] + cols[:, :, 0]
+    win = np.zeros(data.shape, dtype=np.uint8)
+    for i in range(1, len(x)):
+        term = x[i] + cols[:, :, i]
+        win = np.maximum(win, np.uint8(i) * (term > data))
+        data = np.maximum(data, term)
+    g = np.zeros_like(x)
+    for k in range(len(data)):
+        for i in range(len(x)):
+            g[i] += np.where(win[k] == i, out_grad[k], 0.0)
+    return data, g
+
+
 def _tied_stack(rng, n, rows, F):
     """Random (n, rows, F) stack with forced ties: input 1 duplicates input
     0, the last input duplicates input 1 on half the rows, and about a
@@ -181,6 +207,12 @@ def _tied_stack(rng, n, rows, F):
     return x
 
 
+def _keep_every_row(keep):
+    """Keep the last input on each (block, row) that keeps none."""
+    keep[..., -1] |= ~keep.any(axis=-1)
+    return keep
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 @pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
 def test_masked_max_backward_matches_routing_reference(n, per_row):
@@ -190,14 +222,39 @@ def test_masked_max_backward_matches_routing_reference(n, per_row):
     keep = rng.random((K, rows if per_row else 1, n)) < 0.6
     keep[0] = True  # block 0 is the full mask
     keep[1, :, 0] = False  # block 1 drops input 0, so its ties go to input 1
-    offsets = np.where(keep, 0.0, _OFF)
-    out = nc.masked_max(x, offsets)
+    keep = _keep_every_row(keep)
+    out = nc.masked_max(x, keep)
     with nc.no_grad():
-        assert np.array_equal(nc.masked_max(x, offsets).data, out.data)
+        assert np.array_equal(nc.masked_max(x, keep).data, out.data)
     weights = rng.normal(size=out.shape)
     backward((out * constant(weights)).sum())
-    expected = _routing_reference_grad(x.data, offsets, out.data, weights)
+    expected = _routing_reference_grad(x.data, _offsets(keep), out.data, weights)
     assert np.array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+def test_masked_max_matches_offset_fold(n, per_row):
+    rng = np.random.default_rng(60 + n)
+    K, rows, F = 5, 8, 6
+    x = parameter(_tied_stack(rng, n, rows, F))
+    keep = rng.random((K, rows if per_row else 1, n)) < 0.5  # mixed columns on per-row stacks
+    keep[0] = True  # every input kept everywhere
+    keep[1] = True
+    keep[1, :, 0] = False  # input 0 dropped everywhere, so its ties go to input 1
+    keep[2, :, 1] = True  # input 1 kept everywhere, the last input dropped
+    keep[2, :, -1] = False  # everywhere, the others drawn
+    keep[3, :, :] = False  # only the last input: every term before it is skipped
+    keep[3, :, -1] = True
+    keep = _keep_every_row(keep)
+    weights = rng.normal(size=(K, rows, F))
+    ref_out, ref_grad = _offset_fold_reference(x.data, keep, weights)
+    out = nc.masked_max(x, keep.astype(np.float64))
+    backward((out * constant(weights)).sum())
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(x.grad, ref_grad)
+    with nc.no_grad():
+        assert np.array_equal(nc.masked_max(x, keep).data, ref_out)
 
 
 def test_slice_gradient_sums_repeated_indices():
@@ -247,17 +304,44 @@ def test_lookup_and_bmm_select_reject_bad_input():
 
 
 def test_masked_max_rejects_more_inputs_than_the_winner_index_holds():
-    nc.masked_max(constant(np.zeros((255, 1, 2))), np.zeros((1, 1, 255)))
+    nc.masked_max(constant(np.zeros((255, 1, 2))), np.ones((1, 1, 255)))
     with pytest.raises(ShapeError, match="256"):
-        nc.masked_max(constant(np.zeros((256, 1, 2))), np.zeros((1, 1, 256)))
+        nc.masked_max(constant(np.zeros((256, 1, 2))), np.ones((1, 1, 256)))
+
+
+@pytest.mark.parametrize("keep_rows", [0, 1])
+def test_masked_max_pools_zero_rows(keep_rows):
+    x = parameter(np.zeros((3, 0, 4)))
+    out = nc.masked_max(x, np.ones((2, keep_rows, 3)))
+    assert out.shape == (2, 0, 4)
+    backward(out.sum())
+    assert x.grad.shape == (3, 0, 4)
+
+
+@pytest.mark.parametrize(
+    "keep, message",
+    [
+        ([[[1, 1, 1]], [[0, 0, 0]]], "block 1, row 0 .* keeps no input"),
+        ([[[1, 1, 1], [1, 0, 1]], [[0, 1, 0], [0, 0, 0]]], "block 1, row 1 .* keeps no input"),
+        ([[[1, 0.5, 1]]], "only 0 and 1"),
+        ([[[1, 2, 0]]], "only 0 and 1"),
+        ([[[1, -1, 1]]], "only 0 and 1"),
+        ([[[1, np.nan, 1]]], "only 0 and 1"),
+    ],
+    ids=["shared_row", "per_row", "half", "two", "minus_one", "nan"],
+)
+def test_masked_max_refuses_bad_keep_values(keep, message):
+    x = parameter(np.zeros((3, 2, 4)))
+    with pytest.raises(ValueError, match=message):
+        nc.masked_max(x, np.array(keep))
 
 
 def test_masked_max_and_bmm_reject_bad_shapes():
     x = constant(np.zeros((3, 2, 4)))
-    with pytest.raises(ShapeError, match="offsets"):
-        nc.masked_max(x, np.zeros((2, 1, 4)))  # 4 offset columns for 3 inputs
+    with pytest.raises(ShapeError, match="keep stack"):
+        nc.masked_max(x, np.ones((2, 1, 4)))  # 4 keep columns for 3 inputs
     with pytest.raises(ShapeError, match="rows"):
-        nc.masked_max(x, np.zeros((2, 5, 3)))  # 5 offset rows for 2 rows
+        nc.masked_max(x, np.ones((2, 5, 3)))  # 5 keep rows for 2 rows
     with pytest.raises(ShapeError, match="bmm"):
         nc.bmm(x, constant(np.zeros((2, 4, 1))), constant(np.zeros((2, 1, 1))))  # 2 maps for 3
     W = constant(np.zeros((3, 4, 5)))
