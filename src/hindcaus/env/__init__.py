@@ -14,6 +14,7 @@ from .modulo import (
     PropertyReport,
     action_options,
     cmi_masks,
+    enumerate_states,
     ground_truth_graph,
     reward,
     rollout,
@@ -21,7 +22,7 @@ from .modulo import (
     step,
     verify_properties,
 )
-from .oracle import TabularTransitionModel, enumerate_states, enumeration_cmi, noise_entropy
+from .oracle import TabularTransitionModel, enumeration_cmi, noise_entropy
 
 __all__ = [
     "Dataset",

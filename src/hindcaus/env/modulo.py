@@ -23,6 +23,7 @@ __all__ = [
     "rollout",
     "ground_truth_graph",
     "cmi_masks",
+    "enumerate_states",
     "verify_properties",
     "PropertyReport",
 ]
@@ -161,6 +162,16 @@ def cmi_masks(cfg: EnvConfig) -> np.ndarray:
     return np.vstack([np.ones(n), 1.0 - np.eye(n)])
 
 
+def enumerate_states(cfg: EnvConfig, max_states: int = 10**6) -> np.ndarray:
+    """All l**d_s states as an (l**d_s, d_s) array, the last factor varying
+    fastest; refuses a state space larger than `max_states`."""
+    n = cfg.l**cfg.d_s
+    if n > max_states:
+        raise ValueError(f"state space too large to enumerate: {n} > {max_states}")
+    grids = np.meshgrid(*[np.arange(cfg.l)] * cfg.d_s, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, cfg.d_s)
+
+
 @dataclass
 class PropertyReport:
     p1_ok: bool
@@ -184,10 +195,8 @@ def verify_properties(cfg: EnvConfig, max_states: int = 10**6, max_noise: int = 
     """Check P1 (every hidden factor has an observed child) and P2 (the
     transition map is a bijection on states for every fixed action/noise),
     the latter by full enumeration of the state space."""
-    n_states = cfg.l**cfg.d_s
-    if n_states > max_states:
-        raise ValueError(f"state space too large to enumerate: {n_states} > {max_states}")
-
+    digits = enumerate_states(cfg, max_states)
+    n_states = len(digits)
     failures: list[str] = []
     g = ground_truth_graph(cfg)
     obs = cfg.observed_indices
@@ -197,9 +206,6 @@ def verify_properties(cfg: EnvConfig, max_states: int = 10**6, max_noise: int = 
             p1_ok = False
             failures.append(f"P1: hidden factor {i} has no observed child")
 
-    digits = np.stack(
-        np.meshgrid(*[np.arange(cfg.l)] * cfg.d_s, indexing="ij"), axis=-1
-    ).reshape(-1, cfg.d_s)
     noise = _noise_support(cfg)
     if len(noise) > max_noise:
         idx = stream(cfg.seed, "p2-noise-sample").choice(len(noise), size=max_noise, replace=False)

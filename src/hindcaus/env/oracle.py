@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EnvConfig
-from .modulo import action_options, cmi_masks
+from .modulo import action_options, cmi_masks, enumerate_states
 
-__all__ = ["TabularTransitionModel", "enumeration_cmi", "noise_entropy", "enumerate_states"]
+__all__ = ["TabularTransitionModel", "enumeration_cmi", "noise_entropy"]
 
 _TINY = 1e-300
 
@@ -25,14 +25,6 @@ def noise_entropy(cfg: EnvConfig) -> float:
     p = np.asarray(cfg.noise_probs, dtype=np.float64)
     p = p[p > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def enumerate_states(cfg: EnvConfig, max_states: int = 10**6) -> np.ndarray:
-    n = cfg.l**cfg.d_s
-    if n > max_states:
-        raise ValueError(f"state space too large to enumerate: {n} > {max_states}")
-    grids = np.meshgrid(*[np.arange(cfg.l)] * cfg.d_s, indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, cfg.d_s)
 
 
 class TabularTransitionModel:

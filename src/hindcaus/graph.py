@@ -31,7 +31,7 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .env.modulo import cmi_masks
+from .env.modulo import action_options, cmi_masks
 from .env.oracle import TabularTransitionModel
 from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
 from .numcore.dists import gumbel_noise
@@ -130,7 +130,8 @@ class TabularCmiModel:
 
 def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
     """`s`, `a` and `next_values` as arrays, or a `ValueError` that names
-    the argument `estimate_cmi` cannot score."""
+    the argument `estimate_cmi` cannot score. Every row of `a` must be one
+    of `action_options`, as in a dataset."""
     arrays = [np.asarray(x) for x in (s, a, next_values)]
     n = len(arrays[0]) if arrays[0].ndim else 0
     for name, arr in zip(("s", "a", "next_values"), arrays):
@@ -146,6 +147,13 @@ def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
             raise ValueError(
                 f"{name} must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
             )
+    allowed = (arrays[1][:, None] == action_options(env)).all(axis=2).any(axis=1)
+    if not allowed.all():
+        i = int(np.argmin(allowed))
+        raise ValueError(
+            f"a must hold rows that are a no-op or a single intervention on an observed "
+            f"factor {env.observed_indices}; row {i} is {arrays[1][i].tolist()}"
+        )
     return arrays
 
 
@@ -206,16 +214,14 @@ def cmi_from_batch(
         _, samples = bundle.encoder_target.unroll(
             enc, temperature=temperature, noise_for=noise_for, hard=True
         )
-    h_vals = np.stack([s.data.argmax(axis=-1) for s in samples], axis=1)  # (B, T+1, d_h)
+    h_vals = np.swapaxes(samples.data.argmax(axis=-1), 0, 1)  # (B, T+1, d_h)
 
     s_full = np.empty((B, T, env.d_s), dtype=np.int64)
     nxt = np.empty((B, T, env.d_s), dtype=np.int64)
-    for p, f in enumerate(env.observed_indices):
-        s_full[:, :, f] = batch.o[:, :T, p]
-        nxt[:, :, f] = batch.o[:, 1 : T + 1, p]
-    for q, f in enumerate(env.hidden_indices):
-        s_full[:, :, f] = h_vals[:, :T, q]
-        nxt[:, :, f] = h_vals[:, 1 : T + 1, q]
+    s_full[:, :, env.observed_indices] = batch.o[:, :T]
+    nxt[:, :, env.observed_indices] = batch.o[:, 1:]
+    s_full[:, :, env.hidden_indices] = h_vals[:, :T]
+    nxt[:, :, env.hidden_indices] = h_vals[:, 1:]
 
     flat = lambda arr: arr.reshape(B * T, env.d_s)
     return estimate_cmi(NeuralCmiModel(bundle), env, flat(s_full), flat(batch.a), flat(nxt))

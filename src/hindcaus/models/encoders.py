@@ -1,7 +1,7 @@
 """Hidden-state encoders.
 
-Five conditioning variants over a batch of episodes. All emit, for each time
-index t = 0..T, per-factor categorical logits of shape (B, d_h, l):
+Five conditioning variants over a batch of episodes. All emit the logits of
+h_0..h_T as one time-major (T+1, B, d_h, l) tensor; step t conditions on:
 
 - history:        forward recurrence over (o_0..o_t, a_0..a_t)
 - current_1step:  feed-forward window (o_t, a_t, o_{t+1}, a_{t+1})
@@ -117,7 +117,7 @@ class HiddenEncoder:
         temperature: float | None = None,
         noise_for=None,
         hard: bool = True,
-        prev_samples: list[Tensor] | None = None,
+        prev_samples: Tensor | None = None,
     ):
         """Emit logits for t = 0..T; sample when no teacher samples are given.
 
@@ -125,13 +125,12 @@ class HiddenEncoder:
         past branch consumes those instead of its own draws and no sampling
         happens; returns (logits, None). Otherwise draws straight-through
         Gumbel-softmax samples with noise from `noise_for(t)` and returns
-        (logits, samples). Both are lists over t of (B, d_h, l) tensors.
+        (logits, samples). All three are (T+1, B, d_h, l) tensors.
         """
         sampling = prev_samples is None
         if sampling and (temperature is None or noise_for is None):
             raise ValueError("sampling unroll needs temperature and noise_for")
         T, B = enc.T, enc.B
-        split = lambda x: [x[t] for t in range(T + 1)]  # noqa: E731
         noise = np.stack([noise_for(t) for t in range(T + 1)]) if sampling else None
 
         if self.variant in ("history", "current_full", "current_1step"):
@@ -141,9 +140,8 @@ class HiddenEncoder:
                 states = self.cell.scan(enc.steps, reverse=self.variant == "current_full")
                 logits = self._logits(self._rows(self.head, states))
             if not sampling:
-                return split(logits), None
-            samples = gumbel_softmax_sample(logits, temperature, hard, noise=noise)
-            return split(logits), split(samples)
+                return logits, None
+            return logits, gumbel_softmax_sample(logits, temperature, hard, noise=noise)
 
         # dvae variants: window/backward branch over all steps, then the past branch.
         if self.variant == "dvae_full":
@@ -152,11 +150,11 @@ class HiddenEncoder:
             g = self._rows(self.window_net, enc.windows()).tanh()
         if not sampling:
             e0 = (constant(np.zeros((B, self.H))) + self.context0).tanh()
-            prev = concat([s.reshape(B, -1) for s in prev_samples[:T]], axis=0)
+            prev = prev_samples[:T].reshape(T * B, -1)
             x = concat([prev, enc.steps[:T].reshape(T * B, -1)], axis=1)
             e = concat([e0, self.past_net(x).tanh()], axis=0)
             flat = self.combiner(concat([e, g.reshape((T + 1) * B, self.H)], axis=1))
-            return split(self._logits(flat.reshape(T + 1, B, -1))), None
+            return self._logits(flat.reshape(T + 1, B, -1)), None
 
         out = sample_scan(
             g,
@@ -168,7 +166,7 @@ class HiddenEncoder:
             temperature,
             hard,
         )
-        return [out[0, t] for t in range(T + 1)], [out[1, t] for t in range(T + 1)]
+        return out[0], out[1]
 
 
 def _weights(net: MLP) -> tuple[Tensor, ...]:

@@ -63,19 +63,22 @@ class ParameterStore:
             np.copyto(bar[name].data, src.data)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy `arrays` into the tensors of the same names. Every entry is
+        checked before any is copied, so a refused load changes nothing."""
         mine = self.tensors()
         for name, t in mine.items():
             if name not in arrays:
                 raise ValueError(f"checkpoint missing tensor {name!r}")
-            arr = arrays[name]
-            if arr.shape != t.data.shape:
+            shape = np.shape(arrays[name])
+            if shape != t.data.shape:
                 raise ValueError(
-                    f"checkpoint tensor {name!r} has shape {arr.shape}, expected {t.data.shape}"
+                    f"checkpoint tensor {name!r} has shape {shape}, expected {t.data.shape}"
                 )
-            np.copyto(t.data, arr)
         extra = set(arrays) - set(mine)
         if extra:
             raise ValueError(f"checkpoint carries unknown tensors: {sorted(extra)[:3]}")
+        for name, t in mine.items():
+            np.copyto(t.data, arrays[name])
 
 
 class ParamFactory:

@@ -7,6 +7,8 @@ uniformly drawn input per episode/transition/target), and causal (the
 current binarized graph column). Hidden inputs to the predictors are the
 recursive straight-through samples of the live encoder; the KL targets come
 from the stop-gradient encoder copy evaluated on those samples detached.
+Both encoder outputs are time-major (T+1, B, d_h, l) tensors, so the rows
+of any t-range of them, flattened, are already in transition-major order.
 
 The transition reads all T*B (episode, transition) rows at once, in
 transition-major order: `_transition_inputs` gives the lookup indices of
@@ -15,10 +17,10 @@ the live samples, which stay on the taped dense path. Per target, one
 `features` call builds the (d_s+1, rows, feat) feature stack from both,
 and one `logits_from_features` call on a (3, rows, d_s+1) mask stack (full,
 leave-one-out, causal) gives the (3, rows, l) logits that one loss reads
-all three terms from. Everything is a mean over (episode,
-transition) rows; component values are sums over target factors of those
-means. The minimized total is the sum of the six terms plus reward_weight
-times the reward cross-entropy.
+all three terms from. Everything is a mean over (episode, transition)
+rows; component values are sums over target factors of those means, in
+target order. The minimized total sums the six in `COMPONENTS` order, plus
+reward_weight times the reward cross-entropy.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .env.dataset import TrainBatch
 from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
 from .numcore.random import stream
-from .numcore.tensor import Tensor, concat, constant
+from .numcore.tensor import Tensor, concat, constant, stack
 
 __all__ = [
     "COMPONENTS",
@@ -116,16 +118,16 @@ def _flatten_tm(arr: np.ndarray) -> np.ndarray:
 
 
 def _transition_inputs(
-    batch: TrainBatch, env: EnvConfig, samples: list[Tensor]
+    batch: TrainBatch, env: EnvConfig, samples: Tensor
 ) -> tuple[np.ndarray, Tensor]:
     """Transition inputs of all T transitions, rows transition-major: the
     (d_s+1, T*B) `input_indices` of the observed factors and the actions,
-    and the (d_h, T*B, width) `hidden_stack` of the encoder samples."""
+    and the (d_h, T*B, width) `hidden_stack` of samples[:T]."""
     T, B = batch.horizon, batch.size
     s = np.zeros((T * B, env.d_s), dtype=np.int64)  # hidden columns are not read
     s[:, env.observed_indices] = _flatten_tm(batch.o[:, :T])
     idx = input_indices(env, s, _flatten_tm(batch.a))
-    return idx, hidden_stack(env, concat(samples[:T], axis=0))
+    return idx, hidden_stack(env, samples[:T].reshape(T * B, env.d_h, env.l))
 
 
 def vlb_losses(
@@ -134,14 +136,14 @@ def vlb_losses(
     graph_binary: np.ndarray,
     rand: StepRandomness,
     cfg: ObjectiveConfig,
-    samples: list[Tensor] | None = None,
-    target_logits: list[Tensor] | None = None,
+    samples: Tensor | None = None,
+    target_logits: Tensor | None = None,
     mask_draw: np.ndarray | None = None,
 ):
-    """Six VLB terms. Returns (loss_tensor, LossBreakdown-without-reward).
-
-    `samples` / `target_logits` override the encoder unrolls (used by oracle
-    tests); `mask_draw` overrides the leave-one-out index draw.
+    """Six VLB terms. Returns (loss tensor, LossBreakdown with reward_ce 0,
+    the live encoder's samples). `samples` / `target_logits` override the
+    (T+1, B, d_h, l) encoder unrolls (used by oracle tests); `mask_draw`
+    overrides the leave-one-out index draw.
     """
     env = bundle.env
     B, T = batch.size, batch.horizon
@@ -155,8 +157,7 @@ def vlb_losses(
             hard=cfg.hard_samples,
         )
     if target_logits is None:
-        detached = [s.detach() for s in samples]
-        target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=detached)
+        target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
 
     idx, hidden = _transition_inputs(batch, env, samples)
 
@@ -168,8 +169,8 @@ def vlb_losses(
     obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
     hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}
 
-    zero = constant(np.zeros(()))
-    sums = dict.fromkeys(COMPONENTS[:6], zero)
+    nll_terms: list[Tensor] = []  # (3,) per observed target, in target order
+    kl_terms: list[Tensor] = []  # (3,) per hidden target
     per_factor: dict[str, dict[int, float]] = {c: {} for c in COMPONENTS[:6]}
     fallbacks: list[int] = []
 
@@ -188,18 +189,19 @@ def vlb_losses(
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
             names, terms = COMPONENTS[:3], cross_entropy(logits, labels).mean(axis=1)
+            nll_terms.append(terms)
         else:
             # Stop-gradient encoder logits of this factor at t = 1..T.
-            q = concat([target_logits[t + 1][:, hid_pos[j], :] for t in range(T)], axis=0)
+            q = target_logits[1:, :, hid_pos[j]].reshape(T * B, env.l)
             names, terms = COMPONENTS[3:6], categorical_kl(q, logits).mean(axis=1)
+            kl_terms.append(terms)
         for k, c in enumerate(names):
-            sums[c] = sums[c] + terms[k]
             per_factor[c][j] = float(terms.data[k])
 
-    loss = zero
-    for c in COMPONENTS[:6]:
-        loss = loss + sums[c]
-    values = {c: float(sums[c].data) for c in COMPONENTS[:6]}
+    # The six components in `COMPONENTS` order, each summed over its targets.
+    components = concat([stack(nll_terms).sum(axis=0), stack(kl_terms).sum(axis=0)])
+    loss = components.sum()
+    values = dict(zip(COMPONENTS[:6], components.data.tolist()))
 
     breakdown = LossBreakdown(
         **values,
@@ -211,14 +213,12 @@ def vlb_losses(
     return loss, breakdown, samples
 
 
-def reward_loss(batch: TrainBatch, bundle: ModelBundle, samples: list[Tensor]) -> Tensor:
-    """Mean cross-entropy of reward prediction from (h_t sample, tau) against
-    r_t over t = 1..T. Gradients reach phi (through samples) and psi."""
+def reward_loss(batch: TrainBatch, bundle: ModelBundle, samples: Tensor) -> Tensor:
+    """Mean cross-entropy of reward prediction from (h_t = samples[t], tau)
+    against r_t over t = 1..T. Gradients reach phi (through samples) and psi."""
     env = bundle.env
     B, T = batch.size, batch.horizon
-    h_rows = concat(
-        [samples[t].reshape(B, env.d_h * env.l) for t in range(1, T + 1)], axis=0
-    )
+    h_rows = samples[1:].reshape(T * B, env.d_h * env.l)
     tau_rows = constant(np.tile(one_hot(batch.tau, env.l), (T, 1)))
     labels = _flatten_tm(batch.r)  # column t-1 holds r_t
     logits = bundle.reward(h_rows, tau_rows)

@@ -255,6 +255,12 @@ def _bad_transitions(case, s, a, nxt):
         s = s[:, 0]
     elif case == "wide_a":
         a = np.concatenate([a, a[:, :1]], axis=1)
+    elif case == "a_not_binary":
+        a[2] = [2, 0, 0]
+    elif case == "a_on_hidden":
+        a[3] = [0, 1, 0]  # factor 1 is hidden
+    elif case == "a_two_interventions":
+        a[1] = [1, 0, 1]
     return s, a, nxt
 
 
@@ -272,6 +278,9 @@ def _bad_transitions(case, s, a, nxt):
         ("bool_a", "a"),
         ("one_dim_s", "s"),
         ("wide_a", "a"),
+        ("a_not_binary", "a"),
+        ("a_on_hidden", "a"),
+        ("a_two_interventions", "a"),
     ],
 )
 def test_estimate_cmi_refuses_bad_input_naming_the_argument(case, name):
@@ -281,6 +290,16 @@ def test_estimate_cmi_refuses_bad_input_naming_the_argument(case, name):
     for model in _cmi_models(cfg).values():
         with pytest.raises(ValueError, match=rf"^{name} must"):
             estimate_cmi(model, cfg, *bad)
+
+
+def test_off_policy_action_row_is_named():
+    cfg = chain3()
+    s, a, nxt = transitions_from_dataset(cfg, 4, seed=7)
+    a = a.copy()
+    a[5] = [0, 1, 0]
+    for model in _cmi_models(cfg).values():
+        with pytest.raises(ValueError, match=r"^a must .*; row 5 is \[0, 1, 0\]$"):
+            estimate_cmi(model, cfg, s, a, nxt)
 
 
 def test_hidden_next_values_are_not_read():

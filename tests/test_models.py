@@ -19,7 +19,7 @@ from hindcaus.models import (
     save_checkpoint,
 )
 from hindcaus.models.nets import Linear
-from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stream
+from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stack, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
 
 
@@ -51,16 +51,14 @@ def test_unroll_lengths_and_shapes(variant):
     logits, samples = bundle.encoder.unroll(
         enc, temperature=1.0, noise_for=noise_fn_for(cfg, batch.size), hard=True
     )
-    assert len(logits) == 6 and len(samples) == 6
-    for lg, sm in zip(logits, samples):
-        assert lg.shape == (4, 1, 4)
-        assert sm.shape == (4, 1, 4)
-        # Straight-through samples are exact one-hots.
-        assert np.all(np.isin(sm.data, (0.0, 1.0)))
-        assert np.allclose(sm.data.sum(axis=-1), 1.0)
-        # Valid categorical logits.
-        assert np.all(np.isfinite(lg.data))
-        assert np.allclose(np.exp(lg.log_softmax().data).sum(axis=-1), 1.0, atol=1e-12)
+    # Time-major (T+1, B, d_h, l) stacks.
+    assert logits.shape == samples.shape == (6, 4, 1, 4)
+    # Straight-through samples are exact one-hots.
+    assert np.all(np.isin(samples.data, (0.0, 1.0)))
+    assert np.allclose(samples.data.sum(axis=-1), 1.0)
+    # Valid categorical logits.
+    assert np.all(np.isfinite(logits.data))
+    assert np.allclose(np.exp(logits.log_softmax().data).sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_unroll_deterministic_replay():
@@ -73,12 +71,11 @@ def test_unroll_deterministic_replay():
         logits, samples = bundle.encoder.unroll(
             enc, temperature=1.0, noise_for=noise_fn_for(cfg, batch.size), hard=True
         )
-        return [lg.data.copy() for lg in logits], [sm.data.copy() for sm in samples]
+        return logits.data.copy(), samples.data.copy()
 
     l1, s1 = run()
     l2, s2 = run()
-    for a, b in zip(l1 + s1, l2 + s2):
-        assert np.array_equal(a, b)
+    assert np.array_equal(l1, l2) and np.array_equal(s1, s2)
 
 
 # -- fused unroll against the per-step reference ----------------------------------
@@ -122,7 +119,8 @@ def _gru_states(cell, xs, reverse):
 
 def _reference_unroll(net, batch, temperature=None, noise_for=None, hard=True, prev_samples=None):
     """The per-t unroll: step inputs [o_t, a_t] built per t (zero past the
-    horizon), every layer called once per t."""
+    horizon), every layer called once per t, the per-t outputs stacked at
+    the end."""
     env, B, T = net.env, batch.size, batch.horizon
     o_hot = one_hot(batch.o, env.l).reshape(B, T + 1, -1)
     a = np.concatenate([batch.a, np.zeros((B, 2, env.d_s))], axis=1).astype(np.float64)
@@ -140,7 +138,8 @@ def _reference_unroll(net, batch, temperature=None, noise_for=None, hard=True, p
         else:
             states = _gru_states(net.cell, x[: T + 1], reverse=net.variant == "current_full")
             logits = [shape(_linear(net.head, s)) for s in states]
-        return logits, [draw(lg, t) for t, lg in enumerate(logits)] if sampling else None
+        samples = [draw(lg, t) for t, lg in enumerate(logits)] if sampling else None
+        return stack(logits), stack(samples) if sampling else None
 
     if net.variant == "dvae_full":
         g = _gru_states(net.cell, x[: T + 1], reverse=True)
@@ -156,14 +155,14 @@ def _reference_unroll(net, batch, temperature=None, noise_for=None, hard=True, p
         logits.append(shape(_mlp(net.combiner, concat([e, g[t]], axis=1))))
         if sampling:
             samples.append(draw(logits[-1], t))
-    return logits, samples if sampling else None
+    return stack(logits), stack(samples) if sampling else None
 
 
 def _outputs_and_grads(params, run, weights):
     for p in params.values():
         p.grad = None
     logits, samples = run()
-    outs = logits + (samples or [])
+    outs = [logits] if samples is None else [logits, samples]
     backward(sum((out * constant(w)).sum() for out, w in zip(outs, weights)))
     return [t.data for t in outs], {n: p.grad for n, p in params.items()}
 
@@ -190,14 +189,15 @@ def test_fused_unroll_matches_per_step_reference(variant, mode):
         kw = {"temperature": 0.7, "noise_for": noise_fn_for(cfg, 64), "hard": hard}
         if mode == "teacher":
             _, samples = net.unroll(BatchEncoding(batch, cfg), **kw)
-            kw = {"prev_samples": [s.detach() for s in samples]}
-        weights = rng.normal(size=(12, 64, cfg.d_h, cfg.l))
+            kw = {"prev_samples": samples.detach()}
+        weights = rng.normal(size=(2, 6, 64, cfg.d_h, cfg.l))  # logits, samples
         fused = lambda: net.unroll(BatchEncoding(batch, cfg), **kw)  # noqa: E731
         got, got_grads = _outputs_and_grads(params, fused, weights)
         ref, ref_grads = _outputs_and_grads(params, lambda: _reference_unroll(net, batch, **kw), weights)
-        assert len(got) == len(ref) == (12 if mode == "sampling" else 6)
-        for t, (a, b) in enumerate(zip(got, ref)):
-            assert np.array_equal(a, b), (hard, t)
+        assert len(got) == len(ref) == (2 if mode == "sampling" else 1)
+        for a, b in zip(got, ref):
+            assert a.shape == (6, 64, cfg.d_h, cfg.l)
+            assert np.array_equal(a, b), hard
         _assert_grads_close(got_grads, ref_grads)
 
 
@@ -283,11 +283,9 @@ def test_target_unroll_carries_no_gradient():
     _, samples = bundle.encoder.unroll(
         enc, temperature=1.0, noise_for=noise_fn_for(cfg, batch.size), hard=True
     )
-    detached = [s.detach() for s in samples]
-    logits_bar, none_samples = bundle.encoder_target.unroll(enc, prev_samples=detached)
+    logits_bar, none_samples = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
     assert none_samples is None
-    for lg in logits_bar:
-        assert not lg.requires_grad
+    assert not logits_bar.requires_grad
     for t in bundle.store.groups["phi_bar"].values():
         assert not t.requires_grad
 
@@ -650,6 +648,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     arrays, step_no, _ = load_checkpoint(tmp_path / "ckpt", expected_config_hash=h)
     bundle.store.load_arrays(arrays)
     assert step_no == 17
+    for n, t in bundle.store.tensors().items():
+        assert np.array_equal(t.data, before[n]), n
+
+
+@pytest.mark.parametrize("case", ["missing", "shape", "extra"])
+def test_store_refused_load_leaves_tensors_unchanged(case):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    before = {n: t.data.copy() for n, t in bundle.store.tensors().items()}
+    arrays = {n: a + 1.0 for n, a in before.items()}
+    last = list(arrays)[-1]  # the store's last tensor: every other one is checked first
+    if case == "missing":
+        del arrays[last]
+    elif case == "shape":
+        arrays[last] = arrays[last][..., None]
+    else:
+        arrays["psi/unknown"] = np.zeros(2)
+    message = {"missing": "missing", "shape": "has shape", "extra": "unknown"}[case]
+    with pytest.raises(ValueError, match=message):
+        bundle.store.load_arrays(arrays)
     for n, t in bundle.store.tensors().items():
         assert np.array_equal(t.data, before[n]), n
 

@@ -13,10 +13,9 @@ from hindcaus.env import (
     noise_entropy,
     stack_episodes,
 )
-from hindcaus.models import BatchEncoding, ModelHyper, build_models
-from hindcaus.numcore import backward, constant, no_grad, one_hot
+from hindcaus.models import BatchEncoding, ModelHyper, build_models, hidden_stack
+from hindcaus.numcore import backward, concat, constant, no_grad, one_hot
 from hindcaus.objective import (
-    LossBreakdown,
     ObjectiveConfig,
     StepRandomness,
     reward_loss,
@@ -65,18 +64,13 @@ class TabularAdapter:
 
 
 def gt_hidden_samples(cfg, episodes):
-    gt_h = np.stack([e.gt_h for e in episodes])  # (B, T+1, d_h)
-    B, steps, _ = gt_h.shape
-    return [constant(one_hot(gt_h[:, t], cfg.l).reshape(B, cfg.d_h, cfg.l)) for t in range(steps)]
+    """One-hot `gt_h` as the (T+1, B, d_h, l) samples of an encoder."""
+    gt_h = np.stack([e.gt_h for e in episodes], axis=1)  # (T+1, B, d_h)
+    return constant(one_hot(gt_h, cfg.l))
 
 
 def point_mass_logits(cfg, episodes, scale=50.0):
-    gt_h = np.stack([e.gt_h for e in episodes])
-    B, steps, _ = gt_h.shape
-    return [
-        constant(scale * one_hot(gt_h[:, t], cfg.l).reshape(B, cfg.d_h, cfg.l))
-        for t in range(steps)
-    ]
+    return constant(scale * gt_hidden_samples(cfg, episodes).data)
 
 
 def oracle_vlb(cfg, n_episodes, seed, mask_draw=None):
@@ -190,8 +184,8 @@ def test_breakdown_matches_independent_recomputation():
     with no_grad():
         inputs = _transition_inputs(batch, cfg, samples)
         enc = BatchEncoding(batch, cfg)
-        targets, _ = bundle.encoder_target.unroll(enc, prev_samples=[s.detach() for s in samples])
-        lq = log_softmax(np.concatenate([targets[t + 1].data[:, 0, :] for t in range(T)]))
+        targets, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
+        lq = log_softmax(np.concatenate([targets.data[t + 1, :, 0, :] for t in range(T)]))
         labels = flat(batch.o[:, 1:, 1])  # o^2 is observed pos 1
         for kind, mask in masks_for(2).items():
             logp = log_softmax(bundle.transition.forward(2, *inputs, mask).data)
@@ -219,6 +213,100 @@ def test_phi_bar_receives_no_gradient():
     assert all(got.values()), got
 
 
+def objective_slice_and_add(batch, bundle, graph_binary, rand, cfg):
+    """`total_objective` as it was assembled from per-t lists of encoder
+    outputs: each use concatenates the lists back, and each component sums
+    its targets through one slice and one add per target."""
+    from hindcaus.objective import COMPONENTS, _flatten_tm, _transition_inputs
+
+    env = bundle.env
+    B, T = batch.size, batch.horizon
+    enc = BatchEncoding(batch, env)
+    _, stacked = bundle.encoder.unroll(
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=cfg.hard_samples
+    )
+    target_stack, _ = bundle.encoder_target.unroll(enc, prev_samples=stacked.detach())
+    samples = [stacked[t] for t in range(T + 1)]
+    target_logits = [target_stack[t] for t in range(T + 1)]
+    idx = _transition_inputs(batch, env, stacked)[0]
+    hidden = hidden_stack(env, concat(samples[:T], axis=0))
+    mask_draw = rand.mask_indices(B, T, env)
+    obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
+    hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}
+
+    zero = constant(np.zeros(()))
+    sums = dict.fromkeys(COMPONENTS[:6], zero)
+    per_factor = {c: {} for c in COMPONENTS[:6]}
+    fallbacks = []
+    for j in range(env.d_s):
+        feats = bundle.transition.features(j, idx, hidden)
+        masks = np.ones((3, T * B, env.d_s + 1))
+        masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
+        if graph_binary[:, j].any():
+            masks[2] = graph_binary[:, j]
+        else:
+            fallbacks.append(j)
+        logits = bundle.transition.logits_from_features(j, feats, masks)
+        if j in obs_pos:
+            labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
+            names, terms = COMPONENTS[:3], nc.cross_entropy(logits, labels).mean(axis=1)
+        else:
+            q = concat([target_logits[t + 1][:, hid_pos[j], :] for t in range(T)], axis=0)
+            names, terms = COMPONENTS[3:6], nc.categorical_kl(q, logits).mean(axis=1)
+        for k, c in enumerate(names):
+            sums[c] = sums[c] + terms[k]
+            per_factor[c][j] = float(terms.data[k])
+    loss = zero
+    for c in COMPONENTS[:6]:
+        loss = loss + sums[c]
+
+    h_rows = concat([samples[t].reshape(B, env.d_h * env.l) for t in range(1, T + 1)], axis=0)
+    tau_rows = constant(np.tile(one_hot(batch.tau, env.l), (T, 1)))
+    r_ce = nc.cross_entropy(bundle.reward(h_rows, tau_rows), _flatten_tm(batch.r)).mean()
+    total = loss + r_ce * cfg.reward_weight
+    values = {c: float(sums[c].data) for c in COMPONENTS[:6]}
+    values.update(reward_ce=float(r_ce.data), total=float(total.data))
+    return total, values, per_factor, tuple(fallbacks)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        chain3(),
+        EnvConfig.full(d_s=5, l=4, noise_target="hidden"),
+        EnvConfig.full(d_s=5, l=4, noise_target="hidden", hidden_indices=[1, 3]),
+    ],
+    ids=["chain3", "full5", "full5-two-hidden"],
+)
+def test_array_assembly_matches_slice_and_add_reference(cfg):
+    batch = make_batch(cfg, n=16, seed=3)
+    bundle = build_models(cfg, "dvae_full", seed=1)
+    rng = np.random.default_rng(4)
+    for t in bundle.store.tensors().values():
+        t.data += 0.3 * rng.normal(size=t.shape)
+    graph = ground_truth_graph(cfg)
+    graph[:, 0] = 0  # factor 0 falls back to the full mask
+    rand = StepRandomness(seed=5, step=2)
+    ocfg = ObjectiveConfig(reward_weight=0.7)
+    params = bundle.store.trainable()
+
+    def run(objective):
+        for p in params.values():
+            p.grad = None
+        out = objective(batch, bundle, graph, rand, ocfg)
+        backward(out[0])
+        return out, {n: p.grad for n, p in params.items()}
+
+    (total, b), grads = run(total_objective)
+    (ref_total, values, per_factor, fallbacks), ref_grads = run(objective_slice_and_add)
+    assert np.array_equal(total.data, ref_total.data)
+    assert b.as_dict() == values
+    assert b.per_factor == per_factor
+    assert b.causal_fallback_factors == fallbacks == (0,)
+    for n, g in ref_grads.items():
+        assert g is not None and np.array_equal(grads[n], g), n
+
+
 def tape_nodes(loss):
     """Tensors the backward from `loss` visits: op outputs and parameters."""
     seen, todo = {id(loss)}, [loss]
@@ -232,7 +320,7 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 158), (EnvConfig.full, 5, 227)],
+    [(EnvConfig.chain, 3, 132), (EnvConfig.full, 5, 189)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
@@ -297,7 +385,7 @@ def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_n
     _, samples0 = bundle.encoder.unroll(
         enc, temperature=ocfg.temperature, noise_for=rand.encoder_noise(batch.size, cfg), hard=False
     )
-    frozen_targets, _ = bundle.encoder_target.unroll(enc, prev_samples=[s.detach() for s in samples0])
+    frozen_targets, _ = bundle.encoder_target.unroll(enc, prev_samples=samples0.detach())
 
     def f():
         loss, _, samples = vlb_losses(batch, bundle, g, rand, ocfg, target_logits=frozen_targets)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 import sys
@@ -41,3 +42,30 @@ def test_every_console_script_target_imports_and_is_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r}: {target!r} is not callable"
+
+
+def _unused_imports(path):
+    """Names that `path` imports but never reads; `__all__` entries count as
+    reads, so a package can re-export what it imports."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            used.update(ast.literal_eval(node.value))
+    where = path.relative_to(ROOT)
+    return [f"{where}:{line} {name}" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"
