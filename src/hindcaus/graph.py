@@ -18,9 +18,11 @@ A batch repeats many (s, a) rows (chain3 at l = 4 has only 192), so
 `estimate_cmi` asks the model only for the distinct rows, once, and expands
 the answer back to every row before the per-target means. This needs a
 model whose rows are independent, as both models here are.
-`NeuralCmiModel` builds the transition's `input_indices` of s and a and the
-integer hidden values' constant one-hots for its dense hidden path once per
-call, then runs the training path's ops untaped for each target.
+`NeuralCmiModel` builds the transition's `input_indices` of s and a once
+per call. Its hidden values are integers too, so every input, hidden ones
+included, is read from each target's feature table; the dense hidden path
+is left to the training path's soft samples. It runs the remaining ops
+untaped for each target.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import action_options, cmi_masks
 from .env.oracle import TabularTransitionModel
-from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
+from .models import BatchEncoding, ModelBundle, input_indices
 from .numcore.dists import gumbel_noise
 from .numcore.random import stream
-from .numcore.tensor import constant, no_grad
+from .numcore.tensor import no_grad
 
 __all__ = [
     "CmiMatrix",
@@ -103,10 +105,8 @@ class NeuralCmiModel:
         out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
         with no_grad():
             idx = input_indices(env, s, a)  # also checks that s is in [0, l)
-            # Integer hidden values enter the dense path as constant one-hots.
-            hidden = hidden_stack(env, constant(np.eye(env.l)[s[:, env.hidden_indices]]))
             for j in range(env.d_s):
-                feats = transition.features(j, idx, hidden)
+                feats = transition.features(j, idx)
                 logits = transition.logits_from_features(j, feats, masks[:, None])
                 out[j] = logits.log_softmax().data
         return out
@@ -157,6 +157,23 @@ def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
     return arrays
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`first` and `inverse` of `np.unique(rows, axis=0, return_index=True,
+    return_inverse=True)` for an (n, m) integer array, n >= 1: `first`
+    holds the first occurrence of each distinct row in sorted order and
+    `inverse` the (n,) position of each row among them. A stable
+    lexicographic sort brings equal rows together in order of occurrence;
+    a row starts a new group where it differs from its predecessor."""
+    order = np.lexsort(rows.T[::-1])  # lexsort's last key is the primary one
+    ordered = rows[order]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def estimate_cmi(
     model,
     env: EnvConfig,
@@ -176,10 +193,7 @@ def estimate_cmi(
     hidden = set(env.hidden_indices)
     # The model sees each distinct (s, a) row once; its rows are independent,
     # so expanding them back by `inverse` gives every row's log-probs.
-    _, first, inverse = np.unique(
-        np.concatenate([s, a], axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # (n,) or (n, 1) depending on the numpy version
+    first, inverse = _distinct_rows(np.concatenate([s, a], axis=1))
     distinct = model.log_probs(s[first], a[first], masks)  # (d_s, d_s+2, rows, l)
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):

@@ -14,20 +14,21 @@ reads a width-wide vector: factor i's one-hot (or hidden sample) or the
 action vector, zero-padded on the right. An input narrower than width has
 zero weight rows under its padding columns, and those rows stay zero.
 
-The two kinds of input take different paths to the same features:
+An input takes one of two paths to the same features:
 
-- Data inputs (observed factors and the action) are one-hots over at most
-  width + 1 values: a unit vector, or the action's zero vector for a
-  no-op. `input_indices` turns them into one (d_s+1, rows) index array.
+- Integer values (observed factors, the action, and hidden factors given
+  as values, as in the CMI estimate) are one-hots over at most width + 1
+  values: a unit vector, or the action's zero vector for a no-op.
+  `input_indices` turns them into one (d_s+1, rows) index array.
   `features` runs the extractors once on the constant (d_s+1, width+1,
   width) basis of those vectors, giving a (d_s+1, width+1, feat) table,
   and gathers each row's features from it. A one-hot times a matrix is
   exactly one of its rows, so these are the dense path's values bit for
   bit.
-- Hidden inputs are encoder samples, soft under `hard_samples=False`, so
-  they run the extractors densely: `hidden_stack` gives their
-  (d_h, rows, width) stack and `features` maps it with the d_h hidden
-  extractors only.
+- Hidden samples from the encoder, soft under `hard_samples=False`, run
+  the extractors densely: `hidden_stack` gives their (d_h, rows, width)
+  stack and `features` maps it with the d_h hidden extractors only; the
+  index rows of the hidden inputs are then not read.
 
 One `lookup` node places both in input order as the (d_s+1, rows, feat)
 feature stack.
@@ -69,7 +70,8 @@ def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     Every action row must be a no-op or one intervention on an observed
     factor (a row of `action_options`); any other row raises `ValueError`.
-    The hidden columns of `s` are copied but not read by `features`.
+    `features` reads the hidden columns of `s` only when it is given no
+    dense stack of hidden samples.
     """
     s = np.asarray(s)
     a = np.asarray(a)
@@ -145,19 +147,27 @@ class MaskedTransition:
             self._proj.append(stacked("proj", [embed_dim] * len(in_dims), feat_dim))
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
 
-    def features(self, j: int, idx: np.ndarray, hidden: Tensor) -> Tensor:
+    def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Tensor:
         """(d_s+1, rows, feat) per-input features of target j from the
-        (d_s+1, rows) `input_indices` of the data inputs and the
-        (d_h, rows, width) `hidden_stack` of the hidden ones."""
+        (d_s+1, rows) `input_indices` of the inputs and the (d_h, rows,
+        width) `hidden_stack` of hidden samples. Without `hidden`, the
+        hidden inputs are integer values, read from the table like the
+        others."""
         idx = np.asarray(idx)
         expected = (len(self._hidden), idx.shape[-1], self.in_width)
-        if idx.ndim != 2 or idx.shape[0] != self.env.d_s + 1 or hidden.shape != expected:
+        if (
+            idx.ndim != 2
+            or idx.shape[0] != self.env.d_s + 1
+            or (hidden is not None and hidden.shape != expected)
+        ):
             raise ValueError(
                 f"indices must have shape ({self.env.d_s + 1}, rows) and the hidden stack "
-                f"shape {expected}, got {idx.shape} and {hidden.shape}"
+                f"shape {expected}, got {idx.shape} and {None if hidden is None else hidden.shape}"
             )
         embed, proj = self._embed[j], self._proj[j]
         table = proj(embed(self._basis).tanh()).tanh()
+        if hidden is None:
+            return lookup(table, idx)
         dense = proj(embed(hidden, self._hidden).tanh(), self._hidden).tanh()
         return lookup(table, idx, dense, self._hidden)
 

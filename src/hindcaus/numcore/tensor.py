@@ -408,12 +408,26 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
     zr = np.empty((S, B, 2 * H))
     n = np.empty((S, B, H))
     data = np.empty((S, B, H))
+    # Every step reuses two scratch buffers and writes into the saved arrays.
+    # It runs the docstring's formula in its order; the operands of a sum may
+    # swap, since floating-point addition commutes.
+    pre = np.empty((B, 2 * H))
+    tmp = np.empty((B, H))
     h = np.zeros((B, H))
     for s in order:
-        zr[s] = _sigmoid(xw.data[s, :, : 2 * H] + h @ Uzr.data)
+        np.matmul(h, Uzr.data, out=pre)
+        pre += xw.data[s, :, : 2 * H]
+        _sigmoid(pre, out=zr[s])
         z, r = zr[s, :, :H], zr[s, :, H:]
-        n[s] = np.tanh(xw.data[s, :, 2 * H :] + (r * h) @ Un.data)
-        h = data[s] = (1.0 - z) * n[s] + z * h
+        np.multiply(r, h, out=tmp)
+        np.matmul(tmp, Un.data, out=n[s])
+        n[s] += xw.data[s, :, 2 * H :]
+        np.tanh(n[s], out=n[s])
+        np.subtract(1.0, z, out=tmp)
+        tmp *= n[s]
+        np.multiply(z, h, out=data[s])
+        data[s] += tmp
+        h = data[s]
 
     def backward_fn(out=None, xw=xw, Uzr=Uzr, Un=Un):
         # prev[s] is the state step s read.
@@ -681,14 +695,15 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def lookup(table: Tensor, index: np.ndarray, dense: Tensor, dense_pos) -> Tensor:
+def lookup(table: Tensor, index: np.ndarray, dense: Tensor | None = None, dense_pos=()) -> Tensor:
     """Stack of table rows and dense slices in input order, as one node.
 
     `table` is (n, V, F) and `index` an (n, rows) integer array with every
     entry in [0, V). `dense` is (m, rows, F) and `dense_pos` names the m
     distinct slices it fills. Slice i of the (n, rows, F) output is
     table[i, index[i]], or dense[q] where i == dense_pos[q]; the index row
-    of a dense slice is not read.
+    of a dense slice is not read. Without `dense`, every slice is read from
+    the table.
 
     The backward gives each table row the sum of the gradients of the rows
     that read it, as one batched (n, V, rows) one-hot matmul, and `dense`
@@ -696,17 +711,18 @@ def lookup(table: Tensor, index: np.ndarray, dense: Tensor, dense_pos) -> Tensor
     """
     index = np.asarray(index)
     dense_pos = np.asarray(dense_pos, dtype=np.intp)
+    m = 0 if dense is None else dense.shape[0]
     if (
         table.data.ndim != 3
-        or dense.data.ndim != 3
-        or index.shape != (table.shape[0], dense.shape[1])
-        or dense.shape[2] != table.shape[2]
-        or dense_pos.shape != (dense.shape[0],)
+        or index.ndim != 2
+        or index.shape[0] != table.shape[0]
+        or (dense is not None and dense.shape != (m, index.shape[1], table.shape[2]))
+        or dense_pos.shape != (m,)
     ):
         raise ShapeError(
-            f"lookup: table {table.shape}, index {index.shape}, dense {dense.shape} and "
-            f"dense_pos {dense_pos.shape} are incompatible (need (n, V, F), (n, rows), "
-            "(m, rows, F) and (m,))"
+            f"lookup: table {table.shape}, index {index.shape}, dense "
+            f"{None if dense is None else dense.shape} and dense_pos {dense_pos.shape} are "
+            "incompatible (need (n, V, F), (n, rows), (m, rows, F) and (m,))"
         )
     n, V, F = table.shape
     if index.size and (index.min() < 0 or index.max() >= V):
@@ -715,7 +731,10 @@ def lookup(table: Tensor, index: np.ndarray, dense: Tensor, dense_pos) -> Tensor
         )
     flat = index + np.arange(0, n * V, V)[:, None]  # row of the (n*V, F) table
     data = np.take(table.data.reshape(n * V, F), flat, axis=0)
-    data[dense_pos] = dense.data
+    parents = (table,)
+    if dense is not None:
+        data[dense_pos] = dense.data
+        parents = (table, dense)
 
     def backward_fn(out=None, table=table, dense=dense):
         g = out.grad
@@ -723,10 +742,10 @@ def lookup(table: Tensor, index: np.ndarray, dense: Tensor, dense_pos) -> Tensor
             hot = (np.arange(V)[:, None] == index[:, None, :]).astype(np.float64)
             hot[dense_pos] = 0.0
             table._accumulate(np.matmul(hot, g))
-        if dense.requires_grad:
+        if dense is not None and dense.requires_grad:
             dense._accumulate(g[dense_pos])
 
-    return _finish(data, (table, dense), backward_fn)
+    return _finish(data, parents, backward_fn)
 
 
 # -- reductions --------------------------------------------------------------
@@ -864,10 +883,18 @@ def tanh(a: Tensor) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp only sees -|x|."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function that never overflows: exp only sees -|x|, and the
+    result is 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|).
+    As 0 <= e <= 1, `maximum(e, x >= 0)` is exactly that numerator (1 or
+    e), so only one quotient is computed. Writes into `out`, which must not
+    overlap `x`, when given."""
+    e = np.abs(x, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    return np.divide(num, e, out=e)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -14,11 +14,13 @@ from hindcaus.graph import (
     CmiMatrix,
     NeuralCmiModel,
     TabularCmiModel,
+    _distinct_rows,
     cmi_from_batch,
     estimate_cmi,
     graph_accuracy,
 )
-from hindcaus.models import build_models
+from hindcaus.models import build_models, hidden_stack, input_indices
+from hindcaus.numcore import constant, no_grad
 
 
 def chain3(noise_target="observation", **kw):
@@ -229,6 +231,72 @@ def test_batch_of_one_repeated_row_matches_every_row_reference():
         rtol=1e-12,
         atol=1e-15,
     )
+
+
+def _unique_rows_reference(rows):
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)  # (n,) or (n, 1) depending on the numpy version
+
+
+def _dedup_cases():
+    s, a, _ = transitions_from_dataset(chain3(), 64, seed=5)
+    batch = np.concatenate([s, a], 1)  # 320 rows with repeats
+    distinct = np.unique(batch, axis=0)
+    wide_s, wide_a, _ = transitions_from_dataset(EnvConfig.chain(d_s=6, l=7), 64, seed=5)
+    return {
+        "batch": batch,
+        "one_row": batch[:1],
+        "all_equal": np.repeat(batch[3:4], 50, axis=0),
+        "all_distinct": distinct[np.random.default_rng(2).permutation(len(distinct))],
+        "l7_d6": np.concatenate([wide_s, wide_a], 1),
+    }
+
+
+@pytest.mark.parametrize("case", ["batch", "one_row", "all_equal", "all_distinct", "l7_d6"])
+def test_row_dedup_matches_unique(case):
+    rows = _dedup_cases()[case]
+    first, inverse = _distinct_rows(rows)
+    ref_first, ref_inverse = _unique_rows_reference(rows)
+    assert np.array_equal(first, ref_first)
+    assert np.array_equal(inverse, ref_inverse)
+    assert inverse.shape == (len(rows),)
+
+
+def dense_route_log_probs(model, s, a, masks):
+    """`NeuralCmiModel.log_probs` as it was before integer hidden values were
+    read from the feature table: they took the dense hidden path as
+    constant one-hots."""
+    env, transition = model.env, model.bundle.transition
+    out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
+    with no_grad():
+        idx = input_indices(env, s, a)
+        hidden = hidden_stack(env, constant(np.eye(env.l)[s[:, env.hidden_indices]]))
+        for j in range(env.d_s):
+            feats = transition.features(j, idx, hidden)
+            out[j] = transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
+    return out
+
+
+TABLE_CONFIGS = {
+    "chain3": lambda: chain3("hidden"),
+    "full5": lambda: EnvConfig.full(d_s=5, l=4, noise_target="hidden"),
+    "full5_two_hidden": lambda: EnvConfig.full(d_s=5, hidden_indices=[3, 1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
+def test_table_features_of_integer_hidden_values_match_dense_route(name):
+    cfg = TABLE_CONFIGS[name]()
+    model = _cmi_models(cfg)["neural"]
+    transition = model.bundle.transition
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
+    idx = input_indices(cfg, s, a)
+    one_hots = hidden_stack(cfg, constant(np.eye(cfg.l)[s[:, cfg.hidden_indices]]))
+    for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
+        table = transition.features(j, idx).data
+        assert np.array_equal(table, transition.features(j, idx, one_hots).data), j
+    masks = cmi_masks(cfg)
+    assert np.array_equal(model.log_probs(s, a, masks), dense_route_log_probs(model, s, a, masks))
 
 
 def _bad_transitions(case, s, a, nxt):

@@ -318,8 +318,8 @@ def test_trainable_excludes_phi_bar():
 
 
 def _transition_inputs(cfg, s_values, a_values):
-    """Integer states and actions -> the lookup indices and the hidden
-    stack of constant one-hots, as the CMI estimate passes them."""
+    """Integer states and actions -> the lookup indices and the dense
+    hidden stack of their constant one-hots."""
     hidden = constant(one_hot(s_values[:, cfg.hidden_indices], cfg.l))
     return input_indices(cfg, s_values, a_values), hidden_stack(cfg, hidden)
 

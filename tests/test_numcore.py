@@ -365,6 +365,49 @@ def test_affine_and_gru_scan_reject_bad_shapes():
     nc.gru_scan(constant(np.zeros((4, 3, 6))), Uzr, Un)
 
 
+def _where_sigmoid(x):
+    """The two-branch formula `_sigmoid` used before it picked the numerator
+    with `maximum`."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _gru_scan_reference(xw, Uzr, Un, reverse):
+    """gru_scan's forward as it was before it ran in scratch buffers: a
+    fresh array per operation of each step."""
+    S, B, H3 = xw.shape
+    H = H3 // 3
+    out = np.empty((S, B, H))
+    h = np.zeros((B, H))
+    for s in range(S - 1, -1, -1) if reverse else range(S):
+        zr = _where_sigmoid(xw[s, :, : 2 * H] + h @ Uzr)
+        z, r = zr[:, :H], zr[:, H:]
+        n = np.tanh(xw[s, :, 2 * H :] + (r * h) @ Un)
+        h = out[s] = (1.0 - z) * n + z * h
+    return out
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("taped", [True, False])
+def test_gru_scan_forward_matches_per_step_formula(reverse, taped):
+    rng = np.random.default_rng(21)
+    S, B, H = 5, 16, 8
+    # Half the pre-activations sit near +-40, where the gates saturate.
+    xw = rng.normal(size=(S, B, 3 * H))
+    far = rng.random(size=xw.shape) < 0.5
+    xw[far] += 40.0 * rng.choice([-1.0, 1.0], size=far.sum())
+    Uzr, Un = rng.normal(size=(H, 2 * H)), rng.normal(size=(H, H))
+    args = [parameter(x) for x in (xw, Uzr, Un)]
+    if taped:
+        out = nc.gru_scan(*args, reverse=reverse)
+        assert out.requires_grad
+    else:
+        with nc.no_grad():
+            out = nc.gru_scan(*args, reverse=reverse)
+        assert not out.requires_grad
+    assert np.array_equal(out.data, _gru_scan_reference(xw, Uzr, Un, reverse))
+
+
 # -- sample_scan ------------------------------------------------------------------
 
 def _sample_scan_args(S=3, B=2, H=3, d_h=2, l=3, d=2, P=4, C=5):
@@ -456,6 +499,11 @@ def test_sigmoid_helper_matches_masked_formula_bit_for_bit():
     assert np.array_equal(_sigmoid(block), _masked_sigmoid(block.ravel()).reshape(40, 50))
     assert np.array_equal(_sigmoid(np.array([800.0, -800.0])), [1.0, 0.0])
     assert np.array_equal(constant(x).sigmoid().data, _masked_sigmoid(x))
+    assert np.array_equal(_sigmoid(x), _where_sigmoid(x))
+    buf = np.full_like(block, np.nan)  # the out= form gru_scan uses
+    assert _sigmoid(block, out=buf) is buf
+    assert np.array_equal(buf, _masked_sigmoid(block.ravel()).reshape(40, 50))
+    assert np.array_equal(block, x[:2000].reshape(40, 50))  # the input is not written
 
 
 def test_accumulated_gradient_is_not_aliased_between_parents():
