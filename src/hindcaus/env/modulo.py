@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..numcore.random import stream
+from ..numcore.random import stream, stream_uniforms
 from .config import EnvConfig
 
 __all__ = [
@@ -123,7 +123,7 @@ def rollout(
     T, d_o, d_s = cfg.horizon, cfg.d_o, cfg.d_s
     obs_idx, hid_idx = cfg.observed_indices, cfg.hidden_indices
     k = d_o + 1 + T * (1 + d_s)
-    u = np.array([stream(seed, "episode", i).random(k) for i in episode_indices]).reshape(-1, k)
+    u = stream_uniforms([(seed, "episode", i) for i in episode_indices], k)
     n = u.shape[0]
 
     per_step = u[:, d_o + 1 :].reshape(n, T, 1 + d_s)

@@ -42,9 +42,11 @@ keeps: an input kept on every row is read as it is, one dropped on every row
 is not read, and only an input kept on some rows is offset on the others. A
 mask that keeps no input is refused there. The head runs once on the
 (K, rows, feat) block and gives (K, rows, l) logits, block k conditioned on
-mask k. When taped, the pool keeps each output's winning input, so its
-backward routes the gradient in one pass; under `no_grad` (the CMI
-estimate) it keeps none.
+mask k. Training passes K = 3 (full, leave-one-out and causal masks), or
+K = 2 for a target whose causal mask would copy the full one; the CMI
+estimate passes its d_s+2 `cmi_masks`. When taped, the pool keeps each
+output's winning input, so its backward routes the gradient in one pass;
+under `no_grad` (the CMI estimate) it keeps none.
 """
 
 from __future__ import annotations

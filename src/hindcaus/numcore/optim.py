@@ -1,4 +1,13 @@
-"""Adam with bias correction over named parameter tensors."""
+"""Adam with bias correction over named parameter tensors.
+
+The moments of all parameters live in two flat float64 arrays, one slot of
+consecutive entries per parameter in the order of `params`; `m[name]` and
+`v[name]` are views of a parameter's slot in its shape, so writes through
+them (as `load_state` makes) land in the flat arrays. A step gathers every
+gradient into one flat array and runs the update once over all slots, with
+the same operations in the same order as a loop over the parameters would,
+so each entry gets the same bits.
+"""
 
 from __future__ import annotations
 
@@ -26,8 +35,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        ends = np.cumsum([p.data.size for p in self.params.values()]).tolist()
+        starts = [0, *ends[:-1]]
+        # Each parameter's slot of a flat array: its range and its shape.
+        self._slots = [(a, b, p.data.shape) for a, b, p in zip(starts, ends, self.params.values())]
+        n = ends[-1] if ends else 0
+        self._m, self._v = np.zeros(n), np.zeros(n)
+        self.m = dict(zip(self.params, self._split(self._m)))
+        self.v = dict(zip(self.params, self._split(self._v)))
+
+    def _split(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of each parameter's slot of `flat`, in its shape."""
+        return [flat[a:b].reshape(shape) for a, b, shape in self._slots]
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -39,26 +58,44 @@ class Adam:
         lr = self.lr if lr is None else lr
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
+        params = list(self.params.values())
+        # The gradients, one flat array, and one scratch array of its size.
+        # Both are freed after the step: held between steps they would add
+        # to the peak memory of the forward and backward passes.
+        grads = [np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad) for p in params]
+        g = np.concatenate(grads) if grads else np.zeros(0)
+        tmp = np.empty_like(g)
         # Validate every gradient before touching any parameter, so a NaN
         # aborts the whole step rather than half-applying it.
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        if not np.isfinite(g).all():
+            for name, p in self.params.items():
+                if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                    raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+        # A parameter without a gradient keeps its data and moments. The flat
+        # update decays its moments too (its gradient slot is zero), so they
+        # are put back, and its update, nonzero while they are, is skipped.
+        moments = zip(params, self.m.values(), self.v.values())
+        missing = [(m, v, m.copy(), v.copy()) for p, m, v in moments if p.grad is None]
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:  # no gradient: the moments would still move it
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=tmp)
+        v *= self.beta2
+        np.multiply(g, g, out=tmp)
+        v += np.multiply(1.0 - self.beta2, tmp, out=tmp)
+        # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), into g.
+        np.multiply(lr, np.divide(m, bc1, out=g), out=g)
+        np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+        g /= np.add(tmp, self.eps, out=tmp)
+        for m_i, v_i, m_before, v_before in missing:
+            np.copyto(m_i, m_before)
+            np.copyto(v_i, v_before)
+        for p, update in zip(params, self._split(g)):
+            if p.grad is not None:
+                p.data -= update
 
     def state_tensors(self) -> dict[str, np.ndarray]:
         """Moment buffers under reserved names, for checkpointing."""

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stream", "stream_key"]
+__all__ = ["stream", "stream_key", "stream_uniforms"]
 
 
 def stream_key(*ids) -> int:
@@ -36,3 +36,24 @@ def stream_key(*ids) -> int:
 def stream(*ids) -> np.random.Generator:
     """Fresh generator for the named stream."""
     return np.random.Generator(np.random.Philox(key=stream_key(*ids)))
+
+
+def stream_uniforms(names, k: int) -> np.ndarray:
+    """(n, k) uniforms, row r the first k `random()` draws of stream
+    `names[r]` (a tuple of ids), as `stream(*names[r]).random(k)` gives them.
+
+    One private Philox is re-keyed per stream (the same `stream_key`, a zero
+    counter and an empty buffer) instead of building a generator for each,
+    which pulls fresh OS entropy that a keyed Philox never reads.
+    """
+    names = list(names)
+    out = np.empty((len(names), k))
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = bits.state  # a fresh generator's: zero counter, empty buffer
+    for r, ids in enumerate(names):
+        key = stream_key(*ids)
+        state["state"]["key"] = np.array([key & (2**64 - 1), key >> 64], dtype=np.uint64)
+        bits.state = state
+        gen.random(out=out[r])
+    return out

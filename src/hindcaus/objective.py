@@ -17,9 +17,14 @@ the live samples, which stay on the taped dense path. Per target, one
 `features` call builds the (d_s+1, rows, feat) feature stack from both,
 and one `logits_from_features` call on a (3, rows, d_s+1) mask stack (full,
 leave-one-out, causal) gives the (3, rows, l) logits that one loss reads
-all three terms from. Everything is a mean over (episode, transition)
-rows; component values are sums over target factors of those means, in
-target order. The minimized total sums the six in `COMPONENTS` order, plus
+all three terms from. When the graph column keeps every input of the
+target, or none (the fallback to full), the causal mask is the full mask
+again: the stack then holds only the full and leave-one-out masks, and one
+index node reuses the full term as the causal term, so the terms keep their
+values and the duplicate block is neither pooled, run through the head nor
+backpropagated. Everything is a mean over (episode, transition) rows;
+component values are sums over target factors of those means, in target
+order. The minimized total sums the six in `COMPONENTS` order, plus
 reward_weight times the reward cross-entropy.
 """
 
@@ -48,6 +53,10 @@ __all__ = [
 ]
 
 log = logging.getLogger("hindcaus.objective")
+
+# (full, leave-one-out) terms -> (full, leave-one-out, causal) terms, for a
+# target whose causal mask copies the full one.
+_FULL_AS_CAUSAL = [0, 1, 0]
 
 COMPONENTS = (
     "full_nll",
@@ -144,6 +153,11 @@ def vlb_losses(
     the live encoder's samples). `samples` / `target_logits` override the
     (T+1, B, d_h, l) encoder unrolls (used by oracle tests); `mask_draw`
     overrides the leave-one-out index draw.
+
+    A target whose `graph_binary` column keeps every input or none has the
+    full mask as its causal mask, so its logits hold only the full and
+    leave-one-out blocks and its causal term is its full term. A column that
+    keeps none is listed in `causal_fallback_factors`.
     """
     env = bundle.env
     B, T = batch.size, batch.horizon
@@ -177,24 +191,29 @@ def vlb_losses(
     for j in range(env.d_s):
         feats = bundle.transition.features(j, idx, hidden)
 
-        masks = np.ones((3, T * B, env.d_s + 1))  # full, leave-one-out, causal
-        masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
-        if graph_binary[:, j].any():
-            masks[2] = graph_binary[:, j]
-        else:
+        column = graph_binary[:, j]
+        if not column.any():
             log.debug("causal mask for factor %d has no parents; falling back to full", j)
             fallbacks.append(j)
+        # A column keeping every input or none gives the full mask again: its
+        # block is left out and the full term stands in for the causal one.
+        copies_full = column.all() or not column.any()
+        masks = np.ones((2 if copies_full else 3, T * B, env.d_s + 1))
+        masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
+        if not copies_full:
+            masks[2] = column
         logits = bundle.transition.logits_from_features(j, feats, masks)
 
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
             names, terms = COMPONENTS[:3], cross_entropy(logits, labels).mean(axis=1)
-            nll_terms.append(terms)
         else:
             # Stop-gradient encoder logits of this factor at t = 1..T.
             q = target_logits[1:, :, hid_pos[j]].reshape(T * B, env.l)
             names, terms = COMPONENTS[3:6], categorical_kl(q, logits).mean(axis=1)
-            kl_terms.append(terms)
+        if copies_full:
+            terms = terms[_FULL_AS_CAUSAL]
+        (nll_terms if j in obs_pos else kl_terms).append(terms)
         for k, c in enumerate(names):
             per_factor[c][j] = float(terms.data[k])
 

@@ -226,21 +226,14 @@ def test_rollout_draws_follow_the_policy_and_noise_law(cfg):
             assert _within(int((eps[:, j] == v).sum()), len(eps), table[j, v + 1])
 
 
-class _ConstantStream:
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, k):
-        return np.full(k, self.value)
-
-
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 1000])
 def test_rollout_maps_extreme_uniforms_inside_their_ranges(monkeypatch, l):
     cfg = EnvConfig.full(d_s=5, l=l, noise_probs=[0.2, 0.6, 0.2])
     opts = action_options(cfg)
     noisy = np.array([i in cfg.hidden_indices for i in range(cfg.d_s)])
     for u, index, noise in ((0.0, 0, -1), (np.nextafter(1.0, 0.0), l - 1, 1)):
-        monkeypatch.setattr(hindcaus.env.modulo, "stream", lambda *ids, u=u: _ConstantStream(u))
+        constant = lambda names, k, u=u: np.full((len(names), k), u)
+        monkeypatch.setattr(hindcaus.env.modulo, "stream_uniforms", constant)
         (ep,) = rollout(cfg, [0])
         assert np.all(ep.o[0] == index) and ep.tau == index
         assert np.all(ep.a == opts[0 if u == 0.0 else cfg.d_o])

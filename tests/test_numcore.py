@@ -661,6 +661,102 @@ def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
         assert np.array_equal(v, before[k]), k
 
 
+class LoopAdam:
+    """Adam as one update per parameter, each moment its own array."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+
+    def step(self, lr=None):
+        lr = self.lr if lr is None else lr
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def test_flat_adam_matches_per_parameter_loop():
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3, 4), "b": (5,), "c": (2, 3, 2), "d": (1,)}
+    init = {n: rng.normal(size=s) for n, s in shapes.items()}
+    flat = {n: parameter(x.copy()) for n, x in init.items()}
+    loop = {n: parameter(x.copy()) for n, x in init.items()}
+    opt, ref = nc.Adam(flat, lr=0.02), LoopAdam(loop, lr=0.02)
+    for step in range(7):
+        for n, s in shapes.items():
+            # "b" has no gradient on steps 2 and 5; "c" gets a transposed view.
+            g = None if n == "b" and step in (2, 5) else rng.normal(size=s) * 10.0**step
+            if n == "c" and g is not None:
+                g = np.ascontiguousarray(g.transpose(2, 1, 0)).transpose(2, 1, 0)
+            flat[n].grad = loop[n].grad = g
+        lr = 0.05 if step == 4 else None
+        opt.step(lr)
+        ref.step(lr)
+        for n in shapes:
+            assert np.array_equal(flat[n].data, loop[n].data), (step, n)
+            assert np.array_equal(opt.m[n], ref.m[n]), (step, n)
+            assert np.array_equal(opt.v[n], ref.v[n]), (step, n)
+    assert opt.step_count == ref.t == 7
+
+
+def test_flat_adam_nan_gradient_is_named_and_moves_nothing():
+    rng = np.random.default_rng(4)
+    shapes = {"p": (2, 2), "q": (3,), "r": (2,)}
+    params = {n: parameter(rng.normal(size=s)) for n, s in shapes.items()}
+    opt = nc.Adam(params, lr=0.1)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    data = {n: p.data.copy() for n, p in params.items()}
+    state = {k: v.copy() for k, v in opt.state_tensors().items()}
+    params["r"].grad = None
+    params["q"].grad = np.array([0.5, np.inf, 1.0])
+    with pytest.raises(NonFiniteError, match="'q'"):
+        opt.step()
+    assert opt.step_count == 1
+    for n, p in params.items():
+        assert np.array_equal(p.data, data[n]), n
+    for k, v in opt.state_tensors().items():
+        assert np.array_equal(v, state[k]), k
+
+
+def test_flat_adam_state_round_trip_is_views_of_the_moments():
+    rng = np.random.default_rng(5)
+    params = {n: parameter(rng.normal(size=s)) for n, s in [("p", (2, 3)), ("q", (4,))]}
+    opt = nc.Adam(params, lr=0.1)
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+    saved = {k: v.copy() for k, v in opt.state_tensors().items()}
+    copies = {n: parameter(p.data.copy()) for n, p in params.items()}
+    resumed = nc.Adam(copies, lr=0.1)
+    resumed.load_state(saved, opt.step_count)
+    for k, v in resumed.state_tensors().items():
+        assert v.shape == saved[k].shape and np.array_equal(v, saved[k]), k
+    for n in params:
+        params[n].grad = copies[n].grad = rng.normal(size=params[n].shape)
+    opt.step()
+    resumed.step()
+    for n in params:
+        assert np.array_equal(params[n].data, copies[n].data), n
+    # The returned tensors are the live moments, not copies.
+    for k, v in opt.state_tensors().items():
+        assert np.array_equal(v, resumed.state_tensors()[k]) and not np.array_equal(v, saved[k]), k
+
+
 def test_backward_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
@@ -848,6 +944,19 @@ def test_stream_independence_and_stability():
     a2 = nc.stream(0, "x").random(4)
     assert np.array_equal(a, a2)
     assert not np.array_equal(a, b)
+
+
+def test_stream_uniforms_match_one_generator_per_stream():
+    k = 7
+    names = [(11, "episode", i) for i in range(40)]
+    names += [(2**120 + 5, "episode", -(2**126)), ("ünïcode", 0, ""), (-1,)]
+    names += [("episode", 2**127 - 1)]
+    got = nc.stream_uniforms(names, k)
+    assert got.shape == (len(names), k)
+    assert np.array_equal(got, [nc.stream(*ids).random(k) for ids in names])
+    # Rows do not depend on the streams drawn before them.
+    assert np.array_equal(nc.stream_uniforms(names[::-1], k), got[::-1])
+    assert nc.stream_uniforms([], k).shape == (0, k)
 
 
 def test_debug_checks_reject_non_finite_op_output():

@@ -240,12 +240,16 @@ def objective_slice_and_add(batch, bundle, graph_binary, rand, cfg):
     fallbacks = []
     for j in range(env.d_s):
         feats = bundle.transition.features(j, idx, hidden)
-        masks = np.ones((3, T * B, env.d_s + 1))
+        # The causal block is left out where it would copy the full one, as
+        # `vlb_losses` does, so only the assembly differs from it.
+        column = graph_binary[:, j]
+        copies_full = column.all() or not column.any()
+        masks = np.ones((2 if copies_full else 3, T * B, env.d_s + 1))
         masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
-        if graph_binary[:, j].any():
-            masks[2] = graph_binary[:, j]
-        else:
+        if not column.any():
             fallbacks.append(j)
+        if not copies_full:
+            masks[2] = column
         logits = bundle.transition.logits_from_features(j, feats, masks)
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
@@ -253,6 +257,8 @@ def objective_slice_and_add(batch, bundle, graph_binary, rand, cfg):
         else:
             q = concat([target_logits[t + 1][:, hid_pos[j], :] for t in range(T)], axis=0)
             names, terms = COMPONENTS[3:6], nc.categorical_kl(q, logits).mean(axis=1)
+        if copies_full:
+            terms = terms[[0, 1, 0]]
         for k, c in enumerate(names):
             sums[c] = sums[c] + terms[k]
             per_factor[c][j] = float(terms.data[k])
@@ -307,6 +313,95 @@ def test_array_assembly_matches_slice_and_add_reference(cfg):
         assert g is not None and np.array_equal(grads[n], g), n
 
 
+def vlb_losses_three_blocks(batch, bundle, graph_binary, rand, cfg):
+    """`vlb_losses` with every target run on all three mask blocks, even
+    where the causal mask copies the full one."""
+    from hindcaus.objective import COMPONENTS, _flatten_tm, _transition_inputs
+
+    env = bundle.env
+    B, T = batch.size, batch.horizon
+    enc = BatchEncoding(batch, env)
+    _, samples = bundle.encoder.unroll(
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=cfg.hard_samples
+    )
+    target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
+    idx, hidden = _transition_inputs(batch, env, samples)
+    mask_draw = rand.mask_indices(B, T, env)
+    obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
+    hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}
+    nll_terms, kl_terms, fallbacks = [], [], []
+    per_factor = {c: {} for c in COMPONENTS[:6]}
+    for j in range(env.d_s):
+        feats = bundle.transition.features(j, idx, hidden)
+        masks = np.ones((3, T * B, env.d_s + 1))
+        masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
+        if graph_binary[:, j].any():
+            masks[2] = graph_binary[:, j]
+        else:
+            fallbacks.append(j)
+        logits = bundle.transition.logits_from_features(j, feats, masks)
+        if j in obs_pos:
+            labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])
+            names, terms = COMPONENTS[:3], nc.cross_entropy(logits, labels).mean(axis=1)
+            nll_terms.append(terms)
+        else:
+            q = target_logits[1:, :, hid_pos[j]].reshape(T * B, env.l)
+            names, terms = COMPONENTS[3:6], nc.categorical_kl(q, logits).mean(axis=1)
+            kl_terms.append(terms)
+        for k, c in enumerate(names):
+            per_factor[c][j] = float(terms.data[k])
+    components = concat([nc.stack(nll_terms).sum(axis=0), nc.stack(kl_terms).sum(axis=0)])
+    loss = components.sum()
+    values = dict(zip(COMPONENTS[:6], components.data.tolist()))
+    values.update(reward_ce=0.0, total=float(loss.data))
+    return loss, values, per_factor, tuple(fallbacks)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [chain3(), EnvConfig.full(d_s=5, l=4, noise_target="hidden", hidden_indices=[1, 3])],
+    ids=["chain3", "full5-two-hidden"],
+)
+def test_causal_block_skip_matches_three_block_reference(cfg):
+    # The benchmark's 320 rows (64 episodes, T = 5): at fewer rows BLAS may
+    # take a gemv path whose rounding differs from the batched one.
+    batch = make_batch(cfg, n=64, seed=6)
+    bundle = build_models(cfg, "dvae_full", seed=2)
+    rng = np.random.default_rng(7)
+    for t in bundle.store.tensors().values():
+        t.data += 0.3 * rng.normal(size=t.shape)
+    graph = ground_truth_graph(cfg)
+    graph[:, 0] = 1  # keeps every input: the causal block copies the full one
+    graph[:, 1] = 0  # keeps none: falls back to the full mask
+    assert 0 < graph[:, 2].sum() < cfg.d_s + 1  # a sparse column keeps its own block
+    rand = StepRandomness(seed=3, step=4)
+    ocfg = ObjectiveConfig()
+    params = bundle.store.trainable()
+
+    def run(objective):
+        for p in params.values():
+            p.grad = None
+        out = objective(batch, bundle, graph, rand, ocfg)
+        backward(out[0])
+        return out, {n: p.grad for n, p in params.items()}
+
+    (loss, b, _), grads = run(vlb_losses)
+    (ref_loss, values, per_factor, fallbacks), ref_grads = run(vlb_losses_three_blocks)
+    assert np.array_equal(loss.data, ref_loss.data)
+    assert b.as_dict() == values
+    assert b.per_factor == per_factor
+    assert b.causal_fallback_factors == fallbacks == (1,)
+    # The reused full block sums its two gradients before the head's
+    # backward, so gradients agree to rounding, not bit for bit.
+    # psi gets none: the reward loss is not part of the VLB.
+    assert {n for n, g in grads.items() if g is None} == {
+        n for n, g in ref_grads.items() if g is None
+    } == {n for n in params if n.startswith("psi/")}
+    for n, g in ref_grads.items():
+        if g is not None:
+            assert np.abs(grads[n] - g).max() <= 1e-13 * np.abs(g).max(), n
+
+
 def tape_nodes(loss):
     """Tensors the backward from `loss` visits: op outputs and parameters."""
     seen, todo = {id(loss)}, [loss]
@@ -320,7 +415,7 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 132), (EnvConfig.full, 5, 189)],
+    [(EnvConfig.chain, 3, 135), (EnvConfig.full, 5, 194)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
@@ -328,7 +423,9 @@ def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # layer is one bmm node with its bias, run once on the table basis and
     # once on the hidden slices (no weight slices are taped); one lookup node
     # places the features and one masked_max node pools them. Splitting any
-    # of these raises the count.
+    # of these raises the count. Under the full graph every causal mask
+    # copies the full one, so each target also has the one index node that
+    # reuses its full term as its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     bundle = build_models(cfg, "dvae_full", seed=0)
     total, _ = total_objective(
