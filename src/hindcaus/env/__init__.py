@@ -12,13 +12,13 @@ from .dataset import (
 from .modulo import (
     Episode,
     PropertyReport,
+    action_allowed,
     action_options,
     cmi_masks,
     enumerate_states,
     ground_truth_graph,
     reward,
     rollout,
-    sample_noise,
     step,
     verify_properties,
 )
@@ -31,6 +31,7 @@ __all__ = [
     "PropertyReport",
     "TabularTransitionModel",
     "TrainBatch",
+    "action_allowed",
     "action_options",
     "cmi_masks",
     "config_hash",
@@ -42,7 +43,6 @@ __all__ = [
     "noise_entropy",
     "reward",
     "rollout",
-    "sample_noise",
     "save_dataset",
     "stack_episodes",
     "step",

@@ -10,8 +10,12 @@ import numpy as np
 
 __all__ = ["EnvConfig", "config_hash"]
 
-GRAPH_KINDS = ("chain", "full", "explicit")
-NOISE_TARGETS = ("hidden", "observation", "custom")
+GRAPH_KINDS = ("chain", "full")
+NOISE_TARGETS = ("hidden", "observation")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -19,34 +23,41 @@ class EnvConfig:
     """Full description of one modulo environment instance.
 
     Factors are indexed 0..d_s-1; `hidden_indices` selects the hidden ones and
-    the rest are observed (in index order). `noise_probs` is the
-    (p(-1), p(0), p(+1)) law applied to the factors selected by
-    `noise_target`; all other factors get zero noise.
+    the rest are observed (in index order). Every hidden factor starts each
+    episode at h_0 = 0. `graph_kind` is "chain" (factor j reads factors j-1
+    and j) or "full" (factor j reads factors 0..j). `noise_probs` is the
+    (p(-1), p(0), p(+1)) law applied to the factors that `noise_target`
+    selects, the hidden or the observed ones; all other factors get zero
+    noise.
     """
 
     d_s: int = 3
     l: int = 4
     graph_kind: str = "chain"
-    adjacency: list[list[int]] | None = None
     hidden_indices: list[int] = field(default_factory=lambda: [1])
     noise_probs: list[float] = field(default_factory=lambda: [0.05, 0.9, 0.05])
     noise_target: str = "hidden"
-    noise_factors: list[int] | None = None
     horizon: int = 5
-    initial_hidden: int = 0
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d_s", "l", "horizon", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.d_s < 2:
             raise ValueError(f"d_s must be >= 2, got {self.d_s}")
         if self.l < 2:
             raise ValueError(f"l must be >= 2, got {self.l}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.graph_kind not in GRAPH_KINDS:
             raise ValueError(f"graph_kind must be one of {GRAPH_KINDS}, got {self.graph_kind!r}")
         if self.noise_target not in NOISE_TARGETS:
             raise ValueError(
                 f"noise_target must be one of {NOISE_TARGETS}, got {self.noise_target!r}"
             )
+        if not all(_is_int(i) for i in self.hidden_indices):
+            raise ValueError(f"hidden_indices must be integers, got {self.hidden_indices!r}")
         self.hidden_indices = sorted(int(i) for i in self.hidden_indices)
         if len(set(self.hidden_indices)) != len(self.hidden_indices):
             raise ValueError("hidden_indices must be unique")
@@ -59,24 +70,8 @@ class EnvConfig:
         if len(self.noise_probs) != 3:
             raise ValueError("noise_probs must be (p(-1), p(0), p(+1))")
         probs = np.asarray(self.noise_probs, dtype=np.float64)
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-9:
+        if not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= 1e-9):  # also refuses NaN
             raise ValueError(f"noise_probs must be a distribution, got {self.noise_probs}")
-        if self.noise_target == "custom":
-            if not self.noise_factors:
-                raise ValueError("noise_target='custom' requires noise_factors")
-            bad = [i for i in self.noise_factors if not 0 <= i < self.d_s]
-            if bad:
-                raise ValueError(f"noise_factors out of range: {bad}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if not 0 <= self.initial_hidden < self.l:
-            raise ValueError(f"initial_hidden must be in [0, {self.l})")
-        if self.graph_kind == "explicit":
-            if self.adjacency is None:
-                raise ValueError("graph_kind='explicit' requires adjacency")
-            a = np.asarray(self.adjacency)
-            if a.shape != (self.d_s, self.d_s) or not np.isin(a, (0, 1)).all():
-                raise ValueError(f"adjacency must be a binary {self.d_s}x{self.d_s} matrix")
 
     # -- derived structure ------------------------------------------------
 
@@ -95,25 +90,18 @@ class EnvConfig:
 
     def adjacency_matrix(self) -> np.ndarray:
         """Row j lists the factors read by factor j's update equation."""
-        if self.graph_kind == "chain":
-            a = np.eye(self.d_s, dtype=np.int64)
-            for j in range(1, self.d_s):
-                a[j, j - 1] = 1
-            return a
         if self.graph_kind == "full":
             return np.tril(np.ones((self.d_s, self.d_s), dtype=np.int64))
-        return np.asarray(self.adjacency, dtype=np.int64)
+        a = np.eye(self.d_s, dtype=np.int64)
+        for j in range(1, self.d_s):
+            a[j, j - 1] = 1
+        return a
 
     def noise_table(self) -> np.ndarray:
         """Per-factor (p(-1), p(0), p(+1)) rows."""
-        if self.noise_target == "hidden":
-            noisy = self.hidden_indices
-        elif self.noise_target == "observation":
-            noisy = self.observed_indices
-        else:
-            noisy = self.noise_factors
+        noisy = self.hidden_indices if self.noise_target == "hidden" else self.observed_indices
         table = np.tile([0.0, 1.0, 0.0], (self.d_s, 1))
-        table[list(noisy)] = np.asarray(self.noise_probs, dtype=np.float64)
+        table[noisy] = np.asarray(self.noise_probs, dtype=np.float64)
         return table
 
     # -- serialization -----------------------------------------------------

@@ -1,15 +1,15 @@
 """JSON-lines dataset serialization and batch assembly.
 
-File layout: line 1 is a header {"version": 2, "config": {...}, "gt_graph":
+File layout: line 1 is a header {"version": 3, "config": {...}, "gt_graph":
 [[...]], "config_hash": "..."}; every further line is one episode with integer
 fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact. Loading checks
 the header (its version, its config, the config's hash, and gt_graph against
 the config's ground-truth graph) and every episode line against the config,
 including that each action is one the data-collection policy can take.
 
-Version 2 holds episodes from the batched `rollout`, which takes each
-episode's draws in one call. Version 1 files drew the same law step by step,
-so the same (config, seed) gave other episodes; they are refused.
+Version 3 dropped the config fields that set an explicit graph, the noisy
+factors and h_0; its episodes are those of version 2, whose batched `rollout`
+replaced version 1's step-by-step draws. Older versions are refused.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import numpy as np
 
 from ..fileio import write_atomic
 from .config import EnvConfig, config_hash
-from .modulo import Episode, action_options, ground_truth_graph, rollout
+from .modulo import Episode, action_allowed, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 
 @dataclass
@@ -126,10 +126,8 @@ def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path)
         if bad.size:
             n = records[bad[0] // math.prod(shape)][0]
             raise ValueError(f"{path} line {n}: field {name!r} has values outside [{low}, {high})")
-    # Every action must be one the data-collection policy can take: a no-op
-    # or one intervention on an observed factor.
-    actions = np.stack(columns["a"]).reshape(-1, 1, cfg.d_s)
-    allowed = (actions == action_options(cfg)).all(axis=2).any(axis=1)
+    # Every action must be one the data-collection policy can take.
+    allowed = action_allowed(cfg, np.stack(columns["a"]).reshape(-1, cfg.d_s))
     if not allowed.all():
         n = records[np.argmin(allowed) // T][0]
         raise ValueError(

@@ -17,9 +17,9 @@ from .config import EnvConfig
 
 __all__ = [
     "step",
-    "sample_noise",
     "reward",
     "action_options",
+    "action_allowed",
     "rollout",
     "ground_truth_graph",
     "cmi_masks",
@@ -58,11 +58,6 @@ def _noise_from_uniform(cfg: EnvConfig, u: np.ndarray) -> np.ndarray:
     return np.where(u < lo, -1, np.where(u < hi, 0, 1)).astype(np.int64)
 
 
-def sample_noise(cfg: EnvConfig, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Per-factor noise in {-1, 0, +1}, i.i.d. across factors and draws."""
-    return _noise_from_uniform(cfg, rng.random((cfg.d_s,) if n is None else (n, cfg.d_s)))
-
-
 def reward(h: np.ndarray, tau: int | np.ndarray, cfg: EnvConfig) -> int | np.ndarray:
     """1 iff the first hidden factor equals the episode target.
 
@@ -83,6 +78,16 @@ def action_options(cfg: EnvConfig) -> np.ndarray:
     for k, i in enumerate(cfg.observed_indices):
         opts[k + 1, i] = 1
     return opts
+
+
+def action_allowed(cfg: EnvConfig, a: np.ndarray) -> np.ndarray:
+    """(n,) bool: whether each row of the (n, d_s) integer actions `a` is a
+    row of `action_options`, a no-op or one intervention on an observed
+    factor: its entries are zeros and ones, and weighing the observed ones
+    1 and the hidden ones 2 they sum to at most 1."""
+    weight = np.ones(cfg.d_s, dtype=np.int64)
+    weight[cfg.hidden_indices] = 2
+    return ((a == 0) | (a == 1)).all(axis=1) & (a @ weight <= 1)
 
 
 @dataclass
@@ -116,8 +121,9 @@ def rollout(
     stream (seed, "episode", i). In order they give the initial observed
     values (floor(u * l) each), the reward target tau (floor(u * l)), and per
     step the action index (floor(u * (d_o + 1)) into `action_options`)
-    followed by d_s noise uniforms. So an episode depends on (seed, i)
-    alone, not on which other episodes are generated or in what order.
+    followed by d_s noise uniforms. The hidden factors start at 0. So an
+    episode depends on (seed, i) alone, not on which other episodes are
+    generated or in what order.
     """
     seed = cfg.seed if seed is None else seed
     T, d_o, d_s = cfg.horizon, cfg.d_o, cfg.d_s
@@ -133,7 +139,7 @@ def rollout(
 
     s = np.empty((n, T + 1, d_s), dtype=np.int64)
     s[:, 0, obs_idx] = _uniform_index(u[:, :d_o], cfg.l)
-    s[:, 0, hid_idx] = cfg.initial_hidden
+    s[:, 0, hid_idx] = 0
     for t in range(T):
         s[:, t + 1] = step(s[:, t], a[:, t], eps[:, t], cfg)
     o = s.take(obs_idx, axis=2)  # take, not s[:, :, obs_idx]: keeps each o[i] C-contiguous

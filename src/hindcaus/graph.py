@@ -33,7 +33,7 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .env.modulo import action_options, cmi_masks
+from .env.modulo import action_allowed, cmi_masks
 from .env.oracle import TabularTransitionModel
 from .models import BatchEncoding, ModelBundle, input_indices
 from .numcore.dists import gumbel_noise
@@ -147,7 +147,7 @@ def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
             raise ValueError(
                 f"{name} must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
             )
-    allowed = (arrays[1][:, None] == action_options(env)).all(axis=2).any(axis=1)
+    allowed = action_allowed(env, arrays[1])
     if not allowed.all():
         i = int(np.argmin(allowed))
         raise ValueError(

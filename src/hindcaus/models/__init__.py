@@ -36,8 +36,6 @@ class ModelHyper:
 @dataclass
 class ModelBundle:
     env: EnvConfig
-    variant: str
-    hyper: ModelHyper
     store: ParameterStore
     encoder: HiddenEncoder  # phi
     encoder_target: HiddenEncoder  # phi_bar
@@ -75,8 +73,6 @@ def build_models(
     reward = RewardHead(env, ParamFactory(store, "psi", seed), hidden_dim=hyper.hidden_dim)
     bundle = ModelBundle(
         env=env,
-        variant=variant,
-        hyper=hyper,
         store=store,
         encoder=encoder,
         encoder_target=encoder_target,

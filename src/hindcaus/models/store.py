@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -152,14 +153,31 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
-    """Read a checkpoint directory -> (arrays, step, extras)."""
+    """Read a checkpoint directory -> (arrays, step, extras). A manifest that
+    is not a JSON object of this version holding every field read here
+    raises a `ValueError` that names the file and the field."""
     path = Path(path)
-    manifest = json.loads((path / "manifest.json").read_text())
+    manifest_path = path / "manifest.json"
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: a JSON {type(manifest).__name__}, expected an object")
     if manifest.get("version") != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint version {manifest.get('version')} is not supported "
+            f"{manifest_path}: checkpoint version {manifest.get('version')} is not supported "
             f"(this build reads version {CHECKPOINT_VERSION})"
         )
+    for field in ("config_hash", "step", "sha256", "tensors"):
+        if field not in manifest:
+            raise ValueError(f"{manifest_path}: field {field!r} is missing")
+    for k, e in enumerate(manifest["tensors"]):
+        for field in ("name", "shape", "offset", "count"):
+            if not isinstance(e, dict) or field not in e:
+                raise ValueError(
+                    f"{manifest_path}: entry {k} of field 'tensors' has no field {field!r}"
+                )
     if expected_config_hash is not None and manifest["config_hash"] != expected_config_hash:
         raise ValueError(
             f"checkpoint config hash {manifest['config_hash']} does not match "
@@ -174,7 +192,13 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
         raise ValueError(f"{blob} does not match the sha256 its manifest records (torn save?)")
     flat = np.frombuffer(raw, dtype="<f8")
     arrays = {}
-    for e in manifest["tensors"]:
-        chunk = flat[e["offset"] : e["offset"] + e["count"]]
-        arrays[e["name"]] = chunk.reshape(e["shape"]).astype(np.float64)
+    for k, e in enumerate(manifest["tensors"]):
+        start, count = e["offset"], e["count"]
+        if not 0 <= start <= start + count <= flat.size or count != math.prod(e["shape"]):
+            raise ValueError(
+                f"{manifest_path}: entry {k} of field 'tensors' ({e['name']!r}): fields 'offset' "
+                f"{start}, 'count' {count} and 'shape' {e['shape']} do not give a slice of "
+                f"the blob's {flat.size} values"
+            )
+        arrays[e["name"]] = flat[start : start + count].reshape(e["shape"]).astype(np.float64)
     return arrays, manifest["step"], manifest.get("extras", {})

@@ -25,8 +25,8 @@ An input takes one of two paths to the same features:
   and gathers each row's features from it. A one-hot times a matrix is
   exactly one of its rows, so these are the dense path's values bit for
   bit.
-- Hidden samples from the encoder, soft under `hard_samples=False`, run
-  the extractors densely: `hidden_stack` gives their (d_h, rows, width)
+- Hidden samples from the encoder, one-hot or relaxed, run the
+  extractors densely: `hidden_stack` gives their (d_h, rows, width)
   stack and `features` maps it with the d_h hidden extractors only; the
   index rows of the hidden inputs are then not read.
 
@@ -54,6 +54,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..env.config import EnvConfig
+from ..env.modulo import action_allowed
 from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, transpose
 from .nets import MLP, StackedLinear
 from .store import ParamFactory
@@ -89,16 +90,14 @@ def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     if s.min() < 0 or s.max() >= env.l:
         raise ValueError(f"factor values must be in [0, {env.l}), got [{s.min()}, {s.max()}]")
     idx[: env.d_s] = s.T
-    total = a.sum(axis=1)
-    on_hidden = a[:, env.hidden_indices]
-    if a.min() < 0 or a.max() > 1 or total.max() > 1 or on_hidden.any():
-        bad = ((a != 0) & (a != 1)).any(axis=1) | (total > 1) | on_hidden.any(axis=1)
-        r = int(np.argmax(bad))
+    allowed = action_allowed(env, a)
+    if not allowed.all():
+        r = int(np.argmin(allowed))
         raise ValueError(
             f"action row {r} is {a[r].tolist()}: expected a no-op or a single "
             f"intervention on an observed factor {env.observed_indices}"
         )
-    idx[env.d_s] = np.where(total == 0, width, a.argmax(axis=1))
+    idx[env.d_s] = np.where(a.any(axis=1), a.argmax(axis=1), width)
     return idx
 
 

@@ -1,5 +1,8 @@
 """Adam with bias correction over named parameter tensors.
 
+The decay rates are fixed at 0.9 and 0.999 and epsilon at 1e-8, the values
+of Kingma & Ba (2015); only the learning rate is set, when Adam is made.
+
 The moments of all parameters live in two flat float64 arrays, one slot of
 consecutive entries per parameter in the order of `params`; `m[name]` and
 `v[name]` are views of a parameter's slot in its shape, so writes through
@@ -17,23 +20,17 @@ from .tensor import NonFiniteError, Tensor
 
 __all__ = ["Adam"]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         ends = np.cumsum([p.data.size for p in self.params.values()]).tolist()
         starts = [0, *ends[:-1]]
@@ -52,12 +49,9 @@ class Adam:
         for p in self.params.values():
             p.grad = None
 
-    def step(self, lr: float | None = None) -> None:
+    def step(self) -> None:
         """One update. A parameter without a grad this step is left alone:
         its data and both moments keep their values."""
-        lr = self.lr if lr is None else lr
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
         params = list(self.params.values())
         # The gradients, one flat array, and one scratch array of its size.
         # Both are freed after the step: held between steps they would add
@@ -78,18 +72,18 @@ class Adam:
         missing = [(m, v, m.copy(), v.copy()) for p, m, v in moments if p.grad is None]
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
         m, v = self._m, self._v
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=tmp)
-        v *= self.beta2
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=tmp)
+        v *= BETA2
         np.multiply(g, g, out=tmp)
-        v += np.multiply(1.0 - self.beta2, tmp, out=tmp)
+        v += np.multiply(1.0 - BETA2, tmp, out=tmp)
         # update = lr * (m / bc1) / (sqrt(v / bc2) + eps), into g.
-        np.multiply(lr, np.divide(m, bc1, out=g), out=g)
+        np.multiply(self.lr, np.divide(m, bc1, out=g), out=g)
         np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
-        g /= np.add(tmp, self.eps, out=tmp)
+        g /= np.add(tmp, EPS, out=tmp)
         for m_i, v_i, m_before, v_before in missing:
             np.copyto(m_i, m_before)
             np.copyto(v_i, v_before)

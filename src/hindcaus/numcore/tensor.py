@@ -16,7 +16,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "NonFiniteError",
-    "set_debug_checks",
     "no_grad",
     "constant",
     "parameter",
@@ -41,17 +40,8 @@ class NonFiniteError(FloatingPointError):
     """NaN or infinity appeared where finite values are required."""
 
 
-# When enabled, every op output is scanned for non-finite values. Leaves are
-# always scanned (they enter from outside the engine).
-_DEBUG_CHECKS = False
-
 # While > 0, ops never record tape nodes (forward-only evaluation).
 _NO_GRAD_DEPTH = 0
-
-
-def set_debug_checks(enabled: bool) -> None:
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
 
 
 class no_grad:
@@ -211,8 +201,6 @@ def _records(parents: tuple[Tensor, ...]) -> bool:
 def _finish(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     """Build an op output, recording the tape node only when needed."""
     data = np.asarray(data)
-    if _DEBUG_CHECKS:
-        _require_finite(data, "op output")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -559,8 +547,7 @@ def sample_scan(
         logits[t] = h.reshape(B, d_h, l)
         perturbed = (logits[t] + noise[t]) * inv
         if taped or not hard:
-            shifted = perturbed - perturbed.max(axis=-1, keepdims=True)
-            sm = np.exp(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)), out=soft[t])
+            sm = np.exp(_log_softmax(perturbed), out=soft[t])
         # One-hot of the first maximum: soft - soft adds exactly zero.
         samples[t] = np.arange(l) == perturbed.argmax(axis=-1)[..., None] if hard else sm
 
@@ -917,10 +904,16 @@ def exp(a: Tensor) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis. Shifting by the maximum first keeps
+    exp from overflowing and leaves the result as it is."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Log-softmax over the last axis (the category axis)."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    data = _log_softmax(a.data)
 
     def backward_fn(out=None, a=a):
         if a.requires_grad:
@@ -933,9 +926,7 @@ def log_softmax(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed as exp(log_softmax)."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    log_sm = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    data = np.exp(log_sm)
+    data = np.exp(_log_softmax(a.data))
 
     def backward_fn(out=None, a=a):
         if a.requires_grad:

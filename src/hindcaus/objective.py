@@ -74,7 +74,6 @@ COMPONENTS = (
 class ObjectiveConfig:
     reward_weight: float = 1.0
     temperature: float = 1.0
-    hard_samples: bool = True
 
     def __post_init__(self):
         if self.reward_weight < 0:
@@ -150,9 +149,10 @@ def vlb_losses(
     mask_draw: np.ndarray | None = None,
 ):
     """Six VLB terms. Returns (loss tensor, LossBreakdown with reward_ce 0,
-    the live encoder's samples). `samples` / `target_logits` override the
-    (T+1, B, d_h, l) encoder unrolls (used by oracle tests); `mask_draw`
-    overrides the leave-one-out index draw.
+    the live encoder's samples). The live samples are hard straight-through
+    ones; `samples` / `target_logits` override the (T+1, B, d_h, l) encoder
+    unrolls (oracle tests pass true hidden values, gradient checks relaxed
+    samples); `mask_draw` overrides the leave-one-out index draw.
 
     A target whose `graph_binary` column keeps every input or none has the
     full mask as its causal mask, so its logits hold only the full and
@@ -168,7 +168,7 @@ def vlb_losses(
             enc,
             temperature=cfg.temperature,
             noise_for=rand.encoder_noise(B, env),
-            hard=cfg.hard_samples,
+            hard=True,
         )
     if target_logits is None:
         target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())

@@ -8,9 +8,11 @@ import pytest
 
 import hindcaus.env.modulo
 import hindcaus.fileio
+from hindcaus.env.dataset import DATASET_VERSION
 from hindcaus.env import (
     EnvConfig,
     TabularTransitionModel,
+    action_allowed,
     action_options,
     cmi_masks,
     config_hash,
@@ -21,7 +23,6 @@ from hindcaus.env import (
     noise_entropy,
     reward,
     rollout,
-    sample_noise,
     save_dataset,
     step,
     verify_properties,
@@ -75,16 +76,21 @@ def test_step_rejects_corrupt_state():
 # -- noise ----------------------------------------------------------------
 
 
+def _rollout_noise(cfg, n_episodes, seed):
+    """The (n_episodes * T, d_s) noise draws of a rollout, one row per step."""
+    return np.concatenate([e.gt_eps for e in rollout(cfg, range(n_episodes), seed=seed)])
+
+
 def test_noise_zero_on_observed_factors_in_noisy_hidden():
     cfg = chain3("hidden")
-    eps = sample_noise(cfg, stream(0, "noise-test"), n=2000)
+    eps = _rollout_noise(cfg, 400, seed=0)
     assert np.all(eps[:, [0, 2]] == 0)
     assert np.any(eps[:, 1] != 0)
 
 
 def test_noise_zero_frequency_matches_law():
     cfg = chain3("hidden")
-    eps = sample_noise(cfg, stream(1, "noise-freq"), n=100_000)
+    eps = _rollout_noise(cfg, 20_000, seed=1)
     freq0 = float((eps[:, 1] == 0).mean())
     assert abs(freq0 - 0.9) < 0.01
     assert abs(float((eps[:, 1] == -1).mean()) - 0.05) < 0.01
@@ -92,7 +98,7 @@ def test_noise_zero_frequency_matches_law():
 
 def test_noise_degenerate_spec_is_silent():
     cfg = chain3("hidden", noise_probs=[0.0, 1.0, 0.0])
-    eps = sample_noise(cfg, stream(2, "noise-degenerate"), n=500)
+    eps = _rollout_noise(cfg, 100, seed=2)
     assert np.all(eps == 0)
 
 
@@ -177,6 +183,19 @@ def test_actions_only_intervene_observed():
     for ep in rollout(cfg, range(200)):
         assert np.all(ep.a[:, 1] == 0)
         assert np.all(ep.a.sum(axis=1) <= 1)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [chain3(), EnvConfig.full(d_s=4, hidden_indices=[0, 2])],
+    ids=["chain3", "full4-two-hidden"],
+)
+def test_action_allowed_is_membership_in_action_options(cfg):
+    values = [-1, 0, 1, 2, 2**62]  # 2**62 twice overflows a weighted int64 sum
+    rows = np.stack(np.meshgrid(*[values] * cfg.d_s, indexing="ij"), axis=-1).reshape(-1, cfg.d_s)
+    member = (rows[:, None] == action_options(cfg)).all(axis=2).any(axis=1)
+    assert member.sum() == cfg.d_o + 1
+    assert np.array_equal(action_allowed(cfg, rows), member)
 
 
 def _episode_fields(episodes):
@@ -345,10 +364,6 @@ def _unknown_config_key(header):
     header["config"]["colour"] = "red"
 
 
-def _string_horizon(header):
-    header["config"]["horizon"] = "5"
-
-
 def _l_below_two(header):
     header["config"]["l"] = 1
 
@@ -357,17 +372,51 @@ def _version_1(header):
     header["version"] = 1
 
 
+def _version_2(header):
+    header["version"] = 2
+
+
+def _config_value(key, value):
+    def edit(header):
+        header["config"][key] = value
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, field, original",
     [
         (_header_as_list, "config", "JSON list"),
         (_drop_config, "config", "KeyError"),
         (_unknown_config_key, "config", "colour"),
-        (_string_horizon, "config", "'<' not supported"),
+        (_config_value("horizon", "5"), "config", "horizon must be an integer, got '5'"),
+        (_config_value("d_s", 3.0), "config", "d_s must be an integer, got 3.0"),
+        (_config_value("l", 4.0), "config", "l must be an integer, got 4.0"),
+        (_config_value("horizon", 2.5), "config", "horizon must be an integer, got 2.5"),
+        (_config_value("seed", 1.5), "config", "seed must be an integer, got 1.5"),
+        (_config_value("seed", True), "config", "seed must be an integer, got True"),
+        (_config_value("hidden_indices", [1.7]), "config", "hidden_indices must be integers"),
+        (_config_value("noise_probs", [math.nan, 0.9, 0.1]), "config", "must be a distribution"),
         (_l_below_two, "config", "l must be >= 2"),
         (_version_1, "version", "'version' is 1"),
+        (_version_2, "version", "'version' is 2"),
     ],
-    ids=["list", "no_config", "unknown_key", "string_horizon", "l_1", "version_1"],
+    ids=[
+        "list",
+        "no_config",
+        "unknown_key",
+        "string_horizon",
+        "float_d_s",
+        "float_l",
+        "float_horizon",
+        "float_seed",
+        "bool_seed",
+        "float_hidden_index",
+        "nan_noise_prob",
+        "l_1",
+        "version_1",
+        "version_2",
+    ],
 )
 def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
     path = tmp_path / "data.jsonl"
@@ -381,6 +430,17 @@ def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
         load_dataset(path)
     msg = str(exc.value)
     assert str(path) in msg and "line 1:" in msg and f"{field!r}" in msg and original in msg
+
+
+def test_dataset_version_pins_the_header_config_fields(tmp_path):
+    # A change to EnvConfig's fields changes the header: it needs a new version.
+    path = tmp_path / "data.jsonl"
+    save_dataset(generate_dataset(chain3(), 1, seed=1), path)
+    header = json.loads(path.read_text().splitlines()[0])
+    assert DATASET_VERSION == header["version"] == 3
+    assert list(header["config"]) == [
+        "d_s", "l", "graph_kind", "hidden_indices", "noise_probs", "noise_target", "horizon", "seed"
+    ]
 
 
 class _HalfWriter:
@@ -523,18 +583,11 @@ def test_properties_hold_for_d5_configs():
 
 
 def test_p1_violation_is_reported():
-    # Hidden factor 1 whose only child is itself.
-    adjacency = [[1, 0], [0, 1]]
-    cfg = EnvConfig(
-        d_s=2,
-        graph_kind="explicit",
-        adjacency=adjacency,
-        hidden_indices=[1],
-        noise_target="hidden",
-    )
+    # Hidden factor 1 is last in the chain, so its only child is itself.
+    cfg = EnvConfig.chain(d_s=2, hidden_indices=[1])
     report = verify_properties(cfg)
     assert not report.p1_ok
-    assert any("P1" in f and "1" in f for f in report.failures)
+    assert "P1: hidden factor 1 has no observed child" in report.failures
 
 
 # -- enumeration oracle ---------------------------------------------------------

@@ -738,6 +738,49 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
     assert "tensors.bin" in msg and str(len(full)) in msg and str(len(full) // 2) in msg
 
 
+def _truncate_manifest(text):
+    return text[: len(text) // 2]
+
+
+def _drop_step(text):
+    doc = json.loads(text)
+    del doc["step"]
+    return json.dumps(doc)
+
+
+def _drop_count(text):
+    doc = json.loads(text)
+    del doc["tensors"][1]["count"]
+    return json.dumps(doc)
+
+
+def _offset_past_blob(text):
+    doc = json.loads(text)
+    doc["tensors"][1]["offset"] = sum(e["count"] for e in doc["tensors"])
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_truncate_manifest, "not valid JSON"),
+        (_drop_step, "field 'step' is missing"),
+        (_drop_count, "entry 1 of field 'tensors' has no field 'count'"),
+        (_offset_past_blob, "fields 'offset'"),
+    ],
+    ids=["truncated", "no_step", "no_count", "offset_past_blob"],
+)
+def test_checkpoint_refuses_bad_manifest(tmp_path, edit, field):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    manifest.write_text(edit(manifest.read_text()))
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(tmp_path / "ckpt")
+    msg = str(exc.value)
+    assert str(manifest) in msg and field in msg
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)

@@ -584,7 +584,7 @@ def test_adam_skips_parameter_without_gradient():
 def test_adam_first_step_closed_form():
     # Fresh state, g=1: m_hat = v_hat = 1, update = -lr / (1 + eps).
     p = parameter([0.5])
-    opt = nc.Adam({"p": p}, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = nc.Adam({"p": p}, lr=1e-3)
     p.grad = np.ones(1)
     opt.step()
     expected = 0.5 - 1e-3 / (1.0 + 1e-8)
@@ -664,27 +664,27 @@ def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
 class LoopAdam:
     """Adam as one update per parameter, each moment its own array."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params, self.lr, self.beta1, self.beta2, self.eps = params, lr, beta1, beta2, eps
+    def __init__(self, params, lr):
+        self.params, self.lr = params, lr
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self):
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - beta1**self.t
+        bc2 = 1.0 - beta2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m, v = self.m[name], self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
 
 def test_flat_adam_matches_per_parameter_loop():
@@ -701,9 +701,8 @@ def test_flat_adam_matches_per_parameter_loop():
             if n == "c" and g is not None:
                 g = np.ascontiguousarray(g.transpose(2, 1, 0)).transpose(2, 1, 0)
             flat[n].grad = loop[n].grad = g
-        lr = 0.05 if step == 4 else None
-        opt.step(lr)
-        ref.step(lr)
+        opt.step()
+        ref.step()
         for n in shapes:
             assert np.array_equal(flat[n].data, loop[n].data), (step, n)
             assert np.array_equal(opt.m[n], ref.m[n]), (step, n)
@@ -957,16 +956,6 @@ def test_stream_uniforms_match_one_generator_per_stream():
     # Rows do not depend on the streams drawn before them.
     assert np.array_equal(nc.stream_uniforms(names[::-1], k), got[::-1])
     assert nc.stream_uniforms([], k).shape == (0, k)
-
-
-def test_debug_checks_reject_non_finite_op_output():
-    nc.set_debug_checks(True)
-    try:
-        x = constant([800.0])
-        with pytest.raises(NonFiniteError), np.errstate(over="ignore"):
-            x.exp()  # overflows to inf
-    finally:
-        nc.set_debug_checks(False)
 
 
 def test_max_relative_error_guard():

@@ -223,7 +223,7 @@ def objective_slice_and_add(batch, bundle, graph_binary, rand, cfg):
     B, T = batch.size, batch.horizon
     enc = BatchEncoding(batch, env)
     _, stacked = bundle.encoder.unroll(
-        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=cfg.hard_samples
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=True
     )
     target_stack, _ = bundle.encoder_target.unroll(enc, prev_samples=stacked.detach())
     samples = [stacked[t] for t in range(T + 1)]
@@ -322,7 +322,7 @@ def vlb_losses_three_blocks(batch, bundle, graph_binary, rand, cfg):
     B, T = batch.size, batch.horizon
     enc = BatchEncoding(batch, env)
     _, samples = bundle.encoder.unroll(
-        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=cfg.hard_samples
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=True
     )
     target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
     idx, hidden = _transition_inputs(batch, env, samples)
@@ -475,17 +475,22 @@ def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_n
     batch = make_batch(cfg, n=2, seed=4)
     bundle = build_models(cfg, "dvae_full", seed=4, hyper=ModelHyper(hidden_dim=hidden_dim))
     rand = StepRandomness(seed=9, step=2)
-    ocfg = ObjectiveConfig(hard_samples=False)
+    ocfg = ObjectiveConfig()
     g = full_graph(cfg)
-
     enc = BatchEncoding(batch, cfg)
-    _, samples0 = bundle.encoder.unroll(
-        enc, temperature=ocfg.temperature, noise_for=rand.encoder_noise(batch.size, cfg), hard=False
-    )
-    frozen_targets, _ = bundle.encoder_target.unroll(enc, prev_samples=samples0.detach())
+
+    def relaxed_samples():
+        noise_for = rand.encoder_noise(batch.size, cfg)
+        _, samples = bundle.encoder.unroll(enc, ocfg.temperature, noise_for=noise_for, hard=False)
+        return samples
+
+    frozen_targets, _ = bundle.encoder_target.unroll(enc, prev_samples=relaxed_samples().detach())
 
     def f():
-        loss, _, samples = vlb_losses(batch, bundle, g, rand, ocfg, target_logits=frozen_targets)
+        samples = relaxed_samples()
+        loss, _, _ = vlb_losses(
+            batch, bundle, g, rand, ocfg, samples=samples, target_logits=frozen_targets
+        )
         return loss + reward_loss(batch, bundle, samples)
 
     params = {param_name: bundle.store.tensors()[param_name]}
