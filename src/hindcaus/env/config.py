@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -16,6 +17,10 @@ NOISE_TARGETS = ("hidden", "observation")
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -69,6 +74,8 @@ class EnvConfig:
             raise ValueError("at least one factor must stay observed")
         if len(self.noise_probs) != 3:
             raise ValueError("noise_probs must be (p(-1), p(0), p(+1))")
+        if not all(_is_real(p) for p in self.noise_probs):
+            raise ValueError(f"noise_probs must be real numbers, got {self.noise_probs!r}")
         probs = np.asarray(self.noise_probs, dtype=np.float64)
         if not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= 1e-9):  # also refuses NaN
             raise ValueError(f"noise_probs must be a distribution, got {self.noise_probs}")

@@ -1,15 +1,21 @@
-"""JSON-lines dataset serialization and batch assembly.
+"""Dataset files and batch assembly.
 
-File layout: line 1 is a header {"version": 3, "config": {...}, "gt_graph":
-[[...]], "config_hash": "..."}; every further line is one episode with integer
-fields o, a, tau, r, gt_h, gt_eps. Round-trips are bit-exact. Loading checks
-the header (its version, its config, the config's hash, and gt_graph against
-the config's ground-truth graph) and every episode line against the config,
-including that each action is one the data-collection policy can take.
+A version-4 file is one JSON header line {"version": 4, "config": {...},
+"gt_graph": [[...]], "config_hash": "...", "episodes": n} followed by the
+fields o, a, tau, r, gt_h, gt_eps, each one block of all n episodes' values
+in little-endian int64, shaped as the config says: o (n, T+1, d_o),
+a (n, T, d_s), tau (n,), r (n, T), gt_h (n, T+1, d_h), gt_eps (n, T, d_s).
+Round-trips are bit-exact. Loading checks the header (version, config, the
+config's hash, gt_graph against the config's graph, episode count), that the
+blocks hold exactly n episodes, each field's value range, and that each
+action is one the data-collection policy can take. A refusal names the
+file, the field and, for a value, the first bad episode.
 
-Version 3 dropped the config fields that set an explicit graph, the noisy
-factors and h_0; its episodes are those of version 2, whose batched `rollout`
-replaced version 1's step-by-step draws. Older versions are refused.
+Version 3 stored the same episodes as one JSON line each. This reader cannot
+parse that layout, so it refuses version 3 by its version; `generate_dataset`
+makes the same episodes again from the config and the seed. Version 3 had
+dropped config fields of version 2, whose batched `rollout` replaced version
+1's step-by-step draws. Older versions are refused.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .modulo import Episode, action_allowed, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
-DATASET_VERSION = 3
+DATASET_VERSION = 4
 
 
 @dataclass
@@ -72,74 +78,6 @@ def stack_episodes(episodes: list[Episode]) -> TrainBatch:
     )
 
 
-def _episode_to_record(e: Episode) -> dict:
-    return {
-        "o": e.o.tolist(),
-        "a": e.a.tolist(),
-        "tau": int(e.tau),
-        "r": e.r.tolist(),
-        "gt_h": e.gt_h.tolist(),
-        "gt_eps": e.gt_eps.tolist(),
-    }
-
-
-def _parse_line(line: str, path: Path, n: int):
-    try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} line {n}: not valid JSON ({exc})") from None
-
-
-def _parse_episodes(records: list[tuple[int, dict]], cfg: EnvConfig, path: Path) -> list[Episode]:
-    """Episodes from (line number, parsed line) pairs. Each field must be an
-    integer array of the shape and value range the header config implies; a
-    `ValueError` names the file, the line and the field that is not."""
-    T, l = cfg.horizon, cfg.l
-    spec = {  # field: (shape, low, high), values in [low, high)
-        "o": ((T + 1, cfg.d_o), 0, l),
-        "a": ((T, cfg.d_s), 0, 2),
-        "tau": ((), 0, l),
-        "r": ((T,), 0, 2),
-        "gt_h": ((T + 1, cfg.d_h), 0, l),
-        "gt_eps": ((T, cfg.d_s), -1, 2),
-    }
-    columns: dict[str, list[np.ndarray]] = {name: [] for name in spec}
-    for n, d in records:
-        for name, (shape, _, _) in spec.items():
-            try:
-                arr = np.asarray(d[name])
-                integer = arr.dtype == np.int64
-            except (KeyError, TypeError, ValueError):  # not a dict, no such field, ragged
-                integer = False
-            if not integer or arr.shape != shape:
-                got = f"shape {arr.shape}" if integer else "no integer array"
-                raise ValueError(f"{path} line {n}: field {name!r} has {got}, expected shape {shape}")
-            columns[name].append(arr)
-    if not records:
-        return []
-    # Ranges are checked per field over the whole file, which is cheaper than
-    # per line: every line's field has the same size, so the index of the
-    # first bad value gives its line.
-    for name, (shape, low, high) in spec.items():
-        values = np.concatenate(columns[name], axis=None)
-        bad = np.flatnonzero((values < low) | (values >= high))
-        if bad.size:
-            n = records[bad[0] // math.prod(shape)][0]
-            raise ValueError(f"{path} line {n}: field {name!r} has values outside [{low}, {high})")
-    # Every action must be one the data-collection policy can take.
-    allowed = action_allowed(cfg, np.stack(columns["a"]).reshape(-1, cfg.d_s))
-    if not allowed.all():
-        n = records[np.argmin(allowed) // T][0]
-        raise ValueError(
-            f"{path} line {n}: field 'a' has a row that is neither a no-op nor a single "
-            f"intervention on an observed factor {cfg.observed_indices}"
-        )
-    return [
-        Episode(o=o, a=a, tau=int(tau), r=r, gt_h=gt_h, gt_eps=gt_eps)
-        for o, a, tau, r, gt_h, gt_eps in zip(*columns.values())
-    ]
-
-
 def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -> Dataset:
     """Roll out `n_episodes` episodes in memory with one batched `rollout`
     call; `save_dataset` writes them.
@@ -153,20 +91,45 @@ def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -
     return Dataset(config=cfg, episodes=episodes, gt_graph=ground_truth_graph(cfg))
 
 
+def _field_spec(cfg: EnvConfig) -> dict[str, tuple[tuple[int, ...], int, int]]:
+    """Each field's shape in one episode and its value range [low, high),
+    in file order."""
+    T, l = cfg.horizon, cfg.l
+    return {
+        "o": ((T + 1, cfg.d_o), 0, l),
+        "a": ((T, cfg.d_s), 0, 2),
+        "tau": ((), 0, l),
+        "r": ((T,), 0, 2),
+        "gt_h": ((T + 1, cfg.d_h), 0, l),
+        "gt_eps": ((T, cfg.d_s), -1, 2),
+    }
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the JSON-lines file through `write_atomic`: an interrupted save
-    leaves the previous file at `path` as it was."""
+    """Write the dataset file through `write_atomic`: an interrupted save
+    leaves the previous file at `path` as it was. The file keeps only values,
+    so every field of every episode must be an integer array of its shape."""
     path = Path(path)
     header = {
         "version": DATASET_VERSION,
         "config": ds.config.to_dict(),
         "gt_graph": ds.gt_graph.tolist(),
         "config_hash": ds.config_hash,
+        "episodes": len(ds),
     }
-    lines = [json.dumps(header, separators=(",", ":"))]
-    lines += [json.dumps(_episode_to_record(e), separators=(",", ":")) for e in ds.episodes]
+    blocks = []
+    for name, (shape, _, _) in _field_spec(ds.config).items():
+        arrays = [np.asarray(getattr(e, name)) for e in ds.episodes]
+        bad = [i for i, v in enumerate(arrays) if v.shape != shape or v.dtype.kind != "i"]
+        if bad:
+            raise ValueError(
+                f"cannot save dataset to {path}: field {name!r} of episode {bad[0]} is not "
+                f"an integer array of shape {shape}"
+            )
+        blocks.append(np.array(arrays, dtype="<i8").tobytes())
+    data = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + b"".join(blocks)
     try:
-        write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+        write_atomic(path, data)
     except OSError as exc:
         raise OSError(f"cannot write dataset to {path}: {exc}") from exc
 
@@ -195,19 +158,52 @@ def _header_config(header, path: Path) -> EnvConfig:
 
 
 def load_dataset(path: str | Path) -> Dataset:
+    """Read a file that `save_dataset` wrote, checked as the module
+    docstring says; a refusal is a `ValueError`."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = _parse_line(fh.readline(), path, 1)
-        cfg = _header_config(header, path)
-        if header.get("config_hash") != config_hash(cfg):
-            raise ValueError(f"{path} line 1: field 'config_hash' does not match its config")
-        gt_graph = ground_truth_graph(cfg)
-        if header.get("gt_graph") != gt_graph.tolist():
+    head, _, blob = path.read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"{path} line 1: header is not valid JSON ({exc})") from None
+    cfg = _header_config(header, path)
+    if header.get("config_hash") != config_hash(cfg):
+        raise ValueError(f"{path} line 1: field 'config_hash' does not match its config")
+    gt_graph = ground_truth_graph(cfg)
+    if header.get("gt_graph") != gt_graph.tolist():
+        raise ValueError(f"{path} line 1: field 'gt_graph' does not match the graph of its config")
+    n = header.get("episodes")
+    if type(n) is not int or n < 0:  # refuses a bool too
+        raise ValueError(f"{path} line 1: field 'episodes' is {n!r}, expected a count")
+    spec = _field_spec(cfg)
+    sizes = [math.prod(shape) for shape, _, _ in spec.values()]
+    if len(blob) != 8 * n * sum(sizes):
+        raise ValueError(
+            f"{path}: {len(blob)} bytes of episode data after the header, expected "
+            f"{8 * n * sum(sizes)} for {n} episodes of {sum(sizes)} int64 values each"
+        )
+    values = np.frombuffer(blob, dtype="<i8").astype(np.int64)  # a writable copy
+    fields, start = {}, 0
+    for (name, (shape, low, high)), size in zip(spec.items(), sizes):
+        block = values[start : start + n * size]
+        start += n * size
+        bad = np.flatnonzero((block < low) | (block >= high))
+        if bad.size:
             raise ValueError(
-                f"{path} line 1: field 'gt_graph' does not match the graph of its config"
+                f"{path}: field {name!r} of episode {bad[0] // size} has values "
+                f"outside [{low}, {high})"
             )
-        records = [
-            (n, _parse_line(line, path, n)) for n, line in enumerate(fh, start=2) if line.strip()
-        ]
-    episodes = _parse_episodes(records, cfg, path)
+        fields[name] = block.reshape(n, *shape)
+    allowed = action_allowed(cfg, fields["a"].reshape(-1, cfg.d_s))
+    if not allowed.all():
+        raise ValueError(
+            f"{path}: field 'a' of episode {np.argmin(allowed) // cfg.horizon} has a row that "
+            f"is neither a no-op nor a single intervention on an observed factor "
+            f"{cfg.observed_indices}"
+        )
+    fields["tau"] = fields["tau"].tolist()  # Python ints, as `rollout` gives them
+    episodes = [
+        Episode(o=o, a=a, tau=tau, r=r, gt_h=gt_h, gt_eps=gt_eps)
+        for o, a, tau, r, gt_h, gt_eps in zip(*fields.values())
+    ]
     return Dataset(config=cfg, episodes=episodes, gt_graph=gt_graph)

@@ -27,6 +27,7 @@ untaped for each target.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ class CmiMatrix:
 
     @classmethod
     def initial(cls, d_s: int, threshold: float, ema_coeff: float) -> "CmiMatrix":
-        if threshold <= 0:
-            raise ValueError(f"threshold must be positive, got {threshold}")
+        # A NaN threshold would drop every edge, an infinite one keep every edge.
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {threshold}")
         if not 0.0 <= ema_coeff < 1.0:
             raise ValueError(f"ema_coeff must be in [0, 1), got {ema_coeff}")
         return cls(

@@ -64,8 +64,10 @@ class ParameterStore:
             np.copyto(bar[name].data, src.data)
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy `arrays` into the tensors of the same names. Every entry is
-        checked before any is copied, so a refused load changes nothing."""
+        """Copy `arrays` into the tensors of the same names. Names outside the
+        store's groups, such as the `extra_arrays` of `save_checkpoint`, are
+        left for their own loaders. Every entry is checked before any is
+        copied, so a refused load changes nothing."""
         mine = self.tensors()
         for name, t in mine.items():
             if name not in arrays:
@@ -75,7 +77,7 @@ class ParameterStore:
                 raise ValueError(
                     f"checkpoint tensor {name!r} has shape {shape}, expected {t.data.shape}"
                 )
-        extra = set(arrays) - set(mine)
+        extra = {name for name in arrays if name.split("/", 1)[0] in self.groups} - set(mine)
         if extra:
             raise ValueError(f"checkpoint carries unknown tensors: {sorted(extra)[:3]}")
         for name, t in mine.items():
@@ -106,6 +108,10 @@ class ParamFactory:
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
         return self.store.add(self.group, name, array)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0  # a JSON integer; refuses a bool
 
 
 def save_checkpoint(
@@ -172,11 +178,32 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     for field in ("config_hash", "step", "sha256", "tensors"):
         if field not in manifest:
             raise ValueError(f"{manifest_path}: field {field!r} is missing")
+    if not isinstance(manifest["tensors"], list):
+        raise ValueError(
+            f"{manifest_path}: field 'tensors' is a JSON {type(manifest['tensors']).__name__}, "
+            "expected a list"
+        )
     for k, e in enumerate(manifest["tensors"]):
         for field in ("name", "shape", "offset", "count"):
             if not isinstance(e, dict) or field not in e:
                 raise ValueError(
                     f"{manifest_path}: entry {k} of field 'tensors' has no field {field!r}"
+                )
+        if not isinstance(e["name"], str):
+            raise ValueError(
+                f"{manifest_path}: entry {k} of field 'tensors': field 'name' is "
+                f"{e['name']!r}, expected a string"
+            )
+        if not (isinstance(e["shape"], list) and all(_is_count(d) for d in e["shape"])):
+            raise ValueError(
+                f"{manifest_path}: entry {k} of field 'tensors': field 'shape' is "
+                f"{e['shape']!r}, expected a list of integers >= 0"
+            )
+        for field in ("offset", "count"):
+            if not _is_count(e[field]):
+                raise ValueError(
+                    f"{manifest_path}: entry {k} of field 'tensors': field {field!r} is "
+                    f"{e[field]!r}, expected an integer >= 0"
                 )
     if expected_config_hash is not None and manifest["config_hash"] != expected_config_hash:
         raise ValueError(

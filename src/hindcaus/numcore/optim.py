@@ -14,6 +14,8 @@ so each entry gets the same bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import NonFiniteError, Tensor
@@ -27,8 +29,8 @@ EPS = 1e-8
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
         self.step_count = 0

@@ -31,6 +31,7 @@ reward_weight times the reward cross-entropy.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,10 +77,10 @@ class ObjectiveConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.reward_weight < 0:
-            raise ValueError(f"reward_weight must be >= 0, got {self.reward_weight}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.reward_weight) and self.reward_weight >= 0):
+            raise ValueError(f"reward_weight must be finite and >= 0, got {self.reward_weight}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
 
 
 @dataclass

@@ -262,90 +262,153 @@ def test_rollout_maps_extreme_uniforms_inside_their_ranges(monkeypatch, l):
 # -- dataset ----------------------------------------------------------------
 
 
+# Values in one chain3 episode (l=4, T=5, d_o=2, d_h=1) of each field, in file order.
+CHAIN3_FIELD_SIZES = {"o": 12, "a": 15, "tau": 1, "r": 5, "gt_h": 6, "gt_eps": 15}
+
+
+def _read(path):
+    """A dataset file's parsed header and the bytes after its newline."""
+    head, _, blob = path.read_bytes().partition(b"\n")
+    return json.loads(head), blob
+
+
+def _write(path, header, blob):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def _chain3_blocks(values, n):
+    """Views of a chain3 file's int64 values of n episodes, one (n, size)
+    block per field."""
+    blocks, start = {}, 0
+    for name, size in CHAIN3_FIELD_SIZES.items():
+        blocks[name] = values[start : start + n * size].reshape(n, size)
+        start += n * size
+    assert start == values.size
+    return blocks
+
+
+def _edit_values(path, edit):
+    """Apply `edit` to the (n, size) int64 blocks of a chain3 file."""
+    header, blob = _read(path)
+    values = np.frombuffer(blob, dtype="<i8").copy()
+    edit(_chain3_blocks(values, header["episodes"]))
+    _write(path, header, values.tobytes())
+
+
 def test_dataset_file_layout_and_roundtrip(tmp_path):
     cfg = chain3()
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.bin"
     ds = generate_dataset(cfg, 10, seed=1)
     save_dataset(ds, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 11  # header + 10 episodes
+    header, blob = _read(path)
+    assert header["episodes"] == 10 and len(blob) == 10 * 8 * sum(CHAIN3_FIELD_SIZES.values())
     loaded = load_dataset(path)
     assert loaded.config == cfg
     assert np.array_equal(loaded.gt_graph, ds.gt_graph)
+    assert len(loaded) == 10
     for e1, e2 in zip(ds.episodes, loaded.episodes):
-        assert np.array_equal(e1.o, e2.o)
-        assert np.array_equal(e1.a, e2.a)
-        assert e1.tau == e2.tau
-        assert np.array_equal(e1.r, e2.r)
-        assert np.array_equal(e1.gt_h, e2.gt_h)
-        assert np.array_equal(e1.gt_eps, e2.gt_eps)
+        assert type(e2.tau) is int and e1.tau == e2.tau
+        for name in ("o", "a", "r", "gt_h", "gt_eps"):
+            x, y = getattr(e1, name), getattr(e2, name)
+            assert x.dtype == y.dtype == np.int64 and x.shape == y.shape, name
+            assert x.tobytes() == y.tobytes() and y.flags.writeable, name
 
 
-def _set_o(record):
-    record["o"][1][0] = 9
-
-
-def _truncate_a(record):
-    record["a"] = record["a"][:2]
-
-
-def _float_r(record):
-    record["r"][0] = 0.5
-
-
-@pytest.mark.parametrize("field, edit", [("o", _set_o), ("a", _truncate_a), ("r", _float_r)])
-def test_load_dataset_rejects_corrupt_episode_line(tmp_path, field, edit):
-    path = tmp_path / "data.jsonl"
+@pytest.mark.parametrize(
+    "field, value", [("o", 4), ("a", 2), ("tau", -1), ("r", 2), ("gt_h", 4), ("gt_eps", -2)],
+    ids=["o", "a", "tau", "r", "gt_h", "gt_eps"],
+)
+def test_load_dataset_rejects_value_outside_field_range(tmp_path, field, value):
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[2])
-    edit(record)
-    lines[2] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+
+    def edit(blocks):
+        blocks[field][2, -1] = value
+
+    _edit_values(path, edit)
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     msg = str(exc.value)
-    assert str(path) in msg and "line 3" in msg and f"field {field!r}" in msg
+    assert str(path) in msg and f"field {field!r} of episode 2 " in msg and "outside" in msg
 
 
 @pytest.mark.parametrize(
     "row", [[1, 0, 1], [0, 1, 0]], ids=["two_interventions", "hidden_factor"]
 )
 def test_load_dataset_rejects_action_outside_policy_support(tmp_path, row):
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)  # factor 1 is hidden
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[3])
-    record["a"][1] = row
-    lines[3] = json.dumps(record)
-    path.write_text("\n".join(lines) + "\n")
+
+    def edit(blocks):
+        blocks["a"][2].reshape(5, 3)[1] = row
+
+    _edit_values(path, edit)
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     msg = str(exc.value)
-    assert str(path) in msg and "line 4:" in msg and "field 'a'" in msg
+    assert str(path) in msg and "field 'a' of episode 2 " in msg and "observed factor" in msg
 
 
-@pytest.mark.parametrize("line", [1, 3])  # the header, an episode
-def test_load_dataset_rejects_truncated_line(tmp_path, line):
-    path = tmp_path / "data.jsonl"
+def _transpose_o(e):
+    e.o = np.ascontiguousarray(e.o.T)
+
+
+def _float_r(e):
+    e.r = e.r + 0.5
+
+
+def _truncate_a(e):
+    e.a = e.a[:2]
+
+
+@pytest.mark.parametrize(
+    "field, edit", [("o", _transpose_o), ("r", _float_r), ("a", _truncate_a)],
+    ids=["transposed_o", "float_r", "ragged_a"],
+)
+def test_save_dataset_refuses_episodes_that_do_not_fit_the_config(tmp_path, field, edit):
+    # The file keeps values only, so a shape or a dtype it cannot hold is refused on save.
+    path = tmp_path / "data.bin"
+    ds = generate_dataset(chain3(), 4, seed=1)
+    edit(ds.episodes[2])
+    with pytest.raises(ValueError) as exc:
+        save_dataset(ds, path)
+    msg = str(exc.value)
+    assert str(path) in msg and f"field {field!r}" in msg
+    assert not path.exists()
+
+
+def test_load_dataset_rejects_truncated_header(tmp_path):
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)
-    lines = path.read_text().splitlines()
-    lines[line - 1] = lines[line - 1][:40]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     msg = str(exc.value)
-    assert str(path) in msg and f"line {line}:" in msg and "JSON" in msg
+    assert str(path) in msg and "line 1:" in msg and "JSON" in msg
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda blob: blob[:-432], lambda blob: blob[:-1], lambda blob: blob + bytes(8)],
+    ids=["one_episode_short", "one_byte_short", "extra_value"],
+)
+def test_load_dataset_rejects_wrong_blob_size(tmp_path, edit):
+    path = tmp_path / "data.bin"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    header, blob = _read(path)
+    _write(path, header, edit(blob))
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path)
+    msg = str(exc.value)
+    assert str(path) in msg and f"{len(edit(blob))} bytes" in msg and f"expected {len(blob)}" in msg
 
 
 def test_load_dataset_rejects_wrong_gt_graph(tmp_path):
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
+    header, blob = _read(path)
     header["gt_graph"] = [[1]]
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, header, blob)
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     msg = str(exc.value)
@@ -368,12 +431,11 @@ def _l_below_two(header):
     header["config"]["l"] = 1
 
 
-def _version_1(header):
-    header["version"] = 1
+def _header_value(key, value):
+    def edit(header):
+        header[key] = value
 
-
-def _version_2(header):
-    header["version"] = 2
+    return edit
 
 
 def _config_value(key, value):
@@ -397,9 +459,22 @@ def _config_value(key, value):
         (_config_value("seed", True), "config", "seed must be an integer, got True"),
         (_config_value("hidden_indices", [1.7]), "config", "hidden_indices must be integers"),
         (_config_value("noise_probs", [math.nan, 0.9, 0.1]), "config", "must be a distribution"),
+        (
+            _config_value("noise_probs", [True, False, False]),
+            "config",
+            "noise_probs must be real numbers, got [True, False, False]",
+        ),
+        (
+            _config_value("noise_probs", ["0.05", "0.9", "0.05"]),
+            "config",
+            "noise_probs must be real numbers, got ['0.05', '0.9', '0.05']",
+        ),
         (_l_below_two, "config", "l must be >= 2"),
-        (_version_1, "version", "'version' is 1"),
-        (_version_2, "version", "'version' is 2"),
+        (_header_value("version", 1), "version", "'version' is 1"),
+        (_header_value("version", 2), "version", "'version' is 2"),
+        (_header_value("version", 3), "version", "'version' is 3"),
+        (_header_value("episodes", True), "episodes", "'episodes' is True"),
+        (_header_value("episodes", -1), "episodes", "'episodes' is -1"),
     ],
     ids=[
         "list",
@@ -413,19 +488,22 @@ def _config_value(key, value):
         "bool_seed",
         "float_hidden_index",
         "nan_noise_prob",
+        "bool_noise_probs",
+        "string_noise_probs",
         "l_1",
         "version_1",
         "version_2",
+        "version_3",
+        "bool_episodes",
+        "negative_episodes",
     ],
 )
 def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)
-    lines = path.read_text().splitlines()
-    header = json.loads(lines[0])
+    header, blob = _read(path)
     header = edit(header) or header
-    lines[0] = json.dumps(header)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, header, blob)
     with pytest.raises(ValueError) as exc:
         load_dataset(path)
     msg = str(exc.value)
@@ -433,14 +511,23 @@ def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
 
 
 def test_dataset_version_pins_the_header_config_fields(tmp_path):
-    # A change to EnvConfig's fields changes the header: it needs a new version.
-    path = tmp_path / "data.jsonl"
-    save_dataset(generate_dataset(chain3(), 1, seed=1), path)
-    header = json.loads(path.read_text().splitlines()[0])
-    assert DATASET_VERSION == header["version"] == 3
+    # A change to EnvConfig's fields, to the header or to the block layout
+    # changes the file: it needs a new version.
+    path = tmp_path / "data.bin"
+    ds = generate_dataset(chain3(), 3, seed=1)
+    save_dataset(ds, path)
+    header, blob = _read(path)
+    assert DATASET_VERSION == header["version"] == 4
+    assert list(header) == ["version", "config", "gt_graph", "config_hash", "episodes"]
+    assert header["episodes"] == 3
     assert list(header["config"]) == [
         "d_s", "l", "graph_kind", "hidden_indices", "noise_probs", "noise_target", "horizon", "seed"
     ]
+    assert len(blob) == 3 * 432  # 54 little-endian int64 values per chain3 episode
+    blocks = _chain3_blocks(np.frombuffer(blob, dtype="<i8"), 3)
+    for name, block in blocks.items():
+        episodes = np.array([getattr(e, name) for e in ds.episodes])
+        assert np.array_equal(block, episodes.reshape(3, -1)), name
 
 
 class _HalfWriter:
@@ -484,7 +571,7 @@ def _fail_replace(monkeypatch):
     "interrupt", [_cut_mid_write, _fail_replace], ids=["mid_write", "before_replace"]
 )
 def test_interrupted_dataset_save_keeps_old_file(tmp_path, monkeypatch, interrupt):
-    path = tmp_path / "data.jsonl"
+    path = tmp_path / "data.bin"
     save_dataset(generate_dataset(chain3(), 4, seed=1), path)
     old = path.read_bytes()
     error = interrupt(monkeypatch)
@@ -492,7 +579,7 @@ def test_interrupted_dataset_save_keeps_old_file(tmp_path, monkeypatch, interrup
         save_dataset(generate_dataset(chain3(), 6, seed=2), path)
     monkeypatch.undo()
     assert path.read_bytes() == old
-    assert os.listdir(tmp_path) == ["data.jsonl"]  # no temporary file left
+    assert os.listdir(tmp_path) == ["data.bin"]  # no temporary file left
     save_dataset(generate_dataset(chain3(), 6, seed=2), path)
     assert len(load_dataset(path)) == 6
 

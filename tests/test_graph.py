@@ -51,6 +51,12 @@ def test_initial_matrix_is_threshold_and_fully_connected():
     assert np.all(m.binarized == 1)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, np.nan, np.inf])
+def test_initial_matrix_rejects_bad_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and positive"):
+        CmiMatrix.initial(3, threshold=threshold, ema_coeff=0.9)
+
+
 def test_ema_zero_coeff_copies_fresh():
     m = CmiMatrix.initial(3, threshold=0.03, ema_coeff=0.0)
     fresh = np.arange(12, dtype=float).reshape(4, 3) / 10

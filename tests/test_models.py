@@ -652,6 +652,34 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(t.data, before[n]), n
 
 
+def test_checkpoint_with_optimizer_and_cmi_arrays_loads_bit_exact(tmp_path):
+    # The store takes the names under its groups; Adam takes its moments.
+    cfg = chain3()
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    opt = Adam(bundle.store.trainable(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        for p in opt.params.values():
+            p.grad = rng.normal(size=p.data.shape)
+        opt.step()
+    cmi = rng.random((cfg.d_s + 1, cfg.d_s))
+    extra = {**opt.state_tensors(), "cmi/values": cmi}
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=2, extra_arrays=extra)
+    arrays, step_no, _ = load_checkpoint(tmp_path / "ckpt")
+    fresh = build_models(cfg, "dvae_full", seed=1)
+    fresh_opt = Adam(fresh.store.trainable(), lr=1e-3)
+    fresh.store.load_arrays(arrays)
+    fresh_opt.load_state(arrays, step_no)
+    loaded = fresh.store.tensors()
+    for n, t in bundle.store.tensors().items():
+        assert loaded[n].data.tobytes() == t.data.tobytes(), n
+    loaded = fresh_opt.state_tensors()
+    for n, a in opt.state_tensors().items():
+        assert loaded[n].tobytes() == a.tobytes(), n
+    assert arrays["cmi/values"].tobytes() == cmi.tobytes()
+    assert fresh_opt.step_count == opt.step_count == 2
+
+
 @pytest.mark.parametrize("case", ["missing", "shape", "extra"])
 def test_store_refused_load_leaves_tensors_unchanged(case):
     bundle = build_models(chain3(), "dvae_full", seed=0)
@@ -754,6 +782,17 @@ def _drop_count(text):
     return json.dumps(doc)
 
 
+def _manifest_value(value, entry=None, field="tensors"):
+    """Set the manifest's `field`, or that field of entry `entry` of its tensors."""
+
+    def edit(text):
+        doc = json.loads(text)
+        (doc if entry is None else doc["tensors"][entry])[field] = value
+        return json.dumps(doc)
+
+    return edit
+
+
 def _offset_past_blob(text):
     doc = json.loads(text)
     doc["tensors"][1]["offset"] = sum(e["count"] for e in doc["tensors"])
@@ -767,8 +806,27 @@ def _offset_past_blob(text):
         (_drop_step, "field 'step' is missing"),
         (_drop_count, "entry 1 of field 'tensors' has no field 'count'"),
         (_offset_past_blob, "fields 'offset'"),
+        (_manifest_value(5), "field 'tensors' is a JSON int, expected a list"),
+        (_manifest_value(5, 1, "name"), "entry 1 of field 'tensors': field 'name' is 5"),
+        (_manifest_value("2", 1, "shape"), "entry 1 of field 'tensors': field 'shape' is '2'"),
+        (_manifest_value([2.0], 1, "shape"), "entry 1 of field 'tensors': field 'shape' is [2.0]"),
+        (_manifest_value("0", 1, "offset"), "entry 1 of field 'tensors': field 'offset' is '0'"),
+        (_manifest_value(1.5, 1, "count"), "entry 1 of field 'tensors': field 'count' is 1.5"),
+        (_manifest_value(True, 1, "count"), "entry 1 of field 'tensors': field 'count' is True"),
     ],
-    ids=["truncated", "no_step", "no_count", "offset_past_blob"],
+    ids=[
+        "truncated",
+        "no_step",
+        "no_count",
+        "offset_past_blob",
+        "tensors_not_list",
+        "int_name",
+        "string_shape",
+        "float_dim",
+        "string_offset",
+        "float_count",
+        "bool_count",
+    ],
 )
 def test_checkpoint_refuses_bad_manifest(tmp_path, edit, field):
     bundle = build_models(chain3(), "dvae_full", seed=0)

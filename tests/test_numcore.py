@@ -602,6 +602,12 @@ def test_adam_optimizes_quadratic():
     assert abs(p.data[0]) < 0.1
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+def test_adam_rejects_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="lr must be finite and positive"):
+        nc.Adam({"p": parameter([1.0])}, lr=lr)
+
+
 def test_adam_rejects_nan_gradient_naming_parameter():
     p = parameter([1.0])
     q = parameter([1.0])

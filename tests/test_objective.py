@@ -525,7 +525,13 @@ def test_reward_loss_untrained_near_label_entropy():
 
 
 def test_rejects_bad_config():
-    with pytest.raises(ValueError):
-        ObjectiveConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        ObjectiveConfig(reward_weight=-1.0)
+    for field, value in [
+        ("temperature", 0.0),
+        ("temperature", math.nan),
+        ("temperature", math.inf),
+        ("reward_weight", -1.0),
+        ("reward_weight", math.nan),
+        ("reward_weight", math.inf),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            ObjectiveConfig(**{field: value})
