@@ -129,7 +129,7 @@ def rollout(
     T, d_o, d_s = cfg.horizon, cfg.d_o, cfg.d_s
     obs_idx, hid_idx = cfg.observed_indices, cfg.hidden_indices
     k = d_o + 1 + T * (1 + d_s)
-    u = stream_uniforms([(seed, "episode", i) for i in episode_indices], k)
+    u = stream_uniforms((seed, "episode"), episode_indices, k)
     n = u.shape[0]
 
     per_step = u[:, d_o + 1 :].reshape(n, T, 1 + d_s)

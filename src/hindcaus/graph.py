@@ -18,11 +18,16 @@ A batch repeats many (s, a) rows (chain3 at l = 4 has only 192), so
 `estimate_cmi` asks the model only for the distinct rows, once, and expands
 the answer back to every row before the per-target means. This needs a
 model whose rows are independent, as both models here are.
-`NeuralCmiModel` builds the transition's `input_indices` of s and a once
-per call. Its hidden values are integers too, so every input, hidden ones
-included, is read from each target's feature table; the dense hidden path
-is left to the training path's soft samples. It runs the remaining ops
-untaped for each target.
+`NeuralCmiModel` hands the call to `MaskedTransition.log_probs`, which
+reads every input, hidden ones included, from each target's feature table;
+the dense hidden path is left to the training path's soft samples. The
+transition memoizes its answer per row, keyed by the row's `input_indices`,
+and empties the memo at the first call that finds its weights or the mask
+stack changed, so the memo holds at most the distinct rows seen under one
+snapshot of both. A memoized row equals that row as computed in the batch
+where it first missed. Evaluating a fixed checkpoint thus runs the network
+only on rows it has not seen; training changes the weights before every
+graph update, so there every row misses.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import action_allowed, cmi_masks
 from .env.oracle import TabularTransitionModel
-from .models import BatchEncoding, ModelBundle, input_indices
+from .models import BatchEncoding, ModelBundle
 from .numcore.dists import gumbel_noise
 from .numcore.random import stream
 from .numcore.tensor import no_grad
@@ -102,16 +107,7 @@ class NeuralCmiModel:
         self.env = bundle.env
 
     def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        transition = self.bundle.transition
-        env = self.env
-        out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
-        with no_grad():
-            idx = input_indices(env, s, a)  # also checks that s is in [0, l)
-            for j in range(env.d_s):
-                feats = transition.features(j, idx)
-                logits = transition.logits_from_features(j, feats, masks[:, None])
-                out[j] = logits.log_softmax().data
-        return out
+        return self.bundle.transition.log_probs(s, a, masks)
 
 
 class TabularCmiModel:

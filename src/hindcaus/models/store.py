@@ -183,6 +183,7 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
             f"{manifest_path}: field 'tensors' is a JSON {type(manifest['tensors']).__name__}, "
             "expected a list"
         )
+    entry_of: dict[str, int] = {}
     for k, e in enumerate(manifest["tensors"]):
         for field in ("name", "shape", "offset", "count"):
             if not isinstance(e, dict) or field not in e:
@@ -194,6 +195,12 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
                 f"{manifest_path}: entry {k} of field 'tensors': field 'name' is "
                 f"{e['name']!r}, expected a string"
             )
+        if e["name"] in entry_of:
+            raise ValueError(
+                f"{manifest_path}: entries {entry_of[e['name']]} and {k} of field 'tensors' "
+                f"both name tensor {e['name']!r}"
+            )
+        entry_of[e["name"]] = k
         if not (isinstance(e["shape"], list) and all(_is_count(d) for d in e["shape"])):
             raise ValueError(
                 f"{manifest_path}: entry {k} of field 'tensors': field 'shape' is "

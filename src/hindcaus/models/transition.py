@@ -47,6 +47,12 @@ K = 2 for a target whose causal mask would copy the full one; the CMI
 estimate passes its d_s+2 `cmi_masks`. When taped, the pool keeps each
 output's winning input, so its backward routes the gradient in one pass;
 under `no_grad` (the CMI estimate) it keeps none.
+
+`log_probs` answers the CMI estimate's question for every target at once
+on integer rows, untaped. It memoizes each row's answer, keyed by the
+row's `input_indices` bytes, and empties the memo at the first call that
+finds the weights or the mask stack changed since it was filled; see its
+docstring.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ import numpy as np
 
 from ..env.config import EnvConfig
 from ..env.modulo import action_allowed
-from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, transpose
+from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, no_grad, transpose
 from .nets import MLP, StackedLinear
 from .store import ParamFactory
 
@@ -147,6 +153,14 @@ class MaskedTransition:
             self._embed.append(stacked("embed", in_dims, embed_dim))
             self._proj.append(stacked("proj", [embed_dim] * len(in_dims), feat_dim))
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
+        layers = [*self._embed, *self._proj, *(layer for h in self._heads for layer in h.layers)]
+        self._params = [t for layer in layers for t in (layer.W, layer.b)]
+        # The memo of `log_probs`: its mask stack, the flat weights it was
+        # filled under, each row key's slot, and the (d_s, K, slots, l) answers.
+        self._memo_masks: np.ndarray | None = None
+        self._snapshot = np.empty(0)
+        self._slots: dict[bytes, int] = {}
+        self._memo = np.empty(0)
 
     def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Tensor:
         """(d_s+1, rows, feat) per-input features of target j from the
@@ -187,6 +201,54 @@ class MaskedTransition:
         """(rows, l) logits under one (d_s+1,) or (rows, d_s+1) mask."""
         mask = np.reshape(mask, (1, -1, self.env.d_s + 1))
         return self.logits_from_features(j, self.features(j, idx, hidden), mask)[0]
+
+    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """(d_s, K, n, l) log-probabilities of every target's next value for
+        n rows of integer factors `s` and actions `a`, block [j, k]
+        conditioned on keep-mask k of the (K, d_s+1) stack `masks`. Runs
+        untaped.
+
+        The answers are memoized per row, keyed by the row's `input_indices`
+        (its bytes), so a call runs features, pool and head only on the rows
+        not yet in the memo; `input_indices` checks every row, memoized or
+        not. The memo holds only while the mask stack and this transition's
+        weights are equal (`np.array_equal`) to those it was filled under, a
+        copy of which it keeps; a call that finds either changed empties it
+        first. So it holds at most the distinct rows seen under one set of
+        weights and masks, and a memoized row equals that row as computed
+        in the batch where it first missed. A call where every row misses
+        does the work of one without a memo.
+        """
+        masks = np.asarray(masks)
+        if masks.ndim != 2 or masks.shape[1] != self.env.d_s + 1:
+            raise ValueError(f"masks must have shape (K, {self.env.d_s + 1}), got {masks.shape}")
+        idx = input_indices(self.env, s, a)
+        weights = np.concatenate([t.data.ravel() for t in self._params])
+        if not (
+            self._memo_masks is not None
+            and np.array_equal(masks, self._memo_masks)
+            and np.array_equal(weights, self._snapshot)
+        ):
+            self._memo_masks, self._snapshot, self._slots = masks.copy(), weights, {}
+            self._memo = np.empty((self.env.d_s, len(masks), 0, self.env.l))
+        row = np.dtype((np.void, idx.itemsize * idx.shape[0]))
+        keys = np.ascontiguousarray(idx.T).view(row).ravel().tolist()
+        slots = self._slots
+        miss = [r for r, key in enumerate(keys) if key not in slots]
+        if miss:
+            idx = idx[:, miss]
+            fresh = np.empty((self.env.d_s, len(masks), len(miss), self.env.l))
+            with no_grad():
+                for j in range(self.env.d_s):
+                    logits = self.logits_from_features(j, self.features(j, idx), masks[:, None])
+                    fresh[j] = logits.log_softmax().data
+            new = []  # the first row of each new key, in `fresh`
+            for i, r in enumerate(miss):
+                if keys[r] not in slots:
+                    slots[keys[r]] = len(slots)
+                    new.append(i)
+            self._memo = np.concatenate([self._memo, fresh[:, :, new]], axis=2)
+        return self._memo.take([slots[key] for key in keys], axis=2)
 
 
 class RewardHead:

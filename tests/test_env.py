@@ -251,7 +251,7 @@ def test_rollout_maps_extreme_uniforms_inside_their_ranges(monkeypatch, l):
     opts = action_options(cfg)
     noisy = np.array([i in cfg.hidden_indices for i in range(cfg.d_s)])
     for u, index, noise in ((0.0, 0, -1), (np.nextafter(1.0, 0.0), l - 1, 1)):
-        constant = lambda names, k, u=u: np.full((len(names), k), u)
+        constant = lambda prefix, ids, k, u=u: np.full((len(ids), k), u)
         monkeypatch.setattr(hindcaus.env.modulo, "stream_uniforms", constant)
         (ep,) = rollout(cfg, [0])
         assert np.all(ep.o[0] == index) and ep.tau == index

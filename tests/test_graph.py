@@ -3,6 +3,7 @@ import pytest
 
 from hindcaus.env import (
     EnvConfig,
+    action_options,
     cmi_masks,
     TabularTransitionModel,
     enumeration_cmi,
@@ -19,8 +20,8 @@ from hindcaus.graph import (
     estimate_cmi,
     graph_accuracy,
 )
-from hindcaus.models import build_models, hidden_stack, input_indices
-from hindcaus.numcore import constant, no_grad
+from hindcaus.models import ModelHyper, build_models, hidden_stack, input_indices
+from hindcaus.numcore import Adam, constant, no_grad
 
 
 def chain3(noise_target="observation", **kw):
@@ -168,10 +169,30 @@ def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
 # -- distinct rows and input checks -----------------------------------------------
 
 
+def per_target_log_probs(bundle, s, a, masks):
+    """`NeuralCmiModel.log_probs` as it was before the transition memoized
+    its rows: every call runs features, pool and head on every row, one
+    target at a time."""
+    env, transition = bundle.env, bundle.transition
+    out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
+    with no_grad():
+        idx = input_indices(env, s, a)
+        for j in range(env.d_s):
+            feats = transition.features(j, idx)
+            out[j] = transition.logits_from_features(j, feats, masks[:, None]).log_softmax().data
+    return out
+
+
+def reference_log_probs(model, s, a, masks):
+    if isinstance(model, NeuralCmiModel):
+        return per_target_log_probs(model.bundle, s, a, masks)
+    return model.log_probs(s, a, masks)
+
+
 def estimate_cmi_every_row(model, env, s, a, next_values):
     """`estimate_cmi` as it was before it evaluated only the distinct (s, a)
-    rows: the model scores every row of the batch."""
-    logps_all = model.log_probs(s, a, cmi_masks(env))
+    rows: the model scores every row of the batch, without a memo."""
+    logps_all = reference_log_probs(model, s, a, cmi_masks(env))
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):
         logps = logps_all[j]
@@ -237,6 +258,108 @@ def test_batch_of_one_repeated_row_matches_every_row_reference():
         rtol=1e-12,
         atol=1e-15,
     )
+
+
+# -- memoized transition log-probs ----------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_memoized_log_probs_match_per_target_reference(name):
+    cfg = WORKLOAD_CONFIGS[name]()
+    model = _cmi_models(cfg)["neural"]
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)  # 320 rows with repeats
+    masks = cmi_masks(cfg)
+    want = per_target_log_probs(model.bundle, s, a, masks)
+    assert np.array_equal(model.log_probs(s, a, masks), want)  # fills the memo
+    assert np.array_equal(model.log_probs(s, a, masks), want)  # every row a hit
+    assert np.array_equal(model.log_probs(s[::-1], a[::-1], masks), want[:, :, ::-1])
+    # Filled over two calls: the second half's new rows ran in a smaller
+    # batch, which BLAS may round differently.
+    fresh = _cmi_models(cfg)["neural"]
+    fresh.log_probs(s[:160], a[:160], masks)
+    np.testing.assert_allclose(fresh.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
+    distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
+    assert len(fresh.bundle.transition._slots) == distinct < len(s)
+
+
+def _wide_rows(cfg, n, seed):
+    """n rows of a config too wide for an integer row code, each differing
+    from the first in factor 0 or d_s-1 only, or in the action."""
+    rng = np.random.default_rng(seed)
+    s = np.repeat(rng.integers(0, cfg.l, size=(1, cfg.d_s)), n, axis=0)
+    s[1::3, 0] = rng.integers(0, cfg.l, size=len(s[1::3]))
+    s[2::3, -1] = rng.integers(0, cfg.l, size=len(s[2::3]))
+    options = action_options(cfg)
+    a = options[rng.integers(0, len(options), size=n)]
+    return s, a
+
+
+def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
+    cfg = EnvConfig.chain(d_s=20, l=8)
+    assert (max(cfg.l, cfg.d_s) + 1) ** (cfg.d_s + 1) > np.iinfo(np.int64).max
+    bundle = build_models(cfg, "dvae_full", seed=0, hyper=ModelHyper(hidden_dim=8, embed_dim=4))
+    model, masks = NeuralCmiModel(bundle), cmi_masks(cfg)
+    s, a = _wide_rows(cfg, 60, seed=1)
+    want = per_target_log_probs(bundle, s, a, masks)
+    assert np.array_equal(model.log_probs(s, a, masks), want)
+    assert np.array_equal(model.log_probs(s, a, masks), want)
+    distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
+    assert len(bundle.transition._slots) == distinct
+    # A call is checked row by row even where every key is memoized: a row
+    # with two interventions has the key of its first one, a memoized row.
+    o0, o1 = cfg.observed_indices[:2]
+    r = int(np.flatnonzero(a[:, o0])[0])
+    bad_a = a.copy()
+    bad_a[r, o1] = 1
+    bad_s = s.copy()
+    bad_s[r, -1] = cfg.l
+    for args, msg in [((s, bad_a), f"action row {r} "), ((bad_s, a), "factor values")]:
+        with pytest.raises(ValueError, match=msg):
+            model.log_probs(*args, masks)
+    assert len(bundle.transition._slots) == distinct
+    assert np.array_equal(model.log_probs(s, a, masks), want)
+
+
+def _write_one_theta_h_weight(bundle, masks):
+    bundle.store.groups["theta_h"]["target1.head.l0.W"].data[3, 2] += 0.5
+    return masks
+
+
+def _adam_step(bundle, masks):
+    opt = Adam(bundle.store.trainable(), lr=0.01)
+    rng = np.random.default_rng(3)
+    for t in opt.params.values():
+        t.grad = rng.normal(size=t.shape)
+    opt.step()
+    return masks
+
+
+def _load_other_arrays(bundle, masks):
+    other = build_models(bundle.env, "dvae_full", seed=1)
+    bundle.store.load_arrays({n: t.data for n, t in other.store.tensors().items()})
+    return masks
+
+
+def _other_mask_stack(bundle, masks):
+    return masks[[0, 2, 1, 3, 4]]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [_write_one_theta_h_weight, _adam_step, _load_other_arrays, _other_mask_stack],
+    ids=["theta_h_write", "adam_step", "load_arrays", "mask_stack"],
+)
+def test_memo_resets_when_weights_or_masks_change(change):
+    cfg = chain3("hidden")
+    model = _cmi_models(cfg)["neural"]
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
+    masks = cmi_masks(cfg)
+    before = model.log_probs(s, a, masks)
+    masks = change(model.bundle, masks)
+    want = per_target_log_probs(model.bundle, s, a, masks)
+    assert not np.array_equal(want, before)
+    assert np.array_equal(model.log_probs(s, a, masks), want)
+    assert np.array_equal(model.log_probs(s, a, masks), want)
 
 
 def _unique_rows_reference(rows):

@@ -839,6 +839,19 @@ def test_checkpoint_refuses_bad_manifest(tmp_path, edit, field):
     assert str(manifest) in msg and field in msg
 
 
+def test_checkpoint_refuses_duplicate_tensor_name(tmp_path):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    manifest = tmp_path / "ckpt" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    name = doc["tensors"][0]["name"]
+    doc["tensors"][1]["name"] = name
+    manifest.write_text(json.dumps(doc))
+    expected = f"entries 0 and 1 of field 'tensors' both name tensor {name!r}"
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: {expected}")):
+        load_checkpoint(tmp_path / "ckpt")
+
+
 def test_checkpoint_shape_mismatch_names_tensor(tmp_path):
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)

@@ -7,6 +7,7 @@ import pytest
 from hindcaus import numcore as nc
 from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
+from hindcaus.numcore.random import _stream_keys
 from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _sigmoid
 
 
@@ -953,15 +954,29 @@ def test_stream_independence_and_stability():
 
 def test_stream_uniforms_match_one_generator_per_stream():
     k = 7
-    names = [(11, "episode", i) for i in range(40)]
-    names += [(2**120 + 5, "episode", -(2**126)), ("ünïcode", 0, ""), (-1,)]
-    names += [("episode", 2**127 - 1)]
-    got = nc.stream_uniforms(names, k)
-    assert got.shape == (len(names), k)
-    assert np.array_equal(got, [nc.stream(*ids).random(k) for ids in names])
-    # Rows do not depend on the streams drawn before them.
-    assert np.array_equal(nc.stream_uniforms(names[::-1], k), got[::-1])
-    assert nc.stream_uniforms([], k).shape == (0, k)
+    cases = [
+        ((11, "episode"), list(range(40))),
+        ((2**120 + 5, "episode"), [-(2**126), 0, 2**127 - 1]),
+        (("ünïcode", 0), ["", "x"]),
+        ((), [-1, np.int64(3)]),
+    ]
+    for prefix, last in cases:
+        got = nc.stream_uniforms(prefix, last, k)
+        assert got.shape == (len(last), k)
+        assert np.array_equal(got, [nc.stream(*prefix, x).random(k) for x in last])
+        # Rows do not depend on the streams drawn before them.
+        assert np.array_equal(nc.stream_uniforms(prefix, last[::-1], k), got[::-1])
+    assert nc.stream_uniforms((11, "episode"), [], k).shape == (0, k)
+    assert nc.stream_uniforms((11, "episode"), iter(range(3)), k).shape == (3, k)
+
+
+def test_prefixed_stream_keys_equal_stream_key():
+    last = [-(2**127), -(2**64), -1, 0, 1, 2**64, 2**127 - 1, np.int64(-5), "episode", ""]
+    for prefix in [(11, "episode"), (-3,), ("a", 0, "b"), ()]:
+        assert _stream_keys(prefix, last) == [nc.stream_key(*prefix, x) for x in last]
+    for bad in ([True], [1.5], [2**127]):
+        with pytest.raises((TypeError, OverflowError)):
+            _stream_keys((11, "episode"), bad)
 
 
 def test_max_relative_error_guard():
