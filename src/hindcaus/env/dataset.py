@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..fileio import write_atomic
-from .config import EnvConfig, config_hash
+from .config import EnvConfig, _is_int, config_hash
 from .modulo import Episode, action_allowed, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
@@ -85,8 +85,8 @@ def generate_dataset(cfg: EnvConfig, n_episodes: int, seed: int | None = None) -
     Episode i always comes from stream (seed, "episode", i), so it is
     identical for any `n_episodes` greater than i.
     """
-    if n_episodes <= 0:
-        raise ValueError(f"n_episodes must be positive, got {n_episodes}")
+    if not _is_int(n_episodes) or n_episodes <= 0:
+        raise ValueError(f"n_episodes must be a positive integer, got {n_episodes!r}")
     episodes = rollout(cfg, range(n_episodes), seed=seed)
     return Dataset(config=cfg, episodes=episodes, gt_graph=ground_truth_graph(cfg))
 

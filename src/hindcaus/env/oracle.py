@@ -2,10 +2,13 @@
 
 `TabularTransitionModel` is the exact per-factor conditional distribution of
 the environment, with masked variants defined by uniform marginalization over
-masked state factors (policy marginalization for the action node). The
-enumeration CMI sums the information quantities over the whole state space
-rather than estimating them from samples, so it is an independent reference
-for the model-based estimator.
+masked state factors (policy marginalization for the action node). `probs`
+gives one target under one mask; `log_probs(s, a, masks)` stacks every
+target under every mask of a (K, d_s+1) stack into the (d_s, K, n, l)
+answer that `MaskedTransition.log_probs` gives, so `estimate_cmi` scores
+either model. The enumeration CMI sums the information quantities over the
+whole state space rather than estimating them from samples, so it is an
+independent reference for the model-based estimator.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ class TabularTransitionModel:
     """Exact conditional distributions p(s'_j | inputs) of the modulo SCM."""
 
     def __init__(self, cfg: EnvConfig):
-        self.cfg = cfg
+        self.env = cfg
         self.adj = cfg.adjacency_matrix()
         table = cfg.noise_table()
         # Per-factor residue distribution of the noise offset, length l.
@@ -44,7 +47,7 @@ class TabularTransitionModel:
         self.intervention_prob[cfg.observed_indices] = 1.0 / (cfg.d_o + 1)
 
     def _base(self, j: int, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return (s @ self.adj[j] + a[:, j]) % self.cfg.l
+        return (s @ self.adj[j] + a[:, j]) % self.env.l
 
     def probs(self, j: int, s: np.ndarray, a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """(n, l) distribution over the next value of factor j.
@@ -53,7 +56,7 @@ class TabularTransitionModel:
         masked true parents are marginalized uniformly, a masked action node
         is marginalized under the data-collection policy.
         """
-        cfg = self.cfg
+        cfg = self.env
         s = np.atleast_2d(np.asarray(s, dtype=np.int64))
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         l = cfg.l
@@ -79,8 +82,16 @@ class TabularTransitionModel:
             return (1.0 - w) * q[idx0] + w * q[idx1]
         return q[idx]
 
-    def log_probs(self, j: int, s: np.ndarray, a: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return np.log(np.maximum(self.probs(j, s, a, mask), _TINY))
+    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """(d_s, K, n, l) log-probabilities of every target's next value for
+        n rows `s`, `a`, block [j, k] conditioned on keep-mask k of the
+        (K, d_s+1) stack `masks`."""
+        return np.stack(
+            [
+                np.stack([np.log(np.maximum(self.probs(j, s, a, mask), _TINY)) for mask in masks])
+                for j in range(self.env.d_s)
+            ]
+        )
 
 
 def enumeration_cmi(cfg: EnvConfig, max_states: int = 10**6) -> np.ndarray:

@@ -8,26 +8,26 @@ values, hidden targets use the mean KL divergence between the two predicted
 distributions. Estimates are clamped at zero, folded into an exponential
 moving average, and thresholded into the working graph.
 
-A CMI model answers `log_probs(s, a, masks)` for every target at once: for
-n transitions and K keep-masks of shape (K, d_s+1) over the inputs (d_s
-factors, then the action node), it returns the (d_s, K, n, l)
-log-probabilities of each target's next value, block [j, k] conditioned on
-mask k. `estimate_cmi` passes the `cmi_masks` stack, full mask first.
+A CMI model has an `env` and answers `log_probs(s, a, masks)` for every
+target at once: for n transitions and K keep-masks of shape (K, d_s+1)
+over the inputs (d_s factors, then the action node), it returns the
+(d_s, K, n, l) log-probabilities of each target's next value, block [j, k]
+conditioned on mask k. Both models answer it themselves, the exact
+`TabularTransitionModel` and the learned `MaskedTransition`, so
+`estimate_cmi` reads the env from the model and asks it once, for every
+row of the batch, under the `cmi_masks` stack, full mask first.
 
-A batch repeats many (s, a) rows (chain3 at l = 4 has only 192), so
-`estimate_cmi` asks the model only for the distinct rows, once, and expands
-the answer back to every row before the per-target means. This needs a
-model whose rows are independent, as both models here are.
-`NeuralCmiModel` hands the call to `MaskedTransition.log_probs`, which
-reads every input, hidden ones included, from each target's feature table;
-the dense hidden path is left to the training path's soft samples. The
-transition memoizes its answer per row, keyed by the row's `input_indices`,
-and empties the memo at the first call that finds its weights or the mask
-stack changed, so the memo holds at most the distinct rows seen under one
-snapshot of both. A memoized row equals that row as computed in the batch
-where it first missed. Evaluating a fixed checkpoint thus runs the network
-only on rows it has not seen; training changes the weights before every
-graph update, so there every row misses.
+`estimate_cmi` does not deduplicate rows: every row is scored as given, so
+it assumes nothing about how a model treats repeated rows. A batch repeats
+many (s, a) rows (chain3 at l = 4 has only 192), and
+`MaskedTransition.log_probs` is the one place that deduplicates them: it
+memoizes its answer per row and runs the network once on the first
+occurrence of each row it has not seen under its current weights. It reads
+every input, hidden ones included, from each target's feature table; the
+dense hidden path is left to the training path's soft samples. Evaluating
+a fixed checkpoint thus runs the network only on new rows; training
+changes the weights before every graph update, so there each distinct row
+of the batch runs once.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import action_allowed, cmi_masks
-from .env.oracle import TabularTransitionModel
 from .models import BatchEncoding, ModelBundle
 from .numcore.dists import gumbel_noise
 from .numcore.random import stream
@@ -48,8 +47,6 @@ from .numcore.tensor import no_grad
 
 __all__ = [
     "CmiMatrix",
-    "NeuralCmiModel",
-    "TabularCmiModel",
     "estimate_cmi",
     "cmi_from_batch",
     "graph_accuracy",
@@ -99,33 +96,6 @@ class CmiMatrix:
         self.updates += 1
 
 
-class NeuralCmiModel:
-    """Trained masked-transition model evaluated on integer-valued inputs."""
-
-    def __init__(self, bundle: ModelBundle):
-        self.bundle = bundle
-        self.env = bundle.env
-
-    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return self.bundle.transition.log_probs(s, a, masks)
-
-
-class TabularCmiModel:
-    """Exact environment conditionals behind the same estimator interface."""
-
-    def __init__(self, model: TabularTransitionModel):
-        self.model = model
-        self.env = model.cfg
-
-    def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                np.stack([self.model.log_probs(j, s, a, mask) for mask in masks])
-                for j in range(self.env.d_s)
-            ]
-        )
-
-
 def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
     """`s`, `a` and `next_values` as arrays, or a `ValueError` that names
     the argument `estimate_cmi` cannot score. Every row of `a` must be one
@@ -155,49 +125,22 @@ def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
     return arrays
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`first` and `inverse` of `np.unique(rows, axis=0, return_index=True,
-    return_inverse=True)` for an (n, m) integer array, n >= 1: `first`
-    holds the first occurrence of each distinct row in sorted order and
-    `inverse` the (n,) position of each row among them. A stable
-    lexicographic sort brings equal rows together in order of occurrence;
-    a row starts a new group where it differs from its predecessor."""
-    order = np.lexsort(rows.T[::-1])  # lexsort's last key is the primary one
-    ordered = rows[order]
-    starts = np.empty(len(rows), dtype=bool)
-    starts[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
-def estimate_cmi(
-    model,
-    env: EnvConfig,
-    s: np.ndarray,
-    a: np.ndarray,
-    next_values: np.ndarray,
-) -> np.ndarray:
-    """(d_s+1, d_s) CMI estimates from a batch of transitions.
+def estimate_cmi(model, s: np.ndarray, a: np.ndarray, next_values: np.ndarray) -> np.ndarray:
+    """(d_s+1, d_s) CMI estimates from a batch of transitions under
+    `model.env`.
 
     `s`, `a`: (n, d_s) integer current factors (hidden entries are encoder
     samples) and actions. `next_values`: (n, d_s) realized next factors;
     hidden columns are ignored (hidden targets use the KL form, which needs
     no realized value); `s` and the observed columns must be in [0, l).
     """
+    env = model.env
     s, a, next_values = _checked_transitions(env, s, a, next_values)
-    masks = cmi_masks(env)
+    logps_all = model.log_probs(s, a, cmi_masks(env))  # (d_s, d_s+2, n, l)
     hidden = set(env.hidden_indices)
-    # The model sees each distinct (s, a) row once; its rows are independent,
-    # so expanding them back by `inverse` gives every row's log-probs.
-    first, inverse = _distinct_rows(np.concatenate([s, a], axis=1))
-    distinct = model.log_probs(s[first], a[first], masks)  # (d_s, d_s+2, rows, l)
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):
-        # np.take keeps the result C-contiguous, so the means below add in
-        # the same order as on a batch evaluated row by row.
-        logps = np.take(distinct[j], inverse, axis=1)  # (d_s+2, n, l), full mask first
+        logps = logps_all[j]  # (d_s+2, n, l), full mask first
         if j in hidden:
             full = logps[0]
             out[:, j] = (np.exp(full) * (full - logps[1:])).sum(axis=2).mean(axis=1)
@@ -236,7 +179,7 @@ def cmi_from_batch(
     nxt[:, :, env.hidden_indices] = h_vals[:, 1:]
 
     flat = lambda arr: arr.reshape(B * T, env.d_s)
-    return estimate_cmi(NeuralCmiModel(bundle), env, flat(s_full), flat(batch.a), flat(nxt))
+    return estimate_cmi(bundle.transition, flat(s_full), flat(batch.a), flat(nxt))
 
 
 def graph_accuracy(binarized: np.ndarray, gt: np.ndarray) -> float:

@@ -178,6 +178,16 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     for field in ("config_hash", "step", "sha256", "tensors"):
         if field not in manifest:
             raise ValueError(f"{manifest_path}: field {field!r} is missing")
+    extras = manifest.get("extras", {})
+    for field, ok, expected in (
+        ("step", _is_count(manifest["step"]), "an integer >= 0"),
+        ("config_hash", isinstance(manifest["config_hash"], str), "a string"),
+        ("extras", isinstance(extras, dict), "a JSON object"),
+    ):
+        if not ok:
+            raise ValueError(
+                f"{manifest_path}: field {field!r} is {manifest[field]!r}, expected {expected}"
+            )
     if not isinstance(manifest["tensors"], list):
         raise ValueError(
             f"{manifest_path}: field 'tensors' is a JSON {type(manifest['tensors']).__name__}, "
@@ -235,4 +245,4 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
                 f"the blob's {flat.size} values"
             )
         arrays[e["name"]] = flat[start : start + count].reshape(e["shape"]).astype(np.float64)
-    return arrays, manifest["step"], manifest.get("extras", {})
+    return arrays, manifest["step"], extras

@@ -50,8 +50,9 @@ under `no_grad` (the CMI estimate) it keeps none.
 
 `log_probs` answers the CMI estimate's question for every target at once
 on integer rows, untaped. It memoizes each row's answer, keyed by the
-row's `input_indices` bytes, and empties the memo at the first call that
-finds the weights or the mask stack changed since it was filled; see its
+row's `input_indices` bytes, and its miss batch holds only the first
+occurrence of each row not yet memoized. The memo starts empty again at
+the first call that finds the weights or the mask stack changed; see its
 docstring.
 """
 
@@ -208,47 +209,49 @@ class MaskedTransition:
         conditioned on keep-mask k of the (K, d_s+1) stack `masks`. Runs
         untaped.
 
-        The answers are memoized per row, keyed by the row's `input_indices`
-        (its bytes), so a call runs features, pool and head only on the rows
-        not yet in the memo; `input_indices` checks every row, memoized or
-        not. The memo holds only while the mask stack and this transition's
-        weights are equal (`np.array_equal`) to those it was filled under, a
-        copy of which it keeps; a call that finds either changed empties it
-        first. So it holds at most the distinct rows seen under one set of
-        weights and masks, and a memoized row equals that row as computed
-        in the batch where it first missed. A call where every row misses
-        does the work of one without a memo.
+        The answers are memoized per row, keyed by the bytes of the row's
+        `input_indices`; this is the CMI estimate's only row dedup. Features,
+        pool and head run once, as one batch, on the first occurrence of each
+        row not yet memoized, and the memo takes the new rows only once that
+        batch is computed, so a call that raises leaves it as it was.
+        `input_indices` checks every row, memoized or not. The memo holds
+        only while the mask stack and this transition's weights are equal
+        (`np.array_equal`) to the copies it keeps of those it was filled
+        under; a call that finds either changed starts from an empty memo.
+        A memoized row equals that row as computed in the batch where it
+        first missed.
         """
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != self.env.d_s + 1:
             raise ValueError(f"masks must have shape (K, {self.env.d_s + 1}), got {masks.shape}")
         idx = input_indices(self.env, s, a)
         weights = np.concatenate([t.data.ravel() for t in self._params])
-        if not (
+        if (
             self._memo_masks is not None
             and np.array_equal(masks, self._memo_masks)
             and np.array_equal(weights, self._snapshot)
         ):
-            self._memo_masks, self._snapshot, self._slots = masks.copy(), weights, {}
-            self._memo = np.empty((self.env.d_s, len(masks), 0, self.env.l))
+            slots, memo = self._slots, self._memo
+        else:
+            slots, memo = {}, np.empty((self.env.d_s, len(masks), 0, self.env.l))
         row = np.dtype((np.void, idx.itemsize * idx.shape[0]))
         keys = np.ascontiguousarray(idx.T).view(row).ravel().tolist()
-        slots = self._slots
-        miss = [r for r, key in enumerate(keys) if key not in slots]
-        if miss:
-            idx = idx[:, miss]
-            fresh = np.empty((self.env.d_s, len(masks), len(miss), self.env.l))
+        first: dict[bytes, int] = {}  # each new key's first row, in order of occurrence
+        for r, key in enumerate(keys):
+            if key not in slots:
+                first.setdefault(key, r)
+        if first:
+            idx = idx[:, list(first.values())]
+            fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
             with no_grad():
                 for j in range(self.env.d_s):
                     logits = self.logits_from_features(j, self.features(j, idx), masks[:, None])
                     fresh[j] = logits.log_softmax().data
-            new = []  # the first row of each new key, in `fresh`
-            for i, r in enumerate(miss):
-                if keys[r] not in slots:
-                    slots[keys[r]] = len(slots)
-                    new.append(i)
-            self._memo = np.concatenate([self._memo, fresh[:, :, new]], axis=2)
-        return self._memo.take([slots[key] for key in keys], axis=2)
+            slots.update(zip(first, range(len(slots), len(slots) + len(first))))
+            memo = np.concatenate([memo, fresh], axis=2)
+        self._memo_masks, self._snapshot = masks.copy(), weights
+        self._slots, self._memo = slots, memo
+        return memo.take([slots[key] for key in keys], axis=2)
 
 
 class RewardHead:

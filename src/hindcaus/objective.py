@@ -158,9 +158,17 @@ def vlb_losses(
     A target whose `graph_binary` column keeps every input or none has the
     full mask as its causal mask, so its logits hold only the full and
     leave-one-out blocks and its causal term is its full term. A column that
-    keeps none is listed in `causal_fallback_factors`.
+    keeps none is listed in `causal_fallback_factors`. Any `graph_binary`
+    other than a (d_s+1, d_s) matrix of 0s and 1s raises `ValueError`.
     """
     env = bundle.env
+    graph_binary = np.asarray(graph_binary)
+    shape = (env.d_s + 1, env.d_s)
+    if graph_binary.shape != shape or not np.isin(graph_binary, (0, 1)).all():
+        raise ValueError(
+            f"graph_binary must be a {shape} matrix of 0s and 1s, got shape "
+            f"{graph_binary.shape} with values {np.unique(graph_binary)[:4].tolist()}"
+        )
     B, T = batch.size, batch.horizon
     enc = BatchEncoding(batch, env)
 

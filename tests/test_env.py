@@ -625,6 +625,18 @@ def test_generate_dataset_rejects_bad_count():
         generate_dataset(chain3(), 0)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, "2", None])
+def test_generate_dataset_refuses_non_integer_count_by_name(count):
+    with pytest.raises(ValueError, match=rf"^n_episodes must be a positive integer, got {count!r}"):
+        generate_dataset(chain3(), count)
+
+
+def test_generate_dataset_takes_numpy_integer_count():
+    got, want = (generate_dataset(chain3(), n, seed=3).episodes for n in (np.int64(2), 2))
+    assert len(got) == 2
+    assert all(np.array_equal(x.o, y.o) and np.array_equal(x.a, y.a) for x, y in zip(got, want))
+
+
 # -- ground-truth graph -------------------------------------------------------
 
 

@@ -11,21 +11,17 @@ from hindcaus.env import (
     ground_truth_graph,
     stack_episodes,
 )
-from hindcaus.graph import (
-    CmiMatrix,
-    NeuralCmiModel,
-    TabularCmiModel,
-    _distinct_rows,
-    cmi_from_batch,
-    estimate_cmi,
-    graph_accuracy,
-)
-from hindcaus.models import ModelHyper, build_models, hidden_stack, input_indices
+from hindcaus.graph import CmiMatrix, cmi_from_batch, estimate_cmi, graph_accuracy
+from hindcaus.models import MaskedTransition, ModelHyper, build_models, hidden_stack, input_indices
 from hindcaus.numcore import Adam, constant, no_grad
 
 
 def chain3(noise_target="observation", **kw):
     return EnvConfig.chain(d_s=3, noise_target=noise_target, **kw)
+
+
+def full5(noise_target="hidden"):
+    return EnvConfig.full(d_s=5, l=4, noise_target=noise_target)
 
 
 def transitions_from_dataset(cfg, n, seed):
@@ -102,11 +98,11 @@ def test_binarization_monotone_in_threshold():
 def test_ema_with_zero_coeff_composes_over_partitions():
     cfg = chain3()
     s, a, nxt = transitions_from_dataset(cfg, 64, seed=0)
-    model = TabularCmiModel(TabularTransitionModel(cfg))
-    whole = estimate_cmi(model, cfg, s, a, nxt)
+    model = TabularTransitionModel(cfg)
+    whole = estimate_cmi(model, s, a, nxt)
     half = len(s) // 2
-    first = estimate_cmi(model, cfg, s[:half], a[:half], nxt[:half])
-    second = estimate_cmi(model, cfg, s[half:], a[half:], nxt[half:])
+    first = estimate_cmi(model, s[:half], a[:half], nxt[:half])
+    second = estimate_cmi(model, s[half:], a[half:], nxt[half:])
     # Non-parent entries are exactly zero for the tabular model, so the
     # clamp is inactive and the batch mean composes exactly.
     assert np.allclose(whole, 0.5 * (first + second), atol=1e-12)
@@ -115,12 +111,20 @@ def test_ema_with_zero_coeff_composes_over_partitions():
 # -- estimator against the enumeration oracle --------------------------------------
 
 
-@pytest.mark.parametrize("noise_target", ["hidden", "observation"])
-def test_tabular_batch_cmi_matches_enumeration_oracle(noise_target):
-    cfg = chain3(noise_target)
+@pytest.mark.parametrize(
+    "make, noise_target",
+    [
+        pytest.param(chain3, "hidden", id="hidden"),
+        pytest.param(chain3, "observation", id="observation"),
+        pytest.param(full5, "hidden", id="full5-hidden"),
+        pytest.param(full5, "observation", id="full5-observation"),
+    ],
+)
+def test_tabular_batch_cmi_matches_enumeration_oracle(make, noise_target):
+    cfg = make(noise_target)
     s, a, nxt = transitions_from_dataset(cfg, 512, seed=1)
-    model = TabularCmiModel(TabularTransitionModel(cfg))
-    batch_cmi = estimate_cmi(model, cfg, s, a, nxt)
+    model = TabularTransitionModel(cfg)
+    batch_cmi = estimate_cmi(model, s, a, nxt)
     oracle = enumeration_cmi(cfg)
     assert np.max(np.abs(batch_cmi - oracle)) < 0.05
     gt = ground_truth_graph(cfg)
@@ -131,8 +135,8 @@ def test_tabular_batch_cmi_matches_enumeration_oracle(noise_target):
 def test_model_ignoring_a_factor_gives_zero_cmi():
     cfg = chain3()
     s, a, nxt = transitions_from_dataset(cfg, 64, seed=2)
-    model = TabularCmiModel(TabularTransitionModel(cfg))
-    cmi = estimate_cmi(model, cfg, s, a, nxt)
+    model = TabularTransitionModel(cfg)
+    cmi = estimate_cmi(model, s, a, nxt)
     # o^1 is not read by o^2's equation and the action never enters h^1.
     assert cmi[0, 2] == 0.0
     assert cmi[3, 1] == 0.0
@@ -142,7 +146,7 @@ def test_neural_cmi_non_negative_and_hidden_rows_are_kl():
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)
     s, a, nxt = transitions_from_dataset(cfg, 16, seed=3)
-    cmi = estimate_cmi(NeuralCmiModel(bundle), cfg, s, a, nxt)
+    cmi = estimate_cmi(bundle.transition, s, a, nxt)
     assert cmi.shape == (4, 3)
     assert np.all(cmi >= 0.0)
     assert np.all(np.isfinite(cmi))
@@ -166,14 +170,14 @@ def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
     assert not np.array_equal(cmi(), first)
 
 
-# -- distinct rows and input checks -----------------------------------------------
+# -- the models' log_probs, row dedup and input checks -----------------------------
 
 
-def per_target_log_probs(bundle, s, a, masks):
-    """`NeuralCmiModel.log_probs` as it was before the transition memoized
-    its rows: every call runs features, pool and head on every row, one
-    target at a time."""
-    env, transition = bundle.env, bundle.transition
+def per_target_log_probs(transition, s, a, masks):
+    """`MaskedTransition.log_probs` as it was before it memoized its rows:
+    every call runs features, pool and head on every row, one target at a
+    time."""
+    env = transition.env
     out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
     with no_grad():
         idx = input_indices(env, s, a)
@@ -183,15 +187,27 @@ def per_target_log_probs(bundle, s, a, masks):
     return out
 
 
+def tabular_stacked_log_probs(model, s, a, masks):
+    """The oracle's `log_probs` as it was before it answered for every
+    target at once: one log of `probs` per target and mask, restacked."""
+    return np.stack(
+        [
+            np.stack([np.log(np.maximum(model.probs(j, s, a, mask), 1e-300)) for mask in masks])
+            for j in range(model.env.d_s)
+        ]
+    )
+
+
 def reference_log_probs(model, s, a, masks):
-    if isinstance(model, NeuralCmiModel):
-        return per_target_log_probs(model.bundle, s, a, masks)
-    return model.log_probs(s, a, masks)
+    if isinstance(model, MaskedTransition):
+        return per_target_log_probs(model, s, a, masks)
+    return tabular_stacked_log_probs(model, s, a, masks)
 
 
-def estimate_cmi_every_row(model, env, s, a, next_values):
-    """`estimate_cmi` as it was before it evaluated only the distinct (s, a)
-    rows: the model scores every row of the batch, without a memo."""
+def estimate_cmi_every_row(model, s, a, next_values):
+    """`estimate_cmi` without any row dedup: the model scores every row of
+    the batch, without a memo."""
+    env = model.env
     logps_all = reference_log_probs(model, s, a, cmi_masks(env))
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):
@@ -208,18 +224,32 @@ def estimate_cmi_every_row(model, env, s, a, next_values):
 WORKLOAD_CONFIGS = {
     "chain3-obs": lambda: chain3("observation"),
     "chain3-hidden": lambda: chain3("hidden"),
-    "full5-hidden": lambda: EnvConfig.full(d_s=5, l=4, noise_target="hidden"),
+    "full5-hidden": lambda: full5("hidden"),
 }
 
 
-def _cmi_models(cfg):
-    """The tabular model and a neural one at perturbed parameters."""
+def _perturbed_bundle(cfg):
     bundle = build_models(cfg, "dvae_full", seed=0)
     rng = np.random.default_rng(8)
     for t in bundle.store.tensors().values():
         t.data += 0.3 * rng.normal(size=t.shape)
-    tabular = TabularCmiModel(TabularTransitionModel(cfg))
-    return {"tabular": tabular, "neural": NeuralCmiModel(bundle)}
+    return bundle
+
+
+def _cmi_models(cfg):
+    """The tabular model and a neural one at perturbed parameters."""
+    return {"tabular": TabularTransitionModel(cfg), "neural": _perturbed_bundle(cfg).transition}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_tabular_log_probs_equal_per_target_stack(name):
+    cfg = WORKLOAD_CONFIGS[name]()
+    model = TabularTransitionModel(cfg)
+    s, a, _ = transitions_from_dataset(cfg, 16, seed=5)
+    for masks in (cmi_masks(cfg), cmi_masks(cfg)[[0, 2]]):
+        got = model.log_probs(s, a, masks)
+        assert got.shape == (cfg.d_s, len(masks), len(s), cfg.l)
+        assert np.array_equal(got, tabular_stacked_log_probs(model, s, a, masks))
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
@@ -235,10 +265,10 @@ def test_distinct_rows_match_every_row_reference(name):
     doubled = [np.repeat(x[:160], 2, axis=0) for x in (s, a, nxt)]
     for kind, model in _cmi_models(cfg).items():
         for batch in [(s, a, nxt), doubled]:
-            got = estimate_cmi(model, cfg, *batch)
-            assert np.array_equal(got, estimate_cmi_every_row(model, cfg, *batch)), kind
-        halves = estimate_cmi(model, cfg, s[:160], a[:160], nxt[:160])
-        assert np.allclose(estimate_cmi(model, cfg, *doubled), halves, rtol=1e-12, atol=1e-15)
+            got = estimate_cmi(model, *batch)
+            assert np.array_equal(got, estimate_cmi_every_row(model, *batch)), kind
+        halves = estimate_cmi(model, s[:160], a[:160], nxt[:160])
+        assert np.allclose(estimate_cmi(model, *doubled), halves, rtol=1e-12, atol=1e-15)
 
 
 def test_batch_of_one_repeated_row_matches_every_row_reference():
@@ -247,14 +277,14 @@ def test_batch_of_one_repeated_row_matches_every_row_reference():
     models = _cmi_models(cfg)
     tabular = models["tabular"]
     assert np.array_equal(
-        estimate_cmi(tabular, cfg, s, a, nxt), estimate_cmi_every_row(tabular, cfg, s, a, nxt)
+        estimate_cmi(tabular, s, a, nxt), estimate_cmi_every_row(tabular, s, a, nxt)
     )
     # One distinct row runs the model's matmuls on a single row, which BLAS
     # may compute as a matrix-vector product with different rounding.
     neural = models["neural"]
     assert np.allclose(
-        estimate_cmi(neural, cfg, s, a, nxt),
-        estimate_cmi_every_row(neural, cfg, s, a, nxt),
+        estimate_cmi(neural, s, a, nxt),
+        estimate_cmi_every_row(neural, s, a, nxt),
         rtol=1e-12,
         atol=1e-15,
     )
@@ -269,7 +299,7 @@ def test_memoized_log_probs_match_per_target_reference(name):
     model = _cmi_models(cfg)["neural"]
     s, a, _ = transitions_from_dataset(cfg, 64, seed=5)  # 320 rows with repeats
     masks = cmi_masks(cfg)
-    want = per_target_log_probs(model.bundle, s, a, masks)
+    want = per_target_log_probs(model, s, a, masks)
     assert np.array_equal(model.log_probs(s, a, masks), want)  # fills the memo
     assert np.array_equal(model.log_probs(s, a, masks), want)  # every row a hit
     assert np.array_equal(model.log_probs(s[::-1], a[::-1], masks), want[:, :, ::-1])
@@ -279,7 +309,60 @@ def test_memoized_log_probs_match_per_target_reference(name):
     fresh.log_probs(s[:160], a[:160], masks)
     np.testing.assert_allclose(fresh.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(fresh.bundle.transition._slots) == distinct < len(s)
+    assert len(fresh._slots) == distinct < len(s)
+
+
+def _features_spy(monkeypatch, transition, fail_at=None):
+    """The row count of each `features` call of `transition`, in a list
+    that grows as it is called; call number `fail_at` raises instead."""
+    rows = []
+    real = transition.features
+
+    def spy(j, idx, hidden=None):
+        if len(rows) == fail_at:
+            raise RuntimeError("features failed")
+        rows.append(idx.shape[1])
+        return real(j, idx, hidden)
+
+    monkeypatch.setattr(transition, "features", spy)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CONFIGS))
+def test_all_miss_call_runs_network_on_distinct_rows_only(name, monkeypatch):
+    cfg = WORKLOAD_CONFIGS[name]()
+    model = _cmi_models(cfg)["neural"]
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
+    distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
+    masks = cmi_masks(cfg)
+    want = per_target_log_probs(model, s, a, masks)
+    rows = _features_spy(monkeypatch, model)
+    assert np.array_equal(model.log_probs(s, a, masks), want)
+    assert rows == [distinct] * cfg.d_s and distinct < len(s)
+    assert np.array_equal(model.log_probs(s, a, masks), want)  # every row a hit
+    assert len(rows) == cfg.d_s
+
+
+def test_call_that_raises_leaves_memo_as_it_was(monkeypatch):
+    cfg = chain3("hidden")
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
+    masks = cmi_masks(cfg)
+    model, fresh = _cmi_models(cfg)["neural"], _cmi_models(cfg)["neural"]
+    want = per_target_log_probs(model, s, a, masks)
+    model.log_probs(s[:160], a[:160], masks)
+    slots, memo = dict(model._slots), model._memo.copy()
+    for transition, kept in [(model, len(slots)), (fresh, 0)]:
+        _features_spy(monkeypatch, transition, fail_at=1)  # after target 0's features
+        with pytest.raises(RuntimeError, match="features failed"):
+            transition.log_probs(s, a, masks)
+        assert len(transition._slots) == kept
+        monkeypatch.undo()
+    assert model._slots == slots and np.array_equal(model._memo, memo)
+    assert np.array_equal(fresh.log_probs(s, a, masks), want)
+    # The second half's new rows run in a smaller batch, as in
+    # test_memoized_log_probs_match_per_target_reference.
+    np.testing.assert_allclose(model.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
+    assert len(model._slots) == len(fresh._slots) > len(slots)
 
 
 def _wide_rows(cfg, n, seed):
@@ -298,13 +381,13 @@ def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
     cfg = EnvConfig.chain(d_s=20, l=8)
     assert (max(cfg.l, cfg.d_s) + 1) ** (cfg.d_s + 1) > np.iinfo(np.int64).max
     bundle = build_models(cfg, "dvae_full", seed=0, hyper=ModelHyper(hidden_dim=8, embed_dim=4))
-    model, masks = NeuralCmiModel(bundle), cmi_masks(cfg)
+    model, masks = bundle.transition, cmi_masks(cfg)
     s, a = _wide_rows(cfg, 60, seed=1)
-    want = per_target_log_probs(bundle, s, a, masks)
+    want = per_target_log_probs(model, s, a, masks)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(bundle.transition._slots) == distinct
+    assert len(model._slots) == distinct
     # A call is checked row by row even where every key is memoized: a row
     # with two interventions has the key of its first one, a memoized row.
     o0, o1 = cfg.observed_indices[:2]
@@ -316,7 +399,7 @@ def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
     for args, msg in [((s, bad_a), f"action row {r} "), ((bad_s, a), "factor values")]:
         with pytest.raises(ValueError, match=msg):
             model.log_probs(*args, masks)
-    assert len(bundle.transition._slots) == distinct
+    assert len(model._slots) == distinct
     assert np.array_equal(model.log_probs(s, a, masks), want)
 
 
@@ -351,51 +434,23 @@ def _other_mask_stack(bundle, masks):
 )
 def test_memo_resets_when_weights_or_masks_change(change):
     cfg = chain3("hidden")
-    model = _cmi_models(cfg)["neural"]
+    bundle = _perturbed_bundle(cfg)
+    model = bundle.transition
     s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
     masks = cmi_masks(cfg)
     before = model.log_probs(s, a, masks)
-    masks = change(model.bundle, masks)
-    want = per_target_log_probs(model.bundle, s, a, masks)
+    masks = change(bundle, masks)
+    want = per_target_log_probs(model, s, a, masks)
     assert not np.array_equal(want, before)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     assert np.array_equal(model.log_probs(s, a, masks), want)
 
 
-def _unique_rows_reference(rows):
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first, inverse.reshape(-1)  # (n,) or (n, 1) depending on the numpy version
-
-
-def _dedup_cases():
-    s, a, _ = transitions_from_dataset(chain3(), 64, seed=5)
-    batch = np.concatenate([s, a], 1)  # 320 rows with repeats
-    distinct = np.unique(batch, axis=0)
-    wide_s, wide_a, _ = transitions_from_dataset(EnvConfig.chain(d_s=6, l=7), 64, seed=5)
-    return {
-        "batch": batch,
-        "one_row": batch[:1],
-        "all_equal": np.repeat(batch[3:4], 50, axis=0),
-        "all_distinct": distinct[np.random.default_rng(2).permutation(len(distinct))],
-        "l7_d6": np.concatenate([wide_s, wide_a], 1),
-    }
-
-
-@pytest.mark.parametrize("case", ["batch", "one_row", "all_equal", "all_distinct", "l7_d6"])
-def test_row_dedup_matches_unique(case):
-    rows = _dedup_cases()[case]
-    first, inverse = _distinct_rows(rows)
-    ref_first, ref_inverse = _unique_rows_reference(rows)
-    assert np.array_equal(first, ref_first)
-    assert np.array_equal(inverse, ref_inverse)
-    assert inverse.shape == (len(rows),)
-
-
-def dense_route_log_probs(model, s, a, masks):
-    """`NeuralCmiModel.log_probs` as it was before integer hidden values were
-    read from the feature table: they took the dense hidden path as
+def dense_route_log_probs(transition, s, a, masks):
+    """`MaskedTransition.log_probs` as it was before integer hidden values
+    were read from the feature table: they took the dense hidden path as
     constant one-hots."""
-    env, transition = model.env, model.bundle.transition
+    env = transition.env
     out = np.empty((env.d_s, len(masks), s.shape[0], env.l))
     with no_grad():
         idx = input_indices(env, s, a)
@@ -408,7 +463,7 @@ def dense_route_log_probs(model, s, a, masks):
 
 TABLE_CONFIGS = {
     "chain3": lambda: chain3("hidden"),
-    "full5": lambda: EnvConfig.full(d_s=5, l=4, noise_target="hidden"),
+    "full5": lambda: full5("hidden"),
     "full5_two_hidden": lambda: EnvConfig.full(d_s=5, hidden_indices=[3, 1]),
 }
 
@@ -416,8 +471,7 @@ TABLE_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(TABLE_CONFIGS))
 def test_table_features_of_integer_hidden_values_match_dense_route(name):
     cfg = TABLE_CONFIGS[name]()
-    model = _cmi_models(cfg)["neural"]
-    transition = model.bundle.transition
+    transition = _cmi_models(cfg)["neural"]
     s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
     idx = input_indices(cfg, s, a)
     one_hots = hidden_stack(cfg, constant(np.eye(cfg.l)[s[:, cfg.hidden_indices]]))
@@ -425,7 +479,8 @@ def test_table_features_of_integer_hidden_values_match_dense_route(name):
         table = transition.features(j, idx).data
         assert np.array_equal(table, transition.features(j, idx, one_hots).data), j
     masks = cmi_masks(cfg)
-    assert np.array_equal(model.log_probs(s, a, masks), dense_route_log_probs(model, s, a, masks))
+    want = dense_route_log_probs(transition, s, a, masks)
+    assert np.array_equal(transition.log_probs(s, a, masks), want)
 
 
 def _bad_transitions(case, s, a, nxt):
@@ -486,7 +541,7 @@ def test_estimate_cmi_refuses_bad_input_naming_the_argument(case, name):
     bad = _bad_transitions(case, s, a, nxt)
     for model in _cmi_models(cfg).values():
         with pytest.raises(ValueError, match=rf"^{name} must"):
-            estimate_cmi(model, cfg, *bad)
+            estimate_cmi(model, *bad)
 
 
 def test_off_policy_action_row_is_named():
@@ -496,7 +551,7 @@ def test_off_policy_action_row_is_named():
     a[5] = [0, 1, 0]
     for model in _cmi_models(cfg).values():
         with pytest.raises(ValueError, match=r"^a must .*; row 5 is \[0, 1, 0\]$"):
-            estimate_cmi(model, cfg, s, a, nxt)
+            estimate_cmi(model, s, a, nxt)
 
 
 def test_hidden_next_values_are_not_read():
@@ -505,8 +560,8 @@ def test_hidden_next_values_are_not_read():
     other = nxt.copy()
     other[:, cfg.hidden_indices] = -1
     for model in _cmi_models(cfg).values():
-        got = estimate_cmi(model, cfg, s, a, other)
-        assert np.array_equal(got, estimate_cmi(model, cfg, s, a, nxt))
+        got = estimate_cmi(model, s, a, other)
+        assert np.array_equal(got, estimate_cmi(model, s, a, nxt))
 
 
 # -- graph accuracy ------------------------------------------------------------------

@@ -813,6 +813,13 @@ def _offset_past_blob(text):
         (_manifest_value("0", 1, "offset"), "entry 1 of field 'tensors': field 'offset' is '0'"),
         (_manifest_value(1.5, 1, "count"), "entry 1 of field 'tensors': field 'count' is 1.5"),
         (_manifest_value(True, 1, "count"), "entry 1 of field 'tensors': field 'count' is True"),
+        (_manifest_value("3", field="step"), "field 'step' is '3', expected an integer >= 0"),
+        (_manifest_value(-1, field="step"), "field 'step' is -1"),
+        (_manifest_value(True, field="step"), "field 'step' is True"),
+        (_manifest_value(2.5, field="step"), "field 'step' is 2.5"),
+        (_manifest_value([], field="extras"), "field 'extras' is [], expected a JSON object"),
+        (_manifest_value("x", field="extras"), "field 'extras' is 'x'"),
+        (_manifest_value(5, field="config_hash"), "field 'config_hash' is 5, expected a string"),
     ],
     ids=[
         "truncated",
@@ -826,6 +833,13 @@ def _offset_past_blob(text):
         "string_offset",
         "float_count",
         "bool_count",
+        "string_step",
+        "negative_step",
+        "bool_step",
+        "float_step",
+        "list_extras",
+        "string_extras",
+        "int_config_hash",
     ],
 )
 def test_checkpoint_refuses_bad_manifest(tmp_path, edit, field):

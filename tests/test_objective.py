@@ -13,6 +13,7 @@ from hindcaus.env import (
     noise_entropy,
     stack_episodes,
 )
+from hindcaus.graph import CmiMatrix
 from hindcaus.models import BatchEncoding, ModelHyper, build_models, hidden_stack
 from hindcaus.numcore import backward, concat, constant, no_grad, one_hot
 from hindcaus.objective import (
@@ -59,7 +60,7 @@ class TabularAdapter:
             mask = np.broadcast_to(mask, (s.shape[0], mask.shape[-1]))
             for m in np.unique(mask, axis=0):
                 rows = (mask == m).all(axis=1)
-                out[k, rows] = self.model.log_probs(j, s[rows], a[rows], m)
+                out[k, rows] = self.model.log_probs(s[rows], a[rows], m[None])[j, 0]
         return constant(out)
 
 
@@ -507,6 +508,39 @@ def test_causal_fallback_on_empty_graph_column():
     _, b = total_objective(batch, bundle, g, StepRandomness(seed=2, step=0), ObjectiveConfig())
     assert b.causal_fallback_factors == (0,)
     assert b.per_factor["causal_nll"][0] == pytest.approx(b.per_factor["full_nll"][0], rel=1e-12)
+
+
+MALFORMED_GRAPHS = {
+    "square_ones": lambda d: np.ones((d, d), dtype=np.int64),
+    "extra_row_ones": lambda d: np.ones((d + 2, d), dtype=np.int64),
+    "twos": lambda d: np.full((d + 1, d), 2),
+    "halves": lambda d: np.full((d + 1, d), 0.5),
+    "one_column_short": lambda d: np.ones((d + 1, d - 1), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_vlb_refuses_malformed_graph_by_name(case):
+    cfg = chain3()
+    batch = make_batch(cfg, n=4, seed=6)
+    bundle = build_models(cfg, "dvae_full", seed=5)
+    graph = MALFORMED_GRAPHS[case](cfg.d_s)
+    rand = StepRandomness(seed=2, step=0)
+    with pytest.raises(ValueError, match=r"^graph_binary must be a \(4, 3\) matrix of 0s and 1s"):
+        vlb_losses(batch, bundle, graph, rand, ObjectiveConfig())
+
+
+def test_vlb_takes_binarized_cmi_graph():
+    cfg = chain3()
+    batch = make_batch(cfg, n=4, seed=6)
+    bundle = build_models(cfg, "dvae_full", seed=5)
+    cmi = CmiMatrix.initial(cfg.d_s, threshold=0.05, ema_coeff=0.0)
+    cmi.update_ema(0.1 * ground_truth_graph(cfg))
+    assert cmi.binarized.dtype == np.int64
+    rand = StepRandomness(seed=2, step=0)
+    got = vlb_losses(batch, bundle, cmi.binarized, rand, ObjectiveConfig())[1]
+    want = vlb_losses(batch, bundle, ground_truth_graph(cfg), rand, ObjectiveConfig())[1]
+    assert got.as_dict() == want.as_dict() and got.total == want.total
 
 
 def test_reward_loss_untrained_near_label_entropy():
