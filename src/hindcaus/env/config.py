@@ -4,23 +4,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from ..numcore.checks import _is_int, _is_real
 
 __all__ = ["EnvConfig", "config_hash"]
 
 GRAPH_KINDS = ("chain", "full")
 NOISE_TARGETS = ("hidden", "observation")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -111,14 +104,7 @@ class EnvConfig:
         table[noisy] = np.asarray(self.noise_probs, dtype=np.float64)
         return table
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnvConfig":
-        return cls(**d)
+    # -- constructors --------------------------------------------------------
 
     @classmethod
     def chain(cls, d_s: int = 3, **kwargs) -> "EnvConfig":
@@ -134,5 +120,5 @@ class EnvConfig:
 
 def config_hash(cfg: EnvConfig) -> str:
     """Stable short hash of the full environment description."""
-    blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

@@ -1,39 +1,41 @@
 """Dataset files and batch assembly.
 
-A version-4 file is one JSON header line {"version": 4, "config": {...},
-"gt_graph": [[...]], "config_hash": "...", "episodes": n} followed by the
-fields o, a, tau, r, gt_h, gt_eps, each one block of all n episodes' values
-in little-endian int64, shaped as the config says: o (n, T+1, d_o),
-a (n, T, d_s), tau (n,), r (n, T), gt_h (n, T+1, d_h), gt_eps (n, T, d_s).
-Round-trips are bit-exact. Loading checks the header (version, config, the
-config's hash, gt_graph against the config's graph, episode count), that the
-blocks hold exactly n episodes, each field's value range, and that each
-action is one the data-collection policy can take. A refusal names the
-file, the field and, for a value, the first bad episode.
+A version-4 file is a `fileio` record: one JSON header line {"version": 4,
+"config": {...}, "gt_graph": [[...]], "config_hash": "...", "episodes": n}
+followed by the fields o, a, tau, r, gt_h, gt_eps, each one block of all n
+episodes' values in little-endian int64, shaped as the config says:
+o (n, T+1, d_o), a (n, T, d_s), tau (n,), r (n, T), gt_h (n, T+1, d_h),
+gt_eps (n, T, d_s). Round-trips are bit-exact. Loading checks the header
+(version, config, the config's hash, gt_graph against the config's graph,
+episode count), that the blocks hold exactly n episodes, each field's value
+range, and that each action is one the data-collection policy can take. A
+refusal names the file, the field and, for a value, the first bad episode.
+Saving runs the same value and action checks (`_check_values`) on the
+stacked fields, and refuses a gt_graph other than the config's graph, before
+anything is written: a file that saves also loads.
 
-Version 3 stored the same episodes as one JSON line each. This reader cannot
-parse that layout, so it refuses version 3 by its version; `generate_dataset`
-makes the same episodes again from the config and the seed. Version 3 had
-dropped config fields of version 2, whose batched `rollout` replaced version
-1's step-by-step draws. Older versions are refused.
+Older versions (version 3 held one JSON line per episode) are refused by
+their version; `generate_dataset` makes the same episodes again from the
+config and the seed.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..fileio import write_atomic
-from .config import EnvConfig, _is_int, config_hash
+from ..fileio import read_record, write_record
+from ..numcore.checks import _is_count, _is_int
+from .config import EnvConfig, config_hash
 from .modulo import Episode, action_allowed, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
 DATASET_VERSION = 4
+HEADER_FIELDS = ("version", "config", "gt_graph", "config_hash", "episodes")
 
 
 @dataclass
@@ -105,75 +107,73 @@ def _field_spec(cfg: EnvConfig) -> dict[str, tuple[tuple[int, ...], int, int]]:
     }
 
 
+def _check_values(cfg: EnvConfig, fields: dict[str, np.ndarray], where: str) -> None:
+    """Refuse a value outside its field's range, or an action the policy cannot
+    take, in the (n, ...) stacked `fields`, naming the field and the episode."""
+    for name, (shape, low, high) in _field_spec(cfg).items():
+        bad = np.flatnonzero((fields[name] < low) | (fields[name] >= high))
+        if bad.size:
+            raise ValueError(
+                f"{where}: field {name!r} of episode {bad[0] // math.prod(shape)} has values "
+                f"outside [{low}, {high})"
+            )
+    allowed = action_allowed(cfg, fields["a"].reshape(-1, cfg.d_s))
+    if not allowed.all():
+        raise ValueError(
+            f"{where}: field 'a' of episode {np.argmin(allowed) // cfg.horizon} has a row that "
+            f"is neither a no-op nor a single intervention on an observed factor "
+            f"{cfg.observed_indices}"
+        )
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the dataset file through `write_atomic`: an interrupted save
-    leaves the previous file at `path` as it was. The file keeps only values,
-    so every field of every episode must be an integer array of its shape."""
+    """Write `ds` to `path` in one `write_record` call, so an interrupted save
+    leaves the old file; what `load_dataset` would refuse is refused first."""
     path = Path(path)
-    header = {
-        "version": DATASET_VERSION,
-        "config": ds.config.to_dict(),
-        "gt_graph": ds.gt_graph.tolist(),
-        "config_hash": ds.config_hash,
-        "episodes": len(ds),
-    }
-    blocks = []
+    where = f"cannot save dataset to {path}"
+    gt_graph = ground_truth_graph(ds.config)
+    if not np.array_equal(ds.gt_graph, gt_graph):
+        raise ValueError(f"{where}: field 'gt_graph' is not the graph of its config")
+    fields = {}
     for name, (shape, _, _) in _field_spec(ds.config).items():
         arrays = [np.asarray(getattr(e, name)) for e in ds.episodes]
         bad = [i for i, v in enumerate(arrays) if v.shape != shape or v.dtype.kind != "i"]
         if bad:
             raise ValueError(
-                f"cannot save dataset to {path}: field {name!r} of episode {bad[0]} is not "
-                f"an integer array of shape {shape}"
+                f"{where}: field {name!r} of episode {bad[0]} is not an integer array of "
+                f"shape {shape}"
             )
-        blocks.append(np.array(arrays, dtype="<i8").tobytes())
-    data = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n" + b"".join(blocks)
-    try:
-        write_atomic(path, data)
-    except OSError as exc:
-        raise OSError(f"cannot write dataset to {path}: {exc}") from exc
-
-
-def _header_config(header, path: Path) -> EnvConfig:
-    """The config of a parsed header line. Anything that is not a header
-    object of this version holding a valid config raises a `ValueError` that
-    names the file, line 1 and the field."""
-    if not isinstance(header, dict):
-        raise ValueError(
-            f"{path} line 1: header is a JSON {type(header).__name__}, "
-            "expected an object with fields 'version' and 'config'"
-        )
-    if header.get("version") != DATASET_VERSION:
-        raise ValueError(
-            f"{path} line 1: field 'version' is {header.get('version')!r}, "
-            f"this build reads dataset version {DATASET_VERSION} only"
-        )
-    try:
-        return EnvConfig.from_dict(header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{path} line 1: field 'config' is not a valid EnvConfig "
-            f"({type(exc).__name__}: {exc})"
-        ) from exc
+        fields[name] = np.array(arrays, dtype="<i8").reshape(len(arrays), *shape)
+    _check_values(ds.config, fields, where)
+    header = {
+        "version": DATASET_VERSION,
+        "config": asdict(ds.config),
+        "gt_graph": gt_graph.tolist(),
+        "config_hash": ds.config_hash,
+        "episodes": len(ds),
+    }
+    write_record(path, header, b"".join(block.tobytes() for block in fields.values()))
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a file that `save_dataset` wrote, checked as the module
     docstring says; a refusal is a `ValueError`."""
     path = Path(path)
-    head, _, blob = path.read_bytes().partition(b"\n")
+    header, blob = read_record(path, DATASET_VERSION, HEADER_FIELDS)
     try:
-        header = json.loads(head)
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ValueError(f"{path} line 1: header is not valid JSON ({exc})") from None
-    cfg = _header_config(header, path)
+        cfg = EnvConfig(**header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{path} line 1: field 'config' is not a valid EnvConfig "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     if header.get("config_hash") != config_hash(cfg):
         raise ValueError(f"{path} line 1: field 'config_hash' does not match its config")
     gt_graph = ground_truth_graph(cfg)
     if header.get("gt_graph") != gt_graph.tolist():
         raise ValueError(f"{path} line 1: field 'gt_graph' does not match the graph of its config")
     n = header.get("episodes")
-    if type(n) is not int or n < 0:  # refuses a bool too
+    if not _is_count(n):
         raise ValueError(f"{path} line 1: field 'episodes' is {n!r}, expected a count")
     spec = _field_spec(cfg)
     sizes = [math.prod(shape) for shape, _, _ in spec.values()]
@@ -183,24 +183,12 @@ def load_dataset(path: str | Path) -> Dataset:
             f"{8 * n * sum(sizes)} for {n} episodes of {sum(sizes)} int64 values each"
         )
     values = np.frombuffer(blob, dtype="<i8").astype(np.int64)  # a writable copy
-    fields, start = {}, 0
-    for (name, (shape, low, high)), size in zip(spec.items(), sizes):
-        block = values[start : start + n * size]
-        start += n * size
-        bad = np.flatnonzero((block < low) | (block >= high))
-        if bad.size:
-            raise ValueError(
-                f"{path}: field {name!r} of episode {bad[0] // size} has values "
-                f"outside [{low}, {high})"
-            )
-        fields[name] = block.reshape(n, *shape)
-    allowed = action_allowed(cfg, fields["a"].reshape(-1, cfg.d_s))
-    if not allowed.all():
-        raise ValueError(
-            f"{path}: field 'a' of episode {np.argmin(allowed) // cfg.horizon} has a row that "
-            f"is neither a no-op nor a single intervention on an observed factor "
-            f"{cfg.observed_indices}"
-        )
+    ends = np.cumsum([n * size for size in sizes])
+    fields = {
+        name: block.reshape(n, *shape)
+        for (name, (shape, _, _)), block in zip(spec.items(), np.split(values, ends[:-1]))
+    }
+    _check_values(cfg, fields, str(path))
     fields["tau"] = fields["tau"].tolist()  # Python ints, as `rollout` gives them
     episodes = [
         Episode(o=o, a=a, tau=tau, r=r, gt_h=gt_h, gt_eps=gt_eps)

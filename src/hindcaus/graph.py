@@ -41,6 +41,7 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .env.modulo import action_allowed, cmi_masks
 from .models import BatchEncoding, ModelBundle
+from .numcore.checks import _is_int, _is_real
 from .numcore.dists import gumbel_noise
 from .numcore.random import stream
 from .numcore.tensor import no_grad
@@ -65,11 +66,13 @@ class CmiMatrix:
 
     @classmethod
     def initial(cls, d_s: int, threshold: float, ema_coeff: float) -> "CmiMatrix":
+        if not (_is_int(d_s) and d_s >= 1):
+            raise ValueError(f"d_s must be an integer >= 1, got {d_s!r}")
         # A NaN threshold would drop every edge, an infinite one keep every edge.
-        if not (math.isfinite(threshold) and threshold > 0):
-            raise ValueError(f"threshold must be finite and positive, got {threshold}")
-        if not 0.0 <= ema_coeff < 1.0:
-            raise ValueError(f"ema_coeff must be in [0, 1), got {ema_coeff}")
+        if not (_is_real(threshold) and math.isfinite(threshold) and threshold > 0):
+            raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
+        if not (_is_real(ema_coeff) and 0.0 <= ema_coeff < 1.0):
+            raise ValueError(f"ema_coeff must be a real number in [0, 1), got {ema_coeff!r}")
         return cls(
             values=np.full((d_s + 1, d_s), float(threshold)),
             threshold=float(threshold),

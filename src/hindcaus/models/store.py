@@ -1,22 +1,36 @@
-"""Named parameter storage, target-copy sync, and binary checkpoints."""
+"""Named parameter storage, target-copy sync, and binary checkpoints.
+
+A checkpoint is a directory holding one `fileio` record, checkpoint.bin: the
+header line {"version": 4, "config_hash": ..., "step": k, "extras": {...},
+"sha256": <the blob's>, "tensors": [[name, shape], ...]}, then each tensor's
+values as little-endian float64 in that order, at the offset the sizes
+before it sum to. `save_checkpoint` checks its arguments, then makes one
+`write_atomic` call, so a save that fails or is cut off at any point leaves
+the previous checkpoint.bin as it was: no state holds a new part beside an
+old one. The checkpoint stays a directory so that its path, and what lists
+its files (perfbench counts their bytes), keep working.
+"""
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from ..fileio import write_atomic
+from ..fileio import read_record, write_record
+from ..numcore.checks import _is_count, _is_int
 from ..numcore.random import stream
 from ..numcore.tensor import Tensor
 
 __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint"]
 
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+CHECKPOINT_FILE = "checkpoint.bin"
+HEADER_FIELDS = ("version", "config_hash", "step", "extras", "sha256", "tensors")
 
 
 class ParameterStore:
@@ -110,10 +124,6 @@ class ParamFactory:
         return self.store.add(self.group, name, array)
 
 
-def _is_count(value) -> bool:
-    return type(value) is int and value >= 0  # a JSON integer; refuses a bool
-
-
 def save_checkpoint(
     store: ParameterStore,
     path: str | Path,
@@ -123,126 +133,79 @@ def save_checkpoint(
     extras: dict | None = None,
     extra_arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write a flat little-endian float64 tensors.bin, then manifest.json.
-
-    Each file goes through `write_atomic`, and the manifest records the
-    blob's sha256. A save cut off between the two files leaves a new blob
-    beside the old manifest, which `load_checkpoint` refuses.
-    """
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
+    """Write `path`/checkpoint.bin as the module docstring says. An argument
+    the header cannot hold raises a `ValueError` naming it, before any write."""
+    if not (_is_int(step) and step >= 0):
+        raise ValueError(f"save_checkpoint: step must be an integer >= 0, got {step!r}")
+    if not isinstance(config_hash, str):
+        raise ValueError(f"save_checkpoint: config_hash must be a string, got {config_hash!r}")
+    if extras is not None and not isinstance(extras, dict):
+        raise ValueError(f"save_checkpoint: extras must be a dict, got {extras!r}")
     arrays = {name: t.data for name, t in store.tensors().items()}
     if extra_arrays:
         overlap = set(arrays) & set(extra_arrays)
         if overlap:
             raise ValueError(f"extra_arrays collide with store tensors: {sorted(overlap)[:3]}")
         arrays.update(extra_arrays)
-    for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": offset, "count": arr.size})
-        blobs.append(arr.tobytes())
-        offset += arr.size
-    blob = b"".join(blobs)
-    manifest = {
+    names = sorted(arrays)
+    flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
+    blob = b"".join(a.tobytes() for a in flat)
+    header = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
-        "step": step,
-        "sha256": hashlib.sha256(blob).hexdigest(),
-        "tensors": entries,
+        "step": int(step),
         "extras": extras or {},
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "tensors": [[name, list(a.shape)] for name, a in zip(names, flat)],
     }
-    write_atomic(path / "tensors.bin", blob)
-    write_atomic(path / "manifest.json", json.dumps(manifest, indent=1).encode("utf-8"))
+    Path(path).mkdir(parents=True, exist_ok=True)
+    write_record(Path(path) / CHECKPOINT_FILE, header, blob)
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
-    """Read a checkpoint directory -> (arrays, step, extras). A manifest that
-    is not a JSON object of this version holding every field read here
-    raises a `ValueError` that names the file and the field."""
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{manifest_path}: not valid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: a JSON {type(manifest).__name__}, expected an object")
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{manifest_path}: checkpoint version {manifest.get('version')} is not supported "
-            f"(this build reads version {CHECKPOINT_VERSION})"
-        )
-    for field in ("config_hash", "step", "sha256", "tensors"):
-        if field not in manifest:
-            raise ValueError(f"{manifest_path}: field {field!r} is missing")
-    extras = manifest.get("extras", {})
+    """Read a checkpoint directory -> (arrays, step, extras). A header or a
+    blob that does not hold what the module docstring says raises a
+    `ValueError` that names checkpoint.bin and the field."""
+    file = Path(path) / CHECKPOINT_FILE
+    header, blob = read_record(file, CHECKPOINT_VERSION, HEADER_FIELDS)
+    where = f"{file} line 1: field"
     for field, ok, expected in (
-        ("step", _is_count(manifest["step"]), "an integer >= 0"),
-        ("config_hash", isinstance(manifest["config_hash"], str), "a string"),
-        ("extras", isinstance(extras, dict), "a JSON object"),
+        ("step", _is_count, "an integer >= 0"),
+        ("config_hash", lambda v: isinstance(v, str), "a string"),
+        ("extras", lambda v: isinstance(v, dict), "a JSON object"),
+        ("sha256", lambda v: isinstance(v, str), "a string"),
+        ("tensors", lambda v: isinstance(v, list), "a list"),
     ):
-        if not ok:
-            raise ValueError(
-                f"{manifest_path}: field {field!r} is {manifest[field]!r}, expected {expected}"
-            )
-    if not isinstance(manifest["tensors"], list):
-        raise ValueError(
-            f"{manifest_path}: field 'tensors' is a JSON {type(manifest['tensors']).__name__}, "
-            "expected a list"
-        )
+        if field not in header:
+            raise ValueError(f"{where} {field!r} is missing")
+        if not ok(header[field]):
+            raise ValueError(f"{where} {field!r} is {header[field]!r}, expected {expected}")
     entry_of: dict[str, int] = {}
-    for k, e in enumerate(manifest["tensors"]):
-        for field in ("name", "shape", "offset", "count"):
-            if not isinstance(e, dict) or field not in e:
-                raise ValueError(
-                    f"{manifest_path}: entry {k} of field 'tensors' has no field {field!r}"
-                )
-        if not isinstance(e["name"], str):
+    for k, e in enumerate(header["tensors"]):
+        name, shape = e if isinstance(e, list) and len(e) == 2 else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))):
             raise ValueError(
-                f"{manifest_path}: entry {k} of field 'tensors': field 'name' is "
-                f"{e['name']!r}, expected a string"
+                f"{where} 'tensors': entry {k} is {e!r}, expected a [name, shape] pair "
+                "of a string and a list of integers >= 0"
             )
-        if e["name"] in entry_of:
+        if name in entry_of:
             raise ValueError(
-                f"{manifest_path}: entries {entry_of[e['name']]} and {k} of field 'tensors' "
-                f"both name tensor {e['name']!r}"
+                f"{where} 'tensors': entries {entry_of[name]} and {k} both name tensor {name!r}"
             )
-        entry_of[e["name"]] = k
-        if not (isinstance(e["shape"], list) and all(_is_count(d) for d in e["shape"])):
-            raise ValueError(
-                f"{manifest_path}: entry {k} of field 'tensors': field 'shape' is "
-                f"{e['shape']!r}, expected a list of integers >= 0"
-            )
-        for field in ("offset", "count"):
-            if not _is_count(e[field]):
-                raise ValueError(
-                    f"{manifest_path}: entry {k} of field 'tensors': field {field!r} is "
-                    f"{e[field]!r}, expected an integer >= 0"
-                )
-    if expected_config_hash is not None and manifest["config_hash"] != expected_config_hash:
+        entry_of[name] = k
+    got = header["config_hash"]
+    if expected_config_hash is not None and got != expected_config_hash:
+        raise ValueError(f"{where} 'config_hash' is {got}, expected {expected_config_hash}")
+    ends = list(accumulate((math.prod(shape) for _, shape in header["tensors"]), initial=0))
+    if len(blob) != 8 * ends[-1]:
         raise ValueError(
-            f"checkpoint config hash {manifest['config_hash']} does not match "
-            f"expected {expected_config_hash}; refusing to load"
+            f"{file}: {len(blob)} bytes after the header, field 'tensors' expects {8 * ends[-1]}"
         )
-    blob = path / "tensors.bin"
-    raw = blob.read_bytes()
-    expected = 8 * sum(e["count"] for e in manifest["tensors"])
-    if len(raw) != expected:
-        raise ValueError(f"{blob} holds {len(raw)} bytes, manifest expects {expected}")
-    if hashlib.sha256(raw).hexdigest() != manifest["sha256"]:
-        raise ValueError(f"{blob} does not match the sha256 its manifest records (torn save?)")
-    flat = np.frombuffer(raw, dtype="<f8")
-    arrays = {}
-    for k, e in enumerate(manifest["tensors"]):
-        start, count = e["offset"], e["count"]
-        if not 0 <= start <= start + count <= flat.size or count != math.prod(e["shape"]):
-            raise ValueError(
-                f"{manifest_path}: entry {k} of field 'tensors' ({e['name']!r}): fields 'offset' "
-                f"{start}, 'count' {count} and 'shape' {e['shape']} do not give a slice of "
-                f"the blob's {flat.size} values"
-            )
-        arrays[e["name"]] = flat[start : start + count].reshape(e["shape"]).astype(np.float64)
-    return arrays, manifest["step"], extras
+    if hashlib.sha256(blob).hexdigest() != header["sha256"]:
+        raise ValueError(f"{file}: the bytes after the header do not match field 'sha256'")
+    flat = np.frombuffer(blob, dtype="<f8")
+    arrays = {
+        name: flat[start:end].reshape(shape).astype(np.float64)
+        for (name, shape), start, end in zip(header["tensors"], ends[:-1], ends[1:])
+    }
+    return arrays, header["step"], header["extras"]

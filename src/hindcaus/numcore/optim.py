@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .checks import _is_real
 from .tensor import NonFiniteError, Tensor
 
 __all__ = ["Adam"]
@@ -29,8 +30,8 @@ EPS = 1e-8
 
 class Adam:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
-        if not (math.isfinite(lr) and lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {lr}")
+        if not (_is_real(lr) and math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {lr!r}")
         self.params = dict(params)
         self.lr = lr
         self.step_count = 0

@@ -39,6 +39,7 @@ import numpy as np
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
+from .numcore.checks import _is_real
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
 from .numcore.random import stream
 from .numcore.tensor import Tensor, concat, constant, stack
@@ -77,10 +78,11 @@ class ObjectiveConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.reward_weight) and self.reward_weight >= 0):
-            raise ValueError(f"reward_weight must be finite and >= 0, got {self.reward_weight}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError(f"temperature must be finite and positive, got {self.temperature}")
+        w, t = self.reward_weight, self.temperature
+        if not (_is_real(w) and math.isfinite(w) and w >= 0):
+            raise ValueError(f"reward_weight must be a finite real number >= 0, got {w!r}")
+        if not (_is_real(t) and math.isfinite(t) and t > 0):
+            raise ValueError(f"temperature must be a finite positive real number, got {t!r}")
 
 
 @dataclass
@@ -187,7 +189,9 @@ def vlb_losses(
     if mask_draw is None:
         mask_draw = rand.mask_indices(B, T, env)
     if mask_draw.shape != (B, T, env.d_s):
-        raise ValueError(f"mask draw must have shape {(B, T, env.d_s)}, got {mask_draw.shape}")
+        raise ValueError(f"mask_draw must have shape {(B, T, env.d_s)}, got {mask_draw.shape}")
+    if mask_draw.dtype.kind not in "iu" or ((mask_draw < 0) | (mask_draw > env.d_s)).any():
+        raise ValueError(f"mask_draw must hold integer input indices in [0, {env.d_s}]")
 
     obs_pos = {f: p for p, f in enumerate(env.observed_indices)}
     hid_pos = {f: p for p, f in enumerate(env.hidden_indices)}

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -267,7 +268,7 @@ CHAIN3_FIELD_SIZES = {"o": 12, "a": 15, "tau": 1, "r": 5, "gt_h": 6, "gt_eps": 1
 
 
 def _read(path):
-    """A dataset file's parsed header and the bytes after its newline."""
+    """A record file's parsed header and the bytes after its newline."""
     head, _, blob = path.read_bytes().partition(b"\n")
     return json.loads(head), blob
 
@@ -375,6 +376,39 @@ def test_save_dataset_refuses_episodes_that_do_not_fit_the_config(tmp_path, fiel
     msg = str(exc.value)
     assert str(path) in msg and f"field {field!r}" in msg
     assert not path.exists()
+
+
+def _o_outside_range(ds):
+    ds.episodes[2].o[3, 0] = 9  # chain3 has l = 4
+
+
+def _action_on_hidden_factor(ds):
+    ds.episodes[2].a[1] = [0, 1, 0]  # factor 1 is hidden
+
+
+def _other_gt_graph(ds):
+    ds.gt_graph = 1 - ds.gt_graph
+
+
+@pytest.mark.parametrize(
+    "edit, refusal",
+    [
+        (_o_outside_range, "field 'o' of episode 2 has values outside [0, 4)"),
+        (_action_on_hidden_factor, "field 'a' of episode 2 has a row"),
+        (_other_gt_graph, "field 'gt_graph' is not the graph of its config"),
+    ],
+    ids=["o_outside_range", "action_on_hidden_factor", "other_gt_graph"],
+)
+def test_save_dataset_refuses_what_load_dataset_refuses(tmp_path, edit, refusal):
+    path = tmp_path / "data.bin"
+    save_dataset(generate_dataset(chain3(), 4, seed=1), path)
+    old = path.read_bytes()
+    ds = generate_dataset(chain3(), 4, seed=2)
+    edit(ds)
+    with pytest.raises(ValueError, match=re.escape(f"cannot save dataset to {path}: {refusal}")):
+        save_dataset(ds, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["data.bin"]
 
 
 def test_load_dataset_rejects_truncated_header(tmp_path):

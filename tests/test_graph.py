@@ -54,6 +54,23 @@ def test_initial_matrix_rejects_bad_threshold(threshold):
         CmiMatrix.initial(3, threshold=threshold, ema_coeff=0.9)
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        ((3.0, 0.03, 0.9), "d_s"),
+        ((True, 0.03, 0.9), "d_s"),
+        ((3, True, 0.8), "threshold"),
+        ((3, "0.03", 0.8), "threshold"),
+        ((3, 0.03, False), "ema_coeff"),
+        ((3, 0.03, "0.9"), "ema_coeff"),
+    ],
+    ids=["float_d_s", "bool_d_s", "bool_threshold", "string_threshold", "bool_ema", "string_ema"],
+)
+def test_initial_matrix_refuses_settings_of_the_wrong_type_by_name(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        CmiMatrix.initial(*args)
+
+
 def test_ema_zero_coeff_copies_fresh():
     m = CmiMatrix.initial(3, threshold=0.03, ema_coeff=0.0)
     fresh = np.arange(12, dtype=float).reshape(4, 3) / 10

@@ -6,7 +6,6 @@ import re
 import numpy as np
 import pytest
 
-import hindcaus.models.store as store_mod
 from hindcaus import numcore as nc
 from hindcaus.env import EnvConfig, action_options, cmi_masks, config_hash, generate_dataset, stack_episodes, step
 from hindcaus.models import (
@@ -21,6 +20,7 @@ from hindcaus.models import (
 from hindcaus.models.nets import Linear
 from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stack, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
+from test_env import _cut_mid_write, _fail_replace, _read, _write
 
 
 def chain3(noise_target="hidden", **kw):
@@ -699,51 +699,87 @@ def test_store_refused_load_leaves_tensors_unchanged(case):
         assert np.array_equal(t.data, before[n]), n
 
 
-def test_checkpoint_refuses_version_1_manifest(tmp_path):
+def _checkpoint_file(tmp_path, step=1):
+    """Save a chain3 checkpoint to tmp_path/ckpt and return its one file."""
     bundle = build_models(chain3(), "dvae_full", seed=0)
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    manifest = tmp_path / "ckpt" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    assert doc["version"] == 3
-    doc["version"] = 1
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version 1"):
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=step)
+    return tmp_path / "ckpt" / "checkpoint.bin"
+
+
+@pytest.mark.parametrize("version", [3, 5])
+def test_checkpoint_refuses_other_versions(tmp_path, version):
+    # Version 3 was a tensors.bin blob beside a manifest.json with offsets.
+    file = _checkpoint_file(tmp_path)
+    header, blob = _read(file)
+    assert header["version"] == 4
+    header["version"] = version
+    _write(file, header, blob)
+    expected = f"{file} line 1: field 'version' is {version},"
+    with pytest.raises(ValueError, match=re.escape(expected)):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_checkpoint_refuses_version_2_manifest(tmp_path):
-    # Version 2 manifests carry no blob sha256.
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    manifest = tmp_path / "ckpt" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    del doc["sha256"]
-    doc["version"] = 2
-    manifest.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="version 2"):
+def test_checkpoint_directory_without_its_file_names_the_file(tmp_path):
+    # A version-3 directory holds manifest.json and tensors.bin; no reader of it is kept.
+    (tmp_path / "ckpt").mkdir()
+    (tmp_path / "ckpt" / "manifest.json").write_text("{}")
+    with pytest.raises(FileNotFoundError, match="checkpoint.bin"):
         load_checkpoint(tmp_path / "ckpt")
 
 
-def test_torn_checkpoint_pair_is_refused(tmp_path, monkeypatch):
+def _no_interrupt(monkeypatch):
+    return ValueError
+
+
+@pytest.mark.parametrize(
+    "interrupt, step",
+    [(_cut_mid_write, 2), (_fail_replace, 2), (_no_interrupt, np.float32(2.0))],
+    ids=["mid_write", "before_replace", "unencodable_step"],
+)
+def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch, interrupt, step):
     bundle = build_models(chain3(), "dvae_full", seed=0)
     save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    before = {n: t.data.copy() for n, t in bundle.store.tensors().items()}
     for t in bundle.store.tensors().values():
         t.data += 1.0
-    real_write = store_mod.write_atomic
-
-    def write_blob_only(path, data):
-        if path.name == "manifest.json":
-            raise KeyboardInterrupt  # cut off between the two files
-        real_write(path, data)
-
-    monkeypatch.setattr(store_mod, "write_atomic", write_blob_only)
-    with pytest.raises(KeyboardInterrupt):
-        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=2)
+    error = interrupt(monkeypatch)
+    with pytest.raises(error):
+        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=step)
     monkeypatch.undo()
-    assert sorted(os.listdir(tmp_path / "ckpt")) == ["manifest.json", "tensors.bin"]
-    with pytest.raises(ValueError, match="tensors.bin") as exc:
-        load_checkpoint(tmp_path / "ckpt")
-    assert "sha256" in str(exc.value)
+    assert os.listdir(tmp_path / "ckpt") == ["checkpoint.bin"]  # no temporary file left
+    arrays, step_no, _ = load_checkpoint(tmp_path / "ckpt")
+    assert step_no == 1
+    for n, a in before.items():
+        assert arrays[n].tobytes() == a.tobytes(), n
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("step", True),
+        ("step", -1),
+        ("step", "3"),
+        ("step", 2.5),
+        ("config_hash", 5),
+        ("extras", []),
+    ],
+    ids=[
+        "bool_step", "negative_step", "string_step", "float_step", "int_config_hash", "list_extras"
+    ],
+)
+def test_save_checkpoint_refuses_bad_argument_before_writing(tmp_path, field, value):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    kwargs = {"config_hash": "h", "step": 1, field: value}
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be")):
+        save_checkpoint(bundle.store, tmp_path / "ckpt", **kwargs)
+    assert not (tmp_path / "ckpt").exists()
+
+
+def test_save_checkpoint_stores_numpy_step_as_int(tmp_path):
+    file = _checkpoint_file(tmp_path, step=np.int64(2))
+    assert _read(file)[0]["step"] == 2
+    _, step_no, _ = load_checkpoint(tmp_path / "ckpt")
+    assert type(step_no) is int and step_no == 2
 
 
 def test_checkpoint_refuses_config_mismatch(tmp_path):
@@ -755,15 +791,14 @@ def test_checkpoint_refuses_config_mismatch(tmp_path):
 
 
 def test_checkpoint_rejects_truncated_blob(tmp_path):
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    blob = tmp_path / "ckpt" / "tensors.bin"
-    full = blob.read_bytes()
-    blob.write_bytes(full[: len(full) // 2])
+    file = _checkpoint_file(tmp_path)
+    _, blob = _read(file)
+    full = file.read_bytes()
+    file.write_bytes(full[: len(full) - len(blob) // 2])
     with pytest.raises(ValueError) as exc:
         load_checkpoint(tmp_path / "ckpt")
     msg = str(exc.value)
-    assert "tensors.bin" in msg and str(len(full)) in msg and str(len(full) // 2) in msg
+    assert str(file) in msg and str(len(blob)) in msg and str(len(blob) // 2) in msg
 
 
 def _truncate_manifest(text):
@@ -776,27 +811,26 @@ def _drop_step(text):
     return json.dumps(doc)
 
 
-def _drop_count(text):
-    doc = json.loads(text)
-    del doc["tensors"][1]["count"]
-    return json.dumps(doc)
-
-
-def _manifest_value(value, entry=None, field="tensors"):
-    """Set the manifest's `field`, or that field of entry `entry` of its tensors."""
+def _manifest_value(value, field):
+    """Set the header's `field`."""
 
     def edit(text):
         doc = json.loads(text)
-        (doc if entry is None else doc["tensors"][entry])[field] = value
+        doc[field] = value
         return json.dumps(doc)
 
     return edit
 
 
-def _offset_past_blob(text):
-    doc = json.loads(text)
-    doc["tensors"][1]["offset"] = sum(e["count"] for e in doc["tensors"])
-    return json.dumps(doc)
+def _tensor_entry(make):
+    """Replace entry 1 of the header's tensors with make(its name)."""
+
+    def edit(text):
+        doc = json.loads(text)
+        doc["tensors"][1] = make(doc["tensors"][1][0])
+        return json.dumps(doc)
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -804,35 +838,27 @@ def _offset_past_blob(text):
     [
         (_truncate_manifest, "not valid JSON"),
         (_drop_step, "field 'step' is missing"),
-        (_drop_count, "entry 1 of field 'tensors' has no field 'count'"),
-        (_offset_past_blob, "fields 'offset'"),
-        (_manifest_value(5), "field 'tensors' is a JSON int, expected a list"),
-        (_manifest_value(5, 1, "name"), "entry 1 of field 'tensors': field 'name' is 5"),
-        (_manifest_value("2", 1, "shape"), "entry 1 of field 'tensors': field 'shape' is '2'"),
-        (_manifest_value([2.0], 1, "shape"), "entry 1 of field 'tensors': field 'shape' is [2.0]"),
-        (_manifest_value("0", 1, "offset"), "entry 1 of field 'tensors': field 'offset' is '0'"),
-        (_manifest_value(1.5, 1, "count"), "entry 1 of field 'tensors': field 'count' is 1.5"),
-        (_manifest_value(True, 1, "count"), "entry 1 of field 'tensors': field 'count' is True"),
-        (_manifest_value("3", field="step"), "field 'step' is '3', expected an integer >= 0"),
-        (_manifest_value(-1, field="step"), "field 'step' is -1"),
-        (_manifest_value(True, field="step"), "field 'step' is True"),
-        (_manifest_value(2.5, field="step"), "field 'step' is 2.5"),
-        (_manifest_value([], field="extras"), "field 'extras' is [], expected a JSON object"),
-        (_manifest_value("x", field="extras"), "field 'extras' is 'x'"),
-        (_manifest_value(5, field="config_hash"), "field 'config_hash' is 5, expected a string"),
+        (_manifest_value(5, "tensors"), "field 'tensors' is 5, expected a list"),
+        (_tensor_entry(lambda name: name), "field 'tensors': entry 1 is 'phi/"),
+        (_tensor_entry(lambda name: [5, [2]]), "field 'tensors': entry 1 is [5, [2]]"),
+        (_tensor_entry(lambda name: [name, "2"]), "'2'], expected a [name, shape] pair"),
+        (_tensor_entry(lambda name: [name, [2.0]]), "[2.0]], expected a [name, shape] pair"),
+        (_manifest_value("3", "step"), "field 'step' is '3', expected an integer >= 0"),
+        (_manifest_value(-1, "step"), "field 'step' is -1"),
+        (_manifest_value(True, "step"), "field 'step' is True"),
+        (_manifest_value(2.5, "step"), "field 'step' is 2.5"),
+        (_manifest_value([], "extras"), "field 'extras' is [], expected a JSON object"),
+        (_manifest_value("x", "extras"), "field 'extras' is 'x'"),
+        (_manifest_value(5, "config_hash"), "field 'config_hash' is 5, expected a string"),
     ],
     ids=[
         "truncated",
         "no_step",
-        "no_count",
-        "offset_past_blob",
         "tensors_not_list",
+        "bare_name",
         "int_name",
         "string_shape",
         "float_dim",
-        "string_offset",
-        "float_count",
-        "bool_count",
         "string_step",
         "negative_step",
         "bool_step",
@@ -843,26 +869,24 @@ def _offset_past_blob(text):
     ],
 )
 def test_checkpoint_refuses_bad_manifest(tmp_path, edit, field):
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    manifest = tmp_path / "ckpt" / "manifest.json"
-    manifest.write_text(edit(manifest.read_text()))
+    # The header line is what a separate manifest file held up to version 3.
+    file = _checkpoint_file(tmp_path)
+    head, _, blob = file.read_bytes().partition(b"\n")
+    file.write_bytes(edit(head.decode()).encode() + b"\n" + blob)
     with pytest.raises(ValueError) as exc:
         load_checkpoint(tmp_path / "ckpt")
     msg = str(exc.value)
-    assert str(manifest) in msg and field in msg
+    assert str(file) in msg and field in msg
 
 
 def test_checkpoint_refuses_duplicate_tensor_name(tmp_path):
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    manifest = tmp_path / "ckpt" / "manifest.json"
-    doc = json.loads(manifest.read_text())
-    name = doc["tensors"][0]["name"]
-    doc["tensors"][1]["name"] = name
-    manifest.write_text(json.dumps(doc))
-    expected = f"entries 0 and 1 of field 'tensors' both name tensor {name!r}"
-    with pytest.raises(ValueError, match=re.escape(f"{manifest}: {expected}")):
+    file = _checkpoint_file(tmp_path)
+    header, blob = _read(file)
+    name = header["tensors"][0][0]
+    header["tensors"][1][0] = name
+    _write(file, header, blob)
+    expected = f"field 'tensors': entries 0 and 1 both name tensor {name!r}"
+    with pytest.raises(ValueError, match=re.escape(f"{file} line 1: {expected}")):
         load_checkpoint(tmp_path / "ckpt")
 
 

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -606,6 +607,12 @@ def test_adam_optimizes_quadratic():
 @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
 def test_adam_rejects_bad_learning_rate(lr):
     with pytest.raises(ValueError, match="lr must be finite and positive"):
+        nc.Adam({"p": parameter([1.0])}, lr=lr)
+
+
+@pytest.mark.parametrize("lr", [True, "1", None], ids=["bool", "string", "none"])
+def test_adam_refuses_a_learning_rate_that_is_not_a_real_number(lr):
+    with pytest.raises(ValueError, match=re.escape(f"lr must be finite and positive, got {lr!r}")):
         nc.Adam({"p": parameter([1.0])}, lr=lr)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,26 @@ def test_masked_nll_exceeds_full_nll_when_true_parent_masked():
     breakdown = oracle_vlb(cfg, n_episodes=B, seed=5, mask_draw=mask_draw)
     assert breakdown.per_factor["masked_nll"][2] > breakdown.per_factor["full_nll"][2] + 0.3
     assert breakdown.masked_nll >= breakdown.full_nll
+
+
+@pytest.mark.parametrize("draw", [-1, 4, 2.0], ids=["negative", "past_action_node", "float"])
+def test_vlb_losses_refuses_mask_draw_outside_the_inputs(draw):
+    cfg = chain3("observation")
+    B, T = 8, cfg.horizon
+    mask_draw = np.ones((B, T, cfg.d_s), dtype=type(draw))
+    mask_draw[3, 2, 1] = draw
+    with pytest.raises(ValueError, match=re.escape("mask_draw must hold integer input indices")):
+        oracle_vlb(cfg, n_episodes=B, seed=5, mask_draw=mask_draw)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("temperature", True), ("temperature", "1"), ("reward_weight", True), ("reward_weight", "1")],
+    ids=["bool_temperature", "string_temperature", "bool_reward_weight", "string_reward_weight"],
+)
+def test_objective_config_refuses_settings_that_are_not_real_numbers(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        ObjectiveConfig(**{field: value})
 
 
 # -- neural-path checks ----------------------------------------------------------
