@@ -28,6 +28,14 @@ dense hidden path is left to the training path's soft samples. Evaluating
 a fixed checkpoint thus runs the network only on new rows; training
 changes the weights before every graph update, so there each distinct row
 of the batch runs once.
+
+The encoder side is memoized the same way. `cmi_from_batch` samples the
+hidden values from phi_bar under `no_grad`, and phi_bar's GRU (the backward
+recurrence of `dvae_full` and `current_full`, the forward one of `history`)
+memoizes its states per episode while its weights stay unchanged; see
+`models.nets`. On a fixed checkpoint an episode seen before, by an
+evaluation or an earlier estimate, skips `affine` and `gru_scan`. In
+training every graph update follows a `sync_target`, so there it runs.
 """
 
 from __future__ import annotations

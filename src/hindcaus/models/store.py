@@ -7,8 +7,10 @@ values as little-endian float64 in that order, at the offset the sizes
 before it sum to. `save_checkpoint` checks its arguments, then makes one
 `write_atomic` call, so a save that fails or is cut off at any point leaves
 the previous checkpoint.bin as it was: no state holds a new part beside an
-old one. The checkpoint stays a directory so that its path, and what lists
-its files (perfbench counts their bytes), keep working.
+old one. Only once that write succeeds does it remove the version-3 pair,
+manifest.json and tensors.bin, where an older save left them. The
+checkpoint stays a directory so that its path, and what lists its files
+(perfbench counts their bytes), keep working.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
 CHECKPOINT_VERSION = 4
 CHECKPOINT_FILE = "checkpoint.bin"
+VERSION_3_FILES = ("manifest.json", "tensors.bin")  # superseded by checkpoint.bin
 HEADER_FIELDS = ("version", "config_hash", "step", "extras", "sha256", "tensors")
 
 
@@ -133,8 +136,9 @@ def save_checkpoint(
     extras: dict | None = None,
     extra_arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write `path`/checkpoint.bin as the module docstring says. An argument
-    the header cannot hold raises a `ValueError` naming it, before any write."""
+    """Write `path`/checkpoint.bin and remove a version-3 pair beside it, as
+    the module docstring says. An argument the header cannot hold raises a
+    `ValueError` naming it, before any write."""
     if not (_is_int(step) and step >= 0):
         raise ValueError(f"save_checkpoint: step must be an integer >= 0, got {step!r}")
     if not isinstance(config_hash, str):
@@ -160,6 +164,8 @@ def save_checkpoint(
     }
     Path(path).mkdir(parents=True, exist_ok=True)
     write_record(Path(path) / CHECKPOINT_FILE, header, blob)
+    for name in VERSION_3_FILES:
+        (Path(path) / name).unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):

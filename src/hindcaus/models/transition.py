@@ -195,6 +195,9 @@ class MaskedTransition:
                 f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
             )
         pooled = masked_max(feats, masks)
+        # Untaped, a caller that passes the stack straight in frees it here,
+        # before the head allocates its blocks; taped, the pool node keeps it.
+        del feats
         K, rows, F = pooled.shape
         return self._heads[j](pooled.reshape(K * rows, F)).reshape(K, rows, self.env.l)
 

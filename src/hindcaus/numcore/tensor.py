@@ -17,6 +17,7 @@ __all__ = [
     "ShapeError",
     "NonFiniteError",
     "no_grad",
+    "grad_enabled",
     "constant",
     "parameter",
     "concat",
@@ -56,6 +57,11 @@ class no_grad:
         global _NO_GRAD_DEPTH
         _NO_GRAD_DEPTH -= 1
         return False
+
+
+def grad_enabled() -> bool:
+    """Whether ops may record tape nodes: False inside `no_grad`."""
+    return _NO_GRAD_DEPTH == 0
 
 
 def _require_finite(arr: np.ndarray, context: str) -> None:
@@ -195,7 +201,7 @@ def _lift(x) -> Tensor:
 
 def _records(parents: tuple[Tensor, ...]) -> bool:
     """Whether an op on these inputs records a tape node."""
-    return _NO_GRAD_DEPTH == 0 and any(p.requires_grad for p in parents)
+    return grad_enabled() and any(p.requires_grad for p in parents)
 
 
 def _finish(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:

@@ -200,10 +200,9 @@ def vlb_losses(
     kl_terms: list[Tensor] = []  # (3,) per hidden target
     per_factor: dict[str, dict[int, float]] = {c: {} for c in COMPONENTS[:6]}
     fallbacks: list[int] = []
+    transition = bundle.transition
 
     for j in range(env.d_s):
-        feats = bundle.transition.features(j, idx, hidden)
-
         column = graph_binary[:, j]
         if not column.any():
             log.debug("causal mask for factor %d has no parents; falling back to full", j)
@@ -215,7 +214,9 @@ def vlb_losses(
         masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
         if not copies_full:
             masks[2] = column
-        logits = bundle.transition.logits_from_features(j, feats, masks)
+        # The feature stack goes straight in, so that untaped it is freed
+        # before the head runs.
+        logits = transition.logits_from_features(j, transition.features(j, idx, hidden), masks)
 
         if j in obs_pos:
             labels = _flatten_tm(batch.o[:, 1 : T + 1, obs_pos[j]])

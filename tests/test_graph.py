@@ -12,7 +12,14 @@ from hindcaus.env import (
     stack_episodes,
 )
 from hindcaus.graph import CmiMatrix, cmi_from_batch, estimate_cmi, graph_accuracy
-from hindcaus.models import MaskedTransition, ModelHyper, build_models, hidden_stack, input_indices
+from hindcaus.models import (
+    MaskedTransition,
+    ModelHyper,
+    build_models,
+    hidden_stack,
+    input_indices,
+    nets,
+)
 from hindcaus.numcore import Adam, constant, no_grad
 
 
@@ -185,6 +192,30 @@ def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
     assert np.array_equal(cmi(), first)  # phi_bar still holds the old weights
     bundle.sync_target()
     assert not np.array_equal(cmi(), first)
+
+
+def test_cmi_passes_over_the_same_batches_reuse_phi_bar_states(monkeypatch):
+    # As the identify workload runs: a fixed bundle, consecutive held-out
+    # batches, and later passes over the same episodes. Here the batches
+    # overlap, so most of pass 1 misses in part and pass 2 hits throughout.
+    cfg = chain3()
+    episodes = generate_dataset(cfg, 20, seed=4).episodes
+    batches = [stack_episodes(episodes[2 * k : 2 * k + 6]) for k in range(8)]
+    bundle = _perturbed_bundle(cfg)
+
+    def cmi(model, k):
+        return cmi_from_batch(model, batches[k], seed=1, step=k, temperature=1.0)
+
+    first = [cmi(bundle, k) for k in range(8)]
+    scans = []
+    real = nets.gru_scan
+    monkeypatch.setattr(nets, "gru_scan", lambda *args: scans.append(1) or real(*args))
+    second = [cmi(bundle, k) for k in range(8)]
+    monkeypatch.undo()
+    assert scans == []
+    for k in range(8):
+        want = cmi(_perturbed_bundle(cfg), k)
+        assert np.array_equal(first[k], want) and np.array_equal(second[k], want), k
 
 
 # -- the models' log_probs, row dedup and input checks -----------------------------

@@ -17,6 +17,7 @@ from hindcaus.models import (
     load_checkpoint,
     save_checkpoint,
 )
+from hindcaus.models import nets
 from hindcaus.models.nets import Linear
 from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stack, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
@@ -312,6 +313,165 @@ def test_trainable_excludes_phi_bar():
     assert any(n.startswith("theta_o/") for n in names)
     assert any(n.startswith("theta_h/") for n in names)
     assert any(n.startswith("psi/") for n in names)
+
+
+# -- the GRU state memo of a frozen cell ------------------------------------------
+
+MEMO_VARIANTS = ["history", "current_full", "dvae_full"]
+
+
+def _frozen_cell(variant):
+    """A chain3 bundle, phi_bar's cell, the direction the variant scans in,
+    and the encoding of 8 episodes."""
+    cfg = chain3()
+    bundle = build_models(cfg, variant, seed=0)
+    enc = BatchEncoding(small_batch(cfg, n=8, seed=1), cfg)
+    return bundle, bundle.encoder_target.cell, variant != "history", enc
+
+
+def _gru_scan_spy(monkeypatch, fail=False):
+    """The batch size of each `gru_scan` call that `GRUCell.scan` makes, in
+    a list that grows as it is called; with `fail`, every call raises."""
+    calls = []
+    real = nets.gru_scan
+
+    def spy(xw, Uzr, Un, reverse=False):
+        calls.append(xw.shape[1])
+        if fail:
+            raise RuntimeError("scan failed")
+        return real(xw, Uzr, Un, reverse)
+
+    monkeypatch.setattr(nets, "gru_scan", spy)
+    return calls
+
+
+def _columns(steps, order):
+    return constant(steps.data[:, order])
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_hits_equal_the_scan_bit_for_bit(variant, monkeypatch):
+    bundle, cell, reverse, enc = _frozen_cell(variant)
+    steps, order = enc.steps, [5, 0, 5, 3, 3, 7, 1]  # reordered, with repeats
+
+    def unroll():
+        return bundle.encoder_target.unroll(enc, 1.0, noise_fn_for(enc.env, enc.B))[1].data
+
+    # Outside no_grad the memo is not used: these run as without it.
+    want, want_mixed, samples = (
+        cell.scan(steps, reverse).data,
+        cell.scan(_columns(steps, order), reverse).data,
+        unroll(),
+    )
+    assert np.array_equal(want_mixed, want[:, order])
+    calls = _gru_scan_spy(monkeypatch)
+    with nc.no_grad():
+        assert np.array_equal(cell.scan(steps, reverse).data, want)  # fills the memo
+        assert np.array_equal(cell.scan(steps, reverse).data, want)
+        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want_mixed)
+        assert np.array_equal(unroll(), samples)
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_with_one_miss_runs_the_whole_batch_once(variant, monkeypatch):
+    _, cell, reverse, enc = _frozen_cell(variant)
+    steps, order = enc.steps, [7, 0, 1, 7, 2]  # sequence 7 is new, and repeated
+    want = cell.scan(_columns(steps, order), reverse).data
+    calls = _gru_scan_spy(monkeypatch)
+    with nc.no_grad():
+        cell.scan(_columns(steps, range(6)), reverse)
+        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want)
+        assert len(cell._slots) == 7
+        assert np.array_equal(cell.scan(_columns(steps, [7, 7]), reverse).data, want[:, [0, 3]])
+    assert calls == [6, 5]
+
+
+def _sync_from_changed_phi(bundle, cell, reverse):
+    rng = np.random.default_rng(3)
+    for t in bundle.store.groups["phi"].values():
+        t.data += 0.3 * rng.normal(size=t.shape)
+    bundle.sync_target()
+    return reverse
+
+
+def _load_other_arrays(bundle, cell, reverse):
+    other = build_models(bundle.env, bundle.encoder.variant, seed=1)
+    bundle.store.load_arrays({n: t.data for n, t in other.store.tensors().items()})
+    return reverse
+
+
+def _write_one_weight(bundle, cell, reverse):
+    cell.Un.data[2, 3] += 0.5
+    return reverse
+
+
+def _flip_direction(bundle, cell, reverse):
+    return not reverse
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+@pytest.mark.parametrize(
+    "change",
+    [_sync_from_changed_phi, _load_other_arrays, _write_one_weight, _flip_direction],
+    ids=["sync_target", "load_arrays", "weight_write", "reverse_flip"],
+)
+def test_frozen_scan_memo_resets_when_weights_or_direction_change(variant, change, monkeypatch):
+    bundle, cell, reverse, enc = _frozen_cell(variant)
+    steps = enc.steps
+    with nc.no_grad():
+        before = cell.scan(steps, reverse).data
+    reverse = change(bundle, cell, reverse)
+    want = cell.scan(steps, reverse).data
+    assert not np.array_equal(want, before)
+    calls = _gru_scan_spy(monkeypatch)
+    with nc.no_grad():
+        assert np.array_equal(cell.scan(steps, reverse).data, want)
+        assert np.array_equal(cell.scan(steps, reverse).data, want)
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_scan_memoizes_only_a_frozen_cell_under_no_grad(variant, monkeypatch):
+    bundle, cell, reverse, enc = _frozen_cell(variant)
+    steps, live = enc.steps, bundle.encoder.cell
+    calls = _gru_scan_spy(monkeypatch)
+    for _ in range(2):
+        assert cell.scan(parameter(steps.data), reverse).requires_grad  # taped
+        assert live.scan(steps, reverse).requires_grad  # taped by its weights
+        cell.scan(steps, reverse)  # outside no_grad
+        with nc.no_grad():
+            live.scan(steps, reverse)  # trainable weights
+    cell.Un.requires_grad = True
+    with nc.no_grad():
+        cell.scan(steps, reverse)  # one trainable weight
+    assert calls == [8] * 9
+    assert cell._slots == {} and live._slots == {}
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_scan_that_raises_leaves_memo_as_it_was(variant, monkeypatch):
+    _, cell, reverse, enc = _frozen_cell(variant)
+    steps = enc.steps
+    want = cell.scan(steps, reverse).data
+    with nc.no_grad():
+        cell.scan(_columns(steps, range(5)), reverse)
+    slots, memo, snapshot = dict(cell._slots), cell._memo.copy(), cell._snapshot
+    Un = cell.Un.data.copy()
+    _gru_scan_spy(monkeypatch, fail=True)
+    with nc.no_grad():
+        with pytest.raises(RuntimeError, match="scan failed"):
+            cell.scan(steps, reverse)  # three new sequences
+        cell.Un.data[2, 3] += 0.5
+        with pytest.raises(RuntimeError, match="scan failed"):
+            cell.scan(steps, reverse)  # changed weights: every sequence new
+        with pytest.raises(nc.ShapeError, match="not \\(S, B, "):
+            cell.scan(constant(steps.data[:, :, 1:]), reverse)
+        np.copyto(cell.Un.data, Un)
+        assert cell._slots == slots and cell._snapshot is snapshot
+        assert np.array_equal(cell._memo, memo)
+        # The weights are back: the memo holds again and every call below hits.
+        assert np.array_equal(cell.scan(_columns(steps, range(5)), reverse).data, want[:, :5])
 
 
 # -- masked transition ----------------------------------------------------------
@@ -751,6 +911,36 @@ def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch, inter
     assert step_no == 1
     for n, a in before.items():
         assert arrays[n].tobytes() == a.tobytes(), n
+
+
+def _version_3_pair(directory):
+    """Stand-ins for the manifest.json and tensors.bin of a version-3
+    checkpoint in `directory`; returns their bytes by name."""
+    old = {"manifest.json": b'{"version": 3}', "tensors.bin": bytes(16)}
+    directory.mkdir()
+    for name, data in old.items():
+        (directory / name).write_bytes(data)
+    return old
+
+
+def test_save_checkpoint_removes_version_3_pair(tmp_path):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    _version_3_pair(tmp_path / "ckpt")
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    assert os.listdir(tmp_path / "ckpt") == ["checkpoint.bin"]
+    assert load_checkpoint(tmp_path / "ckpt")[1] == 1
+
+
+@pytest.mark.parametrize(
+    "interrupt", [_cut_mid_write, _fail_replace], ids=["mid_write", "before_replace"]
+)
+def test_failed_checkpoint_save_keeps_version_3_pair(tmp_path, monkeypatch, interrupt):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    old = _version_3_pair(tmp_path / "ckpt")
+    with pytest.raises(interrupt(monkeypatch)):
+        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()} == old
 
 
 @pytest.mark.parametrize(

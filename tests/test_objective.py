@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -518,6 +520,40 @@ def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_n
     params = {param_name: bundle.store.tensors()[param_name]}
     errs = nc.check_gradients(f, params, h=1e-5)
     assert max(errs.values()) < 1e-3, errs
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a call's arguments on the caller's stack until it returns",
+)
+def test_untaped_feature_stack_is_freed_before_the_head(monkeypatch):
+    cfg = chain3()
+    batch = make_batch(cfg)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    transition = bundle.transition
+    stacks, alive = [], []  # a weak reference to each feature stack; liveness at each head
+    features = transition.features
+
+    def features_spy(j, idx, hidden=None):
+        feats = features(j, idx, hidden)
+        stacks.append(weakref.ref(feats.data))
+        return feats
+
+    def head_spy(head):
+        def run(x):
+            alive.append(stacks[-1]() is not None)
+            return head(x)
+
+        return run
+
+    monkeypatch.setattr(transition, "features", features_spy)
+    monkeypatch.setattr(transition, "_heads", [head_spy(head) for head in transition._heads])
+    args = (batch, bundle, full_graph(cfg), StepRandomness(0, 0), ObjectiveConfig())
+    with no_grad():
+        vlb_losses(*args)
+    assert alive == [False] * cfg.d_s
+    vlb_losses(*args)  # taped: the pool node keeps its input
+    assert alive[cfg.d_s :] == [True] * cfg.d_s
 
 
 def test_causal_fallback_on_empty_graph_column():
