@@ -19,23 +19,19 @@ row of the batch, under the `cmi_masks` stack, full mask first.
 
 `estimate_cmi` does not deduplicate rows: every row is scored as given, so
 it assumes nothing about how a model treats repeated rows. A batch repeats
-many (s, a) rows (chain3 at l = 4 has only 192), and
-`MaskedTransition.log_probs` is the one place that deduplicates them: it
-memoizes its answer per row and runs the network once on the first
-occurrence of each row it has not seen under its current weights. It reads
-every input, hidden ones included, from each target's feature table; the
-dense hidden path is left to the training path's soft samples. Evaluating
-a fixed checkpoint thus runs the network only on new rows; training
-changes the weights before every graph update, so there each distinct row
-of the batch runs once.
+many (s, a) rows (chain3 at l = 4 has only 192); `MaskedTransition.log_probs`
+memoizes them (a `RowMemo`, see `models.nets`), keyed by row under its
+weights and mask stack, and runs the network once on each row it misses.
+It reads every input, hidden ones included, from each target's feature
+table; the dense hidden path is left to the training path's soft samples.
 
-The encoder side is memoized the same way. `cmi_from_batch` samples the
+The encoder side is memoized the same way: `cmi_from_batch` samples the
 hidden values from phi_bar under `no_grad`, and phi_bar's GRU (the backward
 recurrence of `dvae_full` and `current_full`, the forward one of `history`)
-memoizes its states per episode while its weights stay unchanged; see
-`models.nets`. On a fixed checkpoint an episode seen before, by an
-evaluation or an earlier estimate, skips `affine` and `gru_scan`. In
-training every graph update follows a `sync_target`, so there it runs.
+memoizes its states per episode under its weights. Traffic: on a fixed
+checkpoint both hit on the rows and episodes an evaluation or an earlier
+estimate has seen. In training every graph update follows a weight change
+and a `sync_target`, so there each distinct row and every episode runs.
 """
 
 from __future__ import annotations

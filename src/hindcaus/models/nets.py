@@ -6,19 +6,16 @@ stack as one `bmm` node, bias included. `GRUCell` has no per-step call:
 `scan` projects all S steps of an (S, B, d) input with one `affine` over the
 S·B rows and runs the whole recurrence as one `gru_scan` node.
 
-A frozen cell memoizes its states. When `scan` runs under `no_grad` and
-none of `Wx`, `bx`, `Uzr`, `Un` requires grad (in a bundle, phi_bar's cell,
-which only `sync_target` and `load_arrays` change), it keys each of the B
-sequences by the bytes of its (S, d_in) input column and keeps its (S, H)
-states. A call whose every sequence is memoized returns their states
-without running `affine` or `gru_scan`. A call with any new sequence runs
-the whole batch, as an unmemoized call does, and memoizes the new ones once
-the scan has returned, so a call that raises leaves the memo as it was.
-The missed sequences never run alone, since a one-row batch may round
-differently; a memoized sequence equals that sequence as computed in the
-batch where it first missed. The memo holds only while S, `reverse` and
-the weights equal (`np.array_equal`) those it was filled under; a call
-that finds any of them changed starts from an empty memo.
+`RowMemo` memoizes answers per input row under a state; `GRUCell.scan` and
+`MaskedTransition.log_probs` each hold one. A frozen cell (under `no_grad`,
+none of `Wx`, `bx`, `Uzr`, `Un` requiring grad: in a bundle, phi_bar's
+cell, which only `sync_target` and `load_arrays` change) keys each of the B
+sequences by its (S·d_in) input column, under S, `reverse` and the four
+weights. A call whose every sequence is memoized returns their (S, H)
+states without running `affine` or `gru_scan`. A call with any new
+sequence runs the whole batch, as an unmemoized call does, and memoizes the
+new ones; the missed sequences never run alone, since a one-row batch may
+round differently.
 
 Traffic: the CMI estimate on a fixed checkpoint reruns phi_bar on the same
 held-out episodes, so once an evaluation has run on them every estimate
@@ -34,7 +31,7 @@ import numpy as np
 from ..numcore.tensor import ShapeError, Tensor, affine, bmm, constant, grad_enabled, gru_scan
 from .store import ParamFactory
 
-__all__ = ["Linear", "StackedLinear", "MLP", "GRUCell"]
+__all__ = ["Linear", "StackedLinear", "MLP", "GRUCell", "RowMemo"]
 
 
 class Linear:
@@ -85,6 +82,56 @@ class MLP:
         return self.layers[-1](x)
 
 
+class RowMemo:
+    """Answers memoized per row of a 2-D key array, under one state.
+
+    A row's key is its bytes. `missing` gives each row's key and the first
+    row of every key not yet memoized; the caller computes those rows'
+    answers, commits them with `add` and reads any memoized row's answer
+    with `take`. The answers lie along `axis` of one C-contiguous array, in
+    order of first occurrence. The memo holds only while `state`, a tuple
+    of arrays and scalars, equals (`np.array_equal`, entry by entry) the
+    copy committed with it; a call that finds it changed starts from an
+    empty memo. Only `add` writes, so a call that raises before it leaves
+    the memo as it was. A memoized answer equals that row as computed in
+    the batch where it first missed.
+    """
+
+    def __init__(self, axis: int):
+        self.axis = axis
+        self.state: tuple | None = None
+        self.slots: dict[bytes, int] = {}  # each key's index along `axis`
+        self.values = np.empty(0)
+        self._stale = True  # whether the last `missing` found `state` changed
+
+    def missing(self, state: tuple, rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
+        """Each row's key, and each new key's first row in order of occurrence."""
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        self._stale = self.state is None or not all(map(np.array_equal, state, self.state))
+        slots = {} if self._stale else self.slots
+        first: dict[bytes, int] = {}
+        for r, key in enumerate(keys):
+            if key not in slots:
+                first.setdefault(key, r)
+        return keys, first
+
+    def add(self, state: tuple, keys, values: np.ndarray) -> None:
+        """Commit `values`, the answers of the new `keys` in order, with the
+        `state` of the last `missing` call. Even with no new key this sets
+        the memo's shape after a state change, so a 0-row `take` fits it."""
+        if self._stale:
+            self.state = tuple(np.copy(entry) for entry in state)
+            self.slots, self.values = {}, np.ascontiguousarray(values)
+        elif keys:
+            self.values = np.concatenate([self.values, values], axis=self.axis)
+        self.slots.update(zip(keys, range(len(self.slots), len(self.slots) + len(keys))))
+        self._stale = False
+
+    def take(self, keys: list[bytes]) -> np.ndarray:
+        return self.values.take([self.slots[key] for key in keys], axis=self.axis)
+
+
 class GRUCell:
     """Gated recurrent cell, h' = (1 - z) * n + z * h, run as a scan from h = 0."""
 
@@ -95,12 +142,7 @@ class GRUCell:
         self.Uzr = params.glorot(f"{name}.Uzr", d_hidden, 2 * d_hidden)
         self.Un = params.glorot(f"{name}.Un", d_hidden, d_hidden)
         self._weights = (self.Wx, self.bx, self.Uzr, self.Un)
-        # The memo of `scan` (see the module docstring): `reverse` and the
-        # weight copies it was filled under, each sequence key's slot, and
-        # the (S, slots, H) states.
-        self._snapshot: tuple | None = None
-        self._slots: dict[bytes, int] = {}
-        self._memo = np.empty(0)
+        self._memo = RowMemo(axis=1)  # the (S, sequences, H) states of `scan`
 
     def scan(self, xs: Tensor, reverse: bool = False) -> Tensor:
         """(S, B, H) states over an (S, B, d_in) input sequence; `reverse`
@@ -112,27 +154,13 @@ class GRUCell:
         if grad_enabled() or any(w.requires_grad for w in self._weights):
             return self._states(xs, reverse)
         S, B, _ = xs.shape
-        valid = (
-            self._snapshot is not None
-            and self._snapshot[0] == bool(reverse)
-            and self._memo.shape[0] == S
-            and all(map(np.array_equal, self._snapshot[1:], (w.data for w in self._weights)))
-        )
-        slots, memo = (self._slots, self._memo) if valid else ({}, np.empty((S, 0, self.d_hidden)))
-        cols = np.ascontiguousarray(np.swapaxes(xs.data, 0, 1)).reshape(B, S * d_in)
-        keys = cols.view(np.dtype((np.void, cols.itemsize * S * d_in))).ravel().tolist()
-        new: dict[bytes, int] = {}  # each new key's first column, in order of occurrence
-        for b, key in enumerate(keys):
-            if key not in slots:
-                new.setdefault(key, b)
-        if not new:
-            return constant(memo.take([slots[key] for key in keys], axis=1))
+        state = (S, bool(reverse), *(w.data for w in self._weights))
+        keys, first = self._memo.missing(state, np.swapaxes(xs.data, 0, 1).reshape(B, S * d_in))
+        if not first:
+            self._memo.add(state, first, np.empty((S, 0, self.d_hidden)))
+            return constant(self._memo.take(keys))
         states = self._states(xs, reverse)
-        self._memo = np.concatenate([memo, states.data[:, list(new.values())]], axis=1)
-        slots.update(zip(new, range(len(slots), len(slots) + len(new))))
-        self._slots = slots
-        if not valid:
-            self._snapshot = (bool(reverse), *(w.data.copy() for w in self._weights))
+        self._memo.add(state, first, states.data[:, list(first.values())])
         return states
 
     def _states(self, xs: Tensor, reverse: bool) -> Tensor:

@@ -49,11 +49,8 @@ output's winning input, so its backward routes the gradient in one pass;
 under `no_grad` (the CMI estimate) it keeps none.
 
 `log_probs` answers the CMI estimate's question for every target at once
-on integer rows, untaped. It memoizes each row's answer, keyed by the
-row's `input_indices` bytes, and its miss batch holds only the first
-occurrence of each row not yet memoized. The memo starts empty again at
-the first call that finds the weights or the mask stack changed; see its
-docstring.
+on integer rows, untaped, through a `RowMemo` (see `models.nets`) keyed by
+each row's `input_indices`, under the mask stack and the weights.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ import numpy as np
 from ..env.config import EnvConfig
 from ..env.modulo import action_allowed
 from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, no_grad, transpose
-from .nets import MLP, StackedLinear
+from .nets import MLP, RowMemo, StackedLinear
 from .store import ParamFactory
 
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
@@ -156,12 +153,7 @@ class MaskedTransition:
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
         layers = [*self._embed, *self._proj, *(layer for h in self._heads for layer in h.layers)]
         self._params = [t for layer in layers for t in (layer.W, layer.b)]
-        # The memo of `log_probs`: its mask stack, the flat weights it was
-        # filled under, each row key's slot, and the (d_s, K, slots, l) answers.
-        self._memo_masks: np.ndarray | None = None
-        self._snapshot = np.empty(0)
-        self._slots: dict[bytes, int] = {}
-        self._memo = np.empty(0)
+        self._memo = RowMemo(axis=2)  # the (d_s, K, rows, l) answers of `log_probs`
 
     def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Tensor:
         """(d_s+1, rows, feat) per-input features of target j from the
@@ -212,49 +204,28 @@ class MaskedTransition:
         conditioned on keep-mask k of the (K, d_s+1) stack `masks`. Runs
         untaped.
 
-        The answers are memoized per row, keyed by the bytes of the row's
-        `input_indices`; this is the CMI estimate's only row dedup. Features,
-        pool and head run once, as one batch, on the first occurrence of each
-        row not yet memoized, and the memo takes the new rows only once that
-        batch is computed, so a call that raises leaves it as it was.
-        `input_indices` checks every row, memoized or not. The memo holds
-        only while the mask stack and this transition's weights are equal
-        (`np.array_equal`) to the copies it keeps of those it was filled
-        under; a call that finds either changed starts from an empty memo.
-        A memoized row equals that row as computed in the batch where it
-        first missed.
+        The answers are memoized per row, keyed by the row's
+        `input_indices`, under the mask stack and the weights (compared as
+        one flat array); this is the CMI estimate's only row dedup.
+        Features, pool and head run once, as one batch, on the first
+        occurrence of each row not yet memoized. `input_indices` checks
+        every row, memoized or not.
         """
         masks = np.asarray(masks)
         if masks.ndim != 2 or masks.shape[1] != self.env.d_s + 1:
             raise ValueError(f"masks must have shape (K, {self.env.d_s + 1}), got {masks.shape}")
         idx = input_indices(self.env, s, a)
-        weights = np.concatenate([t.data.ravel() for t in self._params])
-        if (
-            self._memo_masks is not None
-            and np.array_equal(masks, self._memo_masks)
-            and np.array_equal(weights, self._snapshot)
-        ):
-            slots, memo = self._slots, self._memo
-        else:
-            slots, memo = {}, np.empty((self.env.d_s, len(masks), 0, self.env.l))
-        row = np.dtype((np.void, idx.itemsize * idx.shape[0]))
-        keys = np.ascontiguousarray(idx.T).view(row).ravel().tolist()
-        first: dict[bytes, int] = {}  # each new key's first row, in order of occurrence
-        for r, key in enumerate(keys):
-            if key not in slots:
-                first.setdefault(key, r)
+        state = (masks, np.concatenate([t.data.ravel() for t in self._params]))
+        keys, first = self._memo.missing(state, idx.T)
+        fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
         if first:
             idx = idx[:, list(first.values())]
-            fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
             with no_grad():
                 for j in range(self.env.d_s):
                     logits = self.logits_from_features(j, self.features(j, idx), masks[:, None])
                     fresh[j] = logits.log_softmax().data
-            slots.update(zip(first, range(len(slots), len(slots) + len(first))))
-            memo = np.concatenate([memo, fresh], axis=2)
-        self._memo_masks, self._snapshot = masks.copy(), weights
-        self._slots, self._memo = slots, memo
-        return memo.take([slots[key] for key in keys], axis=2)
+        self._memo.add(state, first, fresh)
+        return self._memo.take(keys)
 
 
 class RewardHead:

@@ -357,7 +357,7 @@ def test_memoized_log_probs_match_per_target_reference(name):
     fresh.log_probs(s[:160], a[:160], masks)
     np.testing.assert_allclose(fresh.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(fresh._slots) == distinct < len(s)
+    assert len(fresh._memo.slots) == distinct < len(s)
 
 
 def _features_spy(monkeypatch, transition, fail_at=None):
@@ -398,19 +398,30 @@ def test_call_that_raises_leaves_memo_as_it_was(monkeypatch):
     model, fresh = _cmi_models(cfg)["neural"], _cmi_models(cfg)["neural"]
     want = per_target_log_probs(model, s, a, masks)
     model.log_probs(s[:160], a[:160], masks)
-    slots, memo = dict(model._slots), model._memo.copy()
+    slots, memo = dict(model._memo.slots), model._memo.values.copy()
     for transition, kept in [(model, len(slots)), (fresh, 0)]:
         _features_spy(monkeypatch, transition, fail_at=1)  # after target 0's features
         with pytest.raises(RuntimeError, match="features failed"):
             transition.log_probs(s, a, masks)
-        assert len(transition._slots) == kept
+        assert len(transition._memo.slots) == kept
         monkeypatch.undo()
-    assert model._slots == slots and np.array_equal(model._memo, memo)
+    assert model._memo.slots == slots and np.array_equal(model._memo.values, memo)
     assert np.array_equal(fresh.log_probs(s, a, masks), want)
     # The second half's new rows run in a smaller batch, as in
     # test_memoized_log_probs_match_per_target_reference.
     np.testing.assert_allclose(model.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
-    assert len(model._slots) == len(fresh._slots) > len(slots)
+    assert len(model._memo.slots) == len(fresh._memo.slots) > len(slots)
+
+
+def test_log_probs_of_no_rows_fit_the_mask_stack():
+    cfg = chain3("hidden")
+    model = _cmi_models(cfg)["neural"]
+    s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
+    masks = cmi_masks(cfg)
+    want = (cfg.d_s, len(masks), 0, cfg.l)
+    assert model.log_probs(s[:0], a[:0], masks).shape == want  # on a fresh memo
+    model.log_probs(s, a, masks[:2])
+    assert model.log_probs(s[:0], a[:0], masks).shape == want  # after another K
 
 
 def _wide_rows(cfg, n, seed):
@@ -435,7 +446,7 @@ def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
     assert np.array_equal(model.log_probs(s, a, masks), want)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(model._slots) == distinct
+    assert len(model._memo.slots) == distinct
     # A call is checked row by row even where every key is memoized: a row
     # with two interventions has the key of its first one, a memoized row.
     o0, o1 = cfg.observed_indices[:2]
@@ -447,7 +458,7 @@ def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
     for args, msg in [((s, bad_a), f"action row {r} "), ((bad_s, a), "factor values")]:
         with pytest.raises(ValueError, match=msg):
             model.log_probs(*args, masks)
-    assert len(model._slots) == distinct
+    assert len(model._memo.slots) == distinct
     assert np.array_equal(model.log_probs(s, a, masks), want)
 
 
@@ -475,10 +486,14 @@ def _other_mask_stack(bundle, masks):
     return masks[[0, 2, 1, 3, 4]]
 
 
+def _fewer_masks(bundle, masks):
+    return masks[[0, 3, 1]]
+
+
 @pytest.mark.parametrize(
     "change",
-    [_write_one_theta_h_weight, _adam_step, _load_other_arrays, _other_mask_stack],
-    ids=["theta_h_write", "adam_step", "load_arrays", "mask_stack"],
+    [_write_one_theta_h_weight, _adam_step, _load_other_arrays, _other_mask_stack, _fewer_masks],
+    ids=["theta_h_write", "adam_step", "load_arrays", "mask_stack", "fewer_masks"],
 )
 def test_memo_resets_when_weights_or_masks_change(change):
     cfg = chain3("hidden")

@@ -382,46 +382,56 @@ def test_frozen_scan_with_one_miss_runs_the_whole_batch_once(variant, monkeypatc
     with nc.no_grad():
         cell.scan(_columns(steps, range(6)), reverse)
         assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want)
-        assert len(cell._slots) == 7
+        assert len(cell._memo.slots) == 7
         assert np.array_equal(cell.scan(_columns(steps, [7, 7]), reverse).data, want[:, [0, 3]])
     assert calls == [6, 5]
 
 
-def _sync_from_changed_phi(bundle, cell, reverse):
+def _sync_from_changed_phi(bundle, cell, steps, reverse):
     rng = np.random.default_rng(3)
     for t in bundle.store.groups["phi"].values():
         t.data += 0.3 * rng.normal(size=t.shape)
     bundle.sync_target()
-    return reverse
+    return steps, reverse
 
 
-def _load_other_arrays(bundle, cell, reverse):
+def _load_other_arrays(bundle, cell, steps, reverse):
     other = build_models(bundle.env, bundle.encoder.variant, seed=1)
     bundle.store.load_arrays({n: t.data for n, t in other.store.tensors().items()})
-    return reverse
+    return steps, reverse
 
 
-def _write_one_weight(bundle, cell, reverse):
+def _write_one_weight(bundle, cell, steps, reverse):
     cell.Un.data[2, 3] += 0.5
-    return reverse
+    return steps, reverse
 
 
-def _flip_direction(bundle, cell, reverse):
-    return not reverse
+def _flip_direction(bundle, cell, steps, reverse):
+    return steps, not reverse
+
+
+def _drop_last_step(bundle, cell, steps, reverse):
+    return constant(steps.data[:-1]), reverse
 
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
 @pytest.mark.parametrize(
     "change",
-    [_sync_from_changed_phi, _load_other_arrays, _write_one_weight, _flip_direction],
-    ids=["sync_target", "load_arrays", "weight_write", "reverse_flip"],
+    [
+        _sync_from_changed_phi,
+        _load_other_arrays,
+        _write_one_weight,
+        _flip_direction,
+        _drop_last_step,
+    ],
+    ids=["sync_target", "load_arrays", "weight_write", "reverse_flip", "shorter_sequence"],
 )
 def test_frozen_scan_memo_resets_when_weights_or_direction_change(variant, change, monkeypatch):
     bundle, cell, reverse, enc = _frozen_cell(variant)
     steps = enc.steps
     with nc.no_grad():
         before = cell.scan(steps, reverse).data
-    reverse = change(bundle, cell, reverse)
+    steps, reverse = change(bundle, cell, steps, reverse)
     want = cell.scan(steps, reverse).data
     assert not np.array_equal(want, before)
     calls = _gru_scan_spy(monkeypatch)
@@ -429,6 +439,26 @@ def test_frozen_scan_memo_resets_when_weights_or_direction_change(variant, chang
         assert np.array_equal(cell.scan(steps, reverse).data, want)
         assert np.array_equal(cell.scan(steps, reverse).data, want)
     assert calls == [8]
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_memo_is_c_contiguous(variant):
+    # A strided memo makes every later `take` an order of magnitude slower.
+    _, cell, reverse, enc = _frozen_cell(variant)
+    with nc.no_grad():
+        for order in [[6, 2, 6, 4], [1, 2, 5]]:  # a fresh fill, then an append
+            cell.scan(_columns(enc.steps, order), reverse)
+            assert cell._memo.values.flags.c_contiguous
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_of_no_sequences(variant):
+    _, cell, reverse, enc = _frozen_cell(variant)
+    empty, want = _columns(enc.steps, []), (enc.steps.shape[0], 0, cell.d_hidden)
+    with nc.no_grad():
+        assert cell.scan(empty, reverse).shape == want  # on a fresh memo
+        cell.scan(enc.steps, reverse)
+        assert cell.scan(empty, reverse).shape == want
 
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
@@ -446,7 +476,7 @@ def test_scan_memoizes_only_a_frozen_cell_under_no_grad(variant, monkeypatch):
     with nc.no_grad():
         cell.scan(steps, reverse)  # one trainable weight
     assert calls == [8] * 9
-    assert cell._slots == {} and live._slots == {}
+    assert cell._memo.slots == {} and live._memo.slots == {}
 
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
@@ -456,7 +486,7 @@ def test_scan_that_raises_leaves_memo_as_it_was(variant, monkeypatch):
     want = cell.scan(steps, reverse).data
     with nc.no_grad():
         cell.scan(_columns(steps, range(5)), reverse)
-    slots, memo, snapshot = dict(cell._slots), cell._memo.copy(), cell._snapshot
+    slots, memo, snapshot = dict(cell._memo.slots), cell._memo.values.copy(), cell._memo.state
     Un = cell.Un.data.copy()
     _gru_scan_spy(monkeypatch, fail=True)
     with nc.no_grad():
@@ -468,8 +498,8 @@ def test_scan_that_raises_leaves_memo_as_it_was(variant, monkeypatch):
         with pytest.raises(nc.ShapeError, match="not \\(S, B, "):
             cell.scan(constant(steps.data[:, :, 1:]), reverse)
         np.copyto(cell.Un.data, Un)
-        assert cell._slots == slots and cell._snapshot is snapshot
-        assert np.array_equal(cell._memo, memo)
+        assert cell._memo.slots == slots and cell._memo.state is snapshot
+        assert np.array_equal(cell._memo.values, memo)
         # The weights are back: the memo holds again and every call below hits.
         assert np.array_equal(cell.scan(_columns(steps, range(5)), reverse).data, want[:, :5])
 

@@ -9,10 +9,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["hindcaus.env", "hindcaus.models", "hindcaus.numcore", "hindcaus.objective", "hindcaus.graph"],
-)
+def _modules_with_all():
+    """Every `hindcaus` module that assigns `__all__`, by dotted name."""
+    src = ROOT / "src"
+    modules = []
+    for path in sorted(src.rglob("*.py")):
+        if re.search(r"^__all__\b", path.read_text(), re.MULTILINE):
+            parts = path.relative_to(src).with_suffix("").parts
+            modules.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return modules
+
+
+@pytest.mark.parametrize("module", _modules_with_all())
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
@@ -66,6 +74,10 @@ def _unused_imports(path):
 
 
 def test_no_unused_imports():
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    files = [
+        *sorted((ROOT / "src").rglob("*.py")),
+        *sorted((ROOT / "tests").rglob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+    ]
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
