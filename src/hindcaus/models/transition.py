@@ -21,32 +21,35 @@ An input takes one of two paths to the same features:
   values: a unit vector, or the action's zero vector for a no-op.
   `input_indices` turns them into one (d_s+1, rows) index array.
   `features` runs the extractors once on the constant (d_s+1, width+1,
-  width) basis of those vectors, giving a (d_s+1, width+1, feat) table,
-  and gathers each row's features from it. A one-hot times a matrix is
-  exactly one of its rows, so these are the dense path's values bit for
-  bit.
+  width) basis of those vectors, giving a (d_s+1, width+1, feat) table;
+  row v of slice i is input i's features at value v. A one-hot times a
+  matrix is exactly one of its rows, so these are the dense path's values
+  bit for bit.
 - Hidden samples from the encoder, one-hot or relaxed, run the
   extractors densely: `hidden_stack` gives their (d_h, rows, width)
-  stack and `features` maps it with the d_h hidden extractors only; the
-  index rows of the hidden inputs are then not read.
+  stack and `features` maps it with the d_h hidden extractors only, into
+  (d_h, rows, feat) dense slices; the index rows of the hidden inputs are
+  then not read.
 
-One `lookup` node places both in input order as the (d_s+1, rows, feat)
-feature stack.
+`features` returns the table, the index array and the dense slices with
+the inputs they fill (`Features`); no per-row stack of every input's
+features is formed.
 
 Masks are keep-masks (1 keeps an input, 0 drops it) over the d_s factors
 followed by the action node. `logits_from_features` takes a stack of K of
 them, shape (K, 1 or rows, d_s+1): a middle axis of 1 applies one mask to
 every row, a middle axis of rows gives each row its own mask. It hands the
-stack to one `masked_max`, which pools each block over the inputs its mask
-keeps: an input kept on every row is read as it is, one dropped on every row
-is not read, and only an input kept on some rows is offset on the others. A
-mask that keeps no input is refused there. The head runs once on the
-(K, rows, feat) block and gives (K, rows, l) logits, block k conditioned on
-mask k. Training passes K = 3 (full, leave-one-out and causal masks), or
-K = 2 for a target whose causal mask would copy the full one; the CMI
-estimate passes its d_s+2 `cmi_masks`. When taped, the pool keeps each
-output's winning input, so its backward routes the gradient in one pass;
-under `no_grad` (the CMI estimate) it keeps none.
+features and the masks to one `masked_max`, which gathers each input's rows
+from the table once and pools each block over the inputs its mask keeps: an
+input kept on every row is read as it is, one dropped on every row is not
+read, and only an input kept on some rows is offset on the others. A mask
+that keeps no input is refused there. The head runs once on the (K, rows,
+feat) block and gives (K, rows, l) logits, block k conditioned on mask k.
+Training passes K = 3 (full, leave-one-out and causal masks), or K = 2 for
+a target whose causal mask would copy the full one; the CMI estimate passes
+its d_s+2 `cmi_masks`. When taped, the pool keeps each output's source row
+in the table or the dense slices, so its backward routes the gradient there
+in one pass; under `no_grad` (the CMI estimate) it keeps none.
 
 `log_probs` answers the CMI estimate's question for every target at once
 on integer rows, untaped, through a `RowMemo` (see `models.nets`) keyed by
@@ -55,15 +58,29 @@ each row's `input_indices`, under the mask stack and the weights.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..env.config import EnvConfig
 from ..env.modulo import action_allowed
-from ..numcore.tensor import Tensor, concat, constant, lookup, masked_max, no_grad, transpose
+from ..numcore.tensor import Tensor, concat, constant, masked_max, no_grad, transpose
 from .nets import MLP, RowMemo, StackedLinear
 from .store import ParamFactory
 
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
+
+
+class Features(NamedTuple):
+    """Target j's per-input features as `masked_max` reads them: the
+    (d_s+1, width+1, feat) table, the (d_s+1, rows) `input_indices`, and
+    the (d_h, rows, feat) features of the hidden samples with the inputs
+    they fill, or no dense slices."""
+
+    table: Tensor
+    index: np.ndarray
+    dense: Tensor | None = None
+    dense_pos: np.ndarray | tuple = ()
 
 
 def _width(env: EnvConfig) -> int:
@@ -71,7 +88,7 @@ def _width(env: EnvConfig) -> int:
 
 
 def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(d_s+1, n) intp lookup indices from (n, d_s) integer factors `s` and
+    """(d_s+1, n) intp table indices from (n, d_s) integer factors `s` and
     (n, d_s) actions `a`: row i < d_s holds factor i's values, row d_s the
     position of the action's single 1, or width = max(l, d_s) for a no-op.
 
@@ -155,12 +172,11 @@ class MaskedTransition:
         self._params = [t for layer in layers for t in (layer.W, layer.b)]
         self._memo = RowMemo(axis=2)  # the (d_s, K, rows, l) answers of `log_probs`
 
-    def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Tensor:
-        """(d_s+1, rows, feat) per-input features of target j from the
-        (d_s+1, rows) `input_indices` of the inputs and the (d_h, rows,
-        width) `hidden_stack` of hidden samples. Without `hidden`, the
-        hidden inputs are integer values, read from the table like the
-        others."""
+    def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Features:
+        """Per-input features of target j from the (d_s+1, rows)
+        `input_indices` of the inputs and the (d_h, rows, width)
+        `hidden_stack` of hidden samples. Without `hidden`, the hidden
+        inputs are integer values, read from the table like the others."""
         idx = np.asarray(idx)
         expected = (len(self._hidden), idx.shape[-1], self.in_width)
         if (
@@ -175,21 +191,18 @@ class MaskedTransition:
         embed, proj = self._embed[j], self._proj[j]
         table = proj(embed(self._basis).tanh()).tanh()
         if hidden is None:
-            return lookup(table, idx)
+            return Features(table, idx)
         dense = proj(embed(hidden, self._hidden).tanh(), self._hidden).tanh()
-        return lookup(table, idx, dense, self._hidden)
+        return Features(table, idx, dense, self._hidden)
 
-    def logits_from_features(self, j: int, feats: Tensor, masks: np.ndarray) -> Tensor:
+    def logits_from_features(self, j: int, feats: Features, masks: np.ndarray) -> Tensor:
         """(K, rows, l) logits of target j under a (K, 1 or rows, d_s+1) mask stack."""
         masks = np.asarray(masks)
         if masks.ndim != 3 or masks.shape[-1] != self.env.d_s + 1:
             raise ValueError(
                 f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
             )
-        pooled = masked_max(feats, masks)
-        # Untaped, a caller that passes the stack straight in frees it here,
-        # before the head allocates its blocks; taped, the pool node keeps it.
-        del feats
+        pooled = masked_max(feats.table, feats.index, masks, feats.dense, feats.dense_pos)
         K, rows, F = pooled.shape
         return self._heads[j](pooled.reshape(K * rows, F)).reshape(K, rows, self.env.l)
 

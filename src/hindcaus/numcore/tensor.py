@@ -25,7 +25,6 @@ __all__ = [
     "affine",
     "bmm",
     "gru_scan",
-    "lookup",
     "sample_scan",
     "masked_max",
     "transpose",
@@ -688,59 +687,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def lookup(table: Tensor, index: np.ndarray, dense: Tensor | None = None, dense_pos=()) -> Tensor:
-    """Stack of table rows and dense slices in input order, as one node.
-
-    `table` is (n, V, F) and `index` an (n, rows) integer array with every
-    entry in [0, V). `dense` is (m, rows, F) and `dense_pos` names the m
-    distinct slices it fills. Slice i of the (n, rows, F) output is
-    table[i, index[i]], or dense[q] where i == dense_pos[q]; the index row
-    of a dense slice is not read. Without `dense`, every slice is read from
-    the table.
-
-    The backward gives each table row the sum of the gradients of the rows
-    that read it, as one batched (n, V, rows) one-hot matmul, and `dense`
-    the gradient of its slices.
-    """
-    index = np.asarray(index)
-    dense_pos = np.asarray(dense_pos, dtype=np.intp)
-    m = 0 if dense is None else dense.shape[0]
-    if (
-        table.data.ndim != 3
-        or index.ndim != 2
-        or index.shape[0] != table.shape[0]
-        or (dense is not None and dense.shape != (m, index.shape[1], table.shape[2]))
-        or dense_pos.shape != (m,)
-    ):
-        raise ShapeError(
-            f"lookup: table {table.shape}, index {index.shape}, dense "
-            f"{None if dense is None else dense.shape} and dense_pos {dense_pos.shape} are "
-            "incompatible (need (n, V, F), (n, rows), (m, rows, F) and (m,))"
-        )
-    n, V, F = table.shape
-    if index.size and (index.min() < 0 or index.max() >= V):
-        raise ValueError(
-            f"lookup: index values must be in [0, {V}), got [{index.min()}, {index.max()}]"
-        )
-    flat = index + np.arange(0, n * V, V)[:, None]  # row of the (n*V, F) table
-    data = np.take(table.data.reshape(n * V, F), flat, axis=0)
-    parents = (table,)
-    if dense is not None:
-        data[dense_pos] = dense.data
-        parents = (table, dense)
-
-    def backward_fn(out=None, table=table, dense=dense):
-        g = out.grad
-        if table.requires_grad:
-            hot = (np.arange(V)[:, None] == index[:, None, :]).astype(np.float64)
-            hot[dense_pos] = 0.0
-            table._accumulate(np.matmul(hot, g))
-        if dense is not None and dense.requires_grad:
-            dense._accumulate(g[dense_pos])
-
-    return _finish(data, parents, backward_fn)
-
-
 # -- reductions --------------------------------------------------------------
 
 
@@ -777,38 +723,74 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 _DROP = -1e30  # offset that drops an input on the rows of a mixed column
 
 
-def masked_max(x: Tensor, keep: np.ndarray) -> Tensor:
-    """Max over the kept inputs of an (n, rows, F) stack under K keep masks.
+def masked_max(
+    table: Tensor, index: np.ndarray, keep: np.ndarray, dense: Tensor | None = None, dense_pos=()
+) -> Tensor:
+    """Max over the kept inputs under K keep masks, read straight from a
+    feature table and dense slices.
 
-    `keep` is a 0/1 (or bool) stack of shape (K, 1 or rows, n): block k of
-    the (K, rows, F) output is, on each row, the elementwise max over the
-    inputs i with keep[k, row, i] = 1. Every (block, row) must keep at least
-    one input, or `ValueError` is raised.
+    There are n inputs. On row r, input i is the table row
+    table[i, index[i, r]] of the (n, V, F) `table`, or dense[q, r] where
+    i == dense_pos[q]. `index` is (n, rows) with every entry in [0, V);
+    `dense` is (m, rows, F) and `dense_pos` names the m distinct inputs it
+    fills, whose index rows are not read. `keep` is a 0/1 (or bool) stack of
+    shape (K, 1 or rows, n): block k of the (K, rows, F) output is, on each
+    row, the elementwise max over the inputs i with keep[k, row, i] = 1.
+    Every (block, row) must keep at least one input, or `ValueError` is
+    raised.
 
-    Each block is folded on its own, its inputs in ascending order, so no
-    (K, n, rows, F) array is formed. Within a block an input kept on every
-    row is folded as it is, an input dropped on every row is skipped, and
-    only an input kept on some rows gets an offset of -1e30 on the rows that
-    drop it. The fold replaces the running max only where a term is strictly
-    larger, so the gradient of each output goes to the first kept input that
-    attains its maximum.
+    No (n, rows, F) stack of the inputs is formed. Each input is gathered
+    once from the table into one (rows, F) buffer, or read from `dense` as
+    it is, and folded into every block that reads it, so each block folds
+    its inputs in ascending order. Within a block an input kept on every row
+    is folded as it is, an input dropped on every row is skipped, and only
+    an input kept on some rows gets an offset of -1e30 on the rows that drop
+    it. The fold replaces the running max only where a term is strictly
+    larger, so each output comes from the first kept input that attains its
+    maximum.
 
-    Only when the node is recorded does the fold also keep that winning
-    input's index, as a (K, rows, F) uint8 array (so n is at most 255); the
-    backward then routes the gradient with one scatter. Under `no_grad`, or
-    when `x` needs no gradient, the forward keeps no index.
+    Only when the node is recorded does the fold also keep each output's
+    source row, in an (n*V + m*rows, F) buffer that holds, input by input,
+    the input's V table rows and, for a dense input, its rows dense rows
+    after them. Sources grow with the input, so the fold keeps them with one
+    `maximum`, as it keeps the running max. The backward sums the output
+    gradient into that buffer with one `bincount` and reads the table and
+    dense gradients out of it. Under `no_grad`, or when neither `table` nor
+    `dense` needs a gradient, the forward keeps no source.
     """
+    index = np.asarray(index)
     keep = np.asarray(keep)
-    n = x.shape[0]
-    if x.data.ndim != 3 or keep.ndim != 3 or keep.shape[-1] != n:
+    dense_pos = np.asarray(dense_pos)
+    m = 0 if dense is None else dense.shape[0]
+    if (
+        table.data.ndim != 3
+        or index.ndim != 2
+        or index.shape[0] != table.shape[0]
+        or (dense is not None and dense.shape != (m, index.shape[1], table.shape[2]))
+        or dense_pos.shape != (m,)
+    ):
         raise ShapeError(
-            f"masked_max: stack {x.shape} and keep stack {keep.shape} are incompatible"
+            f"masked_max: table {table.shape}, index {index.shape}, dense "
+            f"{None if dense is None else dense.shape} and dense_pos {dense_pos.shape} are "
+            "incompatible (need (n, V, F), (n, rows), (m, rows, F) and (m,))"
         )
-    K, rows, F = len(keep), x.shape[1], x.shape[2]
+    (n, V, F), rows, K = table.shape, index.shape[1], len(keep)
+    if keep.ndim != 3 or keep.shape[-1] != n:
+        raise ShapeError(f"masked_max: keep stack {keep.shape} does not fit {n} inputs")
     if keep.shape[1] not in (1, rows):
         raise ShapeError(f"masked_max: keep stack {keep.shape} does not match {rows} rows")
-    if n > 255:
-        raise ShapeError(f"masked_max: {n} inputs do not fit the uint8 winner index (max 255)")
+    if dense_pos.size and dense_pos.dtype.kind not in "iu":
+        raise ValueError(f"masked_max: dense positions must be integers, got {dense_pos.tolist()}")
+    dense_pos = dense_pos.astype(np.intp)
+    for q, p in enumerate(dense_pos):
+        if not 0 <= p < n:
+            raise ValueError(f"masked_max: dense position {p} is outside [0, {n})")
+        if p in dense_pos[:q]:
+            raise ValueError(f"masked_max: dense position {p} is given twice")
+    if index.size and (index.min() < 0 or index.max() >= V):
+        raise ValueError(
+            f"masked_max: index values must be in [0, {V}), got [{index.min()}, {index.max()}]"
+        )
     kept = keep == 1
     if not (kept | (keep == 0)).all():
         raise ValueError("masked_max: the keep stack must hold only 0 and 1")
@@ -818,46 +800,67 @@ def masked_max(x: Tensor, keep: np.ndarray) -> Tensor:
         raise ValueError(f"masked_max: block {k}, row {r} of the keep mask keeps no input")
     every = kept.all(axis=1)  # (K, n): kept on every row of the block (all, on zero rows)
     read = kept.any(axis=1) | every  # (K, n): the inputs each block folds in
+    slot = np.full(n, -1)  # the dense slice of each input, -1 for a table input
+    slot[dense_pos] = np.arange(m)
+    parents = (table,) if dense is None else (table, dense)
     data = np.empty((K, rows, F))
+    started = np.zeros(K, dtype=bool)
+    row = np.empty((rows, F))
     term = np.empty((rows, F))
-    taped = _records((x,))
+    taped = _records(parents)
     if taped:
-        win = np.empty(data.shape, dtype=np.uint8)
+        extra = np.where(slot >= 0, rows, 0)
+        start = np.arange(n) * V + np.cumsum(extra) - extra  # first buffer row of each input
+        code = np.min_scalar_type(n * V + m * rows - 1)  # smallest type that holds every source
+        src = np.empty(data.shape, dtype=code)
         beats = np.empty((rows, F), dtype=bool)
-        step = np.empty((rows, F), dtype=np.uint8)
+        step = np.empty((rows, F), dtype=code)
 
-    def term_of(k, i, out):
-        if every[k, i]:
-            return x.data[i]
-        return np.add(x.data[i], np.where(kept[k, :, i], 0.0, _DROP)[:, None], out=out)
-
-    for k in range(K):
-        first, *rest = np.flatnonzero(read[k])
-        acc = data[k]
-        np.copyto(acc, term_of(k, first, acc))
+    for i in range(n):
+        blocks = np.flatnonzero(read[:, i])
+        if not blocks.size:
+            continue
+        if slot[i] >= 0:
+            x, own = dense.data[slot[i]], V + np.arange(rows)
+        else:
+            # The index is checked above; mode="raise" would buffer `out`.
+            x, own = np.take(table.data[i], index[i], axis=0, out=row, mode="clip"), index[i]
         if taped:
-            won = win[k]
-            won.fill(first)
-        for i in rest:
-            t = term_of(k, i, term)
+            own = (start[i] + own).astype(code)[:, None]  # (rows, 1) source rows of input i
+        for k in blocks:
+            t = x
+            if not every[k, i]:
+                t = np.add(x, np.where(kept[k, :, i], 0.0, _DROP)[:, None], out=term)
+            acc = data[k]
+            if not started[k]:
+                started[k] = True
+                np.copyto(acc, t)
+                if taped:
+                    np.copyto(src[k], own)
+                continue
             if taped:
-                # won = max(won, i * (t > acc)): only a strictly larger term
-                # moves the winner, and i only grows, so a tie stays with the
-                # first input that reached the maximum. (Masked writes such as
-                # copyto(where=) cost over ten times as much.)
+                # src = max(src, own * (t > acc)): only a strictly larger term
+                # moves the source, and sources grow with i, so a tie stays
+                # with the first input that reached the maximum. (Masked
+                # writes such as copyto(where=) cost over ten times as much.)
                 np.greater(t, acc, out=beats)
-                np.multiply(beats, np.uint8(i), out=step)
-                np.maximum(won, step, out=won)
+                np.multiply(beats, own, out=step)
+                np.maximum(src[k], step, out=src[k])
             np.maximum(acc, t, out=acc)
 
-    def backward_fn(out=None, x=x):
-        block = out.data[0].size  # rows * F positions per input
-        bins = win * np.intp(block)
-        bins += np.arange(block).reshape(out.data.shape[1:])
-        g = np.bincount(bins.ravel(), weights=out.grad.ravel(), minlength=n * block)
-        x._accumulate(g.reshape(x.shape))
+    def backward_fn(out=None, table=table, dense=dense):
+        bins = src.astype(np.intp)
+        bins *= F
+        bins += np.arange(F)
+        g = np.bincount(bins.ravel(), weights=out.grad.ravel(), minlength=(n * V + m * rows) * F)
+        g = g.reshape(-1, F)
+        if table.requires_grad:
+            table._accumulate(g[(start[:, None] + np.arange(V)).ravel()].reshape(n, V, F))
+        if dense is not None and dense.requires_grad:
+            dense_rows = start[dense_pos, None] + V + np.arange(rows)
+            dense._accumulate(g[dense_rows.ravel()].reshape(m, rows, F))
 
-    return _finish(data, (x,), backward_fn)
+    return _finish(data, parents, backward_fn)
 
 
 # -- nonlinearities ----------------------------------------------------------

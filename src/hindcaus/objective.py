@@ -11,21 +11,22 @@ Both encoder outputs are time-major (T+1, B, d_h, l) tensors, so the rows
 of any t-range of them, flattened, are already in transition-major order.
 
 The transition reads all T*B (episode, transition) rows at once, in
-transition-major order: `_transition_inputs` gives the lookup indices of
+transition-major order: `_transition_inputs` gives the table indices of
 the observed factors and the actions, and the (d_h, rows, width) stack of
 the live samples, which stay on the taped dense path. Per target, one
-`features` call builds the (d_s+1, rows, feat) feature stack from both,
-and one `logits_from_features` call on a (3, rows, d_s+1) mask stack (full,
-leave-one-out, causal) gives the (3, rows, l) logits that one loss reads
-all three terms from. When the graph column keeps every input of the
-target, or none (the fallback to full), the causal mask is the full mask
-again: the stack then holds only the full and leave-one-out masks, and one
-index node reuses the full term as the causal term, so the terms keep their
-values and the duplicate block is neither pooled, run through the head nor
-backpropagated. Everything is a mean over (episode, transition) rows;
-component values are sums over target factors of those means, in target
-order. The minimized total sums the six in `COMPONENTS` order, plus
-reward_weight times the reward cross-entropy.
+`features` call gives the feature table and the dense features of the
+samples, and one `logits_from_features` call on a (3, rows, d_s+1) mask
+stack (full, leave-one-out, causal) pools from both and gives the
+(3, rows, l) logits that one loss reads all three terms from. When the
+graph column keeps every input of the target, or none (the fallback to
+full), the causal mask is the full mask again: the stack then holds only
+the full and leave-one-out masks, and one index node reuses the full term
+as the causal term, so the terms keep their values and the duplicate block
+is neither pooled, run through the head nor backpropagated. Everything is
+a mean over (episode, transition) rows; component values are sums over
+target factors of those means, in target order. The minimized total sums
+the six in `COMPONENTS` order, plus reward_weight times the reward
+cross-entropy.
 """
 
 from __future__ import annotations
@@ -214,8 +215,6 @@ def vlb_losses(
         masks[1, np.arange(T * B), _flatten_tm(mask_draw[:, :, j])] = 0.0
         if not copies_full:
             masks[2] = column
-        # The feature stack goes straight in, so that untaped it is freed
-        # before the head runs.
         logits = transition.logits_from_features(j, transition.features(j, idx, hidden), masks)
 
         if j in obs_pos:

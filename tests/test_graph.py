@@ -538,10 +538,13 @@ def test_table_features_of_integer_hidden_values_match_dense_route(name):
     s, a, _ = transitions_from_dataset(cfg, 64, seed=5)
     idx = input_indices(cfg, s, a)
     one_hots = hidden_stack(cfg, constant(np.eye(cfg.l)[s[:, cfg.hidden_indices]]))
-    for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
-        table = transition.features(j, idx).data
-        assert np.array_equal(table, transition.features(j, idx, one_hots).data), j
     masks = cmi_masks(cfg)
+    for j in (cfg.observed_indices[-1], cfg.hidden_indices[0]):
+        table = transition.logits_from_features(j, transition.features(j, idx), masks[:, None])
+        dense = transition.logits_from_features(
+            j, transition.features(j, idx, one_hots), masks[:, None]
+        )
+        assert np.array_equal(table.data, dense.data), j
     want = dense_route_log_probs(transition, s, a, masks)
     assert np.array_equal(transition.log_probs(s, a, masks), want)
 

@@ -9,7 +9,7 @@ from hindcaus import numcore as nc
 from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
 from hindcaus.numcore.random import _stream_keys
-from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _sigmoid
+from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _finish, _sigmoid
 
 
 def test_multiply_forward_and_grad():
@@ -65,10 +65,12 @@ def _scalarize(t: Tensor, rng: np.random.Generator) -> Tensor:
     return (t * w).sum()
 
 
-# masked_max keep stacks for a (4, 2, 2) stack: one mask per block (K=3, 1,
-# n=4), and one mask per row (K=2, rows=2, n=4). 0 drops an input.
+# masked_max keep stacks for 4 inputs on 2 rows: one mask per block (K=3, 1,
+# n=4), and one mask per row (K=2, rows=2, n=4). 0 drops an input. INDEX
+# names the table row each input reads on each row.
 SHARED_KEEP = np.array([[[1, 1, 1, 1]], [[1, 0, 1, 1]], [[0, 0, 1, 0]]])
 ROW_KEEP = np.array([[[1, 0, 1, 1], [0, 1, 1, 1]], [[1, 1, 0, 0], [1, 1, 1, 1]]])
+INDEX = np.array([[1, 0], [0, 0], [1, 1], [0, 1]])
 
 
 def _gru_scan_case(reverse):
@@ -82,11 +84,13 @@ def _gru_scan_case(reverse):
     return op
 
 
-def _lookup_case(a, b):
-    """lookup of a (2, 4, 2) table with repeated indices, slice 0 filled
-    densely: table row 3 of slice 1 is read twice, row 1 never."""
-    index = np.array([[3, 3, 3], [0, 3, 3]])  # row 0 is a dense slice's, not read
-    return nc.lookup(a.reshape(2, 4, 2), index, (a * b)[:3, :2].reshape(1, 3, 2), [0])
+def _dense_pool_case(a, b):
+    """masked_max over a (2, 4, 2) table with repeated indices and input 0
+    filled densely: table row 3 of input 1 is read twice, row 1 never, and
+    row 2 of block 0 drops input 1."""
+    index = np.array([[3, 3, 3], [0, 3, 3]])  # row 0 is a dense input's, not read
+    keep = np.array([[[1, 1], [1, 1], [1, 0]], [[0, 1], [0, 1], [0, 1]]])
+    return nc.masked_max(a.reshape(2, 4, 2), index, keep, (a * b)[:3, :2].reshape(1, 3, 2), [0])
 
 
 OP_CASES = {
@@ -111,13 +115,13 @@ OP_CASES = {
     "gru_scan": _gru_scan_case(reverse=False),
     "gru_scan_reverse": _gru_scan_case(reverse=True),
     "log_softmax": lambda a, b: (a * b).log_softmax(),
-    "lookup": _lookup_case,
     "softmax": lambda a, b: (a + b).softmax(),
     "sum_axis": lambda a, b: (a * b).sum(axis=0),
     "mean_axis": lambda a, b: (a + b).mean(axis=1),
     "mean_axes": lambda a, b: (a * b).reshape(2, 2, 4).mean(axis=(0, 2)),
-    "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), SHARED_KEEP),
-    "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), ROW_KEEP),
+    "masked_max_dense": _dense_pool_case,
+    "masked_max_shared": lambda a, b: nc.masked_max((a * b).reshape(4, 2, 2), INDEX, SHARED_KEEP),
+    "masked_max_per_row": lambda a, b: nc.masked_max((a + b).reshape(4, 2, 2), INDEX, ROW_KEEP),
     "scale": lambda a, b: (a + b) * 1.7,
     "transpose": lambda a, b: nc.transpose((a * b).reshape(2, 2, 4), (2, 0, 1)),
 }
@@ -145,23 +149,136 @@ def _offsets(keep):
     return np.where(np.asarray(keep, dtype=bool), 0.0, _OFF)
 
 
+# -- the pool as numcore computed it before it read the table itself ---------
+
+
+def _stack_lookup(table, index, dense=None, dense_pos=()):
+    """numcore's `lookup`, which the table pool replaced: one node placing
+    the (n, rows, F) stack of table rows and dense slices in input order,
+    whose backward reduces the stack's gradient to the table with a one-hot
+    matmul."""
+    n, V, F = table.shape
+    dense_pos = np.asarray(dense_pos, dtype=np.intp)
+    data = np.take(table.data.reshape(n * V, F), index + np.arange(0, n * V, V)[:, None], axis=0)
+    parents = (table,)
+    if dense is not None:
+        data[dense_pos] = dense.data
+        parents = (table, dense)
+
+    def backward_fn(out=None):
+        if table.requires_grad:
+            hot = (np.arange(V)[:, None] == index[:, None, :]).astype(np.float64)
+            hot[dense_pos] = 0.0
+            table._accumulate(np.matmul(hot, out.grad))
+        if dense is not None and dense.requires_grad:
+            dense._accumulate(out.grad[dense_pos])
+
+    return _finish(data, parents, backward_fn)
+
+
+def _stack_masked_max(x, keep):
+    """numcore's stack-input `masked_max`, which the table pool replaced:
+    each block folded over the (n, rows, F) stack with a uint8 winner index,
+    whose backward scatters the gradient into a stack-sized buffer."""
+    kept = np.asarray(keep) == 1
+    every = kept.all(axis=1)
+    read = kept.any(axis=1) | every
+    n, rows, F = x.shape
+    data = np.empty((len(kept), rows, F))
+    win = np.empty(data.shape, dtype=np.uint8)
+    for k in range(len(kept)):
+        first, *rest = np.flatnonzero(read[k])
+        terms = x.data + np.where(every[k][:, None], 0.0, _offsets(kept[k]).T)[..., None]
+        data[k], win[k] = terms[first], first
+        for i in rest:
+            win[k] = np.maximum(win[k], np.uint8(i) * (terms[i] > data[k]))
+            data[k] = np.maximum(data[k], terms[i])
+
+    def backward_fn(out=None):
+        bins = win * np.intp(rows * F) + np.arange(rows * F).reshape(rows, F)
+        g = np.bincount(bins.ravel(), weights=out.grad.ravel(), minlength=n * rows * F)
+        x._accumulate(g.reshape(x.shape))
+
+    return _finish(data, (x,), backward_fn)
+
+
+def _stack_pool(table, index, keep, dense=None, dense_pos=()):
+    return _stack_masked_max(_stack_lookup(table, index, dense, dense_pos), keep)
+
+
+def _pool_and_grads(pool, table, index, keep, dense, dense_pos, weights):
+    """The pool's output and the gradients of (output * weights).sum() to
+    the table and the dense slices."""
+    table.grad = None
+    if dense is not None:
+        dense.grad = None
+    out = pool(table, index, keep, dense, dense_pos)
+    backward((out * constant(weights)).sum())
+    return out.data, table.grad, None if dense is None else dense.grad
+
+
+def _assert_within(got, want, rel=1e-13):
+    """Equal to `rel` of `want`'s largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rel * np.abs(want).max(initial=0.0)
+
+
+def _stack_grads_to_inputs(stack_grad, index, V, dense_pos):
+    """A gradient of the (n, rows, F) input stack as the table and dense
+    gradients: each table row sums the rows that read it."""
+    n, _, F = stack_grad.shape
+    table_grad = np.zeros((n, V, F))
+    for i in sorted(set(range(n)) - set(dense_pos)):
+        np.add.at(table_grad[i], index[i], stack_grad[i])
+    return table_grad, stack_grad[list(dense_pos)]
+
+
+def _tied_inputs(rng, n, rows, F, dense_pos, V=3):
+    """A (n, V, F) table, an (n, rows) index and dense slices at `dense_pos`
+    with forced ties: input 1 reads input 0's rows of a copy of its table
+    slice, the last input copies input 1 on half the rows, and about half
+    the values are drawn from {-1, 0, 0.5, 1}, as in a saturated tanh."""
+
+    def draw(*shape):
+        tied = rng.choice([-1.0, 0.0, 0.5, 1.0], size=shape)
+        return np.where(rng.random(shape) < 0.5, tied, rng.normal(size=shape))
+
+    table = draw(n, V, F)
+    index = rng.integers(0, V, size=(n, rows))
+    table[1], index[1] = table[0], index[0]
+    table[-1], index[-1, : rows // 2] = table[1], index[1, : rows // 2]
+    dense = draw(len(dense_pos), rows, F)
+    return parameter(table), index, parameter(dense) if len(dense_pos) else None
+
+
 @pytest.mark.parametrize("keep", [SHARED_KEEP, ROW_KEEP], ids=["shared", "per_row"])
 def test_masked_max_equals_dense_max(keep):
-    x = np.random.default_rng(5).normal(size=(4, 2, 3))
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(4, 3, 3))
+    index = rng.integers(0, 3, size=(4, 2))
+    x = table[np.arange(4)[:, None], index]  # (n, rows, F) inputs
     dense = x[None] + np.swapaxes(_offsets(keep), 1, 2)[..., None]  # (K, n, rows, F)
-    out = nc.masked_max(constant(x), keep)
+    out = nc.masked_max(constant(table), index, keep)
     assert out.shape == (len(keep), 2, 3)
     assert np.array_equal(out.data, dense.max(axis=1))
 
 
 def test_masked_max_tie_sends_whole_gradient_to_first_kept_maximum():
     # Inputs 0 and 1 tie in both columns, and all three tie in column 0.
-    x = parameter([[[0.5, 2.0]], [[0.5, 2.0]], [[0.5, 1.0]]])  # (n=3, rows=1, F=2)
+    table = parameter([[[0.5, 2.0]], [[0.5, 2.0]], [[0.5, 1.0]]])  # (n=3, V=1, F=2)
+    index = np.zeros((3, 1), dtype=np.intp)
     keep = np.array([[[1, 1, 1]], [[0, 1, 1]]])  # all kept; input 0 dropped
-    out = nc.masked_max(x, keep)
+    weights = constant([[[1.0, 10.0]], [[100.0, 1000.0]]])
+    out = nc.masked_max(table, index, keep)
     assert np.array_equal(out.data, [[[0.5, 2.0]], [[0.5, 2.0]]])
-    backward((out * constant([[[1.0, 10.0]], [[100.0, 1000.0]]])).sum())
-    assert np.array_equal(x.grad, [[[1.0, 10.0]], [[100.0, 1000.0]], [[0.0, 0.0]]])
+    backward((out * weights).sum())
+    assert np.array_equal(table.grad, [[[1.0, 10.0]], [[100.0, 1000.0]], [[0.0, 0.0]]])
+    # The same ties with input 1 read from a dense slice.
+    table.grad, dense = None, parameter([[[0.5, 2.0]]])
+    out = nc.masked_max(table, index, keep, dense, [1])
+    backward((out * weights).sum())
+    assert np.array_equal(table.grad, [[[1.0, 10.0]], [[0.0, 0.0]], [[0.0, 0.0]]])
+    assert np.array_equal(dense.grad, [[[100.0, 1000.0]]])
 
 
 def _routing_reference_grad(x, offsets, out_data, out_grad):
@@ -198,17 +315,6 @@ def _offset_fold_reference(x, keep, out_grad):
     return data, g
 
 
-def _tied_stack(rng, n, rows, F):
-    """Random (n, rows, F) stack with forced ties: input 1 duplicates input
-    0, the last input duplicates input 1 on half the rows, and about a
-    quarter of the values are exactly 1.0, as in a saturated tanh."""
-    x = rng.normal(size=(n, rows, F))
-    x[1] = x[0]
-    x[-1, : rows // 2] = x[1, : rows // 2]
-    x[rng.random(x.shape) < 0.25] = 1.0
-    return x
-
-
 def _keep_every_row(keep):
     """Keep the last input on each (block, row) that keeps none."""
     keep[..., -1] |= ~keep.any(axis=-1)
@@ -220,18 +326,22 @@ def _keep_every_row(keep):
 def test_masked_max_backward_matches_routing_reference(n, per_row):
     rng = np.random.default_rng(40 + n)
     K, rows, F = 3, 5, 7
-    x = parameter(_tied_stack(rng, n, rows, F))
+    dense_pos = [n // 2]
+    table, index, dense = _tied_inputs(rng, n, rows, F, dense_pos)
     keep = rng.random((K, rows if per_row else 1, n)) < 0.6
     keep[0] = True  # block 0 is the full mask
     keep[1, :, 0] = False  # block 1 drops input 0, so its ties go to input 1
     keep = _keep_every_row(keep)
-    out = nc.masked_max(x, keep)
+    out = nc.masked_max(table, index, keep, dense, dense_pos)
     with nc.no_grad():
-        assert np.array_equal(nc.masked_max(x, keep).data, out.data)
+        assert np.array_equal(nc.masked_max(table, index, keep, dense, dense_pos).data, out.data)
     weights = rng.normal(size=out.shape)
     backward((out * constant(weights)).sum())
-    expected = _routing_reference_grad(x.data, _offsets(keep), out.data, weights)
-    assert np.array_equal(x.grad, expected)
+    x = _stack_lookup(table, index, dense, dense_pos).data
+    stack_grad = _routing_reference_grad(x, _offsets(keep), out.data, weights)
+    table_grad, dense_grad = _stack_grads_to_inputs(stack_grad, index, 3, dense_pos)
+    _assert_within(table.grad, table_grad)
+    _assert_within(dense.grad, dense_grad)
 
 
 @pytest.mark.parametrize("n", [3, 6])
@@ -239,7 +349,8 @@ def test_masked_max_backward_matches_routing_reference(n, per_row):
 def test_masked_max_matches_offset_fold(n, per_row):
     rng = np.random.default_rng(60 + n)
     K, rows, F = 5, 8, 6
-    x = parameter(_tied_stack(rng, n, rows, F))
+    dense_pos = [n - 1, 1]  # out of input order
+    table, index, dense = _tied_inputs(rng, n, rows, F, dense_pos)
     keep = rng.random((K, rows if per_row else 1, n)) < 0.5  # mixed columns on per-row stacks
     keep[0] = True  # every input kept everywhere
     keep[1] = True
@@ -250,13 +361,36 @@ def test_masked_max_matches_offset_fold(n, per_row):
     keep[3, :, -1] = True
     keep = _keep_every_row(keep)
     weights = rng.normal(size=(K, rows, F))
-    ref_out, ref_grad = _offset_fold_reference(x.data, keep, weights)
-    out = nc.masked_max(x, keep.astype(np.float64))
+    x = _stack_lookup(table, index, dense, dense_pos).data
+    ref_out, stack_grad = _offset_fold_reference(x, keep, weights)
+    table_grad, dense_grad = _stack_grads_to_inputs(stack_grad, index, 3, dense_pos)
+    out = nc.masked_max(table, index, keep.astype(np.float64), dense, dense_pos)
     backward((out * constant(weights)).sum())
     assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(x.grad, ref_grad)
+    _assert_within(table.grad, table_grad)
+    _assert_within(dense.grad, dense_grad)
     with nc.no_grad():
-        assert np.array_equal(nc.masked_max(x, keep).data, ref_out)
+        assert np.array_equal(nc.masked_max(table, index, keep, dense, dense_pos).data, ref_out)
+
+
+@pytest.mark.parametrize("dense_pos", [[], [2], [4, 0]], ids=["table", "one_dense", "two_dense"])
+@pytest.mark.parametrize("per_row", [False, True], ids=["shared", "per_row"])
+def test_masked_max_matches_lookup_then_stack_max(dense_pos, per_row):
+    rng = np.random.default_rng(80 + len(dense_pos) + 3 * per_row)
+    n, K, rows, F = 5, 4, 9, 6
+    table, index, dense = _tied_inputs(rng, n, rows, F, dense_pos, V=4)
+    keep = _keep_every_row(rng.random((K, rows if per_row else 1, n)) < 0.5)
+    keep[0] = True
+    weights = rng.normal(size=(K, rows, F))
+    args = (table, index, keep, dense, dense_pos, weights)
+    out, table_grad, dense_grad = _pool_and_grads(nc.masked_max, *args)
+    ref_out, ref_table_grad, ref_dense_grad = _pool_and_grads(_stack_pool, *args)
+    assert np.array_equal(out, ref_out)
+    with nc.no_grad():
+        assert np.array_equal(nc.masked_max(table, index, keep, dense, dense_pos).data, ref_out)
+    _assert_within(table_grad, ref_table_grad)
+    if dense_pos:
+        _assert_within(dense_grad, ref_dense_grad)
 
 
 def test_slice_gradient_sums_repeated_indices():
@@ -268,16 +402,17 @@ def test_slice_gradient_sums_repeated_indices():
     assert np.array_equal(y.grad, [[0.0, 4.0, 5.0], [0.0, 2.0, 4.0]])
 
 
-def test_lookup_places_table_rows_and_dense_slices_in_input_order():
+def test_masked_max_reads_table_rows_and_dense_slices_in_input_order():
     table = parameter(np.arange(24.0).reshape(3, 4, 2))  # (n=3, V=4, F=2)
     dense = parameter(-np.ones((1, 5, 2)))
     index = np.array([[0, 1, 2, 3, 3], [0, 0, 0, 0, 0], [2, 2, 1, 0, 3]])
-    out = nc.lookup(table, index, dense, [1])
+    keep = np.eye(3)[:, None]  # block k keeps input k alone
+    out = nc.masked_max(table, index, keep, dense, [1])
     assert np.array_equal(out.data[0], table.data[0, index[0]])
     assert np.array_equal(out.data[1], dense.data[0])
     assert np.array_equal(out.data[2], table.data[2, index[2]])
     with nc.no_grad():
-        assert np.array_equal(nc.lookup(table, index, dense, [1]).data, out.data)
+        assert np.array_equal(nc.masked_max(table, index, keep, dense, [1]).data, out.data)
     g = np.random.default_rng(3).normal(size=out.shape)
     backward((out * constant(g)).sum())
     expected = np.zeros_like(table.data)
@@ -287,16 +422,17 @@ def test_lookup_places_table_rows_and_dense_slices_in_input_order():
     assert np.array_equal(dense.grad, g[1:2])
 
 
-def test_lookup_and_bmm_select_reject_bad_input():
+def test_masked_max_and_bmm_select_reject_bad_input():
     table, dense = constant(np.zeros((3, 4, 2))), constant(np.zeros((1, 5, 2)))
     index = np.zeros((3, 5), dtype=np.intp)
-    with pytest.raises(ShapeError, match="lookup"):
-        nc.lookup(table, index[:, :4], dense, [1])  # 4 index rows for 5 dense rows
+    keep = np.ones((1, 1, 3))
+    with pytest.raises(ShapeError, match="masked_max"):
+        nc.masked_max(table, index[:, :4], keep, dense, [1])  # 4 index rows for 5 dense rows
     with pytest.raises(ShapeError, match="dense_pos"):
-        nc.lookup(table, index, dense, [0, 1])
+        nc.masked_max(table, index, keep, dense, [0, 1])
     index[2, 3] = 4
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
-        nc.lookup(table, index, dense, [1])
+        nc.masked_max(table, index, keep, dense, [1])
     x, W, b = constant(np.zeros((2, 3, 4))), constant(np.zeros((3, 4, 2))), constant(np.zeros((3, 1, 2)))
     assert nc.bmm(x, W, b, [2, 0]).shape == (2, 3, 2)
     with pytest.raises(ValueError, match="distinct"):
@@ -305,19 +441,50 @@ def test_lookup_and_bmm_select_reject_bad_input():
         nc.bmm(x, W, b, [1])
 
 
-def test_masked_max_rejects_more_inputs_than_the_winner_index_holds():
-    nc.masked_max(constant(np.zeros((255, 1, 2))), np.ones((1, 1, 255)))
-    with pytest.raises(ShapeError, match="256"):
-        nc.masked_max(constant(np.zeros((256, 1, 2))), np.ones((1, 1, 256)))
+@pytest.mark.parametrize(
+    "dense_pos, message",
+    [
+        ([1, 1], "dense position 1 is given twice"),
+        ([1, -1], r"dense position -1 is outside \[0, 3\)"),
+        ([1, 5], r"dense position 5 is outside \[0, 3\)"),
+        ([1, 1.5], r"dense positions must be integers, got \[1.0, 1.5\]"),
+        ([True, False], r"dense positions must be integers, got \[True, False\]"),
+    ],
+    ids=["duplicate", "negative", "out_of_range", "float", "bool"],
+)
+def test_masked_max_refuses_bad_dense_position_by_name(dense_pos, message):
+    table, dense = parameter(np.zeros((3, 4, 2))), parameter(np.zeros((2, 5, 2)))
+    index = np.zeros((3, 5), dtype=np.intp)
+    with pytest.raises(ValueError, match=message):
+        nc.masked_max(table, index, np.ones((1, 1, 3)), dense, dense_pos)
+
+
+def test_masked_max_routes_sources_past_8_and_16_bits():
+    # 300 inputs, the last one largest: its source row needs more than a byte.
+    n = 300
+    table = parameter(np.arange(n, dtype=np.float64).reshape(n, 1, 1))
+    out = nc.masked_max(table, np.zeros((n, 1), dtype=np.intp), np.ones((1, 1, n)))
+    backward(out.sum())
+    assert np.array_equal(table.grad.ravel(), np.eye(n)[-1])
+    # Inputs of 40000 table rows: input 1's row 39999 is buffer row 79999.
+    table = parameter(np.zeros((3, 40000, 1)))
+    table.data[1, -1] = 1.0
+    dense = parameter(np.full((1, 1, 1), -1.0))
+    out = nc.masked_max(table, np.array([[0], [39999], [0]]), np.ones((1, 1, 3)), dense, [2])
+    backward(out.sum())
+    assert table.grad[1, -1, 0] == 1.0 and table.grad.sum() == 1.0
+    assert np.array_equal(dense.grad, [[[0.0]]])
 
 
 @pytest.mark.parametrize("keep_rows", [0, 1])
 def test_masked_max_pools_zero_rows(keep_rows):
-    x = parameter(np.zeros((3, 0, 4)))
-    out = nc.masked_max(x, np.ones((2, keep_rows, 3)))
+    table, dense = parameter(np.zeros((3, 2, 4))), parameter(np.zeros((1, 0, 4)))
+    index = np.zeros((3, 0), dtype=np.intp)
+    out = nc.masked_max(table, index, np.ones((2, keep_rows, 3)), dense, [2])
     assert out.shape == (2, 0, 4)
     backward(out.sum())
-    assert x.grad.shape == (3, 0, 4)
+    assert table.grad.shape == (3, 2, 4) and not table.grad.any()
+    assert dense.grad.shape == (1, 0, 4)
 
 
 @pytest.mark.parametrize(
@@ -333,17 +500,20 @@ def test_masked_max_pools_zero_rows(keep_rows):
     ids=["shared_row", "per_row", "half", "two", "minus_one", "nan"],
 )
 def test_masked_max_refuses_bad_keep_values(keep, message):
-    x = parameter(np.zeros((3, 2, 4)))
+    table = parameter(np.zeros((3, 2, 4)))
     with pytest.raises(ValueError, match=message):
-        nc.masked_max(x, np.array(keep))
+        nc.masked_max(table, np.zeros((3, 2), dtype=np.intp), np.array(keep))
 
 
 def test_masked_max_and_bmm_reject_bad_shapes():
-    x = constant(np.zeros((3, 2, 4)))
+    x = constant(np.zeros((3, 2, 4)))  # also the table of 3 inputs on 2 rows
+    index = np.zeros((3, 2), dtype=np.intp)
     with pytest.raises(ShapeError, match="keep stack"):
-        nc.masked_max(x, np.ones((2, 1, 4)))  # 4 keep columns for 3 inputs
+        nc.masked_max(x, index, np.ones((2, 1, 4)))  # 4 keep columns for 3 inputs
     with pytest.raises(ShapeError, match="rows"):
-        nc.masked_max(x, np.ones((2, 5, 3)))  # 5 keep rows for 2 rows
+        nc.masked_max(x, index, np.ones((2, 5, 3)))  # 5 keep rows for 2 rows
+    with pytest.raises(ShapeError, match="masked_max"):
+        nc.masked_max(x, index[:2], np.ones((2, 1, 3)))  # 2 index rows for 3 inputs
     with pytest.raises(ShapeError, match="bmm"):
         nc.bmm(x, constant(np.zeros((2, 4, 1))), constant(np.zeros((2, 1, 1))))  # 2 maps for 3
     W = constant(np.zeros((3, 4, 5)))

@@ -1,7 +1,5 @@
 import math
 import re
-import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +16,8 @@ from hindcaus.env import (
 )
 from hindcaus.graph import CmiMatrix
 from hindcaus.models import BatchEncoding, ModelHyper, build_models, hidden_stack
-from hindcaus.numcore import backward, concat, constant, no_grad, one_hot
+from hindcaus.numcore import Tensor, backward, concat, constant, no_grad, one_hot
+from hindcaus.numcore import tensor as tensor_mod
 from hindcaus.objective import (
     ObjectiveConfig,
     StepRandomness,
@@ -439,15 +438,15 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 135), (EnvConfig.full, 5, 194)],
+    [(EnvConfig.chain, 3, 132), (EnvConfig.full, 5, 189)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # The benchmark's training configs (l=4, T=5, dvae_full). Each stacked
     # layer is one bmm node with its bias, run once on the table basis and
-    # once on the hidden slices (no weight slices are taped); one lookup node
-    # places the features and one masked_max node pools them. Splitting any
-    # of these raises the count. Under the full graph every causal mask
+    # once on the hidden slices (no weight slices are taped), and one
+    # masked_max node pools straight from the table and the hidden features.
+    # Splitting any of these raises the count. Under the full graph every causal mask
     # copies the full one, so each target also has the one index node that
     # reuses its full term as its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
@@ -522,38 +521,48 @@ def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_n
     assert max(errs.values()) < 1e-3, errs
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="CPython 3.10 keeps a call's arguments on the caller's stack until it returns",
+@pytest.mark.parametrize(
+    "make, d_s", [(EnvConfig.chain, 3), (EnvConfig.full, 5)], ids=["chain3", "full5"]
 )
-def test_untaped_feature_stack_is_freed_before_the_head(monkeypatch):
-    cfg = chain3()
+def test_no_feature_stack_is_formed(make, d_s, monkeypatch):
+    # No array of the (d_s+1, rows, feat) shape of a per-input feature stack
+    # is made by an op, taped or untaped, kept by a backward function on the
+    # tape, or handed to a tensor as its gradient.
+    cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     batch = make_batch(cfg)
     bundle = build_models(cfg, "dvae_full", seed=0)
-    transition = bundle.transition
-    stacks, alive = [], []  # a weak reference to each feature stack; liveness at each head
-    features = transition.features
+    feat = bundle.transition.feat_dim
+    shapes = []  # of every op output and every gradient handed to a tensor
+    finish, accumulate = tensor_mod._finish, Tensor._accumulate
 
-    def features_spy(j, idx, hidden=None):
-        feats = features(j, idx, hidden)
-        stacks.append(weakref.ref(feats.data))
-        return feats
+    def finish_spy(data, parents, backward_fn):
+        shapes.append(np.shape(data))
+        return finish(data, parents, backward_fn)
 
-    def head_spy(head):
-        def run(x):
-            alive.append(stacks[-1]() is not None)
-            return head(x)
+    def accumulate_spy(self, g):
+        shapes.append(g.shape)
+        accumulate(self, g)
 
-        return run
-
-    monkeypatch.setattr(transition, "features", features_spy)
-    monkeypatch.setattr(transition, "_heads", [head_spy(head) for head in transition._heads])
+    monkeypatch.setattr(tensor_mod, "_finish", finish_spy)
+    monkeypatch.setattr(Tensor, "_accumulate", accumulate_spy)
     args = (batch, bundle, full_graph(cfg), StepRandomness(0, 0), ObjectiveConfig())
     with no_grad():
         vlb_losses(*args)
-    assert alive == [False] * cfg.d_s
-    vlb_losses(*args)  # taped: the pool node keeps its input
-    assert alive[cfg.d_s :] == [True] * cfg.d_s
+    total, _ = total_objective(*args)
+    seen, todo = {id(total)}, [total]
+    while todo:
+        node = todo.pop()
+        fn = node._backward
+        if fn is not None:
+            held = [c.cell_contents for c in fn.__closure__ or ()] + list(fn.__defaults__ or ())
+            shapes += [x.shape for x in held if isinstance(x, np.ndarray)]
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    backward(total)
+    assert (d_s + 1, max(cfg.l, d_s) + 1, feat) in shapes  # the spies see the feature tables
+    assert (d_s + 1, batch.horizon * batch.size, feat) not in shapes
 
 
 def test_causal_fallback_on_empty_graph_column():
