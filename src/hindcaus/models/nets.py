@@ -21,7 +21,10 @@ Traffic: the CMI estimate on a fixed checkpoint reruns phi_bar on the same
 held-out episodes, so once an evaluation has run on them every estimate
 hits. Training takes its gradient steps outside `no_grad`, where no memo
 is used, and each graph update follows a `sync_target`, so it misses and
-then holds that one batch (64 chain3 episodes, about 0.2 MB).
+then holds that one batch (64 chain3 episodes, about 0.2 MB). On a stream
+of episodes it has not seen, a miss costs its own batch, not a copy of the
+memo, and the memo starts again once it would pass `RowMemo.CAP`
+sequences (1024, about 3 MB of chain3 states).
 """
 
 from __future__ import annotations
@@ -88,32 +91,40 @@ class RowMemo:
     A row's key is its bytes. `missing` gives each row's key and the first
     row of every key not yet memoized; the caller computes those rows'
     answers, commits them with `add` and reads any memoized row's answer
-    with `take`. The answers lie along `axis` of one C-contiguous array, in
-    order of first occurrence. The memo holds only while `state`, a tuple
-    of arrays and scalars, equals (`np.array_equal`, entry by entry) the
-    copy committed with it; a call that finds it changed starts from an
-    empty memo. Only `add` writes, so a call that raises before it leaves
-    the memo as it was. A memoized answer equals that row as computed in
-    the batch where it first missed.
+    with `take`. The answers lie along `axis` of `values`, one C-contiguous
+    array, in order of first occurrence; the slots after the last answer
+    are spare capacity, zeros. `add` writes new answers into spare slots
+    and, when there are too few, doubles the capacity, so a miss copies
+    only its own answers, not the memo. The memo holds only while `state`,
+    a tuple of arrays and scalars, equals (`np.array_equal`, entry by
+    entry) the copy committed with it; a call that finds it changed starts
+    from an empty memo, and so does a call whose new keys would take the
+    memo past `CAP` keys, which bounds its memory on an endless stream of
+    new rows. Only `add` writes, so a call that raises before it leaves the
+    memo as it was. A memoized answer equals that row as computed in the
+    batch where it first missed.
     """
+
+    CAP = 1024  # keys; the 512 held-out episodes of identify-chain3-obs fit
 
     def __init__(self, axis: int):
         self.axis = axis
         self.state: tuple | None = None
         self.slots: dict[bytes, int] = {}  # each key's index along `axis`
         self.values = np.empty(0)
-        self._stale = True  # whether the last `missing` found `state` changed
+        self._stale = True  # whether the last `missing` found `state` changed or the memo full
 
     def missing(self, state: tuple, rows: np.ndarray) -> tuple[list[bytes], dict[bytes, int]]:
-        """Each row's key, and each new key's first row in order of occurrence."""
+        """Each row's key, and each new key's first row in order of
+        occurrence. Every key is new when the state changed or when the new
+        keys would take the memo past `CAP`."""
         rows = np.ascontiguousarray(rows)
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
         self._stale = self.state is None or not all(map(np.array_equal, state, self.state))
-        slots = {} if self._stale else self.slots
-        first: dict[bytes, int] = {}
-        for r, key in enumerate(keys):
-            if key not in slots:
-                first.setdefault(key, r)
+        first = _first_rows(keys, {} if self._stale else self.slots)
+        if not self._stale and len(self.slots) + len(first) > self.CAP:
+            self._stale = True
+            first = _first_rows(keys, {})
         return keys, first
 
     def add(self, state: tuple, keys, values: np.ndarray) -> None:
@@ -124,12 +135,29 @@ class RowMemo:
             self.state = tuple(np.copy(entry) for entry in state)
             self.slots, self.values = {}, np.ascontiguousarray(values)
         elif keys:
-            self.values = np.concatenate([self.values, values], axis=self.axis)
+            used, need = len(self.slots), len(self.slots) + len(keys)
+            along = lambda arr: np.moveaxis(arr, self.axis, 0)  # noqa: E731
+            if need > self.values.shape[self.axis]:
+                shape = list(values.shape)
+                shape[self.axis] = min(max(need, 2 * self.values.shape[self.axis]), self.CAP)
+                grown = np.zeros(shape, dtype=self.values.dtype)
+                along(grown)[:used] = along(self.values)[:used]
+                self.values = grown
+            along(self.values)[used:need] = along(values)
         self.slots.update(zip(keys, range(len(self.slots), len(self.slots) + len(keys))))
         self._stale = False
 
     def take(self, keys: list[bytes]) -> np.ndarray:
         return self.values.take([self.slots[key] for key in keys], axis=self.axis)
+
+
+def _first_rows(keys: list[bytes], slots: dict[bytes, int]) -> dict[bytes, int]:
+    """Each key not in `slots` and its first row, in order of occurrence."""
+    first: dict[bytes, int] = {}
+    for r, key in enumerate(keys):
+        if key not in slots:
+            first.setdefault(key, r)
+    return first
 
 
 class GRUCell:

@@ -504,6 +504,32 @@ def test_scan_that_raises_leaves_memo_as_it_was(variant, monkeypatch):
         assert np.array_equal(cell.scan(_columns(steps, range(5)), reverse).data, want[:, :5])
 
 
+def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
+    monkeypatch.setattr(nets.RowMemo, "CAP", 8)
+    memo, state = nets.RowMemo(axis=1), (np.arange(3.0), 2)
+
+    def answers(values):
+        """Row value v answers a (2, 3) block of v; rows lie along axis 1."""
+        return np.broadcast_to(np.asarray(values, float)[None, :, None], (2, len(values), 3))
+
+    def call(rows):
+        keys, first = memo.missing(state, np.asarray(rows, dtype=np.int64)[:, None])
+        memo.add(state, list(first), answers([rows[r] for r in first.values()]))
+        assert np.array_equal(memo.take(keys), answers(rows))
+        return first
+
+    assert len(call([0, 1, 2, 1, 3])) == 4
+    call([4, 0])  # one miss past the capacity of 4: the memo grows to 8
+    buffer = memo.values
+    assert buffer.shape == (2, 8, 3) and buffer.flags.c_contiguous
+    assert len(call([5, 6, 5])) == 2  # all-miss, below capacity
+    assert memo.values is buffer and len(memo.slots) == 7
+    assert len(call([7, 3])) == 1 and memo.values is buffer  # the cap, exactly
+    assert len(call([8, 0])) == 2  # past the cap: every row of the call is new
+    assert set(memo.slots) == {np.int64(8).tobytes(), np.int64(0).tobytes()}
+    assert memo.values.shape == (2, 2, 3)
+
+
 # -- masked transition ----------------------------------------------------------
 
 

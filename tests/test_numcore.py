@@ -954,6 +954,53 @@ def test_backward_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_second_backward_through_a_used_subgraph_is_refused():
+    # Before the tape was freed, this pair left x.grad at 0.8478 per entry:
+    # the second walk reused h's stale gradient from the first.
+    x = parameter(np.ones(3))
+    h = (x * 2.0).tanh()
+    backward(h.sum())
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="already used"):
+        backward((h * 3.0).sum())
+    assert np.array_equal(x.grad, first)  # refused before any gradient was written
+    # A fresh forward reaches only the leaf, which is never used up and sums.
+    backward(((x * 2.0).tanh() * 3.0).sum())
+    # (1 + 3) * 2 * tanh'(2) = 0.1413 + 0.4239 = 0.5652 per entry.
+    np.testing.assert_allclose(x.grad, 4.0 * 2.0 * (1.0 - np.tanh(2.0) ** 2), rtol=1e-15)
+
+
+def test_backward_frees_each_op_output_and_keeps_leaf_gradients():
+    w = parameter(np.ones((3, 2)))
+    x = constant(np.arange(12.0).reshape(4, 3))
+    hidden = matmul(x, w).tanh()
+    loss = (hidden * 2.0).sum()
+    backward(loss)
+    for node in (hidden, loss):
+        assert node.grad is None and node._parents == () and node.requires_grad
+    assert w.grad is not None and w._parents == ()
+    with pytest.raises(RuntimeError, match="already used"):
+        backward(loss)
+
+
+def test_allocator_thresholds_are_skipped_without_mallopt(monkeypatch):
+    # macOS and Windows C libraries have no mallopt; setting the thresholds
+    # must then neither raise nor warn (warnings are errors in this suite).
+    from hindcaus.numcore import tensor as tensor_mod
+
+    class NoMallopt:
+        pass
+
+    monkeypatch.setattr(tensor_mod.ctypes, "CDLL", lambda name: NoMallopt())
+    tensor_mod._keep_freed_pages()
+
+    def refused(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(tensor_mod.ctypes, "CDLL", refused)
+    tensor_mod._keep_freed_pages()
+
+
 # -- Gumbel-softmax ----------------------------------------------------------
 
 

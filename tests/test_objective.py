@@ -1,5 +1,7 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -563,6 +565,68 @@ def test_no_feature_stack_is_formed(make, d_s, monkeypatch):
     backward(total)
     assert (d_s + 1, max(cfg.l, d_s) + 1, feat) in shapes  # the spies see the feature tables
     assert (d_s + 1, batch.horizon * batch.size, feat) not in shapes
+
+
+def reference_backward(loss):
+    """The tape walk as it was before `backward` freed the tape: the same
+    order and arithmetic, and every op output keeps its gradient, closure
+    and parents."""
+    topo, seen, todo = [], set(), [(loss, False)]
+    while todo:
+        node, processed = todo.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        todo.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                todo.append((p, False))
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(topo):
+        if node._backward is not None:
+            node._backward(out=node)
+
+
+@pytest.mark.parametrize(
+    "make, d_s", [(EnvConfig.chain, 3), (EnvConfig.full, 5)], ids=["chain3", "full5"]
+)
+def test_backward_frees_the_tape_and_gives_the_reference_gradients(make, d_s):
+    cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
+    bundle = build_models(cfg, "dvae_full", seed=0, hyper=ModelHyper(hidden_dim=8))
+    params = bundle.store.trainable()
+    args = (make_batch(cfg), bundle, ground_truth_graph(cfg), StepRandomness(0, 0), ObjectiveConfig())
+    total, _ = total_objective(*args)
+    reference_backward(total)
+    want = {n: p.grad for n, p in params.items()}
+    for p in params.values():
+        p.grad = None
+
+    total, _ = total_objective(*args)
+    ops, saved, todo = {}, [], [total]  # op outputs, and weakrefs to arrays their closures hold
+    while todo:
+        node = todo.pop()
+        if node._backward is not None and id(node) not in ops:
+            ops[id(node)] = node
+            fn = node._backward
+            cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+            # gru_scan's gates and masked_max's source rows are kept for the backward only.
+            saved += [weakref.ref(cells[v].cell_contents) for v in ("zr", "src") if v in cells]
+            todo += [p for p in node._parents if p.requires_grad]
+    assert len(saved) == 1 + d_s  # the live encoder's gru_scan, one masked_max per target
+    gc.disable()
+    try:
+        backward(total)
+        assert all(ref() is None for ref in saved)  # freed by the walk, not by a collection
+    finally:
+        gc.enable()
+    for node in ops.values():
+        assert node.grad is None and node._parents == () and node._backward is tensor_mod._used
+    assert {n for n, g in want.items() if g is None} == {n for n, p in params.items() if p.grad is None}
+    for n, g in want.items():
+        assert g is None or np.array_equal(params[n].grad, g), n
 
 
 def test_causal_fallback_on_empty_graph_column():
