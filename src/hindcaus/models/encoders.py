@@ -160,15 +160,11 @@ class HiddenEncoder:
             g,
             enc.steps,
             self.context0,
-            _weights(self.past_net),
-            _weights(self.combiner),
+            self.past_net.weights,
+            self.combiner.weights,
             noise,
             temperature,
             hard,
         )
         return out[0], out[1]
 
-
-def _weights(net: MLP) -> tuple[Tensor, ...]:
-    """(W0, b0, W1, ...) of an MLP, in layer order."""
-    return tuple(t for layer in net.layers for t in (layer.W, layer.b))

@@ -1,10 +1,12 @@
 """Network building blocks on top of the autodiff core.
 
-`Linear` is one `affine` node. `MLP` stacks them with tanh between.
-`StackedLinear` runs n independent maps, or a selection of them, on a
-stack as one `bmm` node, bias included. `GRUCell` has no per-step call:
-`scan` projects all S steps of an (S, B, d) input with one `affine` over the
-S·B rows and runs the whole recurrence as one `gru_scan` node.
+Every dense layer runs through `numcore.mlp`. `Linear` is one one-layer
+`mlp` node, and `MLP` one `mlp` node over all its layers, tanh between
+them. `stacked_linear` makes the weights of n independent maps for a
+stacked `mlp` call, which runs them, or a selection of them, on a stack.
+`GRUCell` has no per-step call: `scan` projects all S steps of an
+(S, B, d) input with one one-layer `mlp` over the S·B rows and runs the
+whole recurrence as one `gru_scan` node.
 
 `RowMemo` memoizes answers per input row under a state; `GRUCell.scan` and
 `MaskedTransition.log_probs` each hold one. A frozen cell (under `no_grad`,
@@ -12,7 +14,7 @@ none of `Wx`, `bx`, `Uzr`, `Un` requiring grad: in a bundle, phi_bar's
 cell, which only `sync_target` and `load_arrays` change) keys each of the B
 sequences by its (S·d_in) input column, under S, `reverse` and the four
 weights. A call whose every sequence is memoized returns their (S, H)
-states without running `affine` or `gru_scan`. A call with any new
+states without running the projection or `gru_scan`. A call with any new
 sequence runs the whole batch, as an unmemoized call does, and memoizes the
 new ones; the missed sequences never run alone, since a one-row batch may
 round differently.
@@ -31,10 +33,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..numcore.tensor import ShapeError, Tensor, affine, bmm, constant, grad_enabled, gru_scan
+from ..numcore.tensor import ShapeError, Tensor, constant, grad_enabled, gru_scan, mlp
 from .store import ParamFactory
 
-__all__ = ["Linear", "StackedLinear", "MLP", "GRUCell", "RowMemo"]
+__all__ = ["Linear", "MLP", "GRUCell", "RowMemo", "stacked_linear"]
 
 
 class Linear:
@@ -43,46 +45,39 @@ class Linear:
         self.b = params.zeros(f"{name}.b", d_out)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return affine(x, self.W, self.b)
+        return mlp(x, (self.W, self.b))
 
 
-class StackedLinear:
-    """n independent linear maps applied to an (n, rows, max(d_ins)) stack
-    as one `bmm` node: a batched matmul plus the (n, 1, d_out) bias.
+def stacked_linear(
+    params: ParamFactory, name: str, draw_names: list[str], d_ins: list[int], d_out: int
+) -> tuple[Tensor, Tensor]:
+    """The weights of n independent linear maps for a stacked `mlp` call:
+    an (n, max(d_ins), d_out) weight `{name}.W` and an (n, 1, d_out) bias
+    `{name}.b`.
 
     Map i reads only the first d_ins[i] columns of its slice: its weight is
     the glorot draw `draw_names[i]` above zero rows, and those rows get zero
     gradient, so they stay zero under training.
     """
-
-    def __init__(
-        self, params: ParamFactory, name: str, draw_names: list[str], d_ins: list[int], d_out: int
-    ):
-        W = np.zeros((len(d_ins), max(d_ins), d_out))
-        for i, (draw, d_in) in enumerate(zip(draw_names, d_ins)):
-            W[i, :d_in] = params.glorot_draw(draw, d_in, d_out)
-        self.W = params.add(f"{name}.W", W)
-        self.b = params.zeros(f"{name}.b", (len(d_ins), 1, d_out))
-
-    def __call__(self, x: Tensor, select=None) -> Tensor:
-        """All n maps on an (n, rows, d) stack, or with `select` the maps
-        it names on a (len(select), rows, d) stack."""
-        return bmm(x, self.W, self.b, select)
+    W = np.zeros((len(d_ins), max(d_ins), d_out))
+    for i, (draw, d_in) in enumerate(zip(draw_names, d_ins)):
+        W[i, :d_in] = params.glorot_draw(draw, d_in, d_out)
+    return params.add(f"{name}.W", W), params.zeros(f"{name}.b", (len(d_ins), 1, d_out))
 
 
 class MLP:
-    """Stack of tanh hidden layers followed by a linear output."""
+    """Stack of tanh hidden layers followed by a linear output, run as one
+    `mlp` node; `weights` is (W0, b0, W1, ...) in layer order."""
 
     def __init__(self, params: ParamFactory, name: str, d_in: int, hidden: list[int], d_out: int):
         dims = [d_in, *hidden, d_out]
         self.layers = [
             Linear(params, f"{name}.l{k}", dims[k], dims[k + 1]) for k in range(len(dims) - 1)
         ]
+        self.weights = tuple(t for layer in self.layers for t in (layer.W, layer.b))
 
     def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers[:-1]:
-            x = layer(x).tanh()
-        return self.layers[-1](x)
+        return mlp(x, self.weights)
 
 
 class RowMemo:
@@ -193,5 +188,5 @@ class GRUCell:
 
     def _states(self, xs: Tensor, reverse: bool) -> Tensor:
         S, B, d_in = xs.shape
-        xw = affine(xs.reshape(S * B, d_in), self.Wx, self.bx)
+        xw = mlp(xs.reshape(S * B, d_in), (self.Wx, self.bx))
         return gru_scan(xw.reshape(S, B, 3 * self.d_hidden), self.Uzr, self.Un, reverse)

@@ -9,10 +9,12 @@ by every mask of a call.
 
 Target j's d_s+1 extractors are stacked: `target{j}.embed.W` is
 (d_s+1, width, embed) and `target{j}.proj.W` is (d_s+1, embed, feat), with
-width = max(l, d_s), and an extractor is embed, tanh, proj, tanh. Input i
-reads a width-wide vector: factor i's one-hot (or hidden sample) or the
-action vector, zero-padded on the right. An input narrower than width has
-zero weight rows under its padding columns, and those rows stay zero.
+width = max(l, d_s), and an extractor is embed, tanh, proj, tanh: one
+stacked two-layer `mlp` node, which runs all the extractors (or, with
+`select`, the hidden inputs' ones), then one `tanh` node. Input i reads a
+width-wide vector: factor i's one-hot (or hidden sample) or the action
+vector, zero-padded on the right. An input narrower than width has zero
+weight rows under its padding columns, and those rows stay zero.
 
 An input takes one of two paths to the same features:
 
@@ -64,8 +66,8 @@ import numpy as np
 
 from ..env.config import EnvConfig
 from ..env.modulo import action_allowed
-from ..numcore.tensor import Tensor, concat, constant, masked_max, no_grad, transpose
-from .nets import MLP, RowMemo, StackedLinear
+from ..numcore.tensor import Tensor, concat, constant, masked_max, mlp, no_grad, transpose
+from .nets import MLP, RowMemo, stacked_linear
 from .store import ParamFactory
 
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
@@ -154,22 +156,22 @@ class MaskedTransition:
         self._basis = constant(np.repeat(basis[None], env.d_s + 1, axis=0))
         self._hidden = np.asarray(env.hidden_indices, dtype=np.intp)
         hidden = set(env.hidden_indices)
-        self._embed: list[StackedLinear] = []
-        self._proj: list[StackedLinear] = []
+        self._extractors: list[tuple[Tensor, ...]] = []  # (embed W, b, proj W, b) per target
         self._heads: list[MLP] = []
         for j in range(env.d_s):
             params = params_h if j in hidden else params_o
 
-            def stacked(kind: str, d_ins: list[int], d_out: int) -> StackedLinear:
+            def stacked(kind: str, d_ins: list[int], d_out: int) -> tuple[Tensor, Tensor]:
                 # Slice i keeps the init draw of the per-input layer it replaces.
                 draws = [f"target{j}.in{i}.{kind}.W" for i in range(len(d_ins))]
-                return StackedLinear(params, f"target{j}.{kind}", draws, d_ins, d_out)
+                return stacked_linear(params, f"target{j}.{kind}", draws, d_ins, d_out)
 
-            self._embed.append(stacked("embed", in_dims, embed_dim))
-            self._proj.append(stacked("proj", [embed_dim] * len(in_dims), feat_dim))
+            embed = stacked("embed", in_dims, embed_dim)
+            proj = stacked("proj", [embed_dim] * len(in_dims), feat_dim)
+            self._extractors.append((*embed, *proj))
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
-        layers = [*self._embed, *self._proj, *(layer for h in self._heads for layer in h.layers)]
-        self._params = [t for layer in layers for t in (layer.W, layer.b)]
+        nets = (*self._extractors, *(head.weights for head in self._heads))
+        self._params = [t for weights in nets for t in weights]
         self._memo = RowMemo(axis=2)  # the (d_s, K, rows, l) answers of `log_probs`
 
     def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Features:
@@ -188,11 +190,10 @@ class MaskedTransition:
                 f"indices must have shape ({self.env.d_s + 1}, rows) and the hidden stack "
                 f"shape {expected}, got {idx.shape} and {None if hidden is None else hidden.shape}"
             )
-        embed, proj = self._embed[j], self._proj[j]
-        table = proj(embed(self._basis).tanh()).tanh()
+        table = mlp(self._basis, self._extractors[j]).tanh()
         if hidden is None:
             return Features(table, idx)
-        dense = proj(embed(hidden, self._hidden).tanh(), self._hidden).tanh()
+        dense = mlp(hidden, self._extractors[j], self._hidden).tanh()
         return Features(table, idx, dense, self._hidden)
 
     def logits_from_features(self, j: int, feats: Features, masks: np.ndarray) -> Tensor:

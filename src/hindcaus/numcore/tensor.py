@@ -5,6 +5,17 @@ of the produced tensor) only when at least one input requires gradients, so
 evaluation-only code pays no tape cost. All storage is float64; there is no
 dtype promotion to manage.
 
+Chains of small ops that run on every training step are single nodes with
+hand-written backwards: `mlp` is a chain of dense layers with tanh between
+them (the only dense-layer op), on 2-D rows or, with an optional selection
+of maps, on a stack; `gru_scan` and `sample_scan` are recurrences;
+`masked_max` pools feature-table rows under keep masks. Each forward keeps
+the order of operations of the chain of nodes it replaced, so its values
+are that chain's bit for bit, and returns a C-contiguous array, so that a
+later reduction sums in the same order; `mlp`'s backward gives that
+chain's gradients bit for bit too. (`numcore.dists` fuses the categorical
+losses the same way.)
+
 A tape is used once. As soon as `backward` has run an op output's backward
 closure, it drops that output's gradient, the closure (with the activations
 it saved) and its parent links, so the tape and the used gradients are
@@ -46,8 +57,7 @@ __all__ = [
     "parameter",
     "concat",
     "stack",
-    "affine",
-    "bmm",
+    "mlp",
     "gru_scan",
     "sample_scan",
     "masked_max",
@@ -356,50 +366,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(data, (a, b), backward_fn)
 
 
-def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b as one node: (rows, k) @ (k, m) plus an (m,) bias."""
-    if x.data.ndim != 2 or W.data.ndim != 2 or b.shape != (W.shape[1],) or x.shape[1] != W.shape[0]:
-        raise ShapeError(f"affine: shapes {x.shape} @ {W.shape} + {b.shape} are incompatible")
-    data = x.data @ W.data
-    data += b.data
+def mlp(x: Tensor, weights, select=None) -> Tensor:
+    """A chain of dense layers with tanh between them, as one node.
 
-    def backward_fn(out=None, x=x, W=W, b=b):
-        g = out.grad
-        if x.requires_grad:
-            x._accumulate(g @ W.data.T)
-        if W.requires_grad:
-            W._accumulate(x.data.T @ g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
+    `weights` is (W0, b0, W1, b1, ...), one (W, b) pair per layer. On 2-D
+    rows, x is (rows, k0), Wi is (k_i, k_i+1) and bi is (k_i+1,). On a
+    stack, x is (n, rows, k0), Wi is (N, k_i, k_i+1) and bi is
+    (N, 1, k_i+1), and slice q of x runs through map q of every layer, so
+    n = N. With `select`, a sequence of n distinct indices into the N maps,
+    slice q runs through map select[q] instead, and every other map's
+    gradient is zero; no slice of the weights is taped.
 
-    return _finish(data, (x, W, b), backward_fn)
-
-
-def bmm(x: Tensor, W: Tensor, b: Tensor, select=None) -> Tensor:
-    """Batched affine map as one node: (n, r, k) @ (n, k, m) plus an
-    (n, 1, m) bias -> (n, r, m).
-
-    With `select`, a sequence of n distinct indices into W's first axis, the
-    node maps x with W[select] and b[select] instead, and the gradient of
-    every other map of W and b is zero; no slice of the weights is taped.
+    Layer i computes h = a @ Wi, then h += bi, and every layer but the last
+    applies tanh; the output is the last layer's h. These are the operations
+    of one matmul-plus-bias node per layer with a tanh node between, in
+    their order, so the values are theirs bit for bit. The backward runs
+    the layers from the last, with their backward formulas, so the
+    gradients are theirs bit for bit too.
     """
-    Wd, bd = W.data, b.data
+    weights = tuple(weights)
+    if not weights or len(weights) % 2:
+        raise ValueError(f"mlp: weights must be (W, b) pairs, got {len(weights)} tensors")
+    Ws, bs = weights[0::2], weights[1::2]
+    stacked = x.data.ndim == 3
     if select is not None:
         select = np.asarray(select, dtype=np.intp)
         if select.ndim != 1 or len(set(select.tolist())) != len(select):
-            raise ValueError(f"bmm: select must be distinct indices, got {select.tolist()}")
-        Wd, bd = Wd[select], bd[select]
-    if (
-        x.data.ndim != 3
-        or W.data.ndim != 3
-        or x.shape[0] != Wd.shape[0]
-        or x.shape[2] != W.shape[1]
-        or b.shape != (W.shape[0], 1, W.shape[2])
-    ):
+            raise ValueError(f"mlp: select must be distinct indices, got {select.tolist()}")
+    k = x.shape[-1] if x.data.ndim else -1
+    if stacked:
+        N = Ws[0].shape[0] if Ws[0].data.ndim else -1
+        ok = x.shape[0] == (N if select is None else len(select))
+        for W, b in zip(Ws, bs):
+            ok = ok and W.data.ndim == 3 and W.shape[:2] == (N, k) and b.shape == (N, 1, W.shape[2])
+            k = W.shape[-1]
+    else:
+        ok = x.data.ndim == 2 and select is None
+        for W, b in zip(Ws, bs):
+            ok = ok and W.data.ndim == 2 and W.shape[0] == k and b.shape == (W.shape[1],)
+            k = W.shape[-1]
+    if not ok:
+        layers = ", ".join(f"{W.shape} + {b.shape}" for W, b in zip(Ws, bs))
         picked = "" if select is None else f" (select {select.tolist()})"
-        raise ShapeError(f"bmm: shapes {x.shape} @ {W.shape} + {b.shape}{picked} are incompatible")
-    data = np.matmul(x.data, Wd)
-    data += bd
+        raise ShapeError(f"mlp: input {x.shape} and layers {layers}{picked} are incompatible")
+    Wd, bd = [W.data for W in Ws], [b.data for b in bs]
+    if select is not None:
+        Wd, bd = [W[select] for W in Wd], [b[select] for b in bd]
+    acts = []  # each layer's input
+    h = x.data
+    for i in range(len(Wd)):
+        if i:
+            h = np.tanh(h, out=h)
+        acts.append(h)
+        h = np.matmul(h, Wd[i])
+        h += bd[i]
 
     def picked_grad(g: np.ndarray, full_shape) -> np.ndarray:
         if select is None:
@@ -408,16 +428,30 @@ def bmm(x: Tensor, W: Tensor, b: Tensor, select=None) -> Tensor:
         full[select] = g
         return full
 
-    def backward_fn(out=None, x=x, W=W, b=b):
+    def backward_fn(out=None, x=x):
         g = out.grad
-        if x.requires_grad:
-            x._accumulate(np.matmul(g, Wd.transpose(0, 2, 1)))
-        if W.requires_grad:
-            W._accumulate(picked_grad(np.matmul(x.data.transpose(0, 2, 1), g), W.shape))
-        if b.requires_grad:
-            b._accumulate(picked_grad(g.sum(axis=1, keepdims=True), b.shape))
+        for i in range(len(Wd) - 1, -1, -1):
+            a, W, b = acts[i], Ws[i], bs[i]
+            # The layer's input needs a gradient where x or an earlier layer does.
+            below = x.requires_grad or any(t.requires_grad for t in weights[: 2 * i])
+            if below:
+                g_in = np.matmul(g, np.swapaxes(Wd[i], -1, -2))
+            if W.requires_grad:
+                W._accumulate(picked_grad(np.matmul(np.swapaxes(a, -1, -2), g), W.shape))
+            if b.requires_grad:
+                gb = g.sum(axis=1, keepdims=True) if stacked else g.sum(axis=0)
+                b._accumulate(picked_grad(gb, b.shape))
+            if not below:
+                return
+            if not i:
+                x._accumulate(g_in)
+                return
+            # tanh's backward: (1 - a * a) * g_in
+            g = a * a
+            np.subtract(1.0, g, out=g)
+            g *= g_in
 
-    return _finish(data, (x, W, b), backward_fn)
+    return _finish(h, (x, *weights), backward_fn)
 
 
 def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tensor:
@@ -836,15 +870,17 @@ def masked_max(
         raise ValueError(
             f"masked_max: index values must be in [0, {V}), got [{index.min()}, {index.max()}]"
         )
-    kept = keep == 1
-    if not (kept | (keep == 0)).all():
+    # The checks run on a contiguous (K, n, rows) copy, so every reduction
+    # runs along its long rows axis or across it, not along a short axis.
+    kept = (keep == 1).transpose(0, 2, 1).copy()
+    if not (kept | (keep == 0).transpose(0, 2, 1)).all():
         raise ValueError("masked_max: the keep stack must hold only 0 and 1")
-    empty = ~kept.any(axis=2)
+    empty = ~kept.any(axis=1)  # (K, rows)
     if empty.any():
         k, r = np.argwhere(empty)[0]
         raise ValueError(f"masked_max: block {k}, row {r} of the keep mask keeps no input")
-    every = kept.all(axis=1)  # (K, n): kept on every row of the block (all, on zero rows)
-    read = kept.any(axis=1) | every  # (K, n): the inputs each block folds in
+    every = kept.all(axis=2)  # (K, n): kept on every row of the block (all, on zero rows)
+    read = kept.any(axis=2) | every  # (K, n): the inputs each block folds in
     slot = np.full(n, -1)  # the dense slice of each input, -1 for a table input
     slot[dense_pos] = np.arange(m)
     parents = (table,) if dense is None else (table, dense)
@@ -875,7 +911,7 @@ def masked_max(
         for k in blocks:
             t = x
             if not every[k, i]:
-                t = np.add(x, np.where(kept[k, :, i], 0.0, _DROP)[:, None], out=term)
+                t = np.add(x, np.where(kept[k, i], 0.0, _DROP)[:, None], out=term)
             acc = data[k]
             if not started[k]:
                 started[k] = True

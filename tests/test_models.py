@@ -82,7 +82,7 @@ def test_unroll_deterministic_replay():
 # -- fused unroll against the per-step reference ----------------------------------
 #
 # The references below are the per-step formulas the fused code replaced, op
-# by op: `matmul` + bias instead of `affine`, one GRU cell call per step, one
+# by op: `matmul` + bias instead of `mlp`, one GRU cell call per step, one
 # head / past-net / combiner call per t. The fused path must give the same
 # logits and samples bit for bit. That holds at batch sizes up to 64: at 512
 # rows per step OpenBLAS can round a row-batched matmul differently from
@@ -642,12 +642,12 @@ def _per_input_reference(transition, j, x, masks):
     first maximal input, and the head run once per mask."""
     env = transition.env
     in_dims = [env.l] * env.d_s + [env.d_s]
-    embed, proj = transition._embed[j], transition._proj[j]
+    embed_W, embed_b, proj_W, proj_b = transition._extractors[j]
     feats = []
     for i, d in enumerate(in_dims):
         emb, prj = Linear.__new__(Linear), Linear.__new__(Linear)
-        emb.W, emb.b = embed.W[i, :d], embed.b[i, 0]
-        prj.W, prj.b = proj.W[i], proj.b[i, 0]
+        emb.W, emb.b = embed_W[i, :d], embed_b[i, 0]
+        prj.W, prj.b = proj_W[i], proj_b[i, 0]
         feats.append(prj(emb(x[i, :, :d]).tanh()).tanh())
     blocks = []
     for mask in masks:
@@ -756,11 +756,11 @@ def test_embed_padding_rows_stay_zero_under_training(graph):
         total, _ = total_objective(batch, bundle, graph_binary, rand, ObjectiveConfig())
         backward(total)
         opt.step()
-    for j, embed in enumerate(bundle.transition._embed):
-        assert np.any(embed.W.grad != 0)
+    for j, (embed_W, *_) in enumerate(bundle.transition._extractors):
+        assert np.any(embed_W.grad != 0)
         for i, d in pads:
-            assert np.all(embed.W.data[i, d:] == 0.0), (j, i)
-            assert np.any(embed.W.data[i, :d] != 0.0)
+            assert np.all(embed_W.data[i, d:] == 0.0), (j, i)
+            assert np.any(embed_W.data[i, :d] != 0.0)
 
 
 def test_all_zero_mask_rejected():

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import re
 
@@ -6,6 +7,8 @@ import numpy as np
 import pytest
 
 from hindcaus import numcore as nc
+from hindcaus.numcore import dists as dists_module
+from hindcaus.numcore import tensor as tensor_module
 from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
 from hindcaus.numcore.random import _stream_keys
@@ -93,16 +96,44 @@ def _dense_pool_case(a, b):
     return nc.masked_max(a.reshape(2, 4, 2), index, keep, (a * b)[:3, :2].reshape(1, 3, 2), [0])
 
 
+def _stacked_three_layers(a, b):
+    """mlp over maps 3 and 1 of 4 on a (2, 2, 2) stack, three layers deep;
+    every weight and bias is made from a and b."""
+    maps = lambda t: t.reshape(4, 2, 2)  # noqa: E731
+    bias = lambda t: t.reshape(4, 1, 2)  # noqa: E731
+    weights = (maps(b), bias(a[2:]), maps(a * b), bias(b[:2]), maps(a + b), bias((a - b)[1:3]))
+    return nc.mlp(a[:2].reshape(2, 2, 2), weights, [3, 1])
+
+
 OP_CASES = {
     "add": lambda a, b: a + b,
-    "affine": lambda a, b: nc.affine(a, b, b[1]),
     "add_broadcast": lambda a, b: a + b[0:1, :],
     "subtract": lambda a, b: a - b,
     "multiply": lambda a, b: a * b,
     "matmul": lambda a, b: nc.matmul(a, b),
-    "bmm": lambda a, b: nc.bmm(a.reshape(2, 2, 4), b.reshape(2, 4, 2), a[3].reshape(2, 1, 2)),
-    "bmm_select": lambda a, b: nc.bmm(  # maps 3 and 1 of 4, in that order
-        a[:2].reshape(2, 2, 2), b.reshape(4, 2, 2), a[2:].reshape(4, 1, 2), [3, 1]
+    # One-layer mlp: an affine map on 2-D rows, a batched one on a stack.
+    "affine": lambda a, b: nc.mlp(a, (b, b[1])),
+    "bmm": lambda a, b: nc.mlp(a.reshape(2, 2, 4), (b.reshape(2, 4, 2), a[3].reshape(2, 1, 2))),
+    "bmm_select": lambda a, b: nc.mlp(  # maps 3 and 1 of 4, in that order
+        a[:2].reshape(2, 2, 2), (b.reshape(4, 2, 2), a[2:].reshape(4, 1, 2)), [3, 1]
+    ),
+    "mlp_three_layers": lambda a, b: nc.mlp(a, (b, b[1], a * b, a[2], (a + b)[:, :3], b[0, :3])),
+    "mlp_stacked_select_three_layers": _stacked_three_layers,
+    "cross_entropy": lambda a, b: nc.cross_entropy(a * b, np.array([3, 0, 1, 3])),
+    "cross_entropy_strided_logits": lambda a, b: nc.cross_entropy(
+        nc.transpose(a * b, (1, 0)), np.array([2, 2, 0, 1])
+    ),
+    "cross_entropy_broadcast_labels": lambda a, b: nc.cross_entropy(
+        (a + b).reshape(2, 2, 4), np.array([1, 3])
+    ),
+    "categorical_kl": lambda a, b: nc.categorical_kl(a * b, a - b),
+    "categorical_kl_p_logits": lambda a, b: nc.categorical_kl(  # q is fixed
+        a + b, constant(np.linspace(-1.0, 1.0, 16).reshape(4, 4))
+    ),
+    "categorical_kl_broadcast": lambda a, b: nc.categorical_kl(a[:2], (a * b).reshape(2, 2, 4)),
+    "categorical_kl_strided": lambda a, b: nc.categorical_kl(nc.transpose(a * b, (1, 0)), a - b),
+    "gumbel_softmax_sample": lambda a, b: nc.gumbel_softmax_sample(
+        a * b, 0.7, hard=False, noise=nc.gumbel_noise((4, 4), nc.stream(0, "op-cases"))
     ),
     "concat": lambda a, b: nc.concat([a, b], axis=1),
     "stack": lambda a, b: nc.stack([a, b], axis=1),
@@ -139,6 +170,56 @@ def test_op_gradients_match_finite_differences(name):
 
     errs = check_gradients(f, {"a": a, "b": b})
     assert max(errs.values()) < 1e-4, errs
+
+
+# numcore exports that are not differentiable ops, and the ops whose
+# finite-difference gradcheck is a test of its own rather than an OP_CASES
+# entry.
+NOT_OPS = {
+    "Adam",
+    "NonFiniteError",
+    "ShapeError",
+    "Tensor",
+    "backward",
+    "check_gradients",
+    "constant",
+    "finite_difference_grad",
+    "grad_enabled",
+    "gumbel_noise",
+    "max_relative_error",
+    "no_grad",
+    "one_hot",
+    "parameter",
+    "stream",
+    "stream_key",
+    "stream_uniforms",
+}
+GRADCHECK_TESTS = {"sample_scan": "test_sample_scan_gradients_match_finite_differences"}
+
+
+def test_every_differentiable_op_has_a_finite_difference_gradcheck():
+    # Every op numcore exports, and every function of its tensor and dists
+    # modules that records a tape node (the Tensor methods call these), by
+    # name without a trailing underscore (`slice_` is "slice").
+    assert NOT_OPS <= set(nc.__all__)
+    ops = {name for name in nc.__all__ if name not in NOT_OPS}
+    for module in (tensor_module, dists_module):
+        for name, fn in vars(module).items():
+            if (
+                inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and not name.startswith("_")
+                and "_finish(" in inspect.getsource(fn)
+            ):
+                ops.add(name.rstrip("_"))
+    assert {"mlp", "cross_entropy", "categorical_kl", "masked_max", "slice"} <= ops
+
+    def checked(op: str) -> bool:
+        if any(key == op or key.startswith(op + "_") for key in OP_CASES):
+            return True
+        return callable(globals().get(GRADCHECK_TESTS.get(op, "")))
+
+    assert sorted(op for op in ops if not checked(op)) == []
 
 
 _OFF = -1e30  # the offset the reference folds add to drop an input
@@ -422,7 +503,12 @@ def test_masked_max_reads_table_rows_and_dense_slices_in_input_order():
     assert np.array_equal(dense.grad, g[1:2])
 
 
-def test_masked_max_and_bmm_select_reject_bad_input():
+def _names_every_shape(exc, *tensors):
+    """`exc` names the shape of every tensor it was raised on."""
+    return all(str(t.shape) in str(exc.value) for t in tensors)
+
+
+def test_masked_max_and_mlp_select_reject_bad_input():
     table, dense = constant(np.zeros((3, 4, 2))), constant(np.zeros((1, 5, 2)))
     index = np.zeros((3, 5), dtype=np.intp)
     keep = np.ones((1, 1, 3))
@@ -434,11 +520,18 @@ def test_masked_max_and_bmm_select_reject_bad_input():
     with pytest.raises(ValueError, match=r"\[0, 4\)"):
         nc.masked_max(table, index, keep, dense, [1])
     x, W, b = constant(np.zeros((2, 3, 4))), constant(np.zeros((3, 4, 2))), constant(np.zeros((3, 1, 2)))
-    assert nc.bmm(x, W, b, [2, 0]).shape == (2, 3, 2)
+    assert nc.mlp(x, (W, b), [2, 0]).shape == (2, 3, 2)
     with pytest.raises(ValueError, match="distinct"):
-        nc.bmm(x, W, b, [1, 1])
-    with pytest.raises(ShapeError, match="select"):
-        nc.bmm(x, W, b, [1])
+        nc.mlp(x, (W, b), [1, 1])
+    with pytest.raises(ShapeError, match=r"select \[1\]") as exc:
+        nc.mlp(x, (W, b), [1])
+    assert _names_every_shape(exc, x, W, b)
+    with pytest.raises(ShapeError, match="select"):  # select needs a stack
+        nc.mlp(constant(np.zeros((3, 4))), (constant(np.zeros((4, 2))), constant(np.zeros(2))), [0])
+    with pytest.raises(ValueError, match=r"\(W, b\) pairs, got 3"):
+        nc.mlp(x, (W, b, W), [2, 0])
+    with pytest.raises(ValueError, match=r"\(W, b\) pairs, got 0"):
+        nc.mlp(x, ())
 
 
 @pytest.mark.parametrize(
@@ -492,20 +585,27 @@ def test_masked_max_pools_zero_rows(keep_rows):
     [
         ([[[1, 1, 1]], [[0, 0, 0]]], "block 1, row 0 .* keeps no input"),
         ([[[1, 1, 1], [1, 0, 1]], [[0, 1, 0], [0, 0, 0]]], "block 1, row 1 .* keeps no input"),
+        # Empty in block 1, row 0 and block 0, row 2: the first (block, row) is named.
+        (
+            [[[1, 1, 1], [1, 1, 1], [0, 0, 0]], [[0, 0, 0], [1, 1, 1], [0, 0, 0]]],
+            "block 0, row 2 .* keeps no input",
+        ),
         ([[[1, 0.5, 1]]], "only 0 and 1"),
         ([[[1, 2, 0]]], "only 0 and 1"),
         ([[[1, -1, 1]]], "only 0 and 1"),
         ([[[1, np.nan, 1]]], "only 0 and 1"),
     ],
-    ids=["shared_row", "per_row", "half", "two", "minus_one", "nan"],
+    ids=["shared_row", "per_row", "first_of_several", "half", "two", "minus_one", "nan"],
 )
 def test_masked_max_refuses_bad_keep_values(keep, message):
+    keep = np.array(keep)
     table = parameter(np.zeros((3, 2, 4)))
+    rows = keep.shape[1]
     with pytest.raises(ValueError, match=message):
-        nc.masked_max(table, np.zeros((3, 2), dtype=np.intp), np.array(keep))
+        nc.masked_max(table, np.zeros((3, rows), dtype=np.intp), keep)
 
 
-def test_masked_max_and_bmm_reject_bad_shapes():
+def test_masked_max_and_mlp_reject_bad_shapes():
     x = constant(np.zeros((3, 2, 4)))  # also the table of 3 inputs on 2 rows
     index = np.zeros((3, 2), dtype=np.intp)
     with pytest.raises(ShapeError, match="keep stack"):
@@ -514,27 +614,214 @@ def test_masked_max_and_bmm_reject_bad_shapes():
         nc.masked_max(x, index, np.ones((2, 5, 3)))  # 5 keep rows for 2 rows
     with pytest.raises(ShapeError, match="masked_max"):
         nc.masked_max(x, index[:2], np.ones((2, 1, 3)))  # 2 index rows for 3 inputs
-    with pytest.raises(ShapeError, match="bmm"):
-        nc.bmm(x, constant(np.zeros((2, 4, 1))), constant(np.zeros((2, 1, 1))))  # 2 maps for 3
+    W2, b2 = constant(np.zeros((2, 4, 1))), constant(np.zeros((2, 1, 1)))
+    with pytest.raises(ShapeError, match="mlp") as exc:
+        nc.mlp(x, (W2, b2))  # 2 maps for 3
+    assert _names_every_shape(exc, x, W2, b2)
     W = constant(np.zeros((3, 4, 5)))
     for bias in [(3, 5), (3, 2, 5), (1, 1, 5), (3, 1, 4)]:  # the bias must be (3, 1, 5)
-        with pytest.raises(ShapeError, match="bmm"):
-            nc.bmm(x, W, constant(np.zeros(bias)))
-    assert nc.bmm(x, W, constant(np.zeros((3, 1, 5)))).shape == (3, 2, 5)
+        b = constant(np.zeros(bias))
+        with pytest.raises(ShapeError, match="mlp") as exc:
+            nc.mlp(x, (W, b))
+        assert _names_every_shape(exc, x, W, b)
+    b = constant(np.zeros((3, 1, 5)))
+    assert nc.mlp(x, (W, b)).shape == (3, 2, 5)
+    # A second layer must take 5 columns, with the same 3 maps.
+    for W1 in [constant(np.zeros((3, 4, 2))), constant(np.zeros((2, 5, 2))), constant(np.zeros((5, 2)))]:
+        b1 = constant(np.zeros((W1.shape[0], 1, 2)))
+        with pytest.raises(ShapeError, match="mlp") as exc:
+            nc.mlp(x, (W, b, W1, b1))
+        assert _names_every_shape(exc, x, W, b, W1, b1)
+    assert nc.mlp(x, (W, b, constant(np.zeros((3, 5, 2))), constant(np.zeros((3, 1, 2))))).shape == (3, 2, 2)
 
 
-def test_affine_and_gru_scan_reject_bad_shapes():
+def test_mlp_and_gru_scan_reject_bad_shapes():
     x = constant(np.zeros((3, 4)))
-    with pytest.raises(ShapeError, match="affine"):
-        nc.affine(x, constant(np.zeros((4, 2))), constant(np.zeros(3)))  # bias is not (2,)
-    with pytest.raises(ShapeError, match="affine"):
-        nc.affine(x, constant(np.zeros((3, 2))), constant(np.zeros(2)))
+    z = lambda *shape: constant(np.zeros(shape))  # noqa: E731
+    for weights in [
+        (z(4, 2), z(3)),  # the bias is not (2,)
+        (z(3, 2), z(2)),  # 3 weight rows for 4 columns
+        (z(4, 2), z(2), z(3, 5), z(5)),  # the second layer takes 3 columns, not 2
+        (z(4, 2), z(2), z(2, 5), z(1, 5)),  # a stacked bias on 2-D rows
+        (z(1, 4, 2), z(1, 1, 2)),  # a stacked map on 2-D rows
+    ]:
+        with pytest.raises(ShapeError, match="mlp") as exc:
+            nc.mlp(x, weights)
+        assert _names_every_shape(exc, x, *weights)
+    assert nc.mlp(x, (z(4, 2), z(2), z(2, 5), z(5))).shape == (3, 5)
     Uzr, Un = constant(np.zeros((2, 4))), constant(np.zeros((2, 2)))  # H = 2
     with pytest.raises(ShapeError, match="gru_scan"):
         nc.gru_scan(constant(np.zeros((4, 3, 5))), Uzr, Un)  # last axis 5, not 3H = 6
     with pytest.raises(ShapeError, match="gru_scan"):
         nc.gru_scan(constant(np.zeros((3, 6))), Uzr, Un)  # no step axis
     nc.gru_scan(constant(np.zeros((4, 3, 6))), Uzr, Un)
+
+
+# -- fused dense layers and losses against the node chains they replaced --------
+
+
+def _affine(x, W, b):
+    """numcore's `affine`, which `mlp` replaced: x @ W + b as one node."""
+    data = x.data @ W.data
+    data += b.data
+
+    def backward_fn(out=None):
+        g = out.grad
+        if x.requires_grad:
+            x._accumulate(g @ W.data.T)
+        if W.requires_grad:
+            W._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+
+    return _finish(data, (x, W, b), backward_fn)
+
+
+def _bmm(x, W, b, select=None):
+    """numcore's `bmm`, which `mlp` replaced: (n, r, k) @ (n, k, m) plus an
+    (n, 1, m) bias as one node, with W[select] and b[select] when given."""
+    Wd, bd = W.data, b.data
+    if select is not None:
+        Wd, bd = Wd[select], bd[select]
+    data = np.matmul(x.data, Wd)
+    data += bd
+
+    def picked(g, shape):
+        if select is None:
+            return g
+        full = np.zeros(shape)
+        full[select] = g
+        return full
+
+    def backward_fn(out=None):
+        g = out.grad
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, Wd.transpose(0, 2, 1)))
+        if W.requires_grad:
+            W._accumulate(picked(np.matmul(x.data.transpose(0, 2, 1), g), W.shape))
+        if b.requires_grad:
+            b._accumulate(picked(g.sum(axis=1, keepdims=True), b.shape))
+
+    return _finish(data, (x, W, b), backward_fn)
+
+
+def _layer_chain(x, weights, select=None):
+    """The dense layers as they ran before `mlp`: an `affine` or `bmm` node
+    per layer and a `tanh` node between them."""
+    for i in range(0, len(weights), 2):
+        if i:
+            x = x.tanh()
+        if x.data.ndim == 2:
+            x = _affine(x, weights[i], weights[i + 1])
+        else:
+            x = _bmm(x, weights[i], weights[i + 1], select)
+    return x
+
+
+def _cross_entropy_chain(logits, labels):
+    """`cross_entropy` as five nodes: -(one_hot * log_softmax).sum(-1)."""
+    target = constant(nc.one_hot(labels, logits.shape[-1]))
+    return -(target * logits.log_softmax()).sum(axis=-1)
+
+
+def _categorical_kl_chain(p_logits, q_logits):
+    """`categorical_kl` as six nodes: (exp(lp) * (lp - lq)).sum(-1)."""
+    lp, lq = p_logits.log_softmax(), q_logits.log_softmax()
+    return (lp.exp() * (lp - lq)).sum(axis=-1)
+
+
+def _value_and_grads(fn, leaves, weights):
+    """fn()'s values and the gradients of (fn() * weights).sum() to `leaves`."""
+    for t in leaves:
+        t.grad = None
+    out = fn()
+    backward((out * constant(weights)).sum())
+    return out.data, [t.grad for t in leaves]
+
+
+def _assert_same_bits(fused, chain, leaves, rng):
+    out = fused()
+    assert out.data.flags.c_contiguous  # a later reduction sums in C order
+    weights = rng.normal(size=out.shape)
+    (got, got_grads), (want, want_grads) = (
+        _value_and_grads(fn, leaves, weights) for fn in (fused, chain)
+    )
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        assert w is not None and np.array_equal(g, w)
+
+
+# The dense layers of the benchmark's training configs (chain3 and full5,
+# l=4, B=64, T=5, hidden 64, embed 16), as (input shape, layer widths, maps
+# of a stack, select): the transition heads on K=3 blocks of 320 rows, the
+# reward head, the GRU input projection over 6 steps, the window net, and
+# the stacked extractors on the table basis and, with `select`, on the
+# hidden slices.
+DENSE_CASES = {
+    "transition_head": ((960, 64), [64, 4], None, None),
+    "reward_head": ((320, 8), [64, 64, 2], None, None),
+    "gru_projection": ((384, 11), [192], None, None),
+    "window_net": ((384, 22), [64, 64, 4], None, None),
+    "chain3_table": ((4, 5, 4), [16, 64], 4, None),
+    "chain3_hidden": ((1, 320, 4), [16, 64], 4, [1]),
+    "full5_table": ((6, 6, 5), [16, 64], 6, None),
+    "full5_hidden": ((1, 320, 5), [16, 64], 6, [4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_mlp_equals_layer_chain_bit_for_bit(case):
+    shape, widths, maps, select = DENSE_CASES[case]
+    rng = np.random.default_rng(31)
+    x = parameter(rng.normal(size=shape))
+    stack = () if maps is None else (maps,)
+    dims = [shape[-1], *widths]
+    weights = []
+    for d_in, d_out in zip(dims, dims[1:]):
+        weights.append(parameter(rng.normal(size=(*stack, d_in, d_out)) / np.sqrt(d_in)))
+        weights.append(parameter(0.1 * rng.normal(size=(*stack, 1, d_out) if stack else d_out)))
+    leaves = [x, *weights]
+    fused = lambda: nc.mlp(x, weights, select)  # noqa: E731
+    _assert_same_bits(fused, lambda: _layer_chain(x, weights, select), leaves, rng)
+    x.requires_grad = False  # the table basis is a constant
+    _assert_same_bits(fused, lambda: _layer_chain(x, weights, select), weights, rng)
+
+
+@pytest.mark.parametrize("shape", [(3, 320, 4), (2, 320, 4), (320, 2)], ids=["K3", "K2", "reward"])
+def test_cross_entropy_equals_node_chain_bit_for_bit(shape):
+    rng = np.random.default_rng(32)
+    logits = parameter(3.0 * rng.normal(size=shape))
+    labels = rng.integers(0, shape[-1], size=320)
+    for reduce in (lambda t: t, lambda t: t.mean(axis=-1)):
+        _assert_same_bits(
+            lambda: reduce(nc.cross_entropy(logits, labels)),
+            lambda: reduce(_cross_entropy_chain(logits, labels)),
+            [logits],
+            rng,
+        )
+
+
+@pytest.mark.parametrize("K", [3, 2])
+def test_categorical_kl_equals_node_chain_bit_for_bit(K):
+    rng = np.random.default_rng(33)
+    p = parameter(3.0 * rng.normal(size=(320, 4)))
+    q = parameter(3.0 * rng.normal(size=(K, 320, 4)))
+    for fused, chain in [
+        (lambda: nc.categorical_kl(p, q), lambda: _categorical_kl_chain(p, q)),
+        (lambda: nc.categorical_kl(q, p), lambda: _categorical_kl_chain(q, p)),
+    ]:
+        _assert_same_bits(fused, chain, [p, q], rng)
+        _assert_same_bits(
+            lambda: fused().mean(axis=-1), lambda: chain().mean(axis=-1), [p, q], rng
+        )
+
+
+def test_fused_losses_refuse_shapes_by_name():
+    with pytest.raises(ShapeError, match=r"labels \(3,\) .* logits \(2, 4\)"):
+        nc.cross_entropy(constant(np.zeros((2, 4))), np.array([0, 1, 2]))
+    for p, q in [((2, 4), (3, 4)), ((2, 4), (2, 3)), ((), ())]:
+        with pytest.raises(ShapeError, match=re.escape(f"p logits {p} and q logits {q}")):
+            nc.categorical_kl(constant(np.zeros(p)), constant(np.zeros(q)))
 
 
 def _where_sigmoid(x):

@@ -440,17 +440,19 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 132), (EnvConfig.full, 5, 189)],
+    [(EnvConfig.chain, 3, 98), (EnvConfig.full, 5, 137)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
-    # The benchmark's training configs (l=4, T=5, dvae_full). Each stacked
-    # layer is one bmm node with its bias, run once on the table basis and
-    # once on the hidden slices (no weight slices are taped), and one
-    # masked_max node pools straight from the table and the hidden features.
-    # Splitting any of these raises the count. Under the full graph every causal mask
-    # copies the full one, so each target also has the one index node that
-    # reuses its full term as its causal term.
+    # The benchmark's training configs (l=4, T=5, dvae_full). Each target's
+    # extractors are one two-layer mlp node and one tanh node, run once on
+    # the table basis and once on the hidden slices (no weight slices are
+    # taped); one masked_max node pools straight from the table and the
+    # hidden features; each head and each network of the encoders is one
+    # mlp node; each loss is one node. Splitting any of these raises the
+    # count. Under the full graph every causal mask copies the full one, so
+    # each target also has the one index node that reuses its full term as
+    # its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     bundle = build_models(cfg, "dvae_full", seed=0)
     total, _ = total_objective(
