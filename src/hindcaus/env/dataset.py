@@ -71,12 +71,34 @@ class TrainBatch:
         return self.a.shape[1]
 
 
+def _stacked(arrays: tuple[np.ndarray, ...], name: str) -> np.ndarray:
+    """One field of every episode stacked along a new first axis by one
+    `np.array` call, which gives `np.stack`'s dtype, shape and C order; a
+    field whose shape differs between episodes raises `ValueError`."""
+    try:
+        return np.array(arrays)
+    except ValueError:
+        shape = arrays[0].shape
+        bad = [i for i, x in enumerate(arrays) if x.shape != shape]
+        if not bad:
+            raise
+        raise ValueError(
+            f"cannot stack episodes: field {name!r} of episode {bad[0]} has shape "
+            f"{arrays[bad[0]].shape}, episode 0 has {shape}"
+        ) from None
+
+
 def stack_episodes(episodes: list[Episode]) -> TrainBatch:
+    """The learner's view of a non-empty list of episodes, each field one
+    (B, ...) array."""
+    if not episodes:
+        raise ValueError("cannot stack episodes: the list is empty")
+    o, a, tau, r = zip(*[(e.o, e.a, e.tau, e.r) for e in episodes])
     return TrainBatch(
-        o=np.stack([e.o for e in episodes]),
-        a=np.stack([e.a for e in episodes]),
-        tau=np.array([e.tau for e in episodes], dtype=np.int64),
-        r=np.stack([e.r for e in episodes]),
+        o=_stacked(o, "o"),
+        a=_stacked(a, "a"),
+        tau=np.array(tau, dtype=np.int64),
+        r=_stacked(r, "r"),
     )
 
 

@@ -46,9 +46,8 @@ from .env.dataset import TrainBatch
 from .env.modulo import action_allowed, cmi_masks
 from .models import BatchEncoding, ModelBundle
 from .numcore.checks import _is_int, _is_real
-from .numcore.dists import gumbel_noise
-from .numcore.random import stream
-from .numcore.tensor import no_grad
+from .numcore.dists import gumbel_block
+from .numcore.tensor import _category_sum, no_grad
 
 __all__ = [
     "CmiMatrix",
@@ -150,7 +149,7 @@ def estimate_cmi(model, s: np.ndarray, a: np.ndarray, next_values: np.ndarray) -
         logps = logps_all[j]  # (d_s+2, n, l), full mask first
         if j in hidden:
             full = logps[0]
-            out[:, j] = (np.exp(full) * (full - logps[1:])).sum(axis=2).mean(axis=1)
+            out[:, j] = _category_sum(np.exp(full) * (full - logps[1:])).mean(axis=1)
         else:
             picked = np.take_along_axis(logps, next_values[None, :, j, None], axis=2)[:, :, 0]
             out[:, j] = (picked[0] - picked[1:]).mean(axis=1)
@@ -167,14 +166,12 @@ def cmi_from_batch(
     """CMI estimate on one batch with hidden inputs sampled under phi_bar."""
     env = bundle.env
     B, T = batch.size, batch.horizon
-
-    def noise_for(t: int) -> np.ndarray:
-        return gumbel_noise((B, env.d_h, env.l), stream(seed, "cmi-gumbel", step, t))
-
+    # Time step t's noise is stream (seed, "cmi-gumbel", step, t).
+    noise = gumbel_block((seed, "cmi-gumbel", step), range(T + 1), (B, env.d_h, env.l))
     with no_grad():
         enc = BatchEncoding(batch, env)
         _, samples = bundle.encoder_target.unroll(
-            enc, temperature=temperature, noise_for=noise_for, hard=True
+            enc, temperature=temperature, noise_for=noise.__getitem__, hard=True
         )
     h_vals = np.swapaxes(samples.data.argmax(axis=-1), 0, 1)  # (B, T+1, d_h)
 

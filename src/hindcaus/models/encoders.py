@@ -101,11 +101,6 @@ class HiddenEncoder:
 
     # -- helpers ----------------------------------------------------------------
 
-    def _rows(self, net, x: Tensor) -> Tensor:
-        """`net` run once on every row of an (S, B, d) stack -> (S, B, d_out)."""
-        S, B, d = x.shape
-        return net(x.reshape(S * B, d)).reshape(S, B, -1)
-
     def _logits(self, flat: Tensor) -> Tensor:
         return flat.reshape(*flat.shape[:-1], self.env.d_h, self.env.l)
 
@@ -135,10 +130,10 @@ class HiddenEncoder:
 
         if self.variant in ("history", "current_full", "current_1step"):
             if self.variant == "current_1step":
-                logits = self._logits(self._rows(self.window_net, enc.windows()))
+                logits = self._logits(self.window_net(enc.windows()))
             else:
                 states = self.cell.scan(enc.steps, reverse=self.variant == "current_full")
-                logits = self._logits(self._rows(self.head, states))
+                logits = self._logits(self.head(states))
             if not sampling:
                 return logits, None
             return logits, gumbel_softmax_sample(logits, temperature, hard, noise=noise)
@@ -147,7 +142,7 @@ class HiddenEncoder:
         if self.variant == "dvae_full":
             g = self.cell.scan(enc.steps, reverse=True)
         else:
-            g = self._rows(self.window_net, enc.windows()).tanh()
+            g = self.window_net(enc.windows()).tanh()
         if not sampling:
             e0 = (constant(np.zeros((B, self.H))) + self.context0).tanh()
             prev = prev_samples[:T].reshape(T * B, -1)

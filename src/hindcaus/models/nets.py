@@ -187,6 +187,4 @@ class GRUCell:
         return states
 
     def _states(self, xs: Tensor, reverse: bool) -> Tensor:
-        S, B, d_in = xs.shape
-        xw = mlp(xs.reshape(S * B, d_in), (self.Wx, self.bx))
-        return gru_scan(xw.reshape(S, B, 3 * self.d_hidden), self.Uzr, self.Un, reverse)
+        return gru_scan(mlp(xs, (self.Wx, self.bx)), self.Uzr, self.Un, reverse)

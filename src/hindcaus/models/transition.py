@@ -204,8 +204,7 @@ class MaskedTransition:
                 f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
             )
         pooled = masked_max(feats.table, feats.index, masks, feats.dense, feats.dense_pos)
-        K, rows, F = pooled.shape
-        return self._heads[j](pooled.reshape(K * rows, F)).reshape(K, rows, self.env.l)
+        return self._heads[j](pooled)
 
     def forward(self, j: int, idx: np.ndarray, hidden: Tensor, mask: np.ndarray) -> Tensor:
         """(rows, l) logits under one (d_s+1,) or (rows, d_s+1) mask."""

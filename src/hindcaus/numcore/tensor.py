@@ -7,14 +7,26 @@ dtype promotion to manage.
 
 Chains of small ops that run on every training step are single nodes with
 hand-written backwards: `mlp` is a chain of dense layers with tanh between
-them (the only dense-layer op), on 2-D rows or, with an optional selection
-of maps, on a stack; `gru_scan` and `sample_scan` are recurrences;
-`masked_max` pools feature-table rows under keep masks. Each forward keeps
-the order of operations of the chain of nodes it replaced, so its values
-are that chain's bit for bit, and returns a C-contiguous array, so that a
-later reduction sums in the same order; `mlp`'s backward gives that
-chain's gradients bit for bit too. (`numcore.dists` fuses the categorical
-losses the same way.)
+them (the only dense-layer op), on rows with any leading axes or, with an
+optional selection of maps, on a stack; `gru_scan` and `sample_scan` are
+recurrences; `masked_max` pools feature-table rows under keep masks. Each
+forward keeps the order of operations of the chain of nodes it replaced,
+so its values are that chain's bit for bit, and returns a C-contiguous
+array, so that a later reduction sums in the same order; `mlp`'s backward
+gives that chain's gradients bit for bit too. (`numcore.dists` fuses the
+categorical losses the same way.)
+
+The category axis is the last one, and it is short (l = 4 in every
+workload, 2 for the reward). numpy reduces such an axis element by
+element: `max(axis=-1)` on the (3, 320, 4) logits of a full5 loss takes
+45-60 us (numpy 2.4, a 2-vCPU x86-64 host), its sum 20-25 us. So every
+reduction over it (the log-softmax, the backward passes of `log_softmax`,
+`softmax` and `sample_scan`'s samples, and the losses in `numcore.dists`)
+runs on a category-major (l, ...) copy, as l-1 elementwise `maximum` or
+`+=` calls over its contiguous slabs, left to right, in `_fold`. For
+l < 8 that is the order numpy's own sum takes, so values are numpy's bit
+for bit; for l >= 8 numpy sums pairwise, and a sum may differ from
+numpy's in the last bits. No workload, test or stored digest uses l >= 8.
 
 A tape is used once. As soon as `backward` has run an op output's backward
 closure, it drops that output's gradient, the closure (with the activations
@@ -369,10 +381,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def mlp(x: Tensor, weights, select=None) -> Tensor:
     """A chain of dense layers with tanh between them, as one node.
 
-    `weights` is (W0, b0, W1, b1, ...), one (W, b) pair per layer. On 2-D
-    rows, x is (rows, k0), Wi is (k_i, k_i+1) and bi is (k_i+1,). On a
-    stack, x is (n, rows, k0), Wi is (N, k_i, k_i+1) and bi is
-    (N, 1, k_i+1), and slice q of x runs through map q of every layer, so
+    `weights` is (W0, b0, W1, b1, ...), one (W, b) pair per layer. On rows,
+    Wi is (k_i, k_i+1), bi is (k_i+1,) and x is (..., k0), any number of
+    leading axes: they are flattened, as a view where x allows it, into
+    the rows of one 2-D matmul per layer, and come back on the output. On a
+    stack, Wi is (N, k_i, k_i+1), bi is (N, 1, k_i+1) and x is
+    (n, rows, k0), and slice q of x runs through map q of every layer, so
     n = N. With `select`, a sequence of n distinct indices into the N maps,
     slice q runs through map select[q] instead, and every other map's
     gradient is zero; no slice of the weights is taped.
@@ -388,20 +402,20 @@ def mlp(x: Tensor, weights, select=None) -> Tensor:
     if not weights or len(weights) % 2:
         raise ValueError(f"mlp: weights must be (W, b) pairs, got {len(weights)} tensors")
     Ws, bs = weights[0::2], weights[1::2]
-    stacked = x.data.ndim == 3
+    stacked = Ws[0].data.ndim == 3
     if select is not None:
         select = np.asarray(select, dtype=np.intp)
         if select.ndim != 1 or len(set(select.tolist())) != len(select):
             raise ValueError(f"mlp: select must be distinct indices, got {select.tolist()}")
     k = x.shape[-1] if x.data.ndim else -1
     if stacked:
-        N = Ws[0].shape[0] if Ws[0].data.ndim else -1
-        ok = x.shape[0] == (N if select is None else len(select))
+        N = Ws[0].shape[0]
+        ok = x.data.ndim == 3 and x.shape[0] == (N if select is None else len(select))
         for W, b in zip(Ws, bs):
             ok = ok and W.data.ndim == 3 and W.shape[:2] == (N, k) and b.shape == (N, 1, W.shape[2])
             k = W.shape[-1]
     else:
-        ok = x.data.ndim == 2 and select is None
+        ok = x.data.ndim >= 1 and select is None
         for W, b in zip(Ws, bs):
             ok = ok and W.data.ndim == 2 and W.shape[0] == k and b.shape == (W.shape[1],)
             k = W.shape[-1]
@@ -413,7 +427,7 @@ def mlp(x: Tensor, weights, select=None) -> Tensor:
     if select is not None:
         Wd, bd = [W[select] for W in Wd], [b[select] for b in bd]
     acts = []  # each layer's input
-    h = x.data
+    h = x.data if stacked else x.data.reshape(-1, x.shape[-1])
     for i in range(len(Wd)):
         if i:
             h = np.tanh(h, out=h)
@@ -429,7 +443,7 @@ def mlp(x: Tensor, weights, select=None) -> Tensor:
         return full
 
     def backward_fn(out=None, x=x):
-        g = out.grad
+        g = out.grad if stacked else out.grad.reshape(-1, out.grad.shape[-1])
         for i in range(len(Wd) - 1, -1, -1):
             a, W, b = acts[i], Ws[i], bs[i]
             # The layer's input needs a gradient where x or an earlier layer does.
@@ -444,14 +458,14 @@ def mlp(x: Tensor, weights, select=None) -> Tensor:
             if not below:
                 return
             if not i:
-                x._accumulate(g_in)
+                x._accumulate(g_in.reshape(x.shape))
                 return
             # tanh's backward: (1 - a * a) * g_in
             g = a * a
             np.subtract(1.0, g, out=g)
             g *= g_in
 
-    return _finish(h, (x, *weights), backward_fn)
+    return _finish(h if stacked else h.reshape(*x.shape[:-1], k), (x, *weights), backward_fn)
 
 
 def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tensor:
@@ -651,7 +665,7 @@ def sample_scan(
         for t in range(S - 1, -1, -1):
             ds = G[1, t] + carry
             sm = soft[t]
-            dp = sm * (ds - (ds * sm).sum(axis=-1, keepdims=True))
+            dp = sm * (ds - _category_sum(ds * sm)[..., None])
             dl[t] = (G[0, t] + dp * inv).reshape(B, d_hl)
             np.multiply(dl[t] @ V1.data.T, du_f[t], out=du[t])
             np.multiply(du[t] @ Ve, de_f[t], out=de[t])
@@ -799,7 +813,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-_DROP = -1e30  # offset that drops an input on the rows of a mixed column
+_DROP = -1e30  # the value of an input on the rows of a mixed column that drop it
 
 
 def masked_max(
@@ -823,10 +837,11 @@ def masked_max(
     it is, and folded into every block that reads it, so each block folds
     its inputs in ascending order. Within a block an input kept on every row
     is folded as it is, an input dropped on every row is skipped, and only
-    an input kept on some rows gets an offset of -1e30 on the rows that drop
-    it. The fold replaces the running max only where a term is strictly
-    larger, so each output comes from the first kept input that attains its
-    maximum.
+    an input kept on some rows is copied, with -1e30 written into the rows
+    that drop it (what adding -1e30 to those rows gives for the tanh
+    features the transition pools, |x| <= 1). The fold replaces the running
+    max only where a term is strictly larger, so each output comes from the
+    first kept input that attains its maximum.
 
     Only when the node is recorded does the fold also keep each output's
     source row, in an (n*V + m*rows, F) buffer that holds, input by input,
@@ -879,6 +894,7 @@ def masked_max(
     if empty.any():
         k, r = np.argwhere(empty)[0]
         raise ValueError(f"masked_max: block {k}, row {r} of the keep mask keeps no input")
+    dropped = ~kept
     every = kept.all(axis=2)  # (K, n): kept on every row of the block (all, on zero rows)
     read = kept.any(axis=2) | every  # (K, n): the inputs each block folds in
     slot = np.full(n, -1)  # the dense slice of each input, -1 for a table input
@@ -911,7 +927,9 @@ def masked_max(
         for k in blocks:
             t = x
             if not every[k, i]:
-                t = np.add(x, np.where(kept[k, i], 0.0, _DROP)[:, None], out=term)
+                t = term
+                np.copyto(term, x)
+                term[dropped[k, i]] = _DROP
             acc = data[k]
             if not started[k]:
                 started[k] = True
@@ -994,11 +1012,51 @@ def exp(a: Tensor) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
+# -- the category axis (see the module docstring) ------------------------------
+
+
+def _category_major(x: np.ndarray, ndim: int | None = None) -> np.ndarray:
+    """C-contiguous (l, ...) copy of an (..., l) array, slab c holding
+    category c. With `ndim`, the leading axes are first padded with 1s to
+    ndim axes, so that arrays of different ndim broadcast as their
+    (..., l) forms do."""
+    if ndim is not None:
+        x = x.reshape((1,) * (ndim - x.ndim) + x.shape)
+    return x.transpose(x.ndim - 1, *range(x.ndim - 1)).copy()
+
+
+def _category_last(xt: np.ndarray) -> np.ndarray:
+    """C-contiguous (..., l) copy of a category-major (l, ...) array."""
+    return xt.transpose(*range(1, xt.ndim), 0).copy()
+
+
+def _fold(xt: np.ndarray, op) -> np.ndarray:
+    """`op` over the slabs of a category-major array, left to right:
+    op(...op(op(xt[0], xt[1]), xt[2])..., xt[l-1]), a new C-contiguous
+    array (0-d for a 1-D xt)."""
+    out = xt[0, ...].copy()
+    for c in range(1, len(xt)):
+        op(out, xt[c], out=out)
+    return out
+
+
+def _category_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last (category) axis of x, left to right."""
+    return _fold(_category_major(x), np.add)
+
+
+def _log_softmax_major(xt: np.ndarray) -> np.ndarray:
+    """Log-softmax over the slabs of a category-major array, in place.
+    Shifting by the maximum first keeps exp from overflowing and leaves the
+    result as it is."""
+    xt -= _fold(xt, np.maximum)
+    xt -= np.log(_fold(np.exp(xt), np.add))
+    return xt
+
+
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax over the last axis. Shifting by the maximum first keeps
-    exp from overflowing and leaves the result as it is."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    """Log-softmax over the last axis, as a C-contiguous array."""
+    return _category_last(_log_softmax_major(_category_major(x)))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -1009,7 +1067,7 @@ def log_softmax(a: Tensor) -> Tensor:
         if a.requires_grad:
             g = out.grad
             soft = np.exp(out.data)
-            a._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
+            a._accumulate(g - soft * _category_sum(g)[..., None])
 
     return _finish(data, (a,), backward_fn)
 
@@ -1022,7 +1080,7 @@ def softmax(a: Tensor) -> Tensor:
         if a.requires_grad:
             g = out.grad
             s = out.data
-            a._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
+            a._accumulate(s * (g - _category_sum(g * s)[..., None]))
 
     return _finish(data, (a,), backward_fn)
 

@@ -41,7 +41,7 @@ from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
 from .numcore.checks import _is_real
-from .numcore.dists import categorical_kl, cross_entropy, gumbel_noise, one_hot
+from .numcore.dists import categorical_kl, cross_entropy, gumbel_block, one_hot
 from .numcore.random import stream
 from .numcore.tensor import Tensor, concat, constant, stack
 
@@ -88,18 +88,27 @@ class ObjectiveConfig:
 
 @dataclass
 class StepRandomness:
-    """Named randomness for one training step: replayable by construction."""
+    """Named randomness for one training step, replayable by construction:
+    each draw comes from a named stream (`numcore.random`) under
+    (seed, tag, kind, step), so it does not depend on any other draw.
+
+    The live encoder's Gumbel noise at time step t is stream
+    (seed, tag, "gumbel", step, t). `encoder_noise` draws the whole
+    (T+1, B, d_h, l) block of an unroll with one `gumbel_block` call, one
+    re-keyed Philox per time step rather than a generator each, and hands
+    it to the unroll as `noise_for(t)`. The leave-one-out inputs come from
+    stream (seed, tag, "mask", step).
+    """
 
     seed: int
     step: int
     tag: str = "train"
 
-    def encoder_noise(self, batch_size: int, env: EnvConfig):
-        def noise_for(t: int) -> np.ndarray:
-            rng = stream(self.seed, self.tag, "gumbel", self.step, t)
-            return gumbel_noise((batch_size, env.d_h, env.l), rng)
-
-        return noise_for
+    def encoder_noise(self, batch_size: int, env: EnvConfig, horizon: int):
+        """`noise_for(t)` for an unroll over t = 0..horizon: the (B, d_h, l)
+        slice t of the step's Gumbel block."""
+        prefix = (self.seed, self.tag, "gumbel", self.step)
+        return gumbel_block(prefix, range(horizon + 1), (batch_size, env.d_h, env.l)).__getitem__
 
     def mask_indices(self, batch_size: int, horizon: int, env: EnvConfig) -> np.ndarray:
         """Left-out input index per (episode, transition, target factor)."""
@@ -179,7 +188,7 @@ def vlb_losses(
         _, samples = bundle.encoder.unroll(
             enc,
             temperature=cfg.temperature,
-            noise_for=rand.encoder_noise(B, env),
+            noise_for=rand.encoder_noise(B, env, T),
             hard=True,
         )
     if target_logits is None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from hindcaus.env import (
     reward,
     rollout,
     save_dataset,
+    stack_episodes,
     step,
     verify_properties,
 )
@@ -409,6 +411,23 @@ def test_save_dataset_refuses_what_load_dataset_refuses(tmp_path, edit, refusal)
         save_dataset(ds, path)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["data.bin"]
+
+
+def test_stack_episodes_gives_np_stack_and_names_a_bad_field():
+    episodes = generate_dataset(chain3(), 6, seed=2).episodes
+    episodes[1] = dataclasses.replace(episodes[1], o=np.asfortranarray(episodes[1].o))
+    episodes[2] = dataclasses.replace(episodes[2], a=episodes[2].a[::-1])
+    batch = stack_episodes(episodes)
+    for name in ("o", "a", "r"):
+        got, want = getattr(batch, name), np.stack([getattr(e, name) for e in episodes])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+    assert batch.tau.dtype == np.int64 and batch.tau.tolist() == [e.tau for e in episodes]
+    short = dataclasses.replace(episodes[3], r=episodes[3].r[:-1])
+    with pytest.raises(ValueError, match=r"field 'r' of episode 3 has shape \(4,\)"):
+        stack_episodes([*episodes[:3], short])
+    with pytest.raises(ValueError, match="empty"):
+        stack_episodes([])
 
 
 def test_load_dataset_rejects_truncated_header(tmp_path):

@@ -20,7 +20,7 @@ from hindcaus.models import (
     input_indices,
     nets,
 )
-from hindcaus.numcore import Adam, constant, no_grad
+from hindcaus.numcore import Adam, constant, gumbel_noise, no_grad, stream
 
 
 def chain3(noise_target="observation", **kw):
@@ -192,6 +192,26 @@ def test_cmi_from_batch_repeats_and_samples_under_phi_bar():
     assert np.array_equal(cmi(), first)  # phi_bar still holds the old weights
     bundle.sync_target()
     assert not np.array_equal(cmi(), first)
+
+
+def test_cmi_noise_block_equals_one_generator_per_step(monkeypatch):
+    # The identify workload's shape: 64 episodes of horizon 5 at l = 4.
+    cfg = chain3(l=4, horizon=5)
+    batch = stack_episodes(generate_dataset(cfg, 64, seed=4).episodes)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    drawn = []
+    unroll = bundle.encoder_target.unroll
+
+    def recording_unroll(enc, **kw):
+        drawn.extend(kw["noise_for"](t) for t in range(6))
+        return unroll(enc, **kw)
+
+    monkeypatch.setattr(bundle.encoder_target, "unroll", recording_unroll)
+    cmi_from_batch(bundle, batch, seed=11, step=20, temperature=1.0)
+    assert len(drawn) == 6
+    for t, noise in enumerate(drawn):
+        want = gumbel_noise((64, cfg.d_h, cfg.l), stream(11, "cmi-gumbel", 20, t))
+        assert np.array_equal(noise, want)
 
 
 def test_cmi_passes_over_the_same_batches_reuse_phi_bar_states(monkeypatch):

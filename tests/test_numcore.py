@@ -1,6 +1,7 @@
 import gc
 import inspect
 import math
+import operator
 import re
 
 import numpy as np
@@ -12,7 +13,7 @@ from hindcaus.numcore import tensor as tensor_module
 from hindcaus.numcore import Tensor, backward, constant, matmul, parameter
 from hindcaus.numcore.gradcheck import check_gradients, max_relative_error
 from hindcaus.numcore.random import _stream_keys
-from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _finish, _sigmoid
+from hindcaus.numcore.tensor import NonFiniteError, ShapeError, _finish, _sigmoid, _sum_to_shape
 
 
 def test_multiply_forward_and_grad():
@@ -118,6 +119,7 @@ OP_CASES = {
         a[:2].reshape(2, 2, 2), (b.reshape(4, 2, 2), a[2:].reshape(4, 1, 2)), [3, 1]
     ),
     "mlp_three_layers": lambda a, b: nc.mlp(a, (b, b[1], a * b, a[2], (a + b)[:, :3], b[0, :3])),
+    "mlp_leading_axes": lambda a, b: nc.mlp(a.reshape(2, 2, 4), (b, b[1], (a * b)[:, :3], a[0, :3])),
     "mlp_stacked_select_three_layers": _stacked_three_layers,
     "cross_entropy": lambda a, b: nc.cross_entropy(a * b, np.array([3, 0, 1, 3])),
     "cross_entropy_strided_logits": lambda a, b: nc.cross_entropy(
@@ -185,6 +187,7 @@ NOT_OPS = {
     "constant",
     "finite_difference_grad",
     "grad_enabled",
+    "gumbel_block",
     "gumbel_noise",
     "max_relative_error",
     "no_grad",
@@ -452,6 +455,60 @@ def test_masked_max_matches_offset_fold(n, per_row):
     _assert_within(dense.grad, dense_grad)
     with nc.no_grad():
         assert np.array_equal(nc.masked_max(table, index, keep, dense, dense_pos).data, ref_out)
+
+
+def _offset_drop_reference(table, index, keep, dense, dense_pos, out_grad):
+    """masked_max as it dropped an input before it wrote -1e30 into the
+    dropped rows: a block that keeps input i on some rows only folds in
+    x_i + where(kept, 0, -1e30), one that keeps it on every row folds in
+    x_i, one that drops it on every row skips it, and a term moves the
+    winner only where it is strictly larger. Returns the output and the
+    table and dense gradients of (output * out_grad).sum(), each summed in
+    (block, row, feature) order, as masked_max's bincount sums them."""
+    x = _stack_lookup(table, index, dense, dense_pos).data
+    n, rows, F = x.shape
+    kept = np.broadcast_to(np.asarray(keep) == 1, (len(keep), rows, n))
+    data = np.empty((len(keep), rows, F))
+    win = np.empty(data.shape, dtype=np.intp)
+    for k in range(len(keep)):
+        read = [i for i in range(n) if kept[k, :, i].any()]
+        for i in read:
+            term = x[i] if kept[k, :, i].all() else x[i] + _offsets(kept[k, :, i])[:, None]
+            if i == read[0]:
+                data[k], win[k] = term, i
+            else:
+                win[k] = np.where(term > data[k], i, win[k])
+                data[k] = np.maximum(data[k], term)
+    table_grad, dense_grad = np.zeros(table.shape), np.zeros((len(dense_pos), rows, F))
+    slot = {p: q for q, p in enumerate(dense_pos)}
+    for (k, r, f), i in np.ndenumerate(win):
+        if i in slot:
+            dense_grad[slot[i], r, f] += out_grad[k, r, f]
+        else:
+            table_grad[i, index[i, r], f] += out_grad[k, r, f]
+    return data, table_grad, dense_grad
+
+
+def test_masked_max_writing_dropped_rows_equals_the_offset_formula():
+    # Tied and saturated (+-1.0) features, as tanh gives them, on a mixed
+    # per-row keep stack: every block drops some input on some rows only.
+    rng = np.random.default_rng(70)
+    n, K, rows, F = 6, 4, 12, 5
+    dense_pos = [3, 0]
+    table, index, dense = _tied_inputs(rng, n, rows, F, dense_pos)
+    table.data[:, 0] = 1.0
+    dense.data[:, ::3] = -1.0
+    keep = _keep_every_row(rng.random((K, rows, n)) < 0.5)
+    keep[:, 0, :] = True  # no block drops an input on every row: every drop is on a mixed column
+    weights = rng.normal(size=(K, rows, F))
+    ref_out, table_grad, dense_grad = _offset_drop_reference(
+        table, index, keep, dense, dense_pos, weights
+    )
+    out = nc.masked_max(table, index, keep, dense, dense_pos)
+    backward((out * constant(weights)).sum())
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(table.grad, table_grad)
+    assert np.array_equal(dense.grad, dense_grad)
 
 
 @pytest.mark.parametrize("dense_pos", [[], [2], [4, 0]], ids=["table", "one_dense", "two_dense"])
@@ -822,6 +879,131 @@ def test_fused_losses_refuse_shapes_by_name():
     for p, q in [((2, 4), (3, 4)), ((2, 4), (2, 3)), ((), ())]:
         with pytest.raises(ShapeError, match=re.escape(f"p logits {p} and q logits {q}")):
             nc.categorical_kl(constant(np.zeros(p)), constant(np.zeros(q)))
+
+
+# -- category-axis kernels and the losses as numpy computed them ---------------
+
+
+def _loop_fold(x, op):
+    """op over the last axis of x, one Python float at a time, left to right."""
+    out = np.empty(x.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        acc = float(x[idx + (0,)])
+        for c in range(1, x.shape[-1]):
+            acc = op(acc, float(x[idx + (c,)]))
+        out[idx] = acc
+    return out
+
+
+def _category_inputs(rng, l):
+    """Arrays with l categories on the last axis: 1-D (its slabs and sum
+    are 0-d), contiguous, and strided along the category axis or the rows.
+    Magnitudes span six decades, so that the order of a sum shows."""
+
+    def draw(*shape):
+        return rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+
+    strided = [draw(l, 7).T, draw(4, 2 * l)[:, ::2], draw(6, 5, l)[::2]]
+    return [draw(l), draw(1, l), draw(5, 3, l), *strided]
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_category_kernels_fold_left_to_right(l):
+    # Against Python loops, not np.sum, whose order is numpy's own choice.
+    rng = np.random.default_rng(100 + l)
+    for x in _category_inputs(rng, l):
+        major = tensor_module._category_major(x)
+        assert major.flags.c_contiguous and np.array_equal(tensor_module._category_last(major), x)
+        total = tensor_module._category_sum(x)
+        assert total.shape == x.shape[:-1] and total.flags.c_contiguous
+        assert np.array_equal(total, _loop_fold(x, operator.add))
+        assert np.array_equal(tensor_module._fold(major, np.maximum), _loop_fold(x, max))
+        shifted = x - _loop_fold(x, max)[..., None]
+        want = shifted - np.log(_loop_fold(np.exp(shifted), operator.add))[..., None]
+        got = tensor_module._log_softmax(x)
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+
+
+def _numpy_log_softmax(x):
+    """`_log_softmax` as it was before it ran category-major: numpy's
+    reductions over the last axis."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _numpy_cross_entropy(logits, labels):
+    """`cross_entropy` as it was before it ran category-major."""
+    k = logits.shape[-1]
+    picked = np.broadcast_to(labels, logits.shape[:-1]).astype(np.intp)
+    picked = picked.ravel() + np.arange(0, picked.size * k, k)
+    ls = np.ascontiguousarray(_numpy_log_softmax(logits.data))
+    data = np.take(ls, picked).reshape(logits.shape[:-1])
+    np.negative(data, out=data)
+
+    def backward_fn(out=None):
+        g = out.grad
+        d = np.exp(ls)
+        d *= g[..., None]
+        d.reshape(-1)[picked] -= g.ravel()
+        logits._accumulate(d)
+
+    return _finish(data, (logits,), backward_fn)
+
+
+def _numpy_categorical_kl(p_logits, q_logits):
+    """`categorical_kl` as it was before it ran category-major."""
+    lp, lq = _numpy_log_softmax(p_logits.data), _numpy_log_softmax(q_logits.data)
+    p = np.exp(lp)
+    d = lp - lq
+    data = np.asarray((p * d).sum(axis=-1), order="C")
+
+    def backward_fn(out=None):
+        g = out.grad[..., None]
+        gd = g * p
+        if p_logits.requires_grad:
+            glp = _sum_to_shape(gd, lp.shape) + _sum_to_shape(g * d, p.shape) * p
+            p_logits._accumulate(glp - p * glp.sum(axis=-1, keepdims=True))
+        if q_logits.requires_grad:
+            glq = _sum_to_shape(-gd, lq.shape)
+            q_logits._accumulate(glq - np.exp(lq) * glq.sum(axis=-1, keepdims=True))
+
+    return _finish(data, (p_logits, q_logits), backward_fn)
+
+
+@pytest.mark.parametrize("shape", [(3, 320, 4), (320, 2)], ids=["transition", "reward"])
+def test_losses_equal_their_numpy_formulas_bit_for_bit(shape):
+    # The training shapes: three mask blocks of 320 rows at l = 4 (against
+    # one (320, 4) array of encoder logits for the KL), and the reward's 2.
+    rng = np.random.default_rng(34)
+    logits = parameter(3.0 * rng.normal(size=shape))
+    other = parameter(3.0 * rng.normal(size=shape[-2:]))
+    labels = rng.integers(0, shape[-1], size=320)
+    _assert_same_bits(
+        lambda: nc.cross_entropy(logits, labels),
+        lambda: _numpy_cross_entropy(logits, labels),
+        [logits],
+        rng,
+    )
+    for p, q in [(other, logits), (logits, other)]:
+        _assert_same_bits(
+            lambda: nc.categorical_kl(p, q), lambda: _numpy_categorical_kl(p, q), [p, q], rng
+        )
+
+
+def test_mlp_leading_axes_equal_flattened_rows_bit_for_bit():
+    # The transition head on K = 3 blocks of 320 rows, the GRU's input
+    # projection and the window net over 6 steps of 64 episodes.
+    rng = np.random.default_rng(35)
+    cases = [((3, 320, 64), [64, 4]), ((6, 64, 11), [192]), ((6, 64, 22), [64, 64, 4])]
+    for shape, widths in cases:
+        x = parameter(rng.normal(size=shape))
+        dims = [shape[-1], *widths]
+        weights = []
+        for d_in, d_out in zip(dims, dims[1:]):
+            weights.append(parameter(rng.normal(size=(d_in, d_out)) / np.sqrt(d_in)))
+            weights.append(parameter(0.1 * rng.normal(size=d_out)))
+        rows = lambda: nc.mlp(x.reshape(-1, shape[-1]), weights).reshape(*shape[:-1], -1)  # noqa: E731
+        _assert_same_bits(lambda: nc.mlp(x, weights), rows, [x, *weights], rng)
 
 
 def _where_sigmoid(x):

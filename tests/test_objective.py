@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -16,7 +17,7 @@ from hindcaus.env import (
     noise_entropy,
     stack_episodes,
 )
-from hindcaus.graph import CmiMatrix
+from hindcaus.graph import CmiMatrix, cmi_from_batch
 from hindcaus.models import BatchEncoding, ModelHyper, build_models, hidden_stack
 from hindcaus.numcore import Tensor, backward, concat, constant, no_grad, one_hot
 from hindcaus.numcore import tensor as tensor_mod
@@ -248,7 +249,7 @@ def objective_slice_and_add(batch, bundle, graph_binary, rand, cfg):
     B, T = batch.size, batch.horizon
     enc = BatchEncoding(batch, env)
     _, stacked = bundle.encoder.unroll(
-        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=True
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env, T), hard=True
     )
     target_stack, _ = bundle.encoder_target.unroll(enc, prev_samples=stacked.detach())
     samples = [stacked[t] for t in range(T + 1)]
@@ -347,7 +348,7 @@ def vlb_losses_three_blocks(batch, bundle, graph_binary, rand, cfg):
     B, T = batch.size, batch.horizon
     enc = BatchEncoding(batch, env)
     _, samples = bundle.encoder.unroll(
-        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env), hard=True
+        enc, temperature=cfg.temperature, noise_for=rand.encoder_noise(B, env, T), hard=True
     )
     target_logits, _ = bundle.encoder_target.unroll(enc, prev_samples=samples.detach())
     idx, hidden = _transition_inputs(batch, env, samples)
@@ -427,6 +428,44 @@ def test_causal_block_skip_matches_three_block_reference(cfg):
             assert np.abs(grads[n] - g).max() <= 1e-13 * np.abs(g).max(), n
 
 
+@pytest.mark.parametrize(
+    "make, d_s", [(EnvConfig.chain, 3), (EnvConfig.full, 5)], ids=["chain3", "full5"]
+)
+def test_encoder_noise_block_equals_one_generator_per_step(make, d_s):
+    # The training workloads' shapes: 64 episodes of horizon 5 at l = 4.
+    cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
+    noise_for = StepRandomness(seed=11, step=7).encoder_noise(64, cfg, 5)
+    for t in range(6):
+        want = nc.gumbel_noise((64, cfg.d_h, cfg.l), nc.stream(11, "train", "gumbel", 7, t))
+        assert np.array_equal(noise_for(t), want)
+    with pytest.raises(IndexError):
+        noise_for(6)
+
+
+def test_objective_draws_one_stream_and_the_cmi_estimate_none(monkeypatch):
+    # Every other draw goes through `stream_uniforms`. Each module's own
+    # binding of `stream` is replaced, so any caller in the package counts.
+    cfg = chain3(l=4, horizon=5)
+    batch = make_batch(cfg, n=16)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    calls = []
+
+    def counted(*ids):
+        calls.append(ids)
+        return real(*ids)
+
+    real = nc.stream
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "hindcaus" and getattr(module, "stream", None) is real:
+            monkeypatch.setattr(module, "stream", counted)
+    rand = StepRandomness(seed=0, step=3)
+    total_objective(batch, bundle, full_graph(cfg), rand, ObjectiveConfig())
+    assert calls == [(0, "train", "mask", 3)]
+    calls.clear()
+    cmi_from_batch(bundle, batch, seed=0, step=3, temperature=1.0)
+    assert calls == []
+
+
 def tape_nodes(loss):
     """Tensors the backward from `loss` visits: op outputs and parameters."""
     seen, todo = {id(loss)}, [loss]
@@ -440,7 +479,7 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 98), (EnvConfig.full, 5, 137)],
+    [(EnvConfig.chain, 3, 91), (EnvConfig.full, 5, 126)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
@@ -449,10 +488,11 @@ def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # the table basis and once on the hidden slices (no weight slices are
     # taped); one masked_max node pools straight from the table and the
     # hidden features; each head and each network of the encoders is one
-    # mlp node; each loss is one node. Splitting any of these raises the
-    # count. Under the full graph every causal mask copies the full one, so
-    # each target also has the one index node that reuses its full term as
-    # its causal term.
+    # mlp node, which takes the leading axes of its input itself, so no
+    # reshape node sits around a head or the GRU's input projection; each
+    # loss is one node. Splitting any of these raises the count. Under the
+    # full graph every causal mask copies the full one, so each target also
+    # has the one index node that reuses its full term as its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     bundle = build_models(cfg, "dvae_full", seed=0)
     total, _ = total_objective(
@@ -507,7 +547,7 @@ def test_encoder_gradient_matches_finite_differences_with_frozen_targets(param_n
     enc = BatchEncoding(batch, cfg)
 
     def relaxed_samples():
-        noise_for = rand.encoder_noise(batch.size, cfg)
+        noise_for = rand.encoder_noise(batch.size, cfg, batch.horizon)
         _, samples = bundle.encoder.unroll(enc, ocfg.temperature, noise_for=noise_for, hard=False)
         return samples
 
@@ -681,9 +721,8 @@ def test_reward_loss_untrained_near_label_entropy():
     bundle = build_models(cfg, "dvae_full", seed=6)
     enc = BatchEncoding(batch, cfg)
     rand = StepRandomness(seed=3, step=0)
-    _, samples = bundle.encoder.unroll(
-        enc, temperature=1.0, noise_for=rand.encoder_noise(batch.size, cfg), hard=True
-    )
+    noise_for = rand.encoder_noise(batch.size, cfg, batch.horizon)
+    _, samples = bundle.encoder.unroll(enc, temperature=1.0, noise_for=noise_for, hard=True)
     ce = float(reward_loss(batch, bundle, samples).data)
     rate = batch.r.mean()
     h = -(rate * math.log(rate) + (1 - rate) * math.log(1 - rate))
