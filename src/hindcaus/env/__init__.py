@@ -14,6 +14,7 @@ from .modulo import (
     PropertyReport,
     action_allowed,
     action_options,
+    check_rows,
     cmi_masks,
     enumerate_states,
     ground_truth_graph,
@@ -33,6 +34,7 @@ __all__ = [
     "TrainBatch",
     "action_allowed",
     "action_options",
+    "check_rows",
     "cmi_masks",
     "config_hash",
     "enumerate_states",

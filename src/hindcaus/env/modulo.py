@@ -20,6 +20,7 @@ __all__ = [
     "reward",
     "action_options",
     "action_allowed",
+    "check_rows",
     "rollout",
     "ground_truth_graph",
     "cmi_masks",
@@ -88,6 +89,33 @@ def action_allowed(cfg: EnvConfig, a: np.ndarray) -> np.ndarray:
     weight = np.ones(cfg.d_s, dtype=np.int64)
     weight[cfg.hidden_indices] = 2
     return ((a == 0) | (a == 1)).all(axis=1) & (a @ weight <= 1)
+
+
+def check_rows(cfg: EnvConfig, s, a) -> tuple[np.ndarray, np.ndarray]:
+    """`s` and `a` as arrays, or a `ValueError` that names the argument and
+    its first bad row. Both must be (n, d_s) integer arrays, every factor
+    value of `s` in [0, l), and every row of `a` allowed (`action_allowed`)."""
+    s, a = np.asarray(s), np.asarray(a)
+    n = len(s) if s.ndim else -1
+    for name, arr in (("s", s), ("a", a)):
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+        if arr.shape != (n, cfg.d_s):
+            raise ValueError(
+                f"{name} must have shape (n, {cfg.d_s}), the same n for s and a; "
+                f"got {s.shape} and {a.shape}"
+            )
+    if s.size and (s.min() < 0 or s.max() >= cfg.l):
+        r = int(np.argmax(((s < 0) | (s >= cfg.l)).any(axis=1)))
+        raise ValueError(f"s must hold factor values in [0, {cfg.l}); row {r} is {s[r].tolist()}")
+    allowed = action_allowed(cfg, a)
+    if not allowed.all():
+        r = int(np.argmin(allowed))
+        raise ValueError(
+            f"a must hold rows that are a no-op or a single intervention on an observed "
+            f"factor {cfg.observed_indices}; row {r} is {a[r].tolist()}"
+        )
+    return s, a
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import EnvConfig
-from .modulo import action_options, cmi_masks, enumerate_states
+from .modulo import action_options, check_rows, cmi_masks, enumerate_states
 
 __all__ = ["TabularTransitionModel", "enumeration_cmi", "noise_entropy"]
 
@@ -85,7 +85,8 @@ class TabularTransitionModel:
     def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """(d_s, K, n, l) log-probabilities of every target's next value for
         n rows `s`, `a`, block [j, k] conditioned on keep-mask k of the
-        (K, d_s+1) stack `masks`."""
+        (K, d_s+1) stack `masks`. `check_rows` refuses any row no dataset holds."""
+        s, a = check_rows(self.env, s, a)
         return np.stack(
             [
                 np.stack([np.log(np.maximum(self.probs(j, s, a, mask), _TINY)) for mask in masks])

@@ -18,34 +18,25 @@ conditioned on mask k. Both models answer it themselves, the exact
 row of the batch, under the `cmi_masks` stack, full mask first.
 
 `estimate_cmi` does not deduplicate rows: every row is scored as given, so
-it assumes nothing about how a model treats repeated rows. A batch repeats
-many (s, a) rows (chain3 at l = 4 has only 192); `MaskedTransition.log_probs`
-memoizes them (a `RowMemo`, see `models.nets`), keyed by row under its
-weights and mask stack, and runs the network once on each row it misses.
-It reads every input, hidden ones included, from each target's feature
-table; the dense hidden path is left to the training path's soft samples.
-
-The encoder side is memoized the same way: `cmi_from_batch` samples the
-hidden values from phi_bar under `no_grad`, and phi_bar's GRU (the backward
-recurrence of `dvae_full` and `current_full`, the forward one of `history`)
-memoizes its states per episode under its weights. Traffic: on a fixed
-checkpoint both hit on the rows and episodes an evaluation or an earlier
-estimate has seen. In training every graph update follows a weight change
-and a `sync_target`, so there each distinct row and every episode runs.
+it assumes nothing about how a model treats repeated rows, and it leaves
+the rows of `s` and `a` to the model's own check (`check_rows`). Two
+memos serve the estimate: `MaskedTransition.log_probs` memoizes its
+answers per row (see `models.transition`), and phi_bar's GRU, which
+`cmi_from_batch` runs under `no_grad`, memoizes whole calls (see
+`GRUCell.scan`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .env.modulo import action_allowed, cmi_masks
+from .env.modulo import cmi_masks
 from .models import BatchEncoding, ModelBundle
-from .numcore.checks import _is_int, _is_real
+from .numcore.checks import _is_int, _is_positive, _is_real
 from .numcore.dists import gumbel_block
 from .numcore.tensor import _category_sum, no_grad
 
@@ -72,7 +63,7 @@ class CmiMatrix:
         if not (_is_int(d_s) and d_s >= 1):
             raise ValueError(f"d_s must be an integer >= 1, got {d_s!r}")
         # A NaN threshold would drop every edge, an infinite one keep every edge.
-        if not (_is_real(threshold) and math.isfinite(threshold) and threshold > 0):
+        if not _is_positive(threshold):
             raise ValueError(f"threshold must be finite and positive, got {threshold!r}")
         if not (_is_real(ema_coeff) and 0.0 <= ema_coeff < 1.0):
             raise ValueError(f"ema_coeff must be a real number in [0, 1), got {ema_coeff!r}")
@@ -104,8 +95,8 @@ class CmiMatrix:
 
 def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
     """`s`, `a` and `next_values` as arrays, or a `ValueError` that names
-    the argument `estimate_cmi` cannot score. Every row of `a` must be one
-    of `action_options`, as in a dataset."""
+    the argument `estimate_cmi` cannot score. The model's `log_probs`
+    checks the rows of `s` and `a` (`check_rows`)."""
     arrays = [np.asarray(x) for x in (s, a, next_values)]
     n = len(arrays[0]) if arrays[0].ndim else 0
     for name, arr in zip(("s", "a", "next_values"), arrays):
@@ -116,17 +107,10 @@ def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
                 f"{name} must have shape (n, {env.d_s}) with n >= 1 rows, the same n for "
                 f"s, a and next_values; got {arr.shape}"
             )
-    for name, values in (("s", arrays[0]), ("next_values", arrays[2][:, env.observed_indices])):
-        if values.size and (values.min() < 0 or values.max() >= env.l):
-            raise ValueError(
-                f"{name} must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
-            )
-    allowed = action_allowed(env, arrays[1])
-    if not allowed.all():
-        i = int(np.argmin(allowed))
+    values = arrays[2][:, env.observed_indices]
+    if values.size and (values.min() < 0 or values.max() >= env.l):
         raise ValueError(
-            f"a must hold rows that are a no-op or a single intervention on an observed "
-            f"factor {env.observed_indices}; row {i} is {arrays[1][i].tolist()}"
+            f"next_values must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
         )
     return arrays
 

@@ -54,8 +54,22 @@ in the table or the dense slices, so its backward routes the gradient there
 in one pass; under `no_grad` (the CMI estimate) it keeps none.
 
 `log_probs` answers the CMI estimate's question for every target at once
-on integer rows, untaped, through a `RowMemo` (see `models.nets`) keyed by
-each row's `input_indices`, under the mask stack and the weights.
+on integer rows, untaped, through a `RowMemo`, the CMI path's only row
+dedup. A row's key is the bytes of its `input_indices` column, and the
+memo holds under one state: the mask stack and every weight array,
+compared entry by entry by their bytes (the masks are float64 and the
+weights keep their shapes, so equal bytes are equal arrays). Features,
+pool and head run once, as one batch, on the first occurrence of each row
+not yet memoized; a memoized answer equals that row as computed in the
+batch where it first missed. The answers lie along axis 2 of one
+C-contiguous (d_s, K, slots, l) array. A miss writes its answers into
+spare slots, doubling them when too few, so it copies only its own
+answers, not the memo. The memo starts again when the state changed or
+when a call's new rows would take it past `RowMemo.CAP` rows; on a fixed
+checkpoint it holds at most l^d_s × (d_o+1) rows, 192 for chain3. A call
+that raises leaves the memo as it was, and `input_indices` checks every
+row, memoized or not. In training each graph update follows a weight
+change, so there every distinct row runs.
 """
 
 from __future__ import annotations
@@ -65,9 +79,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..env.config import EnvConfig
-from ..env.modulo import action_allowed
+from ..env.modulo import check_rows
 from ..numcore.tensor import Tensor, concat, constant, masked_max, mlp, no_grad, transpose
-from .nets import MLP, RowMemo, stacked_linear
+from .nets import MLP, stacked_linear
 from .store import ParamFactory
 
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
@@ -94,33 +108,14 @@ def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     (n, d_s) actions `a`: row i < d_s holds factor i's values, row d_s the
     position of the action's single 1, or width = max(l, d_s) for a no-op.
 
-    Every action row must be a no-op or one intervention on an observed
-    factor (a row of `action_options`); any other row raises `ValueError`.
-    `features` reads the hidden columns of `s` only when it is given no
-    dense stack of hidden samples.
+    `check_rows` refuses any row a dataset cannot hold. `features` reads the
+    hidden columns of `s` only when it is given no dense stack of hidden
+    samples.
     """
-    s = np.asarray(s)
-    a = np.asarray(a)
-    n = s.shape[0] if s.ndim == 2 else -1
-    if s.shape != (n, env.d_s) or a.shape != (n, env.d_s):
-        raise ValueError(
-            f"s and a must both have shape (n, {env.d_s}), got {s.shape} and {a.shape}"
-        )
-    width = _width(env)
-    idx = np.empty((env.d_s + 1, n), dtype=np.intp)
-    if not n:
-        return idx
-    if s.min() < 0 or s.max() >= env.l:
-        raise ValueError(f"factor values must be in [0, {env.l}), got [{s.min()}, {s.max()}]")
+    s, a = check_rows(env, s, a)
+    idx = np.empty((env.d_s + 1, len(s)), dtype=np.intp)
     idx[: env.d_s] = s.T
-    allowed = action_allowed(env, a)
-    if not allowed.all():
-        r = int(np.argmin(allowed))
-        raise ValueError(
-            f"action row {r} is {a[r].tolist()}: expected a no-op or a single "
-            f"intervention on an observed factor {env.observed_indices}"
-        )
-    idx[env.d_s] = np.where(a.any(axis=1), a.argmax(axis=1), width)
+    idx[env.d_s] = np.where(a.any(axis=1), a.argmax(axis=1), _width(env))
     return idx
 
 
@@ -132,6 +127,55 @@ def hidden_stack(env: EnvConfig, hidden: Tensor) -> Tensor:
     if pad:
         x = concat([x, constant(np.zeros((env.d_h, hidden.shape[0], pad)))], axis=2)
     return x
+
+
+class RowMemo:
+    """The answers of `MaskedTransition.log_probs` per row, under one state
+    (see the module docstring). `slots` maps each key to its index along
+    axis 2 of `values`."""
+
+    CAP = 1024  # rows
+
+    def __init__(self):
+        self.state: list[bytes] | None = None
+        self.slots: dict[bytes, int] = {}
+        self.values = np.empty((0, 0, 0, 0))
+
+    def __call__(self, state: tuple, rows: np.ndarray, compute) -> np.ndarray:
+        """The answers of the 2-D key `rows` under the arrays `state`.
+        `compute(first)` answers the rows numbered `first`, as a
+        (d_s, K, len(first), l) array; it is asked for the first row of
+        every key not memoized, in order of occurrence."""
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        state = [entry.tobytes() for entry in state]
+        slots = self.slots if state == self.state else {}
+        first = _first_rows(keys, slots)
+        if len(slots) + len(first) > self.CAP:
+            slots, first = {}, _first_rows(keys, {})
+        fresh = compute(list(first.values()))  # nothing is written before this
+        used, need = len(slots), len(slots) + len(first)
+        if not slots:
+            self.values = fresh
+        else:
+            if need > self.values.shape[2]:
+                d_s, K, spare, l = self.values.shape
+                grown = np.zeros((d_s, K, min(max(need, 2 * spare), self.CAP), l))
+                grown[:, :, :used] = self.values[:, :, :used]
+                self.values = grown
+            self.values[:, :, used:need] = fresh
+        slots.update(zip(first, range(used, need)))
+        self.state, self.slots = state, slots
+        return self.values.take([slots[key] for key in keys], axis=2)
+
+
+def _first_rows(keys: list[bytes], slots: dict[bytes, int]) -> dict[bytes, int]:
+    """Each key not in `slots` and its first row, in order of occurrence."""
+    first: dict[bytes, int] = {}
+    for r, key in enumerate(keys):
+        if key not in slots:
+            first.setdefault(key, r)
+    return first
 
 
 class MaskedTransition:
@@ -172,7 +216,7 @@ class MaskedTransition:
             self._heads.append(MLP(params, f"target{j}.head", feat_dim, [feat_dim], env.l))
         nets = (*self._extractors, *(head.weights for head in self._heads))
         self._params = [t for weights in nets for t in weights]
-        self._memo = RowMemo(axis=2)  # the (d_s, K, rows, l) answers of `log_probs`
+        self._memo = RowMemo()
 
     def features(self, j: int, idx: np.ndarray, hidden: Tensor | None = None) -> Features:
         """Per-input features of target j from the (d_s+1, rows)
@@ -215,30 +259,23 @@ class MaskedTransition:
         """(d_s, K, n, l) log-probabilities of every target's next value for
         n rows of integer factors `s` and actions `a`, block [j, k]
         conditioned on keep-mask k of the (K, d_s+1) stack `masks`. Runs
-        untaped.
-
-        The answers are memoized per row, keyed by the row's
-        `input_indices`, under the mask stack and the weights (compared as
-        one flat array); this is the CMI estimate's only row dedup.
-        Features, pool and head run once, as one batch, on the first
-        occurrence of each row not yet memoized. `input_indices` checks
-        every row, memoized or not.
-        """
-        masks = np.asarray(masks)
+        untaped, memoized per row (see the module docstring)."""
+        masks = np.asarray(masks, dtype=np.float64)
         if masks.ndim != 2 or masks.shape[1] != self.env.d_s + 1:
             raise ValueError(f"masks must have shape (K, {self.env.d_s + 1}), got {masks.shape}")
         idx = input_indices(self.env, s, a)
-        state = (masks, np.concatenate([t.data.ravel() for t in self._params]))
-        keys, first = self._memo.missing(state, idx.T)
-        fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
-        if first:
-            idx = idx[:, list(first.values())]
-            with no_grad():
-                for j in range(self.env.d_s):
-                    logits = self.logits_from_features(j, self.features(j, idx), masks[:, None])
-                    fresh[j] = logits.log_softmax().data
-        self._memo.add(state, first, fresh)
-        return self._memo.take(keys)
+
+        def compute(first: list[int]) -> np.ndarray:
+            fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
+            if first:
+                rows, keep = idx[:, first], masks[:, None]
+                with no_grad():
+                    for j in range(self.env.d_s):
+                        logits = self.logits_from_features(j, self.features(j, rows), keep)
+                        fresh[j] = logits.log_softmax().data
+            return fresh
+
+        return self._memo((masks, *(t.data for t in self._params)), idx.T, compute)
 
 
 class RewardHead:

@@ -1,5 +1,6 @@
 """Type predicates for input checks; each refuses a bool, so `True` is never 1."""
 
+import math
 import numbers
 
 import numpy as np
@@ -15,3 +16,7 @@ def _is_count(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_positive(value) -> bool:
+    return _is_real(value) and math.isfinite(value) and value > 0  # NaN and infinity refused

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .checks import _is_positive
 from .random import stream_uniforms
 from .tensor import (
     ShapeError,
@@ -97,8 +98,8 @@ def gumbel_softmax_sample(
     The forward value under `hard` is exactly one-hot at the perturbed argmax
     while the gradient is that of the relaxed sample.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not _is_positive(temperature):
+        raise ValueError(f"temperature must be a finite positive real number, got {temperature!r}")
     noise = np.asarray(noise)
     if noise.shape != logits.shape:
         raise ShapeError(f"gumbel_softmax_sample: noise {noise.shape} != logits {logits.shape}")

@@ -59,6 +59,8 @@ import math
 
 import numpy as np
 
+from .checks import _is_positive
+
 __all__ = [
     "Tensor",
     "ShapeError",
@@ -576,8 +578,10 @@ def sample_scan(
     over all rows. When the node is not recorded, no sequence-long
     activation is kept and hard samples skip the softmax.
     """
-    if temperature <= 0:
-        raise ValueError(f"sample_scan: temperature must be positive, got {temperature}")
+    if not _is_positive(temperature):
+        raise ValueError(
+            f"sample_scan: temperature must be a finite positive real number, got {temperature!r}"
+        )
     noise = np.asarray(noise, dtype=np.float64)
     W0, b0, W1, b1 = past
     V0, c0, V1, c1 = combiner

@@ -40,7 +40,7 @@ import numpy as np
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
 from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
-from .numcore.checks import _is_real
+from .numcore.checks import _is_positive, _is_real
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_block, one_hot
 from .numcore.random import stream
 from .numcore.tensor import Tensor, concat, constant, stack
@@ -82,7 +82,7 @@ class ObjectiveConfig:
         w, t = self.reward_weight, self.temperature
         if not (_is_real(w) and math.isfinite(w) and w >= 0):
             raise ValueError(f"reward_weight must be a finite real number >= 0, got {w!r}")
-        if not (_is_real(t) and math.isfinite(t) and t > 0):
+        if not _is_positive(t):
             raise ValueError(f"temperature must be a finite positive real number, got {t!r}")
 
 

@@ -9,10 +9,12 @@ from hindcaus.env import (
     enumeration_cmi,
     generate_dataset,
     ground_truth_graph,
+    modulo,
     stack_episodes,
 )
 from hindcaus.graph import CmiMatrix, cmi_from_batch, estimate_cmi, graph_accuracy
 from hindcaus.models import (
+    BatchEncoding,
     MaskedTransition,
     ModelHyper,
     build_models,
@@ -21,6 +23,7 @@ from hindcaus.models import (
     nets,
 )
 from hindcaus.numcore import Adam, constant, gumbel_noise, no_grad, stream
+from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
 
 
 def chain3(noise_target="observation", **kw):
@@ -215,9 +218,8 @@ def test_cmi_noise_block_equals_one_generator_per_step(monkeypatch):
 
 
 def test_cmi_passes_over_the_same_batches_reuse_phi_bar_states(monkeypatch):
-    # As the identify workload runs: a fixed bundle, consecutive held-out
-    # batches, and later passes over the same episodes. Here the batches
-    # overlap, so most of pass 1 misses in part and pass 2 hits throughout.
+    # A fixed bundle, and a second pass over the same batches: every call of
+    # pass 2 hits, though the batches share episodes.
     cfg = chain3()
     episodes = generate_dataset(cfg, 20, seed=4).episodes
     batches = [stack_episodes(episodes[2 * k : 2 * k + 6]) for k in range(8)]
@@ -236,6 +238,59 @@ def test_cmi_passes_over_the_same_batches_reuse_phi_bar_states(monkeypatch):
     for k in range(8):
         want = cmi(_perturbed_bundle(cfg), k)
         assert np.array_equal(first[k], want) and np.array_equal(second[k], want), k
+
+
+def test_identify_traffic_runs_phi_bar_on_the_first_cycle_only(monkeypatch):
+    # The identify workload's pattern: an untimed evaluation on all 512
+    # held-out episodes, then cmi_from_batch on consecutive 64-episode
+    # batches of them, cycling, with the step (and so the noise) moving on.
+    cfg = chain3()
+    episodes = generate_dataset(cfg, 512, seed=4).episodes
+    batches = [stack_episodes(episodes[64 * k : 64 * (k + 1)]) for k in range(8)]
+    bundle = _perturbed_bundle(cfg)
+    with no_grad():
+        total_objective(
+            stack_episodes(episodes),
+            bundle,
+            np.ones((cfg.d_s + 1, cfg.d_s), dtype=np.int64),
+            StepRandomness(0, 0, tag="eval"),
+            ObjectiveConfig(),
+        )
+    scans = []
+    real = nets.gru_scan
+
+    def spy(xw, *rest):
+        scans.append(xw.shape[1])
+        return real(xw, *rest)
+
+    monkeypatch.setattr(nets, "gru_scan", spy)
+
+    def cmi(model, k):
+        return cmi_from_batch(model, batches[k % 8], seed=1, step=k, temperature=1.0)
+
+    got = [cmi(bundle, k) for k in range(16)]  # two cycles
+    assert scans == [64] * 8
+    monkeypatch.undo()
+    for k in range(16):
+        assert np.array_equal(got[k], cmi(_perturbed_bundle(cfg), k)), k  # a fresh bundle: no memo
+
+
+@pytest.mark.parametrize("variant", ["dvae_full", "history"])
+@pytest.mark.parametrize("temperature", [np.nan, np.inf, -np.inf, 0.0, True], ids=str)
+def test_cmi_and_unroll_refuse_a_temperature_that_is_not_finite_and_positive(variant, temperature):
+    # dvae_full samples in sample_scan, history in gumbel_softmax_sample. A
+    # NaN or infinite temperature once gave every hidden sample the value 0.
+    cfg = chain3("hidden")
+    batch = stack_episodes(generate_dataset(cfg, 4, seed=4).episodes)
+    bundle = build_models(cfg, variant, seed=0)
+    noise = gumbel_noise((batch.horizon + 1, batch.size, cfg.d_h, cfg.l), stream(0, "t"))
+    msg = r"temperature must be a finite positive real number, got " + repr(temperature)
+    with pytest.raises(ValueError, match=msg):
+        cmi_from_batch(bundle, batch, seed=1, step=0, temperature=temperature)
+    with pytest.raises(ValueError, match=msg):
+        bundle.encoder.unroll(
+            BatchEncoding(batch, cfg), temperature=temperature, noise_for=noise.__getitem__
+        )
 
 
 # -- the models' log_probs, row dedup and input checks -----------------------------
@@ -475,7 +530,8 @@ def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
     bad_a[r, o1] = 1
     bad_s = s.copy()
     bad_s[r, -1] = cfg.l
-    for args, msg in [((s, bad_a), f"action row {r} "), ((bad_s, a), "factor values")]:
+    for args, name in [((s, bad_a), "a"), ((bad_s, a), "s")]:
+        msg = f"^{name} must .*; row {r} is "
         with pytest.raises(ValueError, match=msg):
             model.log_probs(*args, masks)
     assert len(model._memo.slots) == distinct
@@ -638,6 +694,63 @@ def test_off_policy_action_row_is_named():
     for model in _cmi_models(cfg).values():
         with pytest.raises(ValueError, match=r"^a must .*; row 5 is \[0, 1, 0\]$"):
             estimate_cmi(model, s, a, nxt)
+
+
+def _bad_rows(case, s, a):
+    s, a = s.copy(), a.copy()
+    if case == "float_s":
+        s = s + 0.5  # not truncated to the integers below
+    elif case == "float_a":
+        a = a.astype(np.float64)
+    elif case == "factor_too_large":
+        s[6, 0] = 7
+    elif case == "factor_negative":
+        s[6, 2] = -1
+    elif case == "two_interventions":
+        a[6] = [1, 0, 1]
+    elif case == "every_factor":
+        a[6] = [1, 1, 1]
+    return s, a
+
+
+@pytest.mark.parametrize(
+    "case, msg",
+    [
+        ("float_s", r"^s must hold integers, got dtype float64$"),
+        ("float_a", r"^a must hold integers, got dtype float64$"),
+        ("factor_too_large", r"^s must hold factor values in \[0, 4\); row 6 is \[7, "),
+        ("factor_negative", r"^s must hold factor values in \[0, 4\); row 6 is \[.*, -1\]$"),
+        ("two_interventions", r"^a must .*; row 6 is \[1, 0, 1\]$"),
+        ("every_factor", r"^a must .*; row 6 is \[1, 1, 1\]$"),
+    ],
+)
+def test_one_row_check_refuses_rows_naming_the_argument_and_row(case, msg):
+    cfg = chain3()
+    s, a, nxt = transitions_from_dataset(cfg, 4, seed=7)
+    bad_s, bad_a = _bad_rows(case, s, a)
+    models = _cmi_models(cfg)
+    calls = [lambda: input_indices(cfg, bad_s, bad_a)]
+    for model in models.values():
+        calls += [
+            lambda model=model: model.log_probs(bad_s, bad_a, cmi_masks(cfg)),
+            lambda model=model: estimate_cmi(model, bad_s, bad_a, nxt),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError, match=msg):
+            call()
+    assert len(models["neural"]._memo.slots) == 0
+
+
+def test_estimate_cmi_checks_action_rows_once(monkeypatch):
+    cfg = chain3()
+    s, a, nxt = transitions_from_dataset(cfg, 64, seed=7)
+    model = _cmi_models(cfg)["neural"]
+    calls = []
+    real = modulo.action_allowed
+    monkeypatch.setattr(modulo, "action_allowed", lambda *args: calls.append(1) or real(*args))
+    for k in range(1, 3):
+        estimate_cmi(model, s, a, nxt)  # a miss, then every row a hit
+        assert len(calls) == k
 
 
 def test_hidden_next_values_are_not_read():

@@ -17,7 +17,7 @@ from hindcaus.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from hindcaus.models import nets
+from hindcaus.models import nets, transition
 from hindcaus.models.nets import Linear
 from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stack, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
@@ -363,28 +363,15 @@ def test_frozen_scan_hits_equal_the_scan_bit_for_bit(variant, monkeypatch):
         cell.scan(_columns(steps, order), reverse).data,
         unroll(),
     )
-    assert np.array_equal(want_mixed, want[:, order])
     calls = _gru_scan_spy(monkeypatch)
     with nc.no_grad():
         assert np.array_equal(cell.scan(steps, reverse).data, want)  # fills the memo
         assert np.array_equal(cell.scan(steps, reverse).data, want)
-        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want_mixed)
         assert np.array_equal(unroll(), samples)
-    assert calls == [8]
-
-
-@pytest.mark.parametrize("variant", MEMO_VARIANTS)
-def test_frozen_scan_with_one_miss_runs_the_whole_batch_once(variant, monkeypatch):
-    _, cell, reverse, enc = _frozen_cell(variant)
-    steps, order = enc.steps, [7, 0, 1, 7, 2]  # sequence 7 is new, and repeated
-    want = cell.scan(_columns(steps, order), reverse).data
-    calls = _gru_scan_spy(monkeypatch)
-    with nc.no_grad():
-        cell.scan(_columns(steps, range(6)), reverse)
-        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want)
-        assert len(cell._memo.slots) == 7
-        assert np.array_equal(cell.scan(_columns(steps, [7, 7]), reverse).data, want[:, [0, 3]])
-    assert calls == [6, 5]
+        # A batch of memoized sequences is a call of its own: it runs.
+        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want_mixed)
+        assert np.array_equal(cell.scan(_columns(steps, order), reverse).data, want_mixed)
+    assert calls == [8, 7]
 
 
 def _sync_from_changed_phi(bundle, cell, steps, reverse):
@@ -443,12 +430,15 @@ def test_frozen_scan_memo_resets_when_weights_or_direction_change(variant, chang
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
 def test_frozen_scan_memo_is_c_contiguous(variant):
-    # A strided memo makes every later `take` an order of magnitude slower.
+    # A hit hands out the memoized array itself, so it must be read-only.
     _, cell, reverse, enc = _frozen_cell(variant)
     with nc.no_grad():
-        for order in [[6, 2, 6, 4], [1, 2, 5]]:  # a fresh fill, then an append
-            cell.scan(_columns(enc.steps, order), reverse)
-            assert cell._memo.values.flags.c_contiguous
+        for order in [[6, 2, 6, 4], [1, 2, 5]]:
+            miss = cell.scan(_columns(enc.steps, order), reverse).data
+            hit = cell.scan(_columns(enc.steps, order), reverse).data
+            assert hit is miss and hit.flags.c_contiguous and not hit.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                hit[0, 0, 0] = 1.0
 
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
@@ -476,58 +466,83 @@ def test_scan_memoizes_only_a_frozen_cell_under_no_grad(variant, monkeypatch):
     with nc.no_grad():
         cell.scan(steps, reverse)  # one trainable weight
     assert calls == [8] * 9
-    assert cell._memo.slots == {} and live._memo.slots == {}
+    assert cell._memo == [] and live._memo == []
 
 
 @pytest.mark.parametrize("variant", MEMO_VARIANTS)
 def test_scan_that_raises_leaves_memo_as_it_was(variant, monkeypatch):
     _, cell, reverse, enc = _frozen_cell(variant)
     steps = enc.steps
-    want = cell.scan(steps, reverse).data
     with nc.no_grad():
-        cell.scan(_columns(steps, range(5)), reverse)
-    slots, memo, snapshot = dict(cell._memo.slots), cell._memo.values.copy(), cell._memo.state
+        want = cell.scan(_columns(steps, range(5)), reverse).data
+    memo, weights = cell._memo, cell._memo_weights
     Un = cell.Un.data.copy()
     _gru_scan_spy(monkeypatch, fail=True)
     with nc.no_grad():
         with pytest.raises(RuntimeError, match="scan failed"):
-            cell.scan(steps, reverse)  # three new sequences
+            cell.scan(steps, reverse)  # a new call
         cell.Un.data[2, 3] += 0.5
         with pytest.raises(RuntimeError, match="scan failed"):
-            cell.scan(steps, reverse)  # changed weights: every sequence new
+            cell.scan(_columns(steps, range(5)), reverse)  # changed weights: a miss
         with pytest.raises(nc.ShapeError, match="not \\(S, B, "):
             cell.scan(constant(steps.data[:, :, 1:]), reverse)
         np.copyto(cell.Un.data, Un)
-        assert cell._memo.slots == slots and cell._memo.state is snapshot
-        assert np.array_equal(cell._memo.values, memo)
-        # The weights are back: the memo holds again and every call below hits.
-        assert np.array_equal(cell.scan(_columns(steps, range(5)), reverse).data, want[:, :5])
+        assert cell._memo is memo and cell._memo_weights is weights and len(memo) == 1
+        # The weights are back: the memo holds again and the call below hits.
+        assert cell.scan(_columns(steps, range(5)), reverse).data is want
+
+
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_on_unseen_batches_runs_each_once_and_holds_512_sequences(variant, monkeypatch):
+    # A stream of unseen 64-episode batches, as an identification report
+    # scores held-out episodes: every call misses, and the memo keeps only
+    # the newest eight calls.
+    cfg = chain3()
+    bundle = build_models(cfg, variant, seed=0)
+    cell, reverse = bundle.encoder_target.cell, variant != "history"
+    episodes = generate_dataset(cfg, 20 * 64, seed=2).episodes
+    calls = _gru_scan_spy(monkeypatch)
+    with nc.no_grad():
+        for k in range(20):
+            steps = BatchEncoding(stack_episodes(episodes[64 * k : 64 * (k + 1)]), cfg).steps
+            cell.scan(steps, reverse)
+            held = sum(states.shape[1] for _, states in cell._memo)
+            assert held == min(64 * (k + 1), nets.GRUCell.MEMO_SEQUENCES)
+    assert calls == [64] * 20
 
 
 def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
-    monkeypatch.setattr(nets.RowMemo, "CAP", 8)
-    memo, state = nets.RowMemo(axis=1), (np.arange(3.0), 2)
+    monkeypatch.setattr(transition.RowMemo, "CAP", 8)
+    memo, state = transition.RowMemo(), (np.arange(3.0), np.ones((2, 2)))
 
     def answers(values):
-        """Row value v answers a (2, 3) block of v; rows lie along axis 1."""
-        return np.broadcast_to(np.asarray(values, float)[None, :, None], (2, len(values), 3))
+        """Row value v answers a (2, 1, 3) block of v; rows lie along axis 2."""
+        column = np.asarray(values, float)[None, None, :, None]
+        return np.broadcast_to(column, (2, 1, len(values), 3))
 
     def call(rows):
-        keys, first = memo.missing(state, np.asarray(rows, dtype=np.int64)[:, None])
-        memo.add(state, list(first), answers([rows[r] for r in first.values()]))
-        assert np.array_equal(memo.take(keys), answers(rows))
-        return first
+        computed = []
 
-    assert len(call([0, 1, 2, 1, 3])) == 4
+        def compute(first):
+            computed.extend(first)
+            return np.array(answers([rows[r] for r in first]))
+
+        got = memo(state, np.asarray(rows, dtype=np.int64)[:, None], compute)
+        assert np.array_equal(got, answers(rows)) and got.flags.c_contiguous
+        return computed
+
+    assert call([0, 1, 2, 1, 3]) == [0, 1, 2, 4]
     call([4, 0])  # one miss past the capacity of 4: the memo grows to 8
     buffer = memo.values
-    assert buffer.shape == (2, 8, 3) and buffer.flags.c_contiguous
-    assert len(call([5, 6, 5])) == 2  # all-miss, below capacity
+    assert buffer.shape == (2, 1, 8, 3) and buffer.flags.c_contiguous
+    assert call([5, 6, 5]) == [0, 1]  # all-miss, below capacity
     assert memo.values is buffer and len(memo.slots) == 7
-    assert len(call([7, 3])) == 1 and memo.values is buffer  # the cap, exactly
-    assert len(call([8, 0])) == 2  # past the cap: every row of the call is new
+    assert call([7, 3]) == [0] and memo.values is buffer  # the cap, exactly
+    assert call([8, 0]) == [0, 1]  # past the cap: every row of the call is new
     assert set(memo.slots) == {np.int64(8).tobytes(), np.int64(0).tobytes()}
-    assert memo.values.shape == (2, 2, 3)
+    assert memo.values.shape == (2, 1, 2, 3)
+    state[1][0, 0] = 2.0  # a state entry changed in place: every row is new again
+    assert call([8, 0]) == [0, 1]
 
 
 # -- masked transition ----------------------------------------------------------
@@ -733,7 +748,7 @@ def test_input_indices_reject_actions_a_table_cannot_hold(row):
     s = np.zeros((3, 3), dtype=np.int64)
     a = np.zeros((3, 3), dtype=np.int64)
     a[2] = row
-    with pytest.raises(ValueError, match=re.escape(f"action row 2 is {row}")):
+    with pytest.raises(ValueError, match=rf"^a must .*; row 2 is {re.escape(str(row))}$"):
         input_indices(cfg, s, a)
     a[2] = [0, 0, 1]
     assert input_indices(cfg, s, a)[cfg.d_s].tolist() == [4, 4, 2]  # a no-op reads index width
