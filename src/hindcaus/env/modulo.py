@@ -86,9 +86,14 @@ def action_allowed(cfg: EnvConfig, a: np.ndarray) -> np.ndarray:
     row of `action_options`, a no-op or one intervention on an observed
     factor: its entries are zeros and ones, and weighing the observed ones
     1 and the hidden ones 2 they sum to at most 1."""
+    return ((a == 0) | (a == 1)).all(axis=1) & (a @ _action_weight(cfg) <= 1)
+
+
+def _action_weight(cfg: EnvConfig) -> np.ndarray:
+    """(d_s,) int64: 1 for an observed factor, 2 for a hidden one."""
     weight = np.ones(cfg.d_s, dtype=np.int64)
     weight[cfg.hidden_indices] = 2
-    return ((a == 0) | (a == 1)).all(axis=1) & (a @ weight <= 1)
+    return weight
 
 
 def check_rows(cfg: EnvConfig, s, a) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +113,10 @@ def check_rows(cfg: EnvConfig, s, a) -> tuple[np.ndarray, np.ndarray]:
     if s.size and (s.min() < 0 or s.max() >= cfg.l):
         r = int(np.argmax(((s < 0) | (s >= cfg.l)).any(axis=1)))
         raise ValueError(f"s must hold factor values in [0, {cfg.l}); row {r} is {s[r].tolist()}")
-    allowed = action_allowed(cfg, a)
-    if not allowed.all():
-        r = int(np.argmin(allowed))
+    # All rows are allowed when every entry is 0 or 1 and no row weighs
+    # more than 1; only otherwise are the rows searched for the first bad one.
+    if a.size and not (0 <= a.min() and a.max() <= 1 and (a @ _action_weight(cfg)).max() <= 1):
+        r = int(np.argmin(action_allowed(cfg, a)))
         raise ValueError(
             f"a must hold rows that are a no-op or a single intervention on an observed "
             f"factor {cfg.observed_indices}; row {r} is {a[r].tolist()}"

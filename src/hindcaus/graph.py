@@ -20,8 +20,11 @@ row of the batch, under the `cmi_masks` stack, full mask first.
 `estimate_cmi` does not deduplicate rows: every row is scored as given, so
 it assumes nothing about how a model treats repeated rows, and it leaves
 the rows of `s` and `a` to the model's own check (`check_rows`). Two
-memos serve the estimate: `MaskedTransition.log_probs` memoizes its
-answers per row (see `models.transition`), and phi_bar's GRU, which
+memos serve the estimate. `MaskedTransition.log_probs` memoizes its
+answers per row, keyed by one int64 code per row (so it refuses a config
+whose (max(l, d_s)+1)^(d_s+1) rows overflow int64): a call whose rows are
+all memoized runs no network and no Python per row, about 50 µs for 320
+chain3 rows (see `models.transition`). phi_bar's GRU, which
 `cmi_from_batch` runs under `no_grad`, memoizes whole calls (see
 `GRUCell.scan`).
 """

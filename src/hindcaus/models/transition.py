@@ -55,15 +55,25 @@ in one pass; under `no_grad` (the CMI estimate) it keeps none.
 
 `log_probs` answers the CMI estimate's question for every target at once
 on integer rows, untaped, through a `RowMemo`, the CMI path's only row
-dedup. A row's key is the bytes of its `input_indices` column, and the
-memo holds under one state: the mask stack and every weight array,
-compared entry by entry by their bytes (the masks are float64 and the
-weights keep their shapes, so equal bytes are equal arrays). Features,
-pool and head run once, as one batch, on the first occurrence of each row
-not yet memoized; a memoized answer equals that row as computed in the
-batch where it first missed. The answers lie along axis 2 of one
-C-contiguous (d_s, K, slots, l) array. A miss writes its answers into
-spare slots, doubling them when too few, so it copies only its own
+dedup. A row's key is one int64 code, its `input_indices` column read as a
+number in base width+1 (`np.ravel_multi_index`), so the
+(width+1)^(d_s+1) possible rows must fit in int64: `MaskedTransition`
+refuses a config, naming d_s and l, where they do not (every d_s >= 15,
+whatever l; chain3 has 5^4 codes, full5 6^6). The memo keeps its codes in
+ascending order beside the slot of each code's answers, and holds under
+one state: the mask stack and every weight array, compared entry by entry
+by their bytes (the masks are float64 and the weights keep their shapes,
+so equal bytes are equal arrays). A call finds its rows with one
+`searchsorted` and one equality test. When every row is memoized, no
+Python runs per row: the call costs the row check, the codes, the state
+comparison and two gathers, about 50 µs for identify's 320 rows on a
+2-vCPU host, where bytes keys and per-row dict lookups took 100-120 µs.
+Otherwise `np.unique` finds the first occurrence of each code not yet
+memoized, and features, pool and head run once, as one batch, on those
+rows in order of occurrence; a memoized answer equals that row as
+computed in the batch where it first missed. The answers lie along axis 2
+of one C-contiguous (d_s, K, slots, l) array. A miss writes its answers
+into spare slots, doubling them when too few, so it copies only its own
 answers, not the memo. The memo starts again when the state changed or
 when a call's new rows would take it past `RowMemo.CAP` rows; on a fixed
 checkpoint it holds at most l^d_s × (d_o+1) rows, 192 for chain3. A call
@@ -115,7 +125,11 @@ def input_indices(env: EnvConfig, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     s, a = check_rows(env, s, a)
     idx = np.empty((env.d_s + 1, len(s)), dtype=np.intp)
     idx[: env.d_s] = s.T
-    idx[env.d_s] = np.where(a.any(axis=1), a.argmax(axis=1), _width(env))
+    # A checked row has at most one 1, so a @ (1, ..., d_s) is 0 for a no-op
+    # and the 1's position plus one otherwise.
+    lookup = np.arange(-1, env.d_s)
+    lookup[0] = _width(env)
+    idx[env.d_s] = lookup[a.astype(np.intp, copy=False) @ np.arange(1, env.d_s + 1)]
     return idx
 
 
@@ -131,51 +145,56 @@ def hidden_stack(env: EnvConfig, hidden: Tensor) -> Tensor:
 
 class RowMemo:
     """The answers of `MaskedTransition.log_probs` per row, under one state
-    (see the module docstring). `slots` maps each key to its index along
-    axis 2 of `values`."""
+    (see the module docstring). `codes` holds the memoized row codes in
+    ascending order and `slots[i]` the index of code i's answers along axis
+    2 of `values`."""
 
     CAP = 1024  # rows
 
     def __init__(self):
         self.state: list[bytes] | None = None
-        self.slots: dict[bytes, int] = {}
+        self.codes = np.empty(0, dtype=np.int64)
+        self.slots = np.empty(0, dtype=np.intp)
         self.values = np.empty((0, 0, 0, 0))
 
-    def __call__(self, state: tuple, rows: np.ndarray, compute) -> np.ndarray:
-        """The answers of the 2-D key `rows` under the arrays `state`.
-        `compute(first)` answers the rows numbered `first`, as a
-        (d_s, K, len(first), l) array; it is asked for the first row of
-        every key not memoized, in order of occurrence."""
-        rows = np.ascontiguousarray(rows)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    def __call__(self, state: tuple, codes: np.ndarray, compute) -> np.ndarray:
+        """The answers of the rows with the 1-D int64 `codes` under the
+        arrays `state`. `compute(first)` answers the rows numbered `first`,
+        as a (d_s, K, len(first), l) array; it is asked for the first row of
+        every code not memoized, in order of occurrence."""
         state = [entry.tobytes() for entry in state]
-        slots = self.slots if state == self.state else {}
-        first = _first_rows(keys, slots)
-        if len(slots) + len(first) > self.CAP:
-            slots, first = {}, _first_rows(keys, {})
-        fresh = compute(list(first.values()))  # nothing is written before this
-        used, need = len(slots), len(slots) + len(first)
-        if not slots:
+        known = len(self.codes) if state == self.state else 0
+        if known:
+            at = self.codes.searchsorted(codes)
+            hit = self.codes.take(at, mode="clip") == codes
+            if hit.all():
+                return self.values.take(self.slots.take(at), axis=2)
+            miss = np.flatnonzero(~hit)
+        else:
+            miss = np.arange(len(codes))
+        _, first = np.unique(codes[miss], return_index=True)
+        if known + len(first) > self.CAP:
+            known, miss = 0, np.arange(len(codes))
+            _, first = np.unique(codes, return_index=True)
+        # Every sort here is the stable one np.unique runs: each other numpy
+        # sort kernel maps about 0.25 MB more of numpy's code into the process.
+        first = miss[np.sort(first, kind="stable")]
+        fresh = compute(first)  # nothing is written before this
+        need = known + len(first)
+        if not known:
             self.values = fresh
         else:
             if need > self.values.shape[2]:
                 d_s, K, spare, l = self.values.shape
                 grown = np.zeros((d_s, K, min(max(need, 2 * spare), self.CAP), l))
-                grown[:, :, :used] = self.values[:, :, :used]
+                grown[:, :, :known] = self.values[:, :, :known]
                 self.values = grown
-            self.values[:, :, used:need] = fresh
-        slots.update(zip(first, range(used, need)))
-        self.state, self.slots = state, slots
-        return self.values.take([slots[key] for key in keys], axis=2)
-
-
-def _first_rows(keys: list[bytes], slots: dict[bytes, int]) -> dict[bytes, int]:
-    """Each key not in `slots` and its first row, in order of occurrence."""
-    first: dict[bytes, int] = {}
-    for r, key in enumerate(keys):
-        if key not in slots:
-            first.setdefault(key, r)
-    return first
+            self.values[:, :, known:need] = fresh
+        merged = np.concatenate([self.codes[:known], codes[first]])
+        order = merged.argsort(kind="stable")
+        slots = np.concatenate([self.slots[:known], np.arange(known, need)])
+        self.state, self.codes, self.slots = state, merged[order], slots[order]
+        return self.values.take(self.slots.take(self.codes.searchsorted(codes)), axis=2)
 
 
 class MaskedTransition:
@@ -190,10 +209,19 @@ class MaskedTransition:
         feat_dim: int = 64,
         embed_dim: int = 16,
     ):
+        self.in_width = _width(env)
+        # A row's memo code is its input_indices column read as a number in
+        # base width+1.
+        self._code_dims = (self.in_width + 1,) * (env.d_s + 1)
+        rows = (self.in_width + 1) ** (env.d_s + 1)
+        if rows > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"d_s = {env.d_s} and l = {env.l} give (max(l, d_s)+1)^(d_s+1) = {rows} "
+                "input rows, more than an int64 row code can number"
+            )
         self.env = env
         self.feat_dim = feat_dim
         in_dims = [env.l] * env.d_s + [env.d_s]
-        self.in_width = _width(env)
         # Row v of slice i is the width-wide vector of value v: the unit
         # vectors, then the zero vector (the action's no-op).
         basis = np.eye(self.in_width + 1, self.in_width)
@@ -265,9 +293,9 @@ class MaskedTransition:
             raise ValueError(f"masks must have shape (K, {self.env.d_s + 1}), got {masks.shape}")
         idx = input_indices(self.env, s, a)
 
-        def compute(first: list[int]) -> np.ndarray:
+        def compute(first: np.ndarray) -> np.ndarray:
             fresh = np.empty((self.env.d_s, len(masks), len(first), self.env.l))
-            if first:
+            if len(first):
                 rows, keep = idx[:, first], masks[:, None]
                 with no_grad():
                     for j in range(self.env.d_s):
@@ -275,7 +303,8 @@ class MaskedTransition:
                         fresh[j] = logits.log_softmax().data
             return fresh
 
-        return self._memo((masks, *(t.data for t in self._params)), idx.T, compute)
+        codes = np.ravel_multi_index(idx, self._code_dims)
+        return self._memo((masks, *(t.data for t in self._params)), codes, compute)
 
 
 class RewardHead:

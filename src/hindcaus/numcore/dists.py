@@ -60,9 +60,8 @@ def one_hot(values: np.ndarray, num_categories: int) -> np.ndarray:
             f"values out of range for {num_categories} categories: "
             f"[{values.min()}, {values.max()}]"
         )
-    out = np.zeros(values.shape + (num_categories,), dtype=np.float64)
-    np.put_along_axis(out, values[..., None].astype(np.intp), 1.0, axis=-1)
-    return out
+    hot = values.astype(np.intp, copy=False)[..., None] == np.arange(num_categories)
+    return hot.astype(np.float64)
 
 
 def _gumbel(u: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from hindcaus.models import (
     input_indices,
     nets,
 )
+from hindcaus.models import transition as transition_module
 from hindcaus.numcore import Adam, constant, gumbel_noise, no_grad, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
 
@@ -473,14 +474,15 @@ def test_call_that_raises_leaves_memo_as_it_was(monkeypatch):
     model, fresh = _cmi_models(cfg)["neural"], _cmi_models(cfg)["neural"]
     want = per_target_log_probs(model, s, a, masks)
     model.log_probs(s[:160], a[:160], masks)
-    slots, memo = dict(model._memo.slots), model._memo.values.copy()
+    codes, slots, memo = (x.copy() for x in (model._memo.codes, model._memo.slots, model._memo.values))
     for transition, kept in [(model, len(slots)), (fresh, 0)]:
         _features_spy(monkeypatch, transition, fail_at=1)  # after target 0's features
         with pytest.raises(RuntimeError, match="features failed"):
             transition.log_probs(s, a, masks)
         assert len(transition._memo.slots) == kept
         monkeypatch.undo()
-    assert model._memo.slots == slots and np.array_equal(model._memo.values, memo)
+    assert np.array_equal(model._memo.codes, codes) and np.array_equal(model._memo.slots, slots)
+    assert np.array_equal(model._memo.values, memo)
     assert np.array_equal(fresh.log_probs(s, a, masks), want)
     # The second half's new rows run in a smaller batch, as in
     # test_memoized_log_probs_match_per_target_reference.
@@ -500,8 +502,8 @@ def test_log_probs_of_no_rows_fit_the_mask_stack():
 
 
 def _wide_rows(cfg, n, seed):
-    """n rows of a config too wide for an integer row code, each differing
-    from the first in factor 0 or d_s-1 only, or in the action."""
+    """n rows of a wide config, each differing from the first in factor 0
+    or d_s-1 only, or in the action."""
     rng = np.random.default_rng(seed)
     s = np.repeat(rng.integers(0, cfg.l, size=(1, cfg.d_s)), n, axis=0)
     s[1::3, 0] = rng.integers(0, cfg.l, size=len(s[1::3]))
@@ -511,31 +513,46 @@ def _wide_rows(cfg, n, seed):
     return s, a
 
 
-def test_memo_keys_rows_of_a_wide_config_and_still_checks_them():
-    cfg = EnvConfig.chain(d_s=20, l=8)
-    assert (max(cfg.l, cfg.d_s) + 1) ** (cfg.d_s + 1) > np.iinfo(np.int64).max
+def test_memo_codes_rows_of_the_widest_config_that_fits_and_still_checks_them():
+    # (max(l, d_s)+1)^(d_s+1) is 15^15 < 2^63 - 1 here, and 16^16 at d_s = 15.
+    cfg = EnvConfig.chain(d_s=14, l=14)
     bundle = build_models(cfg, "dvae_full", seed=0, hyper=ModelHyper(hidden_dim=8, embed_dim=4))
     model, masks = bundle.transition, cmi_masks(cfg)
     s, a = _wide_rows(cfg, 60, seed=1)
+    s[0] = cfg.l - 1  # the largest code a row can have, but for its action
     want = per_target_log_probs(model, s, a, masks)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(model._memo.slots) == distinct
-    # A call is checked row by row even where every key is memoized: a row
-    # with two interventions has the key of its first one, a memoized row.
+    assert len(model._memo.codes) == distinct
+    assert model._memo.codes.max() > 15**14  # a row code past int32 (and past 2^52)
+    # A call is checked row by row even where every row is memoized: a row
+    # with two interventions would otherwise read an action index past the
+    # table, and a factor value of l the table's no-op row.
     o0, o1 = cfg.observed_indices[:2]
     r = int(np.flatnonzero(a[:, o0])[0])
     bad_a = a.copy()
     bad_a[r, o1] = 1
     bad_s = s.copy()
     bad_s[r, -1] = cfg.l
+    codes = model._memo.codes.copy()
     for args, name in [((s, bad_a), "a"), ((bad_s, a), "s")]:
         msg = f"^{name} must .*; row {r} is "
         with pytest.raises(ValueError, match=msg):
             model.log_probs(*args, masks)
-    assert len(model._memo.slots) == distinct
+    assert np.array_equal(model._memo.codes, codes)
     assert np.array_equal(model.log_probs(s, a, masks), want)
+
+
+@pytest.mark.parametrize("d_s, l", [(15, 4), (15, 15), (20, 8), (2, 2**21 - 1)])
+def test_config_whose_row_codes_overflow_int64_is_refused_by_name(d_s, l):
+    assert (max(l, d_s) + 1) ** (d_s + 1) > np.iinfo(np.int64).max
+    cfg = EnvConfig.chain(d_s=d_s, l=l)
+    with pytest.raises(ValueError, match=rf"^d_s = {d_s} and l = {l} give .* int64 row code"):
+        MaskedTransition(cfg, None, None)  # refused before any weight is drawn
+    if l < 16:  # the encoders' one-hot inputs are l wide
+        with pytest.raises(ValueError, match=rf"^d_s = {d_s} and l = {l} give "):
+            build_models(cfg, "dvae_full", seed=0, hyper=ModelHyper(hidden_dim=8, embed_dim=4))
 
 
 def _write_one_theta_h_weight(bundle, masks):
@@ -583,6 +600,29 @@ def test_memo_resets_when_weights_or_masks_change(change):
     assert not np.array_equal(want, before)
     assert np.array_equal(model.log_probs(s, a, masks), want)
     assert np.array_equal(model.log_probs(s, a, masks), want)
+
+
+@pytest.mark.parametrize("name", ["chain3-obs", "full5-hidden"])
+def test_coded_memo_on_unseen_batches_equals_a_fresh_memo_free_model(name):
+    # chain3 has 192 possible rows, so later batches are mostly hits; full5
+    # has 5120, past RowMemo.CAP, so the memo must start again on the way.
+    cfg = WORKLOAD_CONFIGS[name]()
+    bundle, fresh = _perturbed_bundle(cfg), _perturbed_bundle(cfg)
+    model, masks = bundle.transition, cmi_masks(cfg)
+    s, a, _ = transitions_from_dataset(cfg, 40 * 64, seed=9)
+    rows = 64 * cfg.horizon
+    for change in (None, _adam_step):
+        if change:
+            for b in (bundle, fresh):
+                change(b, masks)
+        restarts, held = 0, 0
+        for k in range(40):
+            batch = slice(k * rows, (k + 1) * rows)
+            want = per_target_log_probs(fresh.transition, s[batch], a[batch], masks)
+            assert np.array_equal(model.log_probs(s[batch], a[batch], masks), want)
+            restarts += len(model._memo.codes) < held
+            held = len(model._memo.codes)
+        assert (restarts > 0) == (name == "full5-hidden")
 
 
 def dense_route_log_probs(transition, s, a, masks):
@@ -745,12 +785,14 @@ def test_estimate_cmi_checks_action_rows_once(monkeypatch):
     cfg = chain3()
     s, a, nxt = transitions_from_dataset(cfg, 64, seed=7)
     model = _cmi_models(cfg)["neural"]
-    calls = []
-    real = modulo.action_allowed
-    monkeypatch.setattr(modulo, "action_allowed", lambda *args: calls.append(1) or real(*args))
+    checks, searches = [], []
+    real_check, real_allowed = transition_module.check_rows, modulo.action_allowed
+    monkeypatch.setattr(transition_module, "check_rows", lambda *args: checks.append(1) or real_check(*args))
+    monkeypatch.setattr(modulo, "action_allowed", lambda *args: searches.append(1) or real_allowed(*args))
     for k in range(1, 3):
         estimate_cmi(model, s, a, nxt)  # a miss, then every row a hit
-        assert len(calls) == k
+        # Allowed rows pass the whole-array test; no row-by-row search runs.
+        assert len(checks) == k and searches == []
 
 
 def test_hidden_next_values_are_not_read():

@@ -527,8 +527,10 @@ def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
             computed.extend(first)
             return np.array(answers([rows[r] for r in first]))
 
-        got = memo(state, np.asarray(rows, dtype=np.int64)[:, None], compute)
+        got = memo(state, np.asarray(rows, dtype=np.int64), compute)
         assert np.array_equal(got, answers(rows)) and got.flags.c_contiguous
+        assert np.array_equal(memo.codes, np.sort(memo.codes))
+        assert np.array_equal(memo.values[:, 0, memo.slots, 0][0], memo.codes)
         return computed
 
     assert call([0, 1, 2, 1, 3]) == [0, 1, 2, 4]
@@ -539,8 +541,9 @@ def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
     assert memo.values is buffer and len(memo.slots) == 7
     assert call([7, 3]) == [0] and memo.values is buffer  # the cap, exactly
     assert call([8, 0]) == [0, 1]  # past the cap: every row of the call is new
-    assert set(memo.slots) == {np.int64(8).tobytes(), np.int64(0).tobytes()}
-    assert memo.values.shape == (2, 1, 2, 3)
+    assert memo.codes.tolist() == [0, 8] and memo.values.shape == (2, 1, 2, 3)
+    assert call([2**62, 9, 2**62]) == [0, 1]  # codes far past any other
+    assert call([9, 2**62, 0]) == []
     state[1][0, 0] = 2.0  # a state entry changed in place: every row is new again
     assert call([8, 0]) == [0, 1]
 
@@ -752,6 +755,19 @@ def test_input_indices_reject_actions_a_table_cannot_hold(row):
         input_indices(cfg, s, a)
     a[2] = [0, 0, 1]
     assert input_indices(cfg, s, a)[cfg.d_s].tolist() == [4, 4, 2]  # a no-op reads index width
+
+
+@pytest.mark.parametrize("graph", ["chain", "full"])
+def test_input_indices_equal_the_any_argmax_formula_on_every_action(graph):
+    cfg = EnvConfig.chain(d_s=3) if graph == "chain" else EnvConfig.full(d_s=5)
+    a = action_options(cfg)
+    s = np.random.default_rng(0).integers(0, cfg.l, size=a.shape)
+    want = np.where(a.any(axis=1), a.argmax(axis=1), max(cfg.l, cfg.d_s))
+    idx = input_indices(cfg, s, a)
+    assert idx.dtype == np.intp and idx.shape == (cfg.d_s + 1, len(a))
+    assert np.array_equal(idx[cfg.d_s], want) and np.array_equal(idx[: cfg.d_s], s.T)
+    for dtype in (np.int8, np.uint64):
+        assert np.array_equal(input_indices(cfg, s, a.astype(dtype)), idx)
 
 
 # chain3 pads the action input (l > d_s), full5 the factor inputs (d_s > l).

@@ -1479,6 +1479,38 @@ def test_gumbel_zero_noise_low_temperature_is_argmax():
     assert np.allclose(out.data, [0.0, 1.0, 0.0], atol=1e-12)
 
 
+def put_along_axis_one_hot(values, num_categories):
+    """`one_hot` as it was before it compared values with the categories."""
+    out = np.zeros(values.shape + (num_categories,), dtype=np.float64)
+    np.put_along_axis(out, values[..., None].astype(np.intp), 1.0, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "shape, n, dtype",
+    [
+        ((64, 6), 2, np.int64),
+        ((64, 6, 2), 4, np.int64),
+        ((320,), 4, np.int8),
+        ((5, 1, 3), 7, np.uint16),
+        ((), 3, np.int64),
+        ((0,), 4, np.int64),
+        ((5, 0, 2), 3, np.int32),
+        ((0, 4), 1, np.int64),
+    ],
+)
+def test_one_hot_equals_put_along_axis_construction(shape, n, dtype):
+    values = np.random.default_rng(0).integers(0, n, size=shape).astype(dtype)
+    got, want = nc.one_hot(values, n), put_along_axis_one_hot(values, n)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    if values.size:
+        bad = values.astype(np.int64)
+        bad.flat[-1] = n
+        with pytest.raises(ValueError, match=rf"^values out of range for {n} categories: \[\d+, {n}\]$"):
+            nc.one_hot(bad, n)
+
+
 def test_gumbel_hard_is_exact_one_hot():
     rng = nc.stream(0, "gumbel-test")
     logits = parameter(np.log([0.7, 0.2, 0.1]))
