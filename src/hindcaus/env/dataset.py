@@ -14,6 +14,11 @@ Saving runs the same value and action checks (`_check_values`) on the
 stacked fields, and refuses a gt_graph other than the config's graph, before
 anything is written: a file that saves also loads.
 
+Neither direction copies the episode data twice. A save stacks each field
+once, for the checks, and its one `write_atomic` call writes those arrays'
+buffers as they are. A load reads the payload into one array, and every
+episode's arrays are writable native int64 views of it.
+
 Older versions (version 3 held one JSON line per episode) are refused by
 their version; `generate_dataset` makes the same episodes again from the
 config and the seed.
@@ -174,14 +179,14 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         "config_hash": ds.config_hash,
         "episodes": len(ds),
     }
-    write_record(path, header, b"".join(block.tobytes() for block in fields.values()))
+    write_record(path, header, fields.values())
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a file that `save_dataset` wrote, checked as the module
     docstring says; a refusal is a `ValueError`."""
     path = Path(path)
-    header, blob = read_record(path, DATASET_VERSION, HEADER_FIELDS)
+    header, payload = read_record(path, DATASET_VERSION, HEADER_FIELDS)
     try:
         cfg = EnvConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,12 +204,12 @@ def load_dataset(path: str | Path) -> Dataset:
         raise ValueError(f"{path} line 1: field 'episodes' is {n!r}, expected a count")
     spec = _field_spec(cfg)
     sizes = [math.prod(shape) for shape, _, _ in spec.values()]
-    if len(blob) != 8 * n * sum(sizes):
+    if payload.size != 8 * n * sum(sizes):
         raise ValueError(
-            f"{path}: {len(blob)} bytes of episode data after the header, expected "
+            f"{path}: {payload.size} bytes of episode data after the header, expected "
             f"{8 * n * sum(sizes)} for {n} episodes of {sum(sizes)} int64 values each"
         )
-    values = np.frombuffer(blob, dtype="<i8").astype(np.int64)  # a writable copy
+    values = payload.view("<i8").astype(np.int64, copy=False)  # a copy on big-endian hosts only
     ends = np.cumsum([n * size for size in sizes])
     fields = {
         name: block.reshape(n, *shape)

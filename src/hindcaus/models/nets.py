@@ -87,20 +87,28 @@ class GRUCell:
         very array the first such call computed, read-only, so a result
         never depends on which other call ran first. The memo holds at most
         `MEMO_SEQUENCES` sequences (B per call) and drops the oldest calls
-        first; a call that raises leaves it as it was.
+        first; a call that raises leaves it as it was. A call of
+        `MEMO_SEQUENCES` or more sequences is answered but neither looked
+        up nor stored: storing it would drop every other entry.
 
         Traffic: the CMI estimate on a fixed checkpoint (identify) reruns
         phi_bar on the same held-out batches, so every pass after the first
-        hits; its 512-episode warm-up evaluation is dropped by the first
-        64-episode batch. Training never hits: its gradient steps run
-        outside `no_grad`, and each graph update follows a `sync_target`.
-        On a stream of unseen episodes every call misses and costs one
-        byte copy of its input and its weights.
+        hits; its 512-episode warm-up evaluation is not stored, so it
+        neither holds its states through the rest of the evaluation nor
+        drops the batches'. Training never hits: its gradient steps run
+        outside `no_grad`, and each graph update follows a `sync_target`;
+        its 256-episode evaluation is stored and held until the next
+        `sync_target`. On a stream of unseen episodes every call misses
+        and costs one byte copy of its input and its weights.
         """
         d_in = self.Wx.shape[0]
         if xs.data.ndim != 3 or xs.shape[2] != d_in:
             raise ShapeError(f"GRUCell.scan: input {xs.shape} is not (S, B, {d_in})")
-        if grad_enabled() or any(w.requires_grad for w in self._weights):
+        if (
+            grad_enabled()
+            or any(w.requires_grad for w in self._weights)
+            or xs.shape[1] >= self.MEMO_SEQUENCES
+        ):
             return self._states(xs, reverse)
         weights = [w.data.tobytes() for w in self._weights]
         memo = self._memo if weights == self._memo_weights else []

@@ -1,13 +1,15 @@
 """Named parameter storage, target-copy sync, and binary checkpoints.
 
-A checkpoint is a directory holding one `fileio` record, checkpoint.bin: the
-header line {"version": 4, "config_hash": ..., "step": k, "extras": {...},
-"sha256": <the blob's>, "tensors": [[name, shape], ...]}, then each tensor's
-values as little-endian float64 in that order, at the offset the sizes
-before it sum to. `save_checkpoint` checks its arguments, then makes one
-`write_atomic` call, so a save that fails or is cut off at any point leaves
-the previous checkpoint.bin as it was: no state holds a new part beside an
-old one. Only once that write succeeds does it remove the version-3 pair,
+A checkpoint is a directory holding one `fileio` record, checkpoint.bin:
+the header line {"version": 4, "config_hash": ..., "step": k, "extras":
+{...}, "sha256": <the payload's>, "tensors": [[name, shape], ...]}, then
+each tensor's values as little-endian float64 in that order, at the offset
+the sizes before it sum to. `save_checkpoint` checks its arguments, hashes
+each tensor's buffer in turn, then writes the header and those buffers as
+they are, with no joined copy of the payload, in one `write_atomic` call,
+so a save that fails or is cut off at any point leaves the previous
+checkpoint.bin as it was: no state holds a new part beside an old one.
+Only once that write succeeds does it remove the version-3 pair,
 manifest.json and tensors.bin, where an older save left them. The
 checkpoint stays a directory so that its path, and what lists its files
 (perfbench counts their bytes), keep working.
@@ -153,27 +155,31 @@ def save_checkpoint(
         arrays.update(extra_arrays)
     names = sorted(arrays)
     flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
-    blob = b"".join(a.tobytes() for a in flat)
+    digest = hashlib.sha256()
+    for a in flat:
+        digest.update(a)
     header = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "step": int(step),
         "extras": extras or {},
-        "sha256": hashlib.sha256(blob).hexdigest(),
+        "sha256": digest.hexdigest(),
         "tensors": [[name, list(a.shape)] for name, a in zip(names, flat)],
     }
     Path(path).mkdir(parents=True, exist_ok=True)
-    write_record(Path(path) / CHECKPOINT_FILE, header, blob)
+    write_record(Path(path) / CHECKPOINT_FILE, header, flat)
     for name in VERSION_3_FILES:
         (Path(path) / name).unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
-    """Read a checkpoint directory -> (arrays, step, extras). A header or a
-    blob that does not hold what the module docstring says raises a
-    `ValueError` that names checkpoint.bin and the field."""
+    """Read a checkpoint directory -> (arrays, step, extras). The arrays are
+    writable native float64 views of the one payload array `read_record`
+    fills, one disjoint slice each. A header or a payload that does not hold
+    what the module docstring says raises a `ValueError` that names
+    checkpoint.bin and the field."""
     file = Path(path) / CHECKPOINT_FILE
-    header, blob = read_record(file, CHECKPOINT_VERSION, HEADER_FIELDS)
+    header, payload = read_record(file, CHECKPOINT_VERSION, HEADER_FIELDS)
     where = f"{file} line 1: field"
     for field, ok, expected in (
         ("step", _is_count, "an integer >= 0"),
@@ -203,15 +209,15 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
     if expected_config_hash is not None and got != expected_config_hash:
         raise ValueError(f"{where} 'config_hash' is {got}, expected {expected_config_hash}")
     ends = list(accumulate((math.prod(shape) for _, shape in header["tensors"]), initial=0))
-    if len(blob) != 8 * ends[-1]:
+    if payload.size != 8 * ends[-1]:
         raise ValueError(
-            f"{file}: {len(blob)} bytes after the header, field 'tensors' expects {8 * ends[-1]}"
+            f"{file}: {payload.size} bytes after the header, field 'tensors' expects {8 * ends[-1]}"
         )
-    if hashlib.sha256(blob).hexdigest() != header["sha256"]:
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
         raise ValueError(f"{file}: the bytes after the header do not match field 'sha256'")
-    flat = np.frombuffer(blob, dtype="<f8")
+    flat = payload.view("<f8").astype(np.float64, copy=False)  # a copy on big-endian hosts only
     arrays = {
-        name: flat[start:end].reshape(shape).astype(np.float64)
+        name: flat[start:end].reshape(shape)
         for (name, shape), start, end in zip(header["tensors"], ends[:-1], ends[1:])
     }
     return arrays, header["step"], header["extras"]

@@ -14,7 +14,10 @@ forward keeps the order of operations of the chain of nodes it replaced,
 so its values are that chain's bit for bit, and returns a C-contiguous
 array, so that a later reduction sums in the same order; `mlp`'s backward
 gives that chain's gradients bit for bit too. (`numcore.dists` fuses the
-categorical losses the same way.)
+categorical losses the same way.) What only a backward reads (the gates
+of every `gru_scan` step, `masked_max`'s winner index) is kept only when
+the node is recorded: an unrecorded `gru_scan` allocates its (S, B, H)
+output and O(B·H) scratch.
 
 The category axis is the last one, and it is short (l = 4 in every
 workload, 2 for the reward). numpy reduces such an axis element by
@@ -479,6 +482,12 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
     h' = (1 - z) * n + z * h. Steps run s = 0..S-1, or S-1..0 with
     `reverse`; out[s] is the state after step s either way. The backward is
     backpropagation through time over the saved z, r and n.
+
+    Only a recorded node keeps z, r and n for every step, as (S, B, 2H) and
+    (S, B, H) arrays. Unrecorded (under `no_grad`, or with no input
+    requiring grad), each step writes them into one (B, 2H) and one (B, H)
+    scratch buffer, so the call allocates its (S, B, H) output and O(B·H)
+    besides; the states are the same bits either way.
     """
     H = Un.shape[0]
     if (
@@ -493,26 +502,30 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
         )
     S, B = xw.shape[:2]
     order = range(S - 1, -1, -1) if reverse else range(S)
-    zr = np.empty((S, B, 2 * H))
-    n = np.empty((S, B, H))
+    parents = (xw, Uzr, Un)
+    recorded = _records(parents)  # else z, r and n of every step go to slot 0
+    zr = np.empty((S if recorded else 1, B, 2 * H))
+    n = np.empty((S if recorded else 1, B, H))
     data = np.empty((S, B, H))
-    # Every step reuses two scratch buffers and writes into the saved arrays.
-    # It runs the docstring's formula in its order; the operands of a sum may
-    # swap, since floating-point addition commutes.
+    # Every step reuses two scratch buffers besides. It runs the docstring's
+    # formula in its order; the operands of a sum may swap, since
+    # floating-point addition commutes.
     pre = np.empty((B, 2 * H))
     tmp = np.empty((B, H))
     h = np.zeros((B, H))
     for s in order:
+        k = s if recorded else 0
+        zr_s, n_s = zr[k], n[k]
         np.matmul(h, Uzr.data, out=pre)
         pre += xw.data[s, :, : 2 * H]
-        _sigmoid(pre, out=zr[s])
-        z, r = zr[s, :, :H], zr[s, :, H:]
+        _sigmoid(pre, out=zr_s)
+        z, r = zr_s[:, :H], zr_s[:, H:]
         np.multiply(r, h, out=tmp)
-        np.matmul(tmp, Un.data, out=n[s])
-        n[s] += xw.data[s, :, 2 * H :]
-        np.tanh(n[s], out=n[s])
+        np.matmul(tmp, Un.data, out=n_s)
+        n_s += xw.data[s, :, 2 * H :]
+        np.tanh(n_s, out=n_s)
         np.subtract(1.0, z, out=tmp)
-        tmp *= n[s]
+        tmp *= n_s
         np.multiply(z, h, out=data[s])
         data[s] += tmp
         h = data[s]
@@ -545,7 +558,7 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
             rh = zr[:, :, H:] * prev
             Un._accumulate(rh.reshape(rows).T @ gx[:, :, 2 * H :].reshape(rows))
 
-    return _finish(data, (xw, Uzr, Un), backward_fn)
+    return _finish(data, parents, backward_fn)
 
 
 def sample_scan(

@@ -317,6 +317,45 @@ def test_dataset_file_layout_and_roundtrip(tmp_path):
             assert x.tobytes() == y.tobytes() and y.flags.writeable, name
 
 
+def test_dataset_file_is_its_header_line_then_each_stacked_field(tmp_path):
+    cfg = chain3()
+    ds = generate_dataset(cfg, 10, seed=1)
+    save_dataset(ds, tmp_path / "data.bin")
+    header = {
+        "version": DATASET_VERSION,
+        "config": dataclasses.asdict(cfg),
+        "gt_graph": ds.gt_graph.tolist(),
+        "config_hash": config_hash(cfg),
+        "episodes": 10,
+    }
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    fields = [np.array([getattr(e, f) for e in ds.episodes], dtype="<i8") for f in CHAIN3_FIELD_SIZES]
+    want = head + b"\n" + b"".join(a.tobytes() for a in fields)
+    assert (tmp_path / "data.bin").read_bytes() == want
+
+
+def test_dataset_save_and_load_hold_one_copy_of_the_episode_data(tmp_path, traced_peak):
+    ds, path = generate_dataset(chain3(), 512, seed=1), tmp_path / "data.bin"
+    payload = 512 * 8 * sum(CHAIN3_FIELD_SIZES.values())
+    # A save stacks each field once, for its checks, and writes those arrays.
+    assert traced_peak(lambda: save_dataset(ds, path)).peak < 1.25 * payload
+    # A load reads the payload into one array that the episodes view, so
+    # beyond what it returns it allocates little.
+    load = traced_peak(lambda: load_dataset(path))
+    assert len(load.result) == 512
+    assert load.peak <= load.held + 0.1 * payload
+
+
+def test_loaded_episode_arrays_are_writable_native_and_disjoint(tmp_path):
+    save_dataset(generate_dataset(chain3(), 3, seed=1), tmp_path / "data.bin")
+    episodes = load_dataset(tmp_path / "data.bin").episodes
+    arrays = [getattr(e, f) for e in episodes for f in ("o", "a", "r", "gt_h", "gt_eps")]
+    for i, x in enumerate(arrays):
+        assert x.dtype == np.int64 and x.dtype.isnative
+        x[...] = i  # raises if read-only
+    assert all(np.all(x == i) for i, x in enumerate(arrays))  # no write reached another
+
+
 @pytest.mark.parametrize(
     "field, value", [("o", 4), ("a", 2), ("tau", -1), ("r", 2), ("gt_h", 4), ("gt_eps", -2)],
     ids=["o", "a", "tau", "r", "gt_h", "gt_eps"],

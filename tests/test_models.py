@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -511,6 +512,24 @@ def test_frozen_scan_on_unseen_batches_runs_each_once_and_holds_512_sequences(va
     assert calls == [64] * 20
 
 
+@pytest.mark.parametrize("variant", MEMO_VARIANTS)
+def test_frozen_scan_of_memo_sequences_is_answered_not_stored(variant, monkeypatch):
+    # Storing a call of MEMO_SEQUENCES sequences would drop every other
+    # entry, so it runs each time and the memo keeps what it held.
+    bundle, cell, reverse, enc = _frozen_cell(variant)
+    many = _columns(enc.steps, np.arange(nets.GRUCell.MEMO_SEQUENCES) % enc.B)
+    want = cell.scan(many, reverse).data  # outside no_grad: no memo
+    with nc.no_grad():
+        small = cell.scan(enc.steps, reverse).data
+        memo, weights = cell._memo, cell._memo_weights
+        calls = _gru_scan_spy(monkeypatch)
+        for _ in range(2):
+            assert cell.scan(many, reverse).data.tobytes() == want.tobytes()
+        assert cell._memo is memo and cell._memo_weights is weights and len(memo) == 1
+        assert cell.scan(enc.steps, reverse).data is small
+    assert calls == [nets.GRUCell.MEMO_SEQUENCES] * 2
+
+
 def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
     monkeypatch.setattr(transition.RowMemo, "CAP", 8)
     memo, state = transition.RowMemo(), (np.arange(3.0), np.ones((2, 2)))
@@ -925,6 +944,62 @@ def test_checkpoint_with_optimizer_and_cmi_arrays_loads_bit_exact(tmp_path):
         assert loaded[n].tobytes() == a.tobytes(), n
     assert arrays["cmi/values"].tobytes() == cmi.tobytes()
     assert fresh_opt.step_count == opt.step_count == 2
+
+
+def _full5_checkpoint_state():
+    """A full5 store and, as a training checkpoint carries them, Adam's
+    moments after one step and the CMI values."""
+    cfg = EnvConfig.full(d_s=5)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    opt = Adam(bundle.store.trainable(), lr=1e-3)
+    rng = np.random.default_rng(0)
+    for p in opt.params.values():
+        p.grad = rng.normal(size=p.data.shape)
+    opt.step()
+    return bundle.store, {**opt.state_tensors(), "cmi/values": rng.random((cfg.d_s + 1, cfg.d_s))}
+
+
+def test_checkpoint_file_is_its_header_line_then_each_tensor(tmp_path):
+    store, extra = _full5_checkpoint_state()
+    save_checkpoint(
+        store, tmp_path / "ckpt", config_hash="h", step=50, extras={"adam_steps": 1}, extra_arrays=extra
+    )
+    arrays = {**{n: t.data for n, t in store.tensors().items()}, **extra}
+    names = sorted(arrays)
+    blob = b"".join(np.asarray(arrays[n], dtype="<f8").tobytes() for n in names)
+    header = {
+        "version": 4,
+        "config_hash": "h",
+        "step": 50,
+        "extras": {"adam_steps": 1},
+        "sha256": hashlib.sha256(blob).hexdigest(),
+        "tensors": [[n, list(arrays[n].shape)] for n in names],
+    }
+    head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    assert (tmp_path / "ckpt" / "checkpoint.bin").read_bytes() == head + b"\n" + blob
+
+
+def test_checkpoint_save_and_load_make_no_copy_of_the_payload(tmp_path, traced_peak):
+    store, extra = _full5_checkpoint_state()
+    payload = sum(t.data.nbytes for t in store.tensors().values())
+    payload += sum(a.nbytes for a in extra.values())
+    save = traced_peak(
+        lambda: save_checkpoint(store, tmp_path / "ckpt", config_hash="h", step=1, extra_arrays=extra)
+    )
+    assert save.peak < 0.25 * payload
+    load = traced_peak(lambda: load_checkpoint(tmp_path / "ckpt"))
+    assert len(load.result[0]) == len(store.tensors()) + len(extra)
+    assert load.peak <= 1.1 * payload
+
+
+def test_loaded_checkpoint_arrays_are_writable_native_and_disjoint(tmp_path):
+    store, extra = _full5_checkpoint_state()
+    save_checkpoint(store, tmp_path / "ckpt", config_hash="h", step=1, extra_arrays=extra)
+    arrays = list(load_checkpoint(tmp_path / "ckpt")[0].values())
+    for i, x in enumerate(arrays):
+        assert x.dtype == np.float64 and x.dtype.isnative
+        x[...] = i  # raises if read-only
+    assert all(np.all(x == i) for i, x in enumerate(arrays))  # no write reached another
 
 
 @pytest.mark.parametrize("case", ["missing", "shape", "extra"])

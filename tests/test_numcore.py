@@ -1049,6 +1049,38 @@ def test_gru_scan_forward_matches_per_step_formula(reverse, taped):
     assert np.array_equal(out.data, _gru_scan_reference(xw, Uzr, Un, reverse))
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("S", [1, 5])
+def test_unrecorded_gru_scan_equals_the_recorded_forward(reverse, S):
+    # Unrecorded, the gates of each step live in one scratch slot instead
+    # of their own; the states must not move by a bit.
+    rng = np.random.default_rng(23)
+    B, H = 16, 8
+    xw = rng.normal(size=(S, B, 3 * H))
+    Uzr, Un = rng.normal(size=(H, 2 * H)), rng.normal(size=(H, H))
+    recorded = nc.gru_scan(*(parameter(x) for x in (xw, Uzr, Un)), reverse=reverse)
+    assert recorded.requires_grad
+    with nc.no_grad():
+        under_no_grad = nc.gru_scan(*(parameter(x) for x in (xw, Uzr, Un)), reverse=reverse)
+    on_constants = nc.gru_scan(*(constant(x) for x in (xw, Uzr, Un)), reverse=reverse)
+    for out in (under_no_grad, on_constants):
+        assert not out.requires_grad and out.data.flags.c_contiguous
+        assert out.data.tobytes() == recorded.data.tobytes()
+
+
+def test_unrecorded_gru_scan_peak_is_its_output_and_step_scratch(traced_peak):
+    # identify's held-out evaluation shape. A recorded scan keeps (S, B, 3H)
+    # gates beside its (S, B, H) output; an unrecorded one keeps one step's.
+    S, B, H = 6, 512, 64
+    rng = np.random.default_rng(24)
+    xw = constant(rng.normal(size=(S, B, 3 * H)))
+    Uzr, Un = constant(0.2 * rng.normal(size=(H, 2 * H))), constant(0.2 * rng.normal(size=(H, H)))
+    traced = traced_peak(lambda: nc.gru_scan(xw, Uzr, Un))
+    step_block = B * 3 * H * 8
+    assert traced.result.data.nbytes == S * B * H * 8
+    assert traced.peak < traced.result.data.nbytes + 5 * step_block, traced.peak
+
+
 # -- sample_scan ------------------------------------------------------------------
 
 def _sample_scan_args(S=3, B=2, H=3, d_h=2, l=3, d=2, P=4, C=5):
