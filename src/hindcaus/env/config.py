@@ -64,7 +64,10 @@ class EnvConfig:
         if self.hidden_indices[0] < 0 or self.hidden_indices[-1] >= self.d_s:
             raise ValueError(f"hidden_indices out of range for d_s={self.d_s}")
         if len(self.hidden_indices) >= self.d_s:
-            raise ValueError("at least one factor must stay observed")
+            raise ValueError(
+                f"hidden_indices must leave at least one of the d_s = {self.d_s} factors "
+                f"observed, got {self.hidden_indices}"
+            )
         if len(self.noise_probs) != 3:
             raise ValueError("noise_probs must be (p(-1), p(0), p(+1))")
         if not all(_is_real(p) for p in self.noise_probs):

@@ -18,14 +18,11 @@ conditioned on mask k. Both models answer it themselves, the exact
 row of the batch, under the `cmi_masks` stack, full mask first.
 
 `estimate_cmi` does not deduplicate rows: every row is scored as given, so
-it assumes nothing about how a model treats repeated rows, and it leaves
-the rows of `s` and `a` to the model's own check (`check_rows`). Two
-memos serve the estimate. `MaskedTransition.log_probs` memoizes its
-answers per row, keyed by one int64 code per row (so it refuses a config
-whose (max(l, d_s)+1)^(d_s+1) rows overflow int64): a call whose rows are
-all memoized runs no network and no Python per row, about 50 µs for 320
-chain3 rows (see `models.transition`). phi_bar's GRU, which
-`cmi_from_batch` runs under `no_grad`, memoizes whole calls (see
+it assumes nothing about how a model treats repeated rows. It checks
+`next_values` only; the model's `log_probs` checks `s` and `a` once
+(`check_rows`). Two memos serve the estimate: `MaskedTransition.log_probs`
+memoizes its answers per row (see `models.transition`), and phi_bar's GRU,
+which `cmi_from_batch` runs under `no_grad`, memoizes whole calls (see
 `GRUCell.scan`).
 """
 
@@ -96,26 +93,24 @@ class CmiMatrix:
         self.updates += 1
 
 
-def _checked_transitions(env: EnvConfig, s, a, next_values) -> list[np.ndarray]:
-    """`s`, `a` and `next_values` as arrays, or a `ValueError` that names
-    the argument `estimate_cmi` cannot score. The model's `log_probs`
-    checks the rows of `s` and `a` (`check_rows`)."""
-    arrays = [np.asarray(x) for x in (s, a, next_values)]
-    n = len(arrays[0]) if arrays[0].ndim else 0
-    for name, arr in zip(("s", "a", "next_values"), arrays):
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-        if arr.shape != (n, env.d_s) or not n:
-            raise ValueError(
-                f"{name} must have shape (n, {env.d_s}) with n >= 1 rows, the same n for "
-                f"s, a and next_values; got {arr.shape}"
-            )
-    values = arrays[2][:, env.observed_indices]
-    if values.size and (values.min() < 0 or values.max() >= env.l):
+def _checked_next_values(env: EnvConfig, next_values, n: int) -> np.ndarray:
+    """`next_values` as an array, or a `ValueError` that names it: n >= 1
+    rows of d_s integers, n being the rows of `s` and `a`, and the observed
+    columns in [0, l)."""
+    values = np.asarray(next_values)
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"next_values must hold integers, got dtype {values.dtype}")
+    if values.shape != (n, env.d_s) or not n:
         raise ValueError(
-            f"next_values must be in [0, {env.l}), got values in [{values.min()}, {values.max()}]"
+            f"next_values must have shape (n, {env.d_s}) with n >= 1 rows, the n of s and a "
+            f"({n}); got {values.shape}"
         )
-    return arrays
+    observed = values[:, env.observed_indices]
+    if observed.min() < 0 or observed.max() >= env.l:
+        raise ValueError(
+            f"next_values must be in [0, {env.l}), got values in [{observed.min()}, {observed.max()}]"
+        )
+    return values
 
 
 def estimate_cmi(model, s: np.ndarray, a: np.ndarray, next_values: np.ndarray) -> np.ndarray:
@@ -128,8 +123,8 @@ def estimate_cmi(model, s: np.ndarray, a: np.ndarray, next_values: np.ndarray) -
     no realized value); `s` and the observed columns must be in [0, l).
     """
     env = model.env
-    s, a, next_values = _checked_transitions(env, s, a, next_values)
     logps_all = model.log_probs(s, a, cmi_masks(env))  # (d_s, d_s+2, n, l)
+    next_values = _checked_next_values(env, next_values, logps_all.shape[2])
     hidden = set(env.hidden_indices)
     out = np.zeros((env.d_s + 1, env.d_s))
     for j in range(env.d_s):

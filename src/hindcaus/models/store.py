@@ -8,10 +8,10 @@ the sizes before it sum to. `save_checkpoint` checks its arguments, hashes
 each tensor's buffer in turn, then writes the header and those buffers as
 they are, with no joined copy of the payload, in one `write_atomic` call,
 so a save that fails or is cut off at any point leaves the previous
-checkpoint.bin as it was: no state holds a new part beside an old one.
-Only once that write succeeds does it remove the version-3 pair,
-manifest.json and tensors.bin, where an older save left them. The
-checkpoint stays a directory so that its path, and what lists its files
+checkpoint.bin as it was: no state holds a new part beside an old one. Every
+value is finite, as a `Tensor` holds it: `save_checkpoint` refuses a
+non-finite tensor before it writes, and `load_checkpoint` after it reads.
+The checkpoint stays a directory so that its path, and what lists its files
 (perfbench counts their bytes), keep working.
 """
 
@@ -34,7 +34,6 @@ __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
 CHECKPOINT_VERSION = 4
 CHECKPOINT_FILE = "checkpoint.bin"
-VERSION_3_FILES = ("manifest.json", "tensors.bin")  # superseded by checkpoint.bin
 HEADER_FIELDS = ("version", "config_hash", "step", "extras", "sha256", "tensors")
 
 
@@ -138,8 +137,8 @@ def save_checkpoint(
     extras: dict | None = None,
     extra_arrays: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write `path`/checkpoint.bin and remove a version-3 pair beside it, as
-    the module docstring says. An argument the header cannot hold raises a
+    """Write `path`/checkpoint.bin as the module docstring says. An argument
+    the header cannot hold, or a tensor with a non-finite value, raises a
     `ValueError` naming it, before any write."""
     if not (_is_int(step) and step >= 0):
         raise ValueError(f"save_checkpoint: step must be an integer >= 0, got {step!r}")
@@ -156,7 +155,9 @@ def save_checkpoint(
     names = sorted(arrays)
     flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
     digest = hashlib.sha256()
-    for a in flat:
+    for name, a in zip(names, flat):
+        if not np.isfinite(a).all():
+            raise ValueError(f"save_checkpoint: tensor {name!r} holds a non-finite value")
         digest.update(a)
     header = {
         "version": CHECKPOINT_VERSION,
@@ -168,8 +169,6 @@ def save_checkpoint(
     }
     Path(path).mkdir(parents=True, exist_ok=True)
     write_record(Path(path) / CHECKPOINT_FILE, header, flat)
-    for name in VERSION_3_FILES:
-        (Path(path) / name).unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
@@ -220,4 +219,7 @@ def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
         name: flat[start:end].reshape(shape)
         for (name, shape), start, end in zip(header["tensors"], ends[:-1], ends[1:])
     }
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{file}: tensor {name!r} holds a non-finite value")
     return arrays, header["step"], header["extras"]

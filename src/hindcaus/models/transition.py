@@ -59,27 +59,24 @@ dedup. A row's key is one int64 code, its `input_indices` column read as a
 number in base width+1 (`np.ravel_multi_index`), so the
 (width+1)^(d_s+1) possible rows must fit in int64: `MaskedTransition`
 refuses a config, naming d_s and l, where they do not (every d_s >= 15,
-whatever l; chain3 has 5^4 codes, full5 6^6). The memo keeps its codes in
-ascending order beside the slot of each code's answers, and holds under
-one state: the mask stack and every weight array, compared entry by entry
-by their bytes (the masks are float64 and the weights keep their shapes,
-so equal bytes are equal arrays). A call finds its rows with one
-`searchsorted` and one equality test. When every row is memoized, no
-Python runs per row: the call costs the row check, the codes, the state
-comparison and two gathers, about 50 µs for identify's 320 rows on a
-2-vCPU host, where bytes keys and per-row dict lookups took 100-120 µs.
+whatever l; chain3 has 5^4 codes, full5 6^6). The memo holds under one
+state: the mask stack and every weight array, compared entry by entry by
+their bytes (the masks are float64 and the weights keep their shapes, so
+equal bytes are equal arrays). Its answers lie along axis 2 of one
+C-contiguous (d_s, K, rows, l) array, `codes` holds the code of each of
+those rows in the same order, and `order` is the stable argsort of
+`codes`. A call finds its rows with one `searchsorted` through `order` and
+one equality test; when every row is memoized, no Python runs per row.
 Otherwise `np.unique` finds the first occurrence of each code not yet
-memoized, and features, pool and head run once, as one batch, on those
-rows in order of occurrence; a memoized answer equals that row as
-computed in the batch where it first missed. The answers lie along axis 2
-of one C-contiguous (d_s, K, slots, l) array. A miss writes its answers
-into spare slots, doubling them when too few, so it copies only its own
-answers, not the memo. The memo starts again when the state changed or
-when a call's new rows would take it past `RowMemo.CAP` rows; on a fixed
-checkpoint it holds at most l^d_s × (d_o+1) rows, 192 for chain3. A call
-that raises leaves the memo as it was, and `input_indices` checks every
-row, memoized or not. In training each graph update follows a weight
-change, so there every distinct row runs.
+memoized, features, pool and head run once, as one batch, on those rows in
+order of occurrence, and their answers and codes are appended; a memoized
+answer equals that row as computed in the batch where it first missed. The
+memo starts again when the state changed or when a call's new rows would
+take it past `RowMemo.CAP` rows; on a fixed checkpoint it holds at most
+l^d_s × (d_o+1) rows, 192 for chain3. A call that raises leaves the memo as
+it was, and `input_indices` checks every row, memoized or not. In training
+each graph update follows a weight change, so there every distinct row
+runs.
 """
 
 from __future__ import annotations
@@ -145,16 +142,16 @@ def hidden_stack(env: EnvConfig, hidden: Tensor) -> Tensor:
 
 class RowMemo:
     """The answers of `MaskedTransition.log_probs` per row, under one state
-    (see the module docstring). `codes` holds the memoized row codes in
-    ascending order and `slots[i]` the index of code i's answers along axis
-    2 of `values`."""
+    (see the module docstring). `codes[i]` is the code of the row whose
+    answers lie at index i along axis 2 of `values`, and `order` is the
+    stable argsort of `codes`."""
 
     CAP = 1024  # rows
 
     def __init__(self):
         self.state: list[bytes] | None = None
         self.codes = np.empty(0, dtype=np.int64)
-        self.slots = np.empty(0, dtype=np.intp)
+        self.order = np.empty(0, dtype=np.intp)
         self.values = np.empty((0, 0, 0, 0))
 
     def __call__(self, state: tuple, codes: np.ndarray, compute) -> np.ndarray:
@@ -165,10 +162,10 @@ class RowMemo:
         state = [entry.tobytes() for entry in state]
         known = len(self.codes) if state == self.state else 0
         if known:
-            at = self.codes.searchsorted(codes)
-            hit = self.codes.take(at, mode="clip") == codes
+            at = self.order.take(self.codes.searchsorted(codes, sorter=self.order), mode="clip")
+            hit = self.codes.take(at) == codes
             if hit.all():
-                return self.values.take(self.slots.take(at), axis=2)
+                return self.values.take(at, axis=2)
             miss = np.flatnonzero(~hit)
         else:
             miss = np.arange(len(codes))
@@ -180,21 +177,11 @@ class RowMemo:
         # sort kernel maps about 0.25 MB more of numpy's code into the process.
         first = miss[np.sort(first, kind="stable")]
         fresh = compute(first)  # nothing is written before this
-        need = known + len(first)
-        if not known:
-            self.values = fresh
-        else:
-            if need > self.values.shape[2]:
-                d_s, K, spare, l = self.values.shape
-                grown = np.zeros((d_s, K, min(max(need, 2 * spare), self.CAP), l))
-                grown[:, :, :known] = self.values[:, :, :known]
-                self.values = grown
-            self.values[:, :, known:need] = fresh
+        values = np.concatenate([self.values, fresh], axis=2) if known else fresh
         merged = np.concatenate([self.codes[:known], codes[first]])
         order = merged.argsort(kind="stable")
-        slots = np.concatenate([self.slots[:known], np.arange(known, need)])
-        self.state, self.codes, self.slots = state, merged[order], slots[order]
-        return self.values.take(self.slots.take(self.codes.searchsorted(codes)), axis=2)
+        self.state, self.codes, self.order, self.values = state, merged, order, values
+        return values.take(order.take(merged.searchsorted(codes, sorter=order)), axis=2)
 
 
 class MaskedTransition:
@@ -277,11 +264,6 @@ class MaskedTransition:
             )
         pooled = masked_max(feats.table, feats.index, masks, feats.dense, feats.dense_pos)
         return self._heads[j](pooled)
-
-    def forward(self, j: int, idx: np.ndarray, hidden: Tensor, mask: np.ndarray) -> Tensor:
-        """(rows, l) logits under one (d_s+1,) or (rows, d_s+1) mask."""
-        mask = np.reshape(mask, (1, -1, self.env.d_s + 1))
-        return self.logits_from_features(j, self.features(j, idx, hidden), mask)[0]
 
     def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:
         """(d_s, K, n, l) log-probabilities of every target's next value for

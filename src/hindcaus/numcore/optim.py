@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .checks import _is_real
+from .checks import _is_int, _is_real
 from .tensor import NonFiniteError, Tensor
 
 __all__ = ["Adam"]
@@ -103,8 +103,11 @@ class Adam:
         return out
 
     def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
-        """Restore the moments from `state_tensors` output. Every entry is
-        checked before any is copied, so a refused load changes nothing."""
+        """Restore the moments from `state_tensors` output and the step count
+        they were taken at, an integer >= 0. Every argument is checked before
+        any entry is copied, so a refused load changes nothing."""
+        if not (_is_int(step_count) and step_count >= 0):
+            raise ValueError(f"Adam step_count must be an integer >= 0, got {step_count!r}")
         for name, p in self.params.items():
             for key in (f"adam.m/{name}", f"adam.v/{name}"):
                 if key not in tensors:
@@ -118,4 +121,4 @@ class Adam:
         for name in self.params:
             np.copyto(self.m[name], tensors[f"adam.m/{name}"])
             np.copyto(self.v[name], tensors[f"adam.v/{name}"])
-        self.step_count = step_count
+        self.step_count = int(step_count)

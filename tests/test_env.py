@@ -567,6 +567,7 @@ def _config_value(key, value):
         (_header_value("version", 3), "version", "'version' is 3"),
         (_header_value("episodes", True), "episodes", "'episodes' is True"),
         (_header_value("episodes", -1), "episodes", "'episodes' is -1"),
+        (_header_value("config_hash", "0" * 16), "config_hash", "does not match its config"),
     ],
     ids=[
         "list",
@@ -588,6 +589,7 @@ def _config_value(key, value):
         "version_3",
         "bool_episodes",
         "negative_episodes",
+        "other_config_hash",
     ],
 )
 def test_load_dataset_rejects_bad_header(tmp_path, edit, field, original):
@@ -839,3 +841,35 @@ def test_config_hash_changes_with_config():
 def test_config_rejects_empty_hidden_indices():
     with pytest.raises(ValueError, match="hidden_indices"):
         chain3(hidden_indices=[])
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"d_s": 1, "hidden_indices": [0]}, "d_s"),
+        ({"horizon": 0}, "horizon"),
+        ({"graph_kind": "ring"}, "graph_kind"),
+        ({"noise_target": "reward"}, "noise_target"),
+        ({"hidden_indices": [1, 1]}, "hidden_indices"),
+        ({"hidden_indices": [3]}, "hidden_indices"),
+        ({"hidden_indices": [-1]}, "hidden_indices"),
+        ({"hidden_indices": [0, 1, 2]}, "hidden_indices"),
+        ({"noise_probs": [0.1, 0.9]}, "noise_probs"),
+        ({"noise_probs": [0.05, 0.9, 0.025, 0.025]}, "noise_probs"),
+    ],
+    ids=[
+        "d_s_1",
+        "horizon_0",
+        "unknown_graph_kind",
+        "unknown_noise_target",
+        "duplicate_hidden_index",
+        "hidden_index_d_s",
+        "negative_hidden_index",
+        "every_factor_hidden",
+        "two_noise_probs",
+        "four_noise_probs",
+    ],
+)
+def test_config_refusal_names_the_field(kwargs, field):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        EnvConfig(**kwargs)

@@ -433,7 +433,7 @@ def test_memoized_log_probs_match_per_target_reference(name):
     fresh.log_probs(s[:160], a[:160], masks)
     np.testing.assert_allclose(fresh.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
     distinct = len(np.unique(np.concatenate([s, a], 1), axis=0))
-    assert len(fresh._memo.slots) == distinct < len(s)
+    assert len(fresh._memo.codes) == distinct < len(s)
 
 
 def _features_spy(monkeypatch, transition, fail_at=None):
@@ -474,20 +474,20 @@ def test_call_that_raises_leaves_memo_as_it_was(monkeypatch):
     model, fresh = _cmi_models(cfg)["neural"], _cmi_models(cfg)["neural"]
     want = per_target_log_probs(model, s, a, masks)
     model.log_probs(s[:160], a[:160], masks)
-    codes, slots, memo = (x.copy() for x in (model._memo.codes, model._memo.slots, model._memo.values))
-    for transition, kept in [(model, len(slots)), (fresh, 0)]:
+    codes, order, memo = (x.copy() for x in (model._memo.codes, model._memo.order, model._memo.values))
+    for transition, kept in [(model, len(codes)), (fresh, 0)]:
         _features_spy(monkeypatch, transition, fail_at=1)  # after target 0's features
         with pytest.raises(RuntimeError, match="features failed"):
             transition.log_probs(s, a, masks)
-        assert len(transition._memo.slots) == kept
+        assert len(transition._memo.codes) == kept
         monkeypatch.undo()
-    assert np.array_equal(model._memo.codes, codes) and np.array_equal(model._memo.slots, slots)
+    assert np.array_equal(model._memo.codes, codes) and np.array_equal(model._memo.order, order)
     assert np.array_equal(model._memo.values, memo)
     assert np.array_equal(fresh.log_probs(s, a, masks), want)
     # The second half's new rows run in a smaller batch, as in
     # test_memoized_log_probs_match_per_target_reference.
     np.testing.assert_allclose(model.log_probs(s, a, masks), want, rtol=1e-12, atol=1e-15)
-    assert len(model._memo.slots) == len(fresh._memo.slots) > len(slots)
+    assert len(model._memo.codes) == len(fresh._memo.codes) > len(codes)
 
 
 def test_log_probs_of_no_rows_fit_the_mask_stack():
@@ -704,7 +704,7 @@ def _bad_transitions(case, s, a, nxt):
         ("next_minus_one", "next_values"),
         ("next_too_large", "next_values"),
         ("s_out_of_range", "s"),
-        ("empty", "s"),
+        ("empty", "next_values"),
         ("short_next", "next_values"),
         ("short_a", "a"),
         ("float_s", "s"),
@@ -750,6 +750,8 @@ def _bad_rows(case, s, a):
         a[6] = [1, 0, 1]
     elif case == "every_factor":
         a[6] = [1, 1, 1]
+    elif case == "short_a":
+        a = a[:-1]
     return s, a
 
 
@@ -762,6 +764,7 @@ def _bad_rows(case, s, a):
         ("factor_negative", r"^s must hold factor values in \[0, 4\); row 6 is \[.*, -1\]$"),
         ("two_interventions", r"^a must .*; row 6 is \[1, 0, 1\]$"),
         ("every_factor", r"^a must .*; row 6 is \[1, 1, 1\]$"),
+        ("short_a", r"^a must have shape \(n, 3\), the same n for s and a; got \(20, 3\) and \(19, 3\)$"),
     ],
 )
 def test_one_row_check_refuses_rows_naming_the_argument_and_row(case, msg):
@@ -778,7 +781,7 @@ def test_one_row_check_refuses_rows_naming_the_argument_and_row(case, msg):
     for call in calls:
         with pytest.raises(ValueError, match=msg):
             call()
-    assert len(models["neural"]._memo.slots) == 0
+    assert len(models["neural"]._memo.codes) == 0
 
 
 def test_estimate_cmi_checks_action_rows_once(monkeypatch):

@@ -530,7 +530,7 @@ def test_frozen_scan_of_memo_sequences_is_answered_not_stored(variant, monkeypat
     assert calls == [nets.GRUCell.MEMO_SEQUENCES] * 2
 
 
-def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
+def test_row_memo_keeps_codes_in_slot_order_and_starts_again_past_its_cap(monkeypatch):
     monkeypatch.setattr(transition.RowMemo, "CAP", 8)
     memo, state = transition.RowMemo(), (np.arange(3.0), np.ones((2, 2)))
 
@@ -539,29 +539,44 @@ def test_row_memo_grows_in_place_and_starts_again_at_its_cap(monkeypatch):
         column = np.asarray(values, float)[None, None, :, None]
         return np.broadcast_to(column, (2, 1, len(values), 3))
 
-    def call(rows):
+    def call(rows, compute=None):
         computed = []
 
-        def compute(first):
+        def answer(first):
             computed.extend(first)
             return np.array(answers([rows[r] for r in first]))
 
-        got = memo(state, np.asarray(rows, dtype=np.int64), compute)
+        got = memo(state, np.asarray(rows, dtype=np.int64), compute or answer)
         assert np.array_equal(got, answers(rows)) and got.flags.c_contiguous
-        assert np.array_equal(memo.codes, np.sort(memo.codes))
-        assert np.array_equal(memo.values[:, 0, memo.slots, 0][0], memo.codes)
+        # Slot i of `values` answers codes[i], and `order` sorts the codes.
+        assert memo.values.shape[2] == len(memo.codes) == len(memo.order)
+        assert np.array_equal(memo.values[0, 0, :, 0], memo.codes)
+        assert np.array_equal(memo.order, np.argsort(memo.codes, kind="stable"))
         return computed
 
     assert call([0, 1, 2, 1, 3]) == [0, 1, 2, 4]
-    call([4, 0])  # one miss past the capacity of 4: the memo grows to 8
-    buffer = memo.values
-    assert buffer.shape == (2, 1, 8, 3) and buffer.flags.c_contiguous
-    assert call([5, 6, 5]) == [0, 1]  # all-miss, below capacity
-    assert memo.values is buffer and len(memo.slots) == 7
-    assert call([7, 3]) == [0] and memo.values is buffer  # the cap, exactly
+    assert call([4, 0]) == [0]
+    assert call([6, 5, 6]) == [0, 1]  # appended in order of occurrence
+    assert memo.codes.tolist() == [0, 1, 2, 3, 4, 6, 5]
+    assert call([7, 3]) == [0]  # the cap, exactly
     assert call([8, 0]) == [0, 1]  # past the cap: every row of the call is new
-    assert memo.codes.tolist() == [0, 8] and memo.values.shape == (2, 1, 2, 3)
+    assert memo.codes.tolist() == [8, 0]
     assert call([2**62, 9, 2**62]) == [0, 1]  # codes far past any other
+    assert call([9, 2**62, 0]) == []
+
+    def fail(first):
+        raise RuntimeError("compute failed")
+
+    held = (memo.state, memo.codes, memo.order, memo.values)
+    copies = [x.copy() for x in held[1:]]
+    # A miss, a call past the cap, and a call under another state.
+    for rows, entry in [([1, 8], 1.0), (list(range(10, 20)), 1.0), ([8], 2.0)]:
+        state[1][0, 0] = entry
+        with pytest.raises(RuntimeError, match="compute failed"):
+            memo(state, np.asarray(rows, dtype=np.int64), fail)
+        assert all(x is y for x, y in zip((memo.state, memo.codes, memo.order, memo.values), held))
+        assert all(np.array_equal(x, y) for x, y in zip(held[1:], copies))
+    state[1][0, 0] = 1.0
     assert call([9, 2**62, 0]) == []
     state[1][0, 0] = 2.0  # a state entry changed in place: every row is new again
     assert call([8, 0]) == [0, 1]
@@ -577,6 +592,14 @@ def _transition_inputs(cfg, s_values, a_values):
     return input_indices(cfg, s_values, a_values), hidden_stack(cfg, hidden)
 
 
+def _one_mask_logits(transition, j, inputs, mask):
+    """(rows, l) logits of target j under one (d_s+1,) or (rows, d_s+1)
+    mask: `logits_from_features` on a one-mask stack, as the objective
+    calls it on its mask stack."""
+    masks = np.reshape(mask, (1, -1, transition.env.d_s + 1))
+    return transition.logits_from_features(j, transition.features(j, *inputs), masks)[0]
+
+
 def test_masked_output_ignores_masked_inputs():
     cfg = chain3()
     bundle = build_models(cfg, "dvae_full", seed=0)
@@ -584,16 +607,17 @@ def test_masked_output_ignores_masked_inputs():
     s = rng.integers(0, 4, size=(8, 3))
     a = np.zeros((8, 3), dtype=np.int64)
     masks = cmi_masks(cfg)
+    tr = bundle.transition
     for j in range(3):
         for i in range(4):  # 3 factors + action node
-            base = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), masks[i + 1]).data
+            base = _one_mask_logits(tr, j, _transition_inputs(cfg, s, a), masks[i + 1]).data
             s2 = s.copy()
             a2 = a.copy()
             if i < 3:
                 s2[:, i] = (s2[:, i] + 1) % 4
             else:
                 a2[:, 0] = 1
-            got = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a2), masks[i + 1]).data
+            got = _one_mask_logits(tr, j, _transition_inputs(cfg, s2, a2), masks[i + 1]).data
             assert np.array_equal(got, base), f"masked input {i} leaked into target {j}"
 
 
@@ -607,11 +631,12 @@ def test_full_vs_leave_one_out_differ_only_through_that_factor():
     s2[:, 0] = (s2[:, 0] + 2) % 4
     j = 1
     full, loo = cmi_masks(cfg)[:2]
-    full_a = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), full).data
-    full_b = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a), full).data
+    inputs, inputs2 = _transition_inputs(cfg, s, a), _transition_inputs(cfg, s2, a)
+    full_a = _one_mask_logits(bundle.transition, j, inputs, full).data
+    full_b = _one_mask_logits(bundle.transition, j, inputs2, full).data
     assert not np.array_equal(full_a, full_b)
-    loo_a = bundle.transition.forward(j, *_transition_inputs(cfg, s, a), loo).data
-    loo_b = bundle.transition.forward(j, *_transition_inputs(cfg, s2, a), loo).data
+    loo_a = _one_mask_logits(bundle.transition, j, inputs, loo).data
+    loo_b = _one_mask_logits(bundle.transition, j, inputs2, loo).data
     assert np.array_equal(loo_a, loo_b)
 
 
@@ -625,8 +650,8 @@ def test_causal_mask_with_true_parents_ignores_non_parent():
     a = np.zeros((8, 3), dtype=np.int64)
     s2 = s.copy()
     s2[:, 0] = (s2[:, 0] + 1) % 4
-    out_a = bundle.transition.forward(2, *_transition_inputs(cfg, s, a), mask).data
-    out_b = bundle.transition.forward(2, *_transition_inputs(cfg, s2, a), mask).data
+    out_a = _one_mask_logits(bundle.transition, 2, _transition_inputs(cfg, s, a), mask).data
+    out_b = _one_mask_logits(bundle.transition, 2, _transition_inputs(cfg, s2, a), mask).data
     assert np.array_equal(out_a, out_b)
 
 
@@ -653,7 +678,8 @@ def test_mask_stack_call_matches_single_mask_forward(j):
         stacked = bundle.transition.logits_from_features(j, feats, masks).data
         assert stacked.shape == (len(singles), 8, 4)
         for k, mask in enumerate(singles):
-            assert np.array_equal(stacked[k], bundle.transition.forward(j, *inputs, mask).data), k
+            single = _one_mask_logits(bundle.transition, j, inputs, mask)
+            assert np.array_equal(stacked[k], single.data), k
 
 
 def _dense_input_stack(cfg, s, a, hidden):
@@ -819,10 +845,20 @@ def test_all_zero_mask_rejected():
     s = np.zeros((2, 3), dtype=np.int64)
     a = np.zeros((2, 3), dtype=np.int64)
     with pytest.raises(ValueError, match="mask"):
-        bundle.transition.forward(0, *_transition_inputs(cfg, s, a), np.zeros(4))
+        _one_mask_logits(bundle.transition, 0, _transition_inputs(cfg, s, a), np.zeros(4))
     feats = bundle.transition.features(0, *_transition_inputs(cfg, s, a))
     with pytest.raises(ValueError, match="masks must have shape"):
         bundle.transition.logits_from_features(0, feats, cmi_masks(cfg))  # (K, d_s+1): no row axis
+
+
+@pytest.mark.parametrize("shape", [(4,), (5, 3), (5, 5), (5, 1, 4)])
+def test_log_probs_refuses_masks_not_shaped_k_by_inputs(shape):
+    cfg = chain3()
+    model = build_models(cfg, "dvae_full", seed=0).transition
+    s = np.zeros((2, 3), dtype=np.int64)
+    with pytest.raises(ValueError, match=re.escape(f"masks must have shape (K, 4), got {shape}")):
+        model.log_probs(s, s, np.ones(shape))
+    assert len(model._memo.codes) == 0
 
 
 def test_transition_learns_noise_free_chain_by_enumeration():
@@ -846,7 +882,7 @@ def test_transition_learns_noise_free_chain_by_enumeration():
         inputs = _transition_inputs(cfg, s, a)
         losses = []
         for j in range(3):
-            logits = bundle.transition.forward(j, *inputs, mask)
+            logits = _one_mask_logits(bundle.transition, j, inputs, mask)
             losses.append(nc.cross_entropy(logits, nxt[:, j]).mean())
         total = losses[0] + losses[1] + losses[2]
         opt.zero_grad()
@@ -859,7 +895,7 @@ def test_transition_learns_noise_free_chain_by_enumeration():
         nxt = step(states, a, np.zeros_like(states), cfg)
         inputs = _transition_inputs(cfg, states, a)
         for j in range(3):
-            pred = bundle.transition.forward(j, *inputs, mask).argmax(axis=-1)
+            pred = _one_mask_logits(bundle.transition, j, inputs, mask).argmax(axis=-1)
             assert np.array_equal(pred, nxt[:, j]), f"target {j} wrong under a={a_vec}"
 
 
@@ -1075,36 +1111,6 @@ def test_interrupted_checkpoint_save_keeps_previous(tmp_path, monkeypatch, inter
         assert arrays[n].tobytes() == a.tobytes(), n
 
 
-def _version_3_pair(directory):
-    """Stand-ins for the manifest.json and tensors.bin of a version-3
-    checkpoint in `directory`; returns their bytes by name."""
-    old = {"manifest.json": b'{"version": 3}', "tensors.bin": bytes(16)}
-    directory.mkdir()
-    for name, data in old.items():
-        (directory / name).write_bytes(data)
-    return old
-
-
-def test_save_checkpoint_removes_version_3_pair(tmp_path):
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    _version_3_pair(tmp_path / "ckpt")
-    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    assert os.listdir(tmp_path / "ckpt") == ["checkpoint.bin"]
-    assert load_checkpoint(tmp_path / "ckpt")[1] == 1
-
-
-@pytest.mark.parametrize(
-    "interrupt", [_cut_mid_write, _fail_replace], ids=["mid_write", "before_replace"]
-)
-def test_failed_checkpoint_save_keeps_version_3_pair(tmp_path, monkeypatch, interrupt):
-    bundle = build_models(chain3(), "dvae_full", seed=0)
-    old = _version_3_pair(tmp_path / "ckpt")
-    with pytest.raises(interrupt(monkeypatch)):
-        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
-    monkeypatch.undo()
-    assert {p.name: p.read_bytes() for p in (tmp_path / "ckpt").iterdir()} == old
-
-
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1151,6 +1157,48 @@ def test_checkpoint_rejects_truncated_blob(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
     msg = str(exc.value)
     assert str(file) in msg and str(len(blob)) in msg and str(len(blob) // 2) in msg
+
+
+def test_checkpoint_payload_with_one_byte_flipped_names_sha256(tmp_path):
+    file = _checkpoint_file(tmp_path)
+    data = bytearray(file.read_bytes())
+    data[-3] ^= 0x01  # same size, so only the digest can tell
+    file.write_bytes(bytes(data))
+    expected = f"{file}: the bytes after the header do not match field 'sha256'"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["store", "extra_arrays"])
+def test_save_checkpoint_refuses_non_finite_tensor_before_writing(tmp_path, where, value):
+    bundle = build_models(chain3(), "dvae_full", seed=0)
+    save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=1)
+    before = (tmp_path / "ckpt" / "checkpoint.bin").read_bytes()
+    extra = {"cmi/values": np.zeros((4, 3))}
+    name, array = "cmi/values", extra["cmi/values"]
+    if where == "store":
+        name, tensor = list(bundle.store.tensors().items())[-1]
+        array = tensor.data
+    array.flat[-1] = value
+    expected = f"save_checkpoint: tensor {name!r} holds a non-finite value"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        save_checkpoint(bundle.store, tmp_path / "ckpt", config_hash="h", step=2, extra_arrays=extra)
+    assert (tmp_path / "ckpt" / "checkpoint.bin").read_bytes() == before
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_checkpoint_refuses_non_finite_tensor_naming_file_and_tensor(tmp_path, value):
+    file = _checkpoint_file(tmp_path)
+    header, blob = _read(file)
+    values = np.frombuffer(blob, dtype="<f8").copy()
+    name = header["tensors"][1][0]
+    values[math.prod(header["tensors"][0][1])] = value  # tensor 1's first entry
+    header["sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    _write(file, header, values.tobytes())
+    expected = f"{file}: tensor {name!r} holds a non-finite value"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        load_checkpoint(tmp_path / "ckpt")
 
 
 def _truncate_manifest(text):

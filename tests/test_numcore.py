@@ -1346,6 +1346,24 @@ def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
         assert np.array_equal(v, before[k]), k
 
 
+@pytest.mark.parametrize("step_count", ["5", None, -1, True, 2.5], ids=repr)
+def test_adam_load_state_refuses_step_count_that_is_not_a_count(step_count):
+    p = parameter(np.ones(2))
+    opt = nc.Adam({"p": p}, lr=0.1)
+    p.grad = np.full(2, 0.5)
+    opt.step()
+    before = {k: v.copy() for k, v in opt.state_tensors().items()}
+    state = {k: np.full_like(v, 7.0) for k, v in before.items()}
+    expected = f"Adam step_count must be an integer >= 0, got {step_count!r}"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        opt.load_state(state, step_count)
+    assert opt.step_count == 1
+    for k, v in opt.state_tensors().items():
+        assert np.array_equal(v, before[k]), k
+    opt.load_state(state, np.int64(0))  # a numpy integer, and 0, are counts
+    assert type(opt.step_count) is int and opt.step_count == 0
+
+
 class LoopAdam:
     """Adam as one update per parameter, each moment its own array."""
 

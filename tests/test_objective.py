@@ -28,6 +28,7 @@ from hindcaus.objective import (
     total_objective,
     vlb_losses,
 )
+from test_models import _one_mask_logits
 
 
 def chain3(noise_target="hidden", **kw):
@@ -192,7 +193,7 @@ def test_breakdown_matches_independent_recomputation():
     )
 
     # Recompute factor 2's (o^2) NLL and factor 1's (h) KL terms with plain
-    # numpy, one single-mask forward call per term.
+    # numpy, one single-mask logits call per term.
     from hindcaus.objective import _transition_inputs
 
     rows = np.arange(T * B)
@@ -214,11 +215,11 @@ def test_breakdown_matches_independent_recomputation():
         lq = log_softmax(np.concatenate([targets.data[t + 1, :, 0, :] for t in range(T)]))
         labels = flat(batch.o[:, 1:, 1])  # o^2 is observed pos 1
         for kind, mask in masks_for(2).items():
-            logp = log_softmax(bundle.transition.forward(2, *inputs, mask).data)
+            logp = log_softmax(_one_mask_logits(bundle.transition, 2, inputs, mask).data)
             expected = float(-logp[rows, labels].mean())
             assert b.per_factor[f"{kind}_nll"][2] == pytest.approx(expected, rel=1e-10), kind
         for kind, mask in masks_for(1).items():
-            logp = log_softmax(bundle.transition.forward(1, *inputs, mask).data)
+            logp = log_softmax(_one_mask_logits(bundle.transition, 1, inputs, mask).data)
             expected = float((np.exp(lq) * (lq - logp)).sum(axis=1).mean())
             assert b.per_factor[f"{kind}_kl"][1] == pytest.approx(expected, rel=1e-10), kind
 
