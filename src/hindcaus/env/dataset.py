@@ -1,27 +1,25 @@
 """Dataset files and batch assembly.
 
-A version-4 file is a `fileio` record: one JSON header line {"version": 4,
-"config": {...}, "gt_graph": [[...]], "config_hash": "...", "episodes": n}
-followed by the fields o, a, tau, r, gt_h, gt_eps, each one block of all n
-episodes' values in little-endian int64, shaped as the config says:
+A dataset file is one `fileio` array record: version 5, dtype "<i8", header
+fields "config", "gt_graph" and "config_hash", and the arrays o, a, tau, r,
+gt_h, gt_eps in that order, each the stacked field of all n episodes:
 o (n, T+1, d_o), a (n, T, d_s), tau (n,), r (n, T), gt_h (n, T+1, d_h),
-gt_eps (n, T, d_s). Round-trips are bit-exact. Loading checks the header
-(version, config, the config's hash, gt_graph against the config's graph,
-episode count), that the blocks hold exactly n episodes, each field's value
-range, and that each action is one the data-collection policy can take. A
-refusal names the file, the field and, for a value, the first bad episode.
-Saving runs the same value and action checks (`_check_values`) on the
-stacked fields, and refuses a gt_graph other than the config's graph, before
-anything is written: a file that saves also loads.
+gt_eps (n, T, d_s). `fileio`'s module docstring describes the layout and
+the record-level checks. Round-trips are bit-exact. Loading also checks the
+config, the config's hash, gt_graph against the config's graph, that the
+arrays are those fields of one n shaped as the config says, each field's
+value range, and that each action is one the data-collection policy can
+take. A refusal names the file, the field and, for a value, the first bad
+episode. Saving runs the same value and action checks (`_check_values`) on
+the stacked fields, and refuses a gt_graph other than the config's graph,
+before anything is written: a file that saves also loads.
 
 Neither direction copies the episode data twice. A save stacks each field
-once, for the checks, and its one `write_atomic` call writes those arrays'
-buffers as they are. A load reads the payload into one array, and every
-episode's arrays are writable native int64 views of it.
+once, for the checks, and writes those arrays; a load's episode arrays are
+views of the one payload array that `fileio.read_arrays` reads.
 
-Older versions (version 3 held one JSON line per episode) are refused by
-their version; `generate_dataset` makes the same episodes again from the
-config and the seed.
+Older versions are refused by their version; `generate_dataset` makes the
+same episodes again from the config and the seed.
 """
 
 from __future__ import annotations
@@ -32,15 +30,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..fileio import read_record, write_record
-from ..numcore.checks import _is_count, _is_int
+from ..fileio import read_arrays, write_arrays
+from ..numcore.checks import _is_int
 from .config import EnvConfig, config_hash
 from .modulo import Episode, action_allowed, ground_truth_graph, rollout
 
 __all__ = ["Dataset", "TrainBatch", "generate_dataset", "save_dataset", "load_dataset", "stack_episodes"]
 
-DATASET_VERSION = 4
-HEADER_FIELDS = ("version", "config", "gt_graph", "config_hash", "episodes")
+DATASET_VERSION = 5
+HEADER_FIELDS = ("version", "config", "gt_graph", "config_hash")
 
 
 @dataclass
@@ -154,7 +152,7 @@ def _check_values(cfg: EnvConfig, fields: dict[str, np.ndarray], where: str) -> 
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write `ds` to `path` in one `write_record` call, so an interrupted save
+    """Write `ds` to `path` in one `write_arrays` call, so an interrupted save
     leaves the old file; what `load_dataset` would refuse is refused first."""
     path = Path(path)
     where = f"cannot save dataset to {path}"
@@ -177,16 +175,15 @@ def save_dataset(ds: Dataset, path: str | Path) -> None:
         "config": asdict(ds.config),
         "gt_graph": gt_graph.tolist(),
         "config_hash": ds.config_hash,
-        "episodes": len(ds),
     }
-    write_record(path, header, fields.values())
+    write_arrays(path, header, fields, "<i8")
 
 
 def load_dataset(path: str | Path) -> Dataset:
     """Read a file that `save_dataset` wrote, checked as the module
     docstring says; a refusal is a `ValueError`."""
     path = Path(path)
-    header, payload = read_record(path, DATASET_VERSION, HEADER_FIELDS)
+    header, fields = read_arrays(path, DATASET_VERSION, HEADER_FIELDS, "<i8")
     try:
         cfg = EnvConfig(**header["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,22 +196,10 @@ def load_dataset(path: str | Path) -> Dataset:
     gt_graph = ground_truth_graph(cfg)
     if header.get("gt_graph") != gt_graph.tolist():
         raise ValueError(f"{path} line 1: field 'gt_graph' does not match the graph of its config")
-    n = header.get("episodes")
-    if not _is_count(n):
-        raise ValueError(f"{path} line 1: field 'episodes' is {n!r}, expected a count")
-    spec = _field_spec(cfg)
-    sizes = [math.prod(shape) for shape, _, _ in spec.values()]
-    if payload.size != 8 * n * sum(sizes):
-        raise ValueError(
-            f"{path}: {payload.size} bytes of episode data after the header, expected "
-            f"{8 * n * sum(sizes)} for {n} episodes of {sum(sizes)} int64 values each"
-        )
-    values = payload.view("<i8").astype(np.int64, copy=False)  # a copy on big-endian hosts only
-    ends = np.cumsum([n * size for size in sizes])
-    fields = {
-        name: block.reshape(n, *shape)
-        for (name, (shape, _, _)), block in zip(spec.items(), np.split(values, ends[:-1]))
-    }
+    n = header["arrays"][0][1][:1] if header["arrays"] else []  # [n], or [] if o has no axis
+    want = [[name, [*n, *shape]] for name, (shape, _, _) in _field_spec(cfg).items()]
+    if header["arrays"] != want:
+        raise ValueError(f"{path} line 1: field 'arrays' is {header['arrays']}, expected {want}")
     _check_values(cfg, fields, str(path))
     fields["tau"] = fields["tau"].tolist()  # Python ints, as `rollout` gives them
     episodes = [

@@ -1,23 +1,39 @@
 """Whole-file writes that never leave a partly written file behind, and the
-record layout of dataset and checkpoint files: one compact JSON header
-object (no newline in it), a newline, then a binary payload.
+one array-record layout that dataset and checkpoint files share.
 
-Neither direction copies the payload. `write_record` hands the header and
-the caller's arrays to one `write_atomic` call, which writes each buffer as
-it is; the file holds the same bytes as `head + b"\\n" + b"".join(blocks)`.
-`read_record` reads the header line, then reads the rest of the file
-straight into one new byte array, which the loaders view as their arrays.
+A record file is one compact JSON header object (no newline in it), a
+newline, then the payload: each array's values in the record's dtype,
+little-endian, in C order, one array after the other. The header holds the
+caller's fields (among them 'version'), then two that this module adds:
+  - "sha256": the hex sha256 digest of the payload;
+  - "arrays": [[name, shape], ...], one entry per array, in payload order.
+So the file holds the bytes `head + b"\\n" + b"".join(blocks)`.
+
+Neither direction copies the payload. `write_arrays` hashes each array's
+buffer in turn, then hands the header and those buffers, as they are, to one
+`write_atomic` call. `read_arrays` reads the header line and checks, in
+order: that it is a JSON object with the expected 'version'; that 'arrays'
+holds [string, list of integers >= 0] entries with unique names; that
+'sha256' is a string; the payload's size; and its digest. It reads the
+payload straight into one new array, and every array it returns is a
+writable native view of it. A refusal is a `ValueError` naming the file and
+the field.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["write_atomic", "write_record", "read_record"]
+from .numcore.checks import _is_count
+
+__all__ = ["write_atomic", "write_arrays", "read_arrays"]
 
 
 def write_atomic(path: str | Path, *chunks) -> None:
@@ -41,10 +57,20 @@ def write_atomic(path: str | Path, *chunks) -> None:
         raise
 
 
-def write_record(path: str | Path, header: dict, blocks) -> None:
-    """Write `header` as one compact JSON line, then the buffers `blocks` in
-    order, in one `write_atomic` call. An unencodable header raises before
-    any write."""
+def write_arrays(path: str | Path, header: dict, arrays: dict[str, np.ndarray], dtype: str) -> None:
+    """Write the record of `header` and `arrays` (name -> array, in payload
+    order, each stored as `dtype`) in one `write_atomic` call. An array that
+    is already C-contiguous `dtype` is written as it is; an unencodable
+    header raises before any write."""
+    blocks = [np.asarray(a, dtype=dtype, order="C") for a in arrays.values()]
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(block)
+    header = {
+        **header,
+        "sha256": digest.hexdigest(),
+        "arrays": [[name, list(block.shape)] for name, block in zip(arrays, blocks)],
+    }
     head = json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n"
     try:
         write_atomic(path, head, *blocks)
@@ -52,31 +78,60 @@ def write_record(path: str | Path, header: dict, blocks) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def read_record(
-    path: str | Path, version: int, fields: tuple[str, ...]
-) -> tuple[dict, np.ndarray]:
-    """Read a file that `write_record` wrote -> (header, payload), the
-    payload a new writable uint8 array of every byte after the header line.
-    A first line that is not a JSON object whose field 'version' is
-    `version` raises a `ValueError` that names the file, line 1 and the
-    header `fields`; the payload is not read then."""
+def read_arrays(
+    path: str | Path, version: int, fields: tuple[str, ...], dtype: str
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a record that `write_arrays` wrote with `dtype` -> (header,
+    arrays), checked as the module docstring says. `fields` are the caller's
+    header fields, named when the header is not an object."""
     path = Path(path)
+    where = f"{path} line 1:"
     with path.open("rb") as fh:
         head = fh.readline().removesuffix(b"\n")
         try:
             header = json.loads(head)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise ValueError(f"{path} line 1: header is not valid JSON ({exc})") from None
+            raise ValueError(f"{where} header is not valid JSON ({exc})") from None
         if not isinstance(header, dict):
             raise ValueError(
-                f"{path} line 1: header is a JSON {type(header).__name__}, expected an object "
-                f"with fields {', '.join(map(repr, fields))}"
+                f"{where} header is a JSON {type(header).__name__}, expected an object "
+                f"with fields {', '.join(map(repr, (*fields, 'sha256', 'arrays')))}"
             )
         if header.get("version") != version:
             raise ValueError(
-                f"{path} line 1: field 'version' is {header.get('version')!r}, "
+                f"{where} field 'version' is {header.get('version')!r}, "
                 f"this build reads version {version} only"
             )
+        entries = header.get("arrays")
+        if not isinstance(entries, list):
+            raise ValueError(f"{where} field 'arrays' is {entries!r}, expected a list")
+        entry_of: dict[str, int] = {}
+        for k, e in enumerate(entries):
+            name, shape = e if isinstance(e, list) and len(e) == 2 else (None, None)
+            if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))):
+                raise ValueError(
+                    f"{where} field 'arrays': entry {k} is {e!r}, expected a [name, shape] pair "
+                    "of a string and a list of integers >= 0"
+                )
+            if entry_of.setdefault(name, k) != k:
+                raise ValueError(
+                    f"{where} field 'arrays': entries {entry_of[name]} and {k} both name {name!r}"
+                )
+        if not isinstance(header.get("sha256"), str):
+            raise ValueError(f"{where} field 'sha256' is {header.get('sha256')!r}, expected a string")
         payload = np.empty(os.fstat(fh.fileno()).st_size - fh.tell(), dtype=np.uint8)
-        got = fh.readinto(payload)
-    return header, payload[:got]
+        payload = payload[: fh.readinto(payload)]
+    dtype = np.dtype(dtype)
+    ends = list(accumulate((math.prod(shape) for _, shape in entries), initial=0))
+    if payload.size != dtype.itemsize * ends[-1]:
+        raise ValueError(
+            f"{path}: {payload.size} bytes after the header, expected "
+            f"{dtype.itemsize * ends[-1]} for the shapes in field 'arrays'"
+        )
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise ValueError(f"{path}: the bytes after the header do not match field 'sha256'")
+    values = payload.view(dtype).astype(dtype.type, copy=False)  # a copy on big-endian hosts only
+    return header, {
+        name: values[start:end].reshape(shape)
+        for (name, shape), start, end in zip(entries, ends[:-1], ends[1:])
+    }

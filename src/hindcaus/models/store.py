@@ -1,30 +1,23 @@
 """Named parameter storage, target-copy sync, and binary checkpoints.
 
-A checkpoint is a directory holding one `fileio` record, checkpoint.bin:
-the header line {"version": 4, "config_hash": ..., "step": k, "extras":
-{...}, "sha256": <the payload's>, "tensors": [[name, shape], ...]}, then
-each tensor's values as little-endian float64 in that order, at the offset
-the sizes before it sum to. `save_checkpoint` checks its arguments, hashes
-each tensor's buffer in turn, then writes the header and those buffers as
-they are, with no joined copy of the payload, in one `write_atomic` call,
-so a save that fails or is cut off at any point leaves the previous
-checkpoint.bin as it was: no state holds a new part beside an old one. Every
-value is finite, as a `Tensor` holds it: `save_checkpoint` refuses a
-non-finite tensor before it writes, and `load_checkpoint` after it reads.
-The checkpoint stays a directory so that its path, and what lists its files
-(perfbench counts their bytes), keep working.
+A checkpoint is a directory holding one `fileio` array record,
+checkpoint.bin: version 5, dtype "<f8", header fields "config_hash",
+"step" and "extras", and one array per tensor in name order. `fileio`'s
+module docstring describes the layout. A save that fails or is cut off
+leaves the previous checkpoint.bin as it was. Every value is finite, as a
+`Tensor` holds it: `save_checkpoint` refuses a non-finite tensor before it
+writes, and `load_checkpoint` after it reads. The checkpoint stays a
+directory so that its path, and what lists its files (perfbench counts
+their bytes), keep working.
 """
 
 from __future__ import annotations
 
-import hashlib
-import math
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from ..fileio import read_record, write_record
+from ..fileio import read_arrays, write_arrays
 from ..numcore.checks import _is_count, _is_int
 from ..numcore.random import stream
 from ..numcore.tensor import Tensor
@@ -32,9 +25,9 @@ from ..numcore.tensor import Tensor
 __all__ = ["ParameterStore", "ParamFactory", "save_checkpoint", "load_checkpoint"]
 
 GROUPS = ("theta_o", "theta_h", "phi", "phi_bar", "psi")
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 CHECKPOINT_FILE = "checkpoint.bin"
-HEADER_FIELDS = ("version", "config_hash", "step", "extras", "sha256", "tensors")
+HEADER_FIELDS = ("version", "config_hash", "step", "extras")
 
 
 class ParameterStore:
@@ -84,8 +77,9 @@ class ParameterStore:
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy `arrays` into the tensors of the same names. Names outside the
         store's groups, such as the `extra_arrays` of `save_checkpoint`, are
-        left for their own loaders. Every entry is checked before any is
-        copied, so a refused load changes nothing."""
+        left for their own loaders. Every entry is checked, for its shape and
+        for finite values, before any is copied, so a refused load changes
+        nothing."""
         mine = self.tensors()
         for name, t in mine.items():
             if name not in arrays:
@@ -95,6 +89,8 @@ class ParameterStore:
                 raise ValueError(
                     f"checkpoint tensor {name!r} has shape {shape}, expected {t.data.shape}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise ValueError(f"checkpoint tensor {name!r} holds a non-finite value")
         extra = {name for name in arrays if name.split("/", 1)[0] in self.groups} - set(mine)
         if extra:
             raise ValueError(f"checkpoint carries unknown tensors: {sorted(extra)[:3]}")
@@ -147,78 +143,43 @@ def save_checkpoint(
     if extras is not None and not isinstance(extras, dict):
         raise ValueError(f"save_checkpoint: extras must be a dict, got {extras!r}")
     arrays = {name: t.data for name, t in store.tensors().items()}
-    if extra_arrays:
-        overlap = set(arrays) & set(extra_arrays)
-        if overlap:
-            raise ValueError(f"extra_arrays collide with store tensors: {sorted(overlap)[:3]}")
-        arrays.update(extra_arrays)
-    names = sorted(arrays)
-    flat = [np.ascontiguousarray(arrays[name], dtype="<f8") for name in names]
-    digest = hashlib.sha256()
-    for name, a in zip(names, flat):
+    overlap = set(arrays) & set(extra_arrays or {})
+    if overlap:
+        raise ValueError(f"extra_arrays collide with store tensors: {sorted(overlap)[:3]}")
+    arrays = dict(sorted({**arrays, **(extra_arrays or {})}.items()))
+    for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise ValueError(f"save_checkpoint: tensor {name!r} holds a non-finite value")
-        digest.update(a)
     header = {
         "version": CHECKPOINT_VERSION,
         "config_hash": config_hash,
         "step": int(step),
         "extras": extras or {},
-        "sha256": digest.hexdigest(),
-        "tensors": [[name, list(a.shape)] for name, a in zip(names, flat)],
     }
     Path(path).mkdir(parents=True, exist_ok=True)
-    write_record(Path(path) / CHECKPOINT_FILE, header, flat)
+    write_arrays(Path(path) / CHECKPOINT_FILE, header, arrays, "<f8")
 
 
 def load_checkpoint(path: str | Path, expected_config_hash: str | None = None):
-    """Read a checkpoint directory -> (arrays, step, extras). The arrays are
-    writable native float64 views of the one payload array `read_record`
-    fills, one disjoint slice each. A header or a payload that does not hold
-    what the module docstring says raises a `ValueError` that names
-    checkpoint.bin and the field."""
+    """Read a checkpoint directory -> (arrays, step, extras), the arrays
+    those `fileio.read_arrays` returns. A header or a payload that does not
+    hold what the module docstring says raises a `ValueError` that names
+    checkpoint.bin and the field, or the tensor."""
     file = Path(path) / CHECKPOINT_FILE
-    header, payload = read_record(file, CHECKPOINT_VERSION, HEADER_FIELDS)
+    header, arrays = read_arrays(file, CHECKPOINT_VERSION, HEADER_FIELDS, "<f8")
     where = f"{file} line 1: field"
     for field, ok, expected in (
         ("step", _is_count, "an integer >= 0"),
         ("config_hash", lambda v: isinstance(v, str), "a string"),
         ("extras", lambda v: isinstance(v, dict), "a JSON object"),
-        ("sha256", lambda v: isinstance(v, str), "a string"),
-        ("tensors", lambda v: isinstance(v, list), "a list"),
     ):
         if field not in header:
             raise ValueError(f"{where} {field!r} is missing")
         if not ok(header[field]):
             raise ValueError(f"{where} {field!r} is {header[field]!r}, expected {expected}")
-    entry_of: dict[str, int] = {}
-    for k, e in enumerate(header["tensors"]):
-        name, shape = e if isinstance(e, list) and len(e) == 2 else (None, None)
-        if not (isinstance(name, str) and isinstance(shape, list) and all(map(_is_count, shape))):
-            raise ValueError(
-                f"{where} 'tensors': entry {k} is {e!r}, expected a [name, shape] pair "
-                "of a string and a list of integers >= 0"
-            )
-        if name in entry_of:
-            raise ValueError(
-                f"{where} 'tensors': entries {entry_of[name]} and {k} both name tensor {name!r}"
-            )
-        entry_of[name] = k
     got = header["config_hash"]
     if expected_config_hash is not None and got != expected_config_hash:
         raise ValueError(f"{where} 'config_hash' is {got}, expected {expected_config_hash}")
-    ends = list(accumulate((math.prod(shape) for _, shape in header["tensors"]), initial=0))
-    if payload.size != 8 * ends[-1]:
-        raise ValueError(
-            f"{file}: {payload.size} bytes after the header, field 'tensors' expects {8 * ends[-1]}"
-        )
-    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
-        raise ValueError(f"{file}: the bytes after the header do not match field 'sha256'")
-    flat = payload.view("<f8").astype(np.float64, copy=False)  # a copy on big-endian hosts only
-    arrays = {
-        name: flat[start:end].reshape(shape)
-        for (name, shape), start, end in zip(header["tensors"], ends[:-1], ends[1:])
-    }
     for name, a in arrays.items():
         if not np.isfinite(a).all():
             raise ValueError(f"{file}: tensor {name!r} holds a non-finite value")

@@ -104,8 +104,9 @@ class Adam:
 
     def load_state(self, tensors: dict[str, np.ndarray], step_count: int) -> None:
         """Restore the moments from `state_tensors` output and the step count
-        they were taken at, an integer >= 0. Every argument is checked before
-        any entry is copied, so a refused load changes nothing."""
+        they were taken at, an integer >= 0. Every moment must be finite, and
+        every second moment >= 0. Every argument is checked before any entry
+        is copied, so a refused load changes nothing."""
         if not (_is_int(step_count) and step_count >= 0):
             raise ValueError(f"Adam step_count must be an integer >= 0, got {step_count!r}")
         for name, p in self.params.items():
@@ -118,6 +119,10 @@ class Adam:
                         f"Adam state {key!r} has shape {shape}, "
                         f"but parameter {name!r} has shape {p.data.shape}"
                     )
+                if not np.isfinite(tensors[key]).all():
+                    raise ValueError(f"Adam state {key!r} holds a non-finite value")
+            if (np.asarray(tensors[f"adam.v/{name}"]) < 0).any():
+                raise ValueError(f"Adam state 'adam.v/{name}' holds a negative second moment")
         for name in self.params:
             np.copyto(self.m[name], tensors[f"adam.m/{name}"])
             np.copyto(self.v[name], tensors[f"adam.v/{name}"])

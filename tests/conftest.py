@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import tracemalloc
 from typing import Any, NamedTuple
 
@@ -36,3 +38,18 @@ def traced_peak():
     """`traced_peak(fn)` -> Traced(result, peak, held): the traced bytes of
     one call, for the memory tests."""
     return _traced_peak
+
+
+def _read(path):
+    """A record file's parsed header and the bytes after its newline."""
+    head, _, blob = path.read_bytes().partition(b"\n")
+    return json.loads(head), blob
+
+
+def _write(path, header, blob):
+    """Write `header` as a JSON line, then `blob`. A header object gets the
+    sha256 of `blob`, so that an edited field or value reaches the check
+    aimed at it and does not stop at the digest."""
+    if isinstance(header, dict):
+        header = {**header, "sha256": hashlib.sha256(blob).hexdigest()}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)

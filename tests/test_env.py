@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from hindcaus.env import (
     verify_properties,
 )
 from hindcaus.numcore import stream
+from conftest import _read, _write
 
 
 def chain3(noise_target="hidden", **kw):
@@ -269,16 +271,6 @@ def test_rollout_maps_extreme_uniforms_inside_their_ranges(monkeypatch, l):
 CHAIN3_FIELD_SIZES = {"o": 12, "a": 15, "tau": 1, "r": 5, "gt_h": 6, "gt_eps": 15}
 
 
-def _read(path):
-    """A record file's parsed header and the bytes after its newline."""
-    head, _, blob = path.read_bytes().partition(b"\n")
-    return json.loads(head), blob
-
-
-def _write(path, header, blob):
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
-
-
 def _chain3_blocks(values, n):
     """Views of a chain3 file's int64 values of n episodes, one (n, size)
     block per field."""
@@ -294,7 +286,7 @@ def _edit_values(path, edit):
     """Apply `edit` to the (n, size) int64 blocks of a chain3 file."""
     header, blob = _read(path)
     values = np.frombuffer(blob, dtype="<i8").copy()
-    edit(_chain3_blocks(values, header["episodes"]))
+    edit(_chain3_blocks(values, header["arrays"][0][1][0]))
     _write(path, header, values.tobytes())
 
 
@@ -304,7 +296,8 @@ def test_dataset_file_layout_and_roundtrip(tmp_path):
     ds = generate_dataset(cfg, 10, seed=1)
     save_dataset(ds, path)
     header, blob = _read(path)
-    assert header["episodes"] == 10 and len(blob) == 10 * 8 * sum(CHAIN3_FIELD_SIZES.values())
+    assert [shape[0] for _, shape in header["arrays"]] == [10] * len(CHAIN3_FIELD_SIZES)
+    assert len(blob) == 10 * 8 * sum(CHAIN3_FIELD_SIZES.values())
     loaded = load_dataset(path)
     assert loaded.config == cfg
     assert np.array_equal(loaded.gt_graph, ds.gt_graph)
@@ -321,16 +314,18 @@ def test_dataset_file_is_its_header_line_then_each_stacked_field(tmp_path):
     cfg = chain3()
     ds = generate_dataset(cfg, 10, seed=1)
     save_dataset(ds, tmp_path / "data.bin")
+    fields = [np.array([getattr(e, f) for e in ds.episodes], dtype="<i8") for f in CHAIN3_FIELD_SIZES]
+    blocks = b"".join(a.tobytes() for a in fields)
     header = {
         "version": DATASET_VERSION,
         "config": dataclasses.asdict(cfg),
         "gt_graph": ds.gt_graph.tolist(),
         "config_hash": config_hash(cfg),
-        "episodes": 10,
+        "sha256": hashlib.sha256(blocks).hexdigest(),
+        "arrays": [[f, list(a.shape)] for f, a in zip(CHAIN3_FIELD_SIZES, fields)],
     }
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    fields = [np.array([getattr(e, f) for e in ds.episodes], dtype="<i8") for f in CHAIN3_FIELD_SIZES]
-    want = head + b"\n" + b"".join(a.tobytes() for a in fields)
+    want = head + b"\n" + blocks
     assert (tmp_path / "data.bin").read_bytes() == want
 
 
@@ -530,6 +525,16 @@ def _header_value(key, value):
     return edit
 
 
+def _episode_count(value):
+    """Set n, the leading dimension of every array."""
+
+    def edit(header):
+        for _, shape in header["arrays"]:
+            shape[0] = value
+
+    return edit
+
+
 def _config_value(key, value):
     def edit(header):
         header["config"][key] = value
@@ -565,8 +570,8 @@ def _config_value(key, value):
         (_header_value("version", 1), "version", "'version' is 1"),
         (_header_value("version", 2), "version", "'version' is 2"),
         (_header_value("version", 3), "version", "'version' is 3"),
-        (_header_value("episodes", True), "episodes", "'episodes' is True"),
-        (_header_value("episodes", -1), "episodes", "'episodes' is -1"),
+        (_episode_count(True), "arrays", "entry 0 is ['o', [True, 6, 2]]"),
+        (_episode_count(-1), "arrays", "entry 0 is ['o', [-1, 6, 2]]"),
         (_header_value("config_hash", "0" * 16), "config_hash", "does not match its config"),
     ],
     ids=[
@@ -611,9 +616,12 @@ def test_dataset_version_pins_the_header_config_fields(tmp_path):
     ds = generate_dataset(chain3(), 3, seed=1)
     save_dataset(ds, path)
     header, blob = _read(path)
-    assert DATASET_VERSION == header["version"] == 4
-    assert list(header) == ["version", "config", "gt_graph", "config_hash", "episodes"]
-    assert header["episodes"] == 3
+    assert DATASET_VERSION == header["version"] == 5
+    assert list(header) == ["version", "config", "gt_graph", "config_hash", "sha256", "arrays"]
+    assert header["arrays"] == [
+        ["o", [3, 6, 2]], ["a", [3, 5, 3]], ["tau", [3]], ["r", [3, 5]], ["gt_h", [3, 6, 1]],
+        ["gt_eps", [3, 5, 3]],
+    ]
     assert list(header["config"]) == [
         "d_s", "l", "graph_kind", "hidden_indices", "noise_probs", "noise_target", "horizon", "seed"
     ]

@@ -1326,7 +1326,12 @@ def test_adam_load_state_resumes_bit_identical():
 
 @pytest.mark.parametrize(
     "fault, message",
-    [("missing", "adam.v/q.*missing"), ("shape", "adam.m/q.*shape \\(4,\\).*\\(3,\\)")],
+    [
+        ("missing", "adam.v/q.*missing"),
+        ("shape", "adam.m/q.*shape \\(4,\\).*\\(3,\\)"),
+        ("nan_first_moment", "'adam.m/q' holds a non-finite value"),
+        ("negative_second_moment", "'adam.v/q' holds a negative second moment"),
+    ],
 )
 def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
     p, q = parameter(np.ones(2)), parameter(np.ones(3))
@@ -1337,8 +1342,12 @@ def test_adam_refused_load_state_leaves_state_unchanged(fault, message):
     state = {k: np.full_like(v, 7.0) for k, v in before.items()}  # "p" is loaded before "q"
     if fault == "missing":
         del state["adam.v/q"]
-    else:
+    elif fault == "shape":
         state["adam.m/q"] = np.zeros(4)
+    elif fault == "nan_first_moment":
+        state["adam.m/q"][-1] = np.nan
+    else:
+        state["adam.v/q"][-1] = -1.0
     with pytest.raises(ValueError, match=message):
         opt.load_state(state, 5)
     assert opt.step_count == 1

@@ -81,3 +81,30 @@ def test_no_unused_imports():
     ]
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def _file_calls(path):
+    """The calls in `path` that open, read or write a file, or replace one,
+    as "file:line name"."""
+    calls = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Name) and f.id == "open":
+            name = "open"
+        elif isinstance(f, ast.Attribute) and f.attr in ("open", "read_bytes", "write_bytes", "write_text"):
+            name = f".{f.attr}"
+        elif isinstance(f, ast.Attribute) and f.attr == "replace" and getattr(f.value, "id", None) == "os":
+            name = "os.replace"
+        else:
+            continue
+        calls.append(f"{path.relative_to(ROOT)}:{node.lineno} {name}")
+    return calls
+
+
+def test_only_fileio_opens_or_replaces_files():
+    # Writes are atomic because every file goes through fileio: `write_atomic`
+    # writes, `read_arrays` reads.
+    modules = [p for p in sorted((ROOT / "src").rglob("*.py")) if p.name != "fileio.py"]
+    calls = [call for path in modules for call in _file_calls(path)]
+    assert not calls, f"file access outside fileio.py: {calls}"
+    assert _file_calls(ROOT / "src" / "hindcaus" / "fileio.py")  # the check sees fileio's own calls
