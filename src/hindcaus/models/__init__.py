@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..env.config import EnvConfig
-from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder
+from .encoders import ENCODER_VARIANTS, BatchEncoding, HiddenEncoder, check_time_major
 from .store import ParameterStore, ParamFactory, load_checkpoint, save_checkpoint
 from .transition import MaskedTransition, RewardHead, hidden_stack, input_indices
 
@@ -20,6 +20,7 @@ __all__ = [
     "ParamFactory",
     "RewardHead",
     "build_models",
+    "check_time_major",
     "hidden_stack",
     "input_indices",
     "load_checkpoint",

@@ -20,8 +20,16 @@ steps: a recurrence is one `GRUCell.scan`, a head or window net one call on
 (T+1)·B rows. The dvae variants consume the previous hidden sample
 recursively; a learned context vector stands in at t = 0. Given teacher
 samples, the past branch runs once over T·B rows and the combiner once over
-(T+1)·B rows. The sampling pass, where each step reads the sample drawn at
-the step before, is one `sample_scan` node over all T+1 steps.
+(T+1)·B rows. That teacher pass releases what it has read before the
+combiner runs: untaped, the (T+1, B, H) outputs of the two branches, the
+past net's input and the context rows are freed once their concatenation,
+the combiner's input, is made. The sampling pass, where each step reads the
+sample drawn at the step before, is one `sample_scan` node over all T+1
+steps.
+
+`unroll` refuses teacher samples, and the objective refuses overrides of
+the unrolls, that are not (T+1, B, d_h, l) (`check_time_major`), naming
+the argument.
 """
 
 from __future__ import annotations
@@ -35,9 +43,19 @@ from ..numcore.tensor import Tensor, concat, constant, sample_scan
 from .nets import MLP, GRUCell, Linear
 from .store import ParamFactory
 
-__all__ = ["ENCODER_VARIANTS", "BatchEncoding", "HiddenEncoder"]
+__all__ = ["ENCODER_VARIANTS", "BatchEncoding", "HiddenEncoder", "check_time_major"]
 
 ENCODER_VARIANTS = ("history", "current_1step", "current_full", "dvae_1step", "dvae_full")
+
+
+def check_time_major(name: str, t: Tensor, env: EnvConfig, horizon: int, batch_size: int) -> None:
+    """Refuse, naming it, an encoder output or override `t` that is not the
+    time-major (T+1, B, d_h, l) of a batch of B episodes of horizon T."""
+    want = (horizon + 1, batch_size, env.d_h, env.l)
+    if t.shape != want:
+        raise ValueError(
+            f"{name} must have the time-major shape (T+1, B, d_h, l) = {want}, got {t.shape}"
+        )
 
 
 class BatchEncoding:
@@ -126,6 +144,8 @@ class HiddenEncoder:
         if sampling and (temperature is None or noise_for is None):
             raise ValueError("sampling unroll needs temperature and noise_for")
         T, B = enc.T, enc.B
+        if not sampling:
+            check_time_major("prev_samples", prev_samples, self.env, T, B)
         noise = np.stack([noise_for(t) for t in range(T + 1)]) if sampling else None
 
         if self.variant in ("history", "current_full", "current_1step"):
@@ -148,7 +168,12 @@ class HiddenEncoder:
             prev = prev_samples[:T].reshape(T * B, -1)
             x = concat([prev, enc.steps[:T].reshape(T * B, -1)], axis=1)
             e = concat([e0, self.past_net(x).tanh()], axis=0)
-            flat = self.combiner(concat([e, g.reshape((T + 1) * B, self.H)], axis=1))
+            inputs = concat([e, g.reshape((T + 1) * B, self.H)], axis=1)
+            # Untaped, only these names hold the branch outputs and the past
+            # net's input, which `inputs` has copied: free them before the
+            # combiner runs.
+            del e0, x, e, g
+            flat = self.combiner(inputs)
             return self._logits(flat.reshape(T + 1, B, -1)), None
 
         out = sample_scan(

@@ -1,12 +1,14 @@
 """Network building blocks on top of the autodiff core.
 
-Every dense layer runs through `numcore.mlp`. `Linear` is one one-layer
-`mlp` node, and `MLP` one `mlp` node over all its layers, tanh between
-them. `stacked_linear` makes the weights of n independent maps for a
-stacked `mlp` call, which runs them, or a selection of them, on a stack.
-`GRUCell` has no per-step call: `scan` projects all S steps of an
-(S, B, d) input with one one-layer `mlp` over the S·B rows and runs the
-whole recurrence as one `gru_scan` node.
+Every dense layer but a GRU's input projection runs through `numcore.mlp`.
+`Linear` is one one-layer `mlp` node, and `MLP` one `mlp` node over all its
+layers, tanh between them. `stacked_linear` makes the weights of n
+independent maps for a stacked `mlp` call, which runs them, or a selection
+of them, on a stack.
+`GRUCell` has no per-step call: `scan` runs a whole (S, B, d) input
+sequence as one `gru_scan` node, the input projection of all S·B rows and
+the recurrence together, so a taped scan records one node and keeps no
+projection for its backward.
 """
 
 from __future__ import annotations
@@ -124,4 +126,4 @@ class GRUCell:
         return constant(states)
 
     def _states(self, xs: Tensor, reverse: bool) -> Tensor:
-        return gru_scan(mlp(xs, (self.Wx, self.bx)), self.Uzr, self.Un, reverse)
+        return gru_scan(xs, *self._weights, reverse)

@@ -51,7 +51,11 @@ Training passes K = 3 (full, leave-one-out and causal masks), or K = 2 for
 a target whose causal mask would copy the full one; the CMI estimate passes
 its d_s+2 `cmi_masks`. When taped, the pool keeps each output's source row
 in the table or the dense slices, so its backward routes the gradient there
-in one pass; under `no_grad` (the CMI estimate) it keeps none.
+in one pass. Untaped (under `no_grad`: the CMI estimate and held-out
+evaluation), it keeps none, and nothing reads the features once the pool
+has: the call takes the table and the dense slices out of its `Features`,
+so they are freed before the head runs, and a second call on the same
+`Features` raises `ValueError`.
 
 `log_probs` answers the CMI estimate's question for every target at once
 on integer rows, untaped, through a `RowMemo`, the CMI path's only row
@@ -81,8 +85,6 @@ runs.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from ..env.config import EnvConfig
@@ -94,16 +96,17 @@ from .store import ParamFactory
 __all__ = ["MaskedTransition", "RewardHead", "hidden_stack", "input_indices"]
 
 
-class Features(NamedTuple):
+class Features:
     """Target j's per-input features as `masked_max` reads them: the
     (d_s+1, width+1, feat) table, the (d_s+1, rows) `input_indices`, and
     the (d_h, rows, feat) features of the hidden samples with the inputs
-    they fill, or no dense slices."""
+    they fill, or no dense slices. An untaped `logits_from_features` call
+    takes the table and the dense slices out (see the module docstring)."""
 
-    table: Tensor
-    index: np.ndarray
-    dense: Tensor | None = None
-    dense_pos: np.ndarray | tuple = ()
+    __slots__ = ("table", "index", "dense", "dense_pos")
+
+    def __init__(self, table: Tensor, index: np.ndarray, dense: Tensor | None = None, dense_pos=()):
+        self.table, self.index, self.dense, self.dense_pos = table, index, dense, dense_pos
 
 
 def _width(env: EnvConfig) -> int:
@@ -262,7 +265,14 @@ class MaskedTransition:
             raise ValueError(
                 f"masks must have shape (K, 1 or rows, {self.env.d_s + 1}), got {masks.shape}"
             )
+        if feats.table is None:
+            raise ValueError("these features were released by an untaped call; compute them again")
         pooled = masked_max(feats.table, feats.index, masks, feats.dense, feats.dense_pos)
+        if not pooled.requires_grad:
+            # The caller's `feats` lives through this call (Python 3.10 keeps
+            # call arguments on the caller's stack), so the arrays are taken
+            # out of it rather than unbound here.
+            feats.table = feats.dense = None
         return self._heads[j](pooled)
 
     def log_probs(self, s: np.ndarray, a: np.ndarray, masks: np.ndarray) -> np.ndarray:

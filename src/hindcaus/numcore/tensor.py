@@ -7,17 +7,25 @@ dtype promotion to manage.
 
 Chains of small ops that run on every training step are single nodes with
 hand-written backwards: `mlp` is a chain of dense layers with tanh between
-them (the only dense-layer op), on rows with any leading axes or, with an
-optional selection of maps, on a stack; `gru_scan` and `sample_scan` are
-recurrences; `masked_max` pools feature-table rows under keep masks. Each
-forward keeps the order of operations of the chain of nodes it replaced,
-so its values are that chain's bit for bit, and returns a C-contiguous
-array, so that a later reduction sums in the same order; `mlp`'s backward
-gives that chain's gradients bit for bit too. (`numcore.dists` fuses the
-categorical losses the same way.) What only a backward reads (the gates
-of every `gru_scan` step, `masked_max`'s winner index) is kept only when
-the node is recorded: an unrecorded `gru_scan` allocates its (S, B, H)
-output and O(B·H) scratch.
+them, on rows with any leading axes or, with an optional selection of maps,
+on a stack; `gru_scan` is a GRU layer, its input projection (the one dense
+layer outside `mlp`) and its recurrence; `sample_scan` is the dvae
+encoders' sampling recurrence; `masked_max` pools feature-table rows under
+keep masks. Each forward keeps the order of operations of the chain of
+nodes it replaced, so its values are that chain's bit for bit, and returns
+a C-contiguous array, so that a later reduction sums in the same order;
+the backwards of `mlp` and `gru_scan` give that chain's gradients bit for
+bit too. (`numcore.dists` fuses the categorical losses the same way.)
+
+A recorded node keeps what its backward reads and nothing else: a
+`gru_scan` node keeps the contiguous (S, B, 2H) and (S, B, H) gates of
+every step, and drops its (S, B, 3H) input projection when the forward
+returns; a `masked_max` node keeps each output's winner index. An
+unrecorded node keeps neither. An unrecorded `gru_scan` runs each step in
+contiguous step buffers: one (B, 2H) slot for z and r, and one (B, 2H)
+pre-activation buffer, which then takes the sigmoid's numerator, and after
+it n and the step's other (B, H) terms in its two halves. So it allocates
+its projection, its (S, B, H) output and O(B·H) besides.
 
 The category axis is the last one, and it is short (l = 4 in every
 workload, 2 for the reward). numpy reduces such an axis element by
@@ -473,56 +481,77 @@ def mlp(x: Tensor, weights, select=None) -> Tensor:
     return _finish(h if stacked else h.reshape(*x.shape[:-1], k), (x, *weights), backward_fn)
 
 
-def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tensor:
-    """GRU recurrence from h = 0 over an (S, B, 3H) stack of input
-    projections; returns the (S, B, H) states as one node.
+def gru_scan(
+    xs: Tensor, Wx: Tensor, bx: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False
+) -> Tensor:
+    """A GRU layer over an (S, B, d) input sequence from h = 0, as one node:
+    the input projection and the recurrence; returns the (S, B, H) states.
 
-    Step s reads xw[s] = [x_z, x_r, x_n] and the previous state h:
+    The projection xw = xs @ Wx + bx runs as one matmul over the S·B rows
+    and one bias add, as a one-layer `mlp` does. Step s reads
+    xw[s] = [x_z, x_r, x_n] and the previous state h:
     [z, r] = sigmoid([x_z, x_r] + h @ Uzr), n = tanh(x_n + (r * h) @ Un),
     h' = (1 - z) * n + z * h. Steps run s = 0..S-1, or S-1..0 with
     `reverse`; out[s] is the state after step s either way. The backward is
-    backpropagation through time over the saved z, r and n.
+    backpropagation through time over the saved z, r and n, then the
+    projection's backward, so values and gradients are bit for bit those of
+    the chain this node replaced: the projection as a one-layer `mlp` node,
+    then a node for the recurrence alone (tests keep it as the reference).
 
-    Only a recorded node keeps z, r and n for every step, as (S, B, 2H) and
-    (S, B, H) arrays. Unrecorded (under `no_grad`, or with no input
-    requiring grad), each step writes them into one (B, 2H) and one (B, H)
-    scratch buffer, so the call allocates its (S, B, H) output and O(B·H)
-    besides; the states are the same bits either way.
+    The (S, B, 3H) projection is dropped when the forward returns. Only a
+    recorded node keeps z, r and n for every step, as contiguous (S, B, 2H)
+    and (S, B, H) arrays. Unrecorded (under `no_grad`, or with no input
+    requiring grad), each step writes them into one (B, 2H) slot and the
+    first half of its pre-activation buffer, so the call allocates its
+    projection, its (S, B, H) output and two (B, 2H) step buffers and one
+    (B, H) besides; the states are the same bits either way.
     """
     H = Un.shape[0]
+    d = Wx.shape[0] if Wx.data.ndim == 2 else -1
     if (
-        xw.data.ndim != 3
-        or xw.shape[2] != 3 * H
+        xs.data.ndim != 3
+        or xs.shape[2] != d
+        or Wx.shape != (d, 3 * H)
+        or bx.shape != (3 * H,)
         or Uzr.shape != (H, 2 * H)
         or Un.shape != (H, H)
     ):
         raise ShapeError(
-            f"gru_scan: inputs {xw.shape}, Uzr {Uzr.shape} and Un {Un.shape} are incompatible "
-            f"(need (S, B, 3H), (H, 2H), (H, H))"
+            f"gru_scan: inputs {xs.shape}, Wx {Wx.shape}, bx {bx.shape}, Uzr {Uzr.shape} and "
+            f"Un {Un.shape} are incompatible (need (S, B, d), (d, 3H), (3H,), (H, 2H), (H, H))"
         )
-    S, B = xw.shape[:2]
+    S, B = xs.shape[:2]
+    rows = xs.data.reshape(-1, d)
+    xw = np.matmul(rows, Wx.data)
+    xw += bx.data
+    xw = xw.reshape(S, B, 3 * H)
     order = range(S - 1, -1, -1) if reverse else range(S)
-    parents = (xw, Uzr, Un)
-    recorded = _records(parents)  # else z, r and n of every step go to slot 0
-    zr = np.empty((S if recorded else 1, B, 2 * H))
-    n = np.empty((S if recorded else 1, B, H))
-    data = np.empty((S, B, H))
-    # Every step reuses two scratch buffers besides. It runs the docstring's
-    # formula in its order; the operands of a sum may swap, since
-    # floating-point addition commutes.
+    parents = (xs, Wx, bx, Uzr, Un)
+    recorded = _records(parents)
+    # Each step computes its pre-activation in `pre`; the sigmoid leaves its
+    # numerator there, after which the first half holds n (unrecorded) and
+    # the second half the step's other (B, H) terms.
     pre = np.empty((B, 2 * H))
-    tmp = np.empty((B, H))
+    half = pre.reshape(2, B, H)
+    tmp = half[1]
+    if recorded:
+        zr, n = np.empty((S, B, 2 * H)), np.empty((S, B, H))
+    else:  # every step's gates go to slot 0
+        zr, n = np.empty((1, B, 2 * H)), half[:1]
+    data = np.empty((S, B, H))
+    # Each step runs the docstring's formula in its order; the operands of a
+    # sum may swap, since floating-point addition commutes.
     h = np.zeros((B, H))
     for s in order:
         k = s if recorded else 0
         zr_s, n_s = zr[k], n[k]
         np.matmul(h, Uzr.data, out=pre)
-        pre += xw.data[s, :, : 2 * H]
-        _sigmoid(pre, out=zr_s)
+        pre += xw[s, :, : 2 * H]
+        _sigmoid(pre, out=zr_s, num=pre)
         z, r = zr_s[:, :H], zr_s[:, H:]
         np.multiply(r, h, out=tmp)
         np.matmul(tmp, Un.data, out=n_s)
-        n_s += xw.data[s, :, 2 * H :]
+        n_s += xw[s, :, 2 * H :]
         np.tanh(n_s, out=n_s)
         np.subtract(1.0, z, out=tmp)
         tmp *= n_s
@@ -530,14 +559,14 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
         data[s] += tmp
         h = data[s]
 
-    def backward_fn(out=None, xw=xw, Uzr=Uzr, Un=Un):
+    def backward_fn(out=None):
         # prev[s] is the state step s read.
         prev = np.zeros_like(out.data)
         if reverse:
             prev[:-1] = out.data[1:]
         else:
             prev[1:] = out.data[:-1]
-        gx = np.empty_like(xw.data)
+        gx = np.empty((S, B, 3 * H))
         dh = np.zeros((B, H))
         for s in reversed(order):
             z, r = zr[s, :, :H], zr[s, :, H:]
@@ -549,14 +578,20 @@ def gru_scan(xw: Tensor, Uzr: Tensor, Un: Tensor, reverse: bool = False) -> Tens
             gx[s, :, H : 2 * H] = drh * prev[s]
             gx[s, :, : 2 * H] *= zr[s] * (1.0 - zr[s])
             dh = dh * z + drh * r + gx[s, :, : 2 * H] @ Uzr.data.T
-        if xw.requires_grad:
-            xw._accumulate(gx)
-        rows = (S * B, -1)
+        steps = (S * B, -1)
         if Uzr.requires_grad:
-            Uzr._accumulate(prev.reshape(rows).T @ gx[:, :, : 2 * H].reshape(rows))
+            Uzr._accumulate(prev.reshape(steps).T @ gx[:, :, : 2 * H].reshape(steps))
         if Un.requires_grad:
             rh = zr[:, :, H:] * prev
-            Un._accumulate(rh.reshape(rows).T @ gx[:, :, 2 * H :].reshape(rows))
+            Un._accumulate(rh.reshape(steps).T @ gx[:, :, 2 * H :].reshape(steps))
+        # The projection's backward, as `mlp`'s for one layer.
+        g = gx.reshape(steps)
+        if xs.requires_grad:
+            xs._accumulate(np.matmul(g, Wx.data.T).reshape(xs.shape))
+        if Wx.requires_grad:
+            Wx._accumulate(np.matmul(rows.T, g))
+        if bx.requires_grad:
+            bx._accumulate(g.sum(axis=0))
 
     return _finish(data, parents, backward_fn)
 
@@ -995,16 +1030,19 @@ def tanh(a: Tensor) -> Tensor:
     return _finish(data, (a,), backward_fn)
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(
+    x: np.ndarray, out: np.ndarray | None = None, num: np.ndarray | None = None
+) -> np.ndarray:
     """Logistic function that never overflows: exp only sees -|x|, and the
     result is 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|).
     As 0 <= e <= 1, `maximum(e, x >= 0)` is exactly that numerator (1 or
     e), so only one quotient is computed. Writes into `out`, which must not
-    overlap `x`, when given."""
+    overlap `x`, when given, and the numerator into `num`, which may be `x`
+    itself, when given."""
     e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.maximum(e, x >= 0)
+    num = np.maximum(e, x >= 0, out=num)
     e += 1.0
     return np.divide(num, e, out=e)
 

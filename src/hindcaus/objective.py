@@ -39,7 +39,7 @@ import numpy as np
 
 from .env.config import EnvConfig
 from .env.dataset import TrainBatch
-from .models import BatchEncoding, ModelBundle, hidden_stack, input_indices
+from .models import BatchEncoding, ModelBundle, check_time_major, hidden_stack, input_indices
 from .numcore.checks import _is_positive, _is_real
 from .numcore.dists import categorical_kl, cross_entropy, gumbel_block, one_hot
 from .numcore.random import stream
@@ -165,7 +165,8 @@ def vlb_losses(
     the live encoder's samples). The live samples are hard straight-through
     ones; `samples` / `target_logits` override the (T+1, B, d_h, l) encoder
     unrolls (oracle tests pass true hidden values, gradient checks relaxed
-    samples); `mask_draw` overrides the leave-one-out index draw.
+    samples), and an override of any other shape raises `ValueError`
+    naming it; `mask_draw` overrides the leave-one-out index draw.
 
     A target whose `graph_binary` column keeps every input or none has the
     full mask as its causal mask, so its logits hold only the full and
@@ -182,6 +183,9 @@ def vlb_losses(
             f"{graph_binary.shape} with values {np.unique(graph_binary)[:4].tolist()}"
         )
     B, T = batch.size, batch.horizon
+    for name, override in (("samples", samples), ("target_logits", target_logits)):
+        if override is not None:
+            check_time_major(name, override, env, T, B)
     enc = BatchEncoding(batch, env)
 
     if samples is None:
@@ -256,9 +260,11 @@ def vlb_losses(
 
 def reward_loss(batch: TrainBatch, bundle: ModelBundle, samples: Tensor) -> Tensor:
     """Mean cross-entropy of reward prediction from (h_t = samples[t], tau)
-    against r_t over t = 1..T. Gradients reach phi (through samples) and psi."""
+    against r_t over t = 1..T. Gradients reach phi (through samples) and psi.
+    `samples` other than (T+1, B, d_h, l) raise `ValueError`."""
     env = bundle.env
     B, T = batch.size, batch.horizon
+    check_time_major("samples", samples, env, T, B)
     h_rows = samples[1:].reshape(T * B, env.d_h * env.l)
     tau_rows = constant(np.tile(one_hot(batch.tau, env.l), (T, 1)))
     labels = _flatten_tm(batch.r)  # column t-1 holds r_t

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from hindcaus.models import (
     load_checkpoint,
     save_checkpoint,
 )
-from hindcaus.models import nets, transition
+from hindcaus.models import encoders, nets, transition
 from hindcaus.models.nets import Linear
 from hindcaus.numcore import Adam, backward, concat, constant, matmul, one_hot, parameter, stack, stream
 from hindcaus.objective import ObjectiveConfig, StepRandomness, total_objective
@@ -317,6 +319,89 @@ def test_trainable_excludes_phi_bar():
     assert any(n.startswith("psi/") for n in names)
 
 
+# -- overrides of the encoder's outputs ---------------------------------------------
+
+
+# Shapes an encoder output or override must not have, from (T, B, d_h, l).
+# At B = T+1 a batch-major (B, T+1, d_h, l) tensor has the time-major shape
+# itself, so no shape check can tell it apart; at other B it is refused.
+WRONG_TIME_MAJOR = {
+    "batch_major": lambda T, B, d_h, l: (B, T + 1, d_h, l),
+    "one_step_short": lambda T, B, d_h, l: (T, B, d_h, l),
+    "categories_first": lambda T, B, d_h, l: (T + 1, B, l, d_h),
+    "flat_factors": lambda T, B, d_h, l: (T + 1, B, d_h * l),
+}
+
+
+def wrong_time_major_cases():
+    """(batch size, case name) pairs: B = T+1 = 6, where today every case
+    but the batch-major one (the time-major shape itself) gives a finite
+    result from the wrong rows, and B = 4."""
+    return [
+        pytest.param(B, name, id=f"B{B}-{name}")
+        for B in (6, 4)
+        for name in WRONG_TIME_MAJOR
+        if not (B == 6 and name == "batch_major")
+    ]
+
+
+def wrong_time_major(cfg, batch, name):
+    """One-hot samples of the wrong shape `name` for `batch`."""
+    shape = WRONG_TIME_MAJOR[name](batch.horizon, batch.size, cfg.d_h, cfg.l)
+    return constant(np.eye(shape[-1])[np.zeros(shape[:-1], dtype=np.int64)])
+
+
+@pytest.mark.parametrize("B, name", wrong_time_major_cases())
+def test_unroll_refuses_teacher_samples_not_time_major(B, name):
+    cfg = chain3()
+    batch = small_batch(cfg, n=B)
+    assert batch.horizon == 5
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    prev = wrong_time_major(cfg, batch, name)
+    want = re.escape(f"prev_samples must have the time-major shape (T+1, B, d_h, l) = (6, {B}, 1, 4)")
+    with pytest.raises(ValueError, match=want):
+        bundle.encoder_target.unroll(BatchEncoding(batch, cfg), prev_samples=prev)
+
+
+def test_teacher_pass_frees_its_branches_before_the_combiner(monkeypatch):
+    # Identify's held-out evaluation: 512 episodes under no_grad, where the
+    # frozen cell's states are not memoized. The backward branch's states
+    # and the past branch's rows are dead by the time the combiner runs.
+    cfg = chain3("observation")
+    batch = small_batch(cfg, n=512, seed=1)
+    encoder = build_models(cfg, "dvae_full", seed=0).encoder_target
+    enc = BatchEncoding(batch, cfg)
+    prev = constant(one_hot(np.zeros((6, 512, cfg.d_h), dtype=np.int64), cfg.l))
+    refs, seen = {}, []
+    scan, cat, combiner = encoder.cell.scan, encoders.concat, encoder.combiner
+
+    def scan_spy(xs, reverse=False):
+        refs["g"] = weakref.ref((out := scan(xs, reverse)).data)
+        return out
+
+    def concat_spy(tensors, axis=0):
+        out = cat(tensors, axis)
+        if axis == 0:  # the past branch's rows after the context rows
+            refs["e"] = weakref.ref(out.data)
+        return out
+
+    def combiner_spy(x):
+        seen.append(sorted(name for name, ref in refs.items() if ref() is not None))
+        return combiner(x)
+
+    monkeypatch.setattr(encoder.cell, "scan", scan_spy)
+    monkeypatch.setattr(encoders, "concat", concat_spy)
+    monkeypatch.setattr(encoder, "combiner", combiner_spy)
+    gc.disable()
+    try:
+        with nc.no_grad():
+            logits, _ = encoder.unroll(enc, prev_samples=prev)
+    finally:
+        gc.enable()
+    assert logits.shape == (6, 512, 1, 4) and sorted(refs) == ["e", "g"]
+    assert seen == [[]]
+
+
 # -- the GRU state memo of a frozen cell ------------------------------------------
 
 MEMO_VARIANTS = ["history", "current_full", "dvae_full"]
@@ -337,11 +422,11 @@ def _gru_scan_spy(monkeypatch, fail=False):
     calls = []
     real = nets.gru_scan
 
-    def spy(xw, Uzr, Un, reverse=False):
-        calls.append(xw.shape[1])
+    def spy(xs, Wx, bx, Uzr, Un, reverse=False):
+        calls.append(xs.shape[1])
         if fail:
             raise RuntimeError("scan failed")
-        return real(xw, Uzr, Un, reverse)
+        return real(xs, Wx, bx, Uzr, Un, reverse)
 
     monkeypatch.setattr(nets, "gru_scan", spy)
     return calls
@@ -850,6 +935,38 @@ def test_all_zero_mask_rejected():
     feats = bundle.transition.features(0, *_transition_inputs(cfg, s, a))
     with pytest.raises(ValueError, match="masks must have shape"):
         bundle.transition.logits_from_features(0, feats, cmi_masks(cfg))  # (K, d_s+1): no row axis
+
+
+def test_untaped_pool_releases_the_features_before_the_head(monkeypatch):
+    # The caller holds `feats` through the call, as a Python 3.10 caller's
+    # stack holds a call's arguments: the table and the dense slices must be
+    # taken out of it, not merely unbound in the callee.
+    cfg = chain3()
+    tr = build_models(cfg, "dvae_full", seed=0).transition
+    rng = np.random.default_rng(8)
+    s, a = rng.integers(0, 4, size=(64, 3)), np.zeros((64, 3), dtype=np.int64)
+    inputs = _transition_inputs(cfg, s, a)
+    masks = cmi_masks(cfg)[:, None]
+    want = tr.logits_from_features(0, tr.features(0, *inputs), masks).data  # taped
+    seen, head = [], tr._heads[0]
+
+    def head_spy(pooled):
+        seen.append([ref() is None for ref in refs])
+        return head(pooled)
+
+    monkeypatch.setattr(tr, "_heads", [head_spy, *tr._heads[1:]])
+    with nc.no_grad():
+        feats = tr.features(0, *inputs)
+        refs = [weakref.ref(feats.table.data), weakref.ref(feats.dense.data)]
+        gc.disable()
+        try:
+            got = tr.logits_from_features(0, feats, masks).data
+        finally:
+            gc.enable()
+        assert seen == [[True, True]] and feats.table is None and feats.dense is None
+        with pytest.raises(ValueError, match="released by an untaped call"):
+            tr.logits_from_features(0, feats, masks)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", [(4,), (5, 3), (5, 5), (5, 1, 4)])

@@ -3,6 +3,7 @@ import inspect
 import math
 import operator
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -78,12 +79,13 @@ INDEX = np.array([[1, 0], [0, 0], [1, 1], [0, 1]])
 
 
 def _gru_scan_case(reverse):
-    """gru_scan over S=3 steps of B=2 rows with H=2: xw, Uzr and Un all
-    come from a and b, so the gradient reaches each of the three."""
+    """gru_scan over S=3 steps of B=2 rows of d=2 inputs with H=2: xs, Wx,
+    bx, Uzr and Un all come from a and b, so the gradient reaches each."""
 
     def op(a, b):
-        xw = nc.concat([a, b, a * b], axis=1).reshape(-1)[:36].reshape(3, 2, 6)
-        return nc.gru_scan(xw, b[:2], a[2:, 2:], reverse=reverse)
+        ab = nc.concat([a, b, a * b], axis=1).reshape(-1)
+        xs, Wx, bx = ab[:12].reshape(3, 2, 2), ab[12:24].reshape(2, 6), ab[24:30]
+        return nc.gru_scan(xs, Wx, bx, b[:2], a[2:, 2:], reverse=reverse)
 
     return op
 
@@ -706,12 +708,21 @@ def test_mlp_and_gru_scan_reject_bad_shapes():
             nc.mlp(x, weights)
         assert _names_every_shape(exc, x, *weights)
     assert nc.mlp(x, (z(4, 2), z(2), z(2, 5), z(5))).shape == (3, 5)
-    Uzr, Un = constant(np.zeros((2, 4))), constant(np.zeros((2, 2)))  # H = 2
-    with pytest.raises(ShapeError, match="gru_scan"):
-        nc.gru_scan(constant(np.zeros((4, 3, 5))), Uzr, Un)  # last axis 5, not 3H = 6
-    with pytest.raises(ShapeError, match="gru_scan"):
-        nc.gru_scan(constant(np.zeros((3, 6))), Uzr, Un)  # no step axis
-    nc.gru_scan(constant(np.zeros((4, 3, 6))), Uzr, Un)
+    # H = 2, d = 3: xs (S, B, 3), Wx (3, 6), bx (6,), Uzr (2, 4), Un (2, 2).
+    gru = [z(4, 2, 3), z(3, 6), z(6), z(2, 4), z(2, 2)]
+    for k, bad in [
+        (0, z(4, 2, 5)),  # 5 input columns for 3 weight rows
+        (0, z(2, 3)),  # no step axis
+        (1, z(3, 5)),  # the projection is not 3H wide
+        (2, z(5)),  # the bias is not (3H,)
+        (3, z(2, 2)),  # Uzr is not (H, 2H)
+        (4, z(3, 3)),  # Un is 3 wide, so 3H = 9 columns
+    ]:
+        args = [*gru[:k], bad, *gru[k + 1 :]]
+        with pytest.raises(ShapeError, match="gru_scan") as exc:
+            nc.gru_scan(*args)
+        assert _names_every_shape(exc, *args)
+    assert nc.gru_scan(*gru).shape == (4, 2, 2)
 
 
 # -- fused dense layers and losses against the node chains they replaced --------
@@ -811,7 +822,8 @@ def _assert_same_bits(fused, chain, leaves, rng):
 # The dense layers of the benchmark's training configs (chain3 and full5,
 # l=4, B=64, T=5, hidden 64, embed 16), as (input shape, layer widths, maps
 # of a stack, select): the transition heads on K=3 blocks of 320 rows, the
-# reward head, the GRU input projection over 6 steps, the window net, and
+# reward head, a GRU input projection's shape over 6 steps (gru_scan runs
+# it as this one-layer mlp does), the window net, and
 # the stacked extractors on the table basis and, with `select`, on the
 # hidden slices.
 DENSE_CASES = {
@@ -1013,11 +1025,15 @@ def _where_sigmoid(x):
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _gru_scan_reference(xw, Uzr, Un, reverse):
-    """gru_scan's forward as it was before it ran in scratch buffers: a
-    fresh array per operation of each step."""
-    S, B, H3 = xw.shape
-    H = H3 // 3
+def _gru_scan_reference(xs, Wx, bx, Uzr, Un, reverse):
+    """gru_scan's forward as it was before it ran in scratch buffers: the
+    projection as a one-layer mlp computes it, then a fresh array per
+    operation of each step."""
+    S, B, d = xs.shape
+    H = Un.shape[0]
+    xw = xs.reshape(-1, d) @ Wx
+    xw += bx
+    xw = xw.reshape(S, B, 3 * H)
     out = np.empty((S, B, H))
     h = np.zeros((B, H))
     for s in range(S - 1, -1, -1) if reverse else range(S):
@@ -1028,17 +1044,78 @@ def _gru_scan_reference(xw, Uzr, Un, reverse):
     return out
 
 
+def _scan_node(xw, Uzr, Un, reverse=False):
+    """The recurrence node that ran on an `mlp` node's (S, B, 3H)
+    projection before gru_scan took the projection in: the reference for
+    gru_scan's values and gradients, with its forward and its
+    backpropagation through time as they were."""
+    S, B, H = xw.shape[0], xw.shape[1], Un.shape[0]
+    order = range(S - 1, -1, -1) if reverse else range(S)
+    zr, n = np.empty((S, B, 2 * H)), np.empty((S, B, H))
+    data, pre, tmp, h = np.empty((S, B, H)), np.empty((B, 2 * H)), np.empty((B, H)), np.zeros((B, H))
+    for s in order:
+        np.matmul(h, Uzr.data, out=pre)
+        pre += xw.data[s, :, : 2 * H]
+        _sigmoid(pre, out=zr[s])
+        z, r = zr[s, :, :H], zr[s, :, H:]
+        np.multiply(r, h, out=tmp)
+        np.matmul(tmp, Un.data, out=n[s])
+        n[s] += xw.data[s, :, 2 * H :]
+        np.tanh(n[s], out=n[s])
+        np.subtract(1.0, z, out=tmp)
+        tmp *= n[s]
+        np.multiply(z, h, out=data[s])
+        data[s] += tmp
+        h = data[s]
+
+    def backward_fn(out=None):
+        prev = np.zeros_like(out.data)
+        if reverse:
+            prev[:-1] = out.data[1:]
+        else:
+            prev[1:] = out.data[:-1]
+        gx = np.empty_like(xw.data)
+        dh = np.zeros((B, H))
+        for s in reversed(order):
+            z, r = zr[s, :, :H], zr[s, :, H:]
+            dh = dh + out.grad[s]
+            dn = dh * (1.0 - z) * (1.0 - n[s] * n[s])
+            gx[s, :, 2 * H :] = dn
+            drh = dn @ Un.data.T
+            gx[s, :, :H] = dh * (prev[s] - n[s])
+            gx[s, :, H : 2 * H] = drh * prev[s]
+            gx[s, :, : 2 * H] *= zr[s] * (1.0 - zr[s])
+            dh = dh * z + drh * r + gx[s, :, : 2 * H] @ Uzr.data.T
+        if xw.requires_grad:
+            xw._accumulate(gx)
+        rows = (S * B, -1)
+        if Uzr.requires_grad:
+            Uzr._accumulate(prev.reshape(rows).T @ gx[:, :, : 2 * H].reshape(rows))
+        if Un.requires_grad:
+            rh = zr[:, :, H:] * prev
+            Un._accumulate(rh.reshape(rows).T @ gx[:, :, 2 * H :].reshape(rows))
+
+    return _finish(data, (xw, Uzr, Un), backward_fn)
+
+
+def _gru_arrays(S, B=16, d=11, H=8, seed=21):
+    """xs, Wx, bx, Uzr and Un of a GRU layer. Half the pre-activations sit
+    near +-40, where the gates saturate."""
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(S, B, d))
+    far = rng.random(size=xs.shape) < 0.5
+    xs[far] += 40.0 * rng.choice([-1.0, 1.0], size=far.sum())
+    Wx = 0.1 * rng.normal(size=(d, 3 * H))
+    Wx[np.arange(d), np.arange(d) % (3 * H)] += 1.0  # input i drives column i
+    bx = 0.3 * rng.normal(size=3 * H)
+    return xs, Wx, bx, rng.normal(size=(H, 2 * H)), rng.normal(size=(H, H))
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("taped", [True, False])
 def test_gru_scan_forward_matches_per_step_formula(reverse, taped):
-    rng = np.random.default_rng(21)
-    S, B, H = 5, 16, 8
-    # Half the pre-activations sit near +-40, where the gates saturate.
-    xw = rng.normal(size=(S, B, 3 * H))
-    far = rng.random(size=xw.shape) < 0.5
-    xw[far] += 40.0 * rng.choice([-1.0, 1.0], size=far.sum())
-    Uzr, Un = rng.normal(size=(H, 2 * H)), rng.normal(size=(H, H))
-    args = [parameter(x) for x in (xw, Uzr, Un)]
+    arrays = _gru_arrays(5, d=24)
+    args = [parameter(x) for x in arrays]
     if taped:
         out = nc.gru_scan(*args, reverse=reverse)
         assert out.requires_grad
@@ -1046,39 +1123,85 @@ def test_gru_scan_forward_matches_per_step_formula(reverse, taped):
         with nc.no_grad():
             out = nc.gru_scan(*args, reverse=reverse)
         assert not out.requires_grad
-    assert np.array_equal(out.data, _gru_scan_reference(xw, Uzr, Un, reverse))
+    assert np.array_equal(out.data, _gru_scan_reference(*arrays, reverse))
 
 
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("S", [1, 5])
 def test_unrecorded_gru_scan_equals_the_recorded_forward(reverse, S):
-    # Unrecorded, the gates of each step live in one scratch slot instead
-    # of their own; the states must not move by a bit.
-    rng = np.random.default_rng(23)
-    B, H = 16, 8
-    xw = rng.normal(size=(S, B, 3 * H))
-    Uzr, Un = rng.normal(size=(H, 2 * H)), rng.normal(size=(H, H))
-    recorded = nc.gru_scan(*(parameter(x) for x in (xw, Uzr, Un)), reverse=reverse)
+    # Unrecorded, the gates of each step live in scratch slots instead of
+    # their own; the states must not move by a bit.
+    arrays = _gru_arrays(S, seed=23)
+    recorded = nc.gru_scan(*(parameter(x) for x in arrays), reverse=reverse)
     assert recorded.requires_grad
     with nc.no_grad():
-        under_no_grad = nc.gru_scan(*(parameter(x) for x in (xw, Uzr, Un)), reverse=reverse)
-    on_constants = nc.gru_scan(*(constant(x) for x in (xw, Uzr, Un)), reverse=reverse)
+        under_no_grad = nc.gru_scan(*(parameter(x) for x in arrays), reverse=reverse)
+    on_constants = nc.gru_scan(*(constant(x) for x in arrays), reverse=reverse)
     for out in (under_no_grad, on_constants):
         assert not out.requires_grad and out.data.flags.c_contiguous
         assert out.data.tobytes() == recorded.data.tobytes()
 
 
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("S", [1, 5])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_gru_scan_equals_the_projection_and_scan_chain_bit_for_bit(reverse, S, taped):
+    leaves = [parameter(x) for x in _gru_arrays(S, seed=25)]
+    xs, Wx, bx, Uzr, Un = leaves
+
+    def fused():
+        return nc.gru_scan(*leaves, reverse=reverse)
+
+    def chain():
+        return _scan_node(nc.mlp(xs, (Wx, bx)), Uzr, Un, reverse)
+
+    if taped:
+        _assert_same_bits(fused, chain, leaves, np.random.default_rng(26))
+    else:
+        with nc.no_grad():
+            got, want = fused(), chain()
+        assert not got.requires_grad and got.data.tobytes() == want.data.tobytes()
+
+
 def test_unrecorded_gru_scan_peak_is_its_output_and_step_scratch(traced_peak):
-    # identify's held-out evaluation shape. A recorded scan keeps (S, B, 3H)
-    # gates beside its (S, B, H) output; an unrecorded one keeps one step's.
-    S, B, H = 6, 512, 64
+    # identify's held-out evaluation shape. Besides its projection and its
+    # output, an unrecorded scan holds one step's gates and pre-activation.
+    S, B, H, d = 6, 512, 64, 11
     rng = np.random.default_rng(24)
-    xw = constant(rng.normal(size=(S, B, 3 * H)))
+    xs = constant((rng.random(size=(S, B, d)) < 0.3).astype(float))
+    Wx, bx = constant(0.3 * rng.normal(size=(d, 3 * H))), constant(np.zeros(3 * H))
     Uzr, Un = constant(0.2 * rng.normal(size=(H, 2 * H))), constant(0.2 * rng.normal(size=(H, H)))
-    traced = traced_peak(lambda: nc.gru_scan(xw, Uzr, Un))
+    traced = traced_peak(lambda: nc.gru_scan(xs, Wx, bx, Uzr, Un))
     step_block = B * 3 * H * 8
-    assert traced.result.data.nbytes == S * B * H * 8
-    assert traced.peak < traced.result.data.nbytes + 5 * step_block, traced.peak
+    output = traced.result.data.nbytes
+    assert output == S * B * H * 8
+    assert traced.peak < S * step_block + output + 2 * step_block, traced.peak
+
+
+def test_recorded_gru_scan_drops_its_projection(monkeypatch):
+    # The backward reads the gates, the states and xs, never the
+    # projection, so a recorded node does not keep it.
+    S, B, H = 5, 16, 8
+    leaves = [parameter(x) for x in _gru_arrays(S, B=B, H=H, seed=27)]
+    products, real = [], np.matmul
+
+    def spy(*args, **kwargs):
+        product = real(*args, **kwargs)
+        if product.shape == (S * B, 3 * H):
+            products.append(weakref.ref(product))
+        return product
+
+    monkeypatch.setattr(np, "matmul", spy)
+    gc.disable()
+    try:
+        out = nc.gru_scan(*leaves, reverse=True)
+        assert out.requires_grad and len(products) == 1
+        assert products[0]() is None  # dead before any collection
+    finally:
+        gc.enable()
+    monkeypatch.undo()
+    backward(out.sum())
+    assert all(t.grad is not None for t in leaves)
 
 
 # -- sample_scan ------------------------------------------------------------------

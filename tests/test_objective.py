@@ -28,7 +28,7 @@ from hindcaus.objective import (
     total_objective,
     vlb_losses,
 )
-from test_models import _one_mask_logits
+from test_models import _one_mask_logits, wrong_time_major, wrong_time_major_cases
 
 
 def chain3(noise_target="hidden", **kw):
@@ -480,7 +480,7 @@ def tape_nodes(loss):
 
 @pytest.mark.parametrize(
     "make, d_s, nodes",
-    [(EnvConfig.chain, 3, 91), (EnvConfig.full, 5, 126)],
+    [(EnvConfig.chain, 3, 90), (EnvConfig.full, 5, 125)],
     ids=["chain3", "full5"],
 )
 def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
@@ -490,8 +490,8 @@ def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # taped); one masked_max node pools straight from the table and the
     # hidden features; each head and each network of the encoders is one
     # mlp node, which takes the leading axes of its input itself, so no
-    # reshape node sits around a head or the GRU's input projection; each
-    # loss is one node. Splitting any of these raises the count. Under the
+    # reshape node sits around a head; the GRU, its input projection
+    # included, is one gru_scan node; each loss is one node. Splitting any of these raises the count. Under the
     # full graph every causal mask copies the full one, so each target also
     # has the one index node that reuses its full term as its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
@@ -728,6 +728,28 @@ def test_reward_loss_untrained_near_label_entropy():
     rate = batch.r.mean()
     h = -(rate * math.log(rate) + (1 - rate) * math.log(1 - rate))
     assert abs(ce - h) < 0.25
+
+
+@pytest.mark.parametrize("override", ["samples", "target_logits"])
+@pytest.mark.parametrize("B, name", wrong_time_major_cases())
+def test_vlb_refuses_overrides_not_time_major(B, name, override):
+    cfg = chain3()
+    batch = make_batch(cfg, n=B)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    wrong = {override: wrong_time_major(cfg, batch, name)}
+    want = re.escape(f"{override} must have the time-major shape (T+1, B, d_h, l) = (6, {B}, 1, 4)")
+    with pytest.raises(ValueError, match=want):
+        vlb_losses(batch, bundle, full_graph(cfg), StepRandomness(0, 0), ObjectiveConfig(), **wrong)
+
+
+@pytest.mark.parametrize("B, name", wrong_time_major_cases())
+def test_reward_loss_refuses_samples_not_time_major(B, name):
+    cfg = chain3()
+    batch = make_batch(cfg, n=B)
+    bundle = build_models(cfg, "dvae_full", seed=0)
+    want = re.escape(f"samples must have the time-major shape (T+1, B, d_h, l) = (6, {B}, 1, 4)")
+    with pytest.raises(ValueError, match=want):
+        reward_loss(batch, bundle, wrong_time_major(cfg, batch, name))
 
 
 def test_rejects_bad_config():
