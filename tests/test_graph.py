@@ -260,9 +260,9 @@ def test_identify_traffic_runs_phi_bar_on_the_first_cycle_only(monkeypatch):
     scans = []
     real = nets.gru_scan
 
-    def spy(xw, *rest):
-        scans.append(xw.shape[1])
-        return real(xw, *rest)
+    def spy(xs, *rest):
+        scans.append(xs.shape[1])
+        return real(xs, *rest)
 
     monkeypatch.setattr(nets, "gru_scan", spy)
 

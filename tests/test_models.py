@@ -334,9 +334,10 @@ WRONG_TIME_MAJOR = {
 
 
 def wrong_time_major_cases():
-    """(batch size, case name) pairs: B = T+1 = 6, where today every case
-    but the batch-major one (the time-major shape itself) gives a finite
-    result from the wrong rows, and B = 4."""
+    """(batch size, case name) pairs: B = T+1 = 6, where a wrong shape can
+    reshape into the right number of rows and give a finite result from
+    the wrong ones (the batch-major case is the time-major shape there),
+    and B = 4."""
     return [
         pytest.param(B, name, id=f"B{B}-{name}")
         for B in (6, 4)
@@ -376,7 +377,8 @@ def test_teacher_pass_frees_its_branches_before_the_combiner(monkeypatch):
     scan, cat, combiner = encoder.cell.scan, encoders.concat, encoder.combiner
 
     def scan_spy(xs, reverse=False):
-        refs["g"] = weakref.ref((out := scan(xs, reverse)).data)
+        out = scan(xs, reverse)
+        refs["g"] = weakref.ref(out.data)
         return out
 
     def concat_spy(tensors, axis=0):

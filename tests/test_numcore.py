@@ -1099,8 +1099,9 @@ def _scan_node(xw, Uzr, Un, reverse=False):
 
 
 def _gru_arrays(S, B=16, d=11, H=8, seed=21):
-    """xs, Wx, bx, Uzr and Un of a GRU layer. Half the pre-activations sit
-    near +-40, where the gates saturate."""
+    """xs, Wx, bx, Uzr and Un of a GRU layer. Half the inputs sit near
+    +-40 and input i drives projection column i, so the pre-activations of
+    those columns saturate the gates."""
     rng = np.random.default_rng(seed)
     xs = rng.normal(size=(S, B, d))
     far = rng.random(size=xs.shape) < 0.5
