@@ -1052,7 +1052,8 @@ def _scan_node(xw, Uzr, Un, reverse=False):
     S, B, H = xw.shape[0], xw.shape[1], Un.shape[0]
     order = range(S - 1, -1, -1) if reverse else range(S)
     zr, n = np.empty((S, B, 2 * H)), np.empty((S, B, H))
-    data, pre, tmp, h = np.empty((S, B, H)), np.empty((B, 2 * H)), np.empty((B, H)), np.zeros((B, H))
+    data, pre, tmp = np.empty((S, B, H)), np.empty((B, 2 * H)), np.empty((B, H))
+    h = np.zeros((B, H))
     for s in order:
         np.matmul(h, Uzr.data, out=pre)
         pre += xw.data[s, :, : 2 * H]

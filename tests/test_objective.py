@@ -491,9 +491,10 @@ def test_objective_tape_node_count_is_pinned(make, d_s, nodes):
     # hidden features; each head and each network of the encoders is one
     # mlp node, which takes the leading axes of its input itself, so no
     # reshape node sits around a head; the GRU, its input projection
-    # included, is one gru_scan node; each loss is one node. Splitting any of these raises the count. Under the
-    # full graph every causal mask copies the full one, so each target also
-    # has the one index node that reuses its full term as its causal term.
+    # included, is one gru_scan node; each loss is one node. Splitting any
+    # of these raises the count. Under the full graph every causal mask
+    # copies the full one, so each target also has the one index node that
+    # reuses its full term as its causal term.
     cfg = make(d_s, l=4, horizon=5, noise_target="hidden")
     bundle = build_models(cfg, "dvae_full", seed=0)
     total, _ = total_objective(
